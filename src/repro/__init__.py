@@ -12,10 +12,10 @@ Quick start::
     from repro import DatabaseServer, SalesWorkload, paper_server_config
 
     workload = SalesWorkload(scale=0.001)
-    server = DatabaseServer(paper_server_config(throttling=True),
-                            workload.build_catalog())
     query = workload.generate(random.Random(7))
-    outcome = server.execute_sync(query.text)
+    with DatabaseServer(paper_server_config(throttling=True),
+                        workload.build_catalog()) as server:
+        outcome = server.execute_sync(query.text)
 """
 
 from repro.config import (

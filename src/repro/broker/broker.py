@@ -82,6 +82,11 @@ class MemoryBroker:
         """Register a component to receive notifications for a clerk."""
         self._handlers.setdefault(clerk_name, []).append(handler)
 
+    def unsubscribe_all(self) -> None:
+        """Drop every notification handler (server teardown: handlers
+        are bound methods of the components the broker serves)."""
+        self._handlers.clear()
+
     def start(self) -> None:
         """Launch the periodic broker process (no-op when disabled)."""
         if self.config.enabled and self._process is None:

@@ -1059,14 +1059,14 @@ def cmd_traces(args) -> int:
 # ------------------------------------------------------------ one-offs
 def cmd_query(args) -> int:
     workload = make_workload(args.workload)
-    server = DatabaseServer(
-        paper_server_config(throttling=not args.no_throttle),
-        workload.build_catalog())
     query = workload.generate(random.Random(args.seed))
     print(f"-- template: {query.template}")
     print(query.text)
     print()
-    outcome = server.execute_sync(query.text)
+    with DatabaseServer(
+            paper_server_config(throttling=not args.no_throttle),
+            workload.build_catalog()) as server:
+        outcome = server.execute_sync(query.text)
     if not outcome.ok:
         print(f"FAILED: {outcome.error_kind}: {outcome.error_message}")
         return 1

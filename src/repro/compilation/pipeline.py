@@ -176,6 +176,11 @@ class CompilationPipeline:
         #: query text -> recorded search trace (LRU)
         self._search_cache: "OrderedDict[str, _SearchRecording]" = \
             OrderedDict()
+        #: the suspended recordings among them, in cache order: exactly
+        #: the entries whose search still has a tail to run (see
+        #: _evict_suspended)
+        self._suspended: "OrderedDict[str, _SearchRecording]" = \
+            OrderedDict()
         #: texts compiled once already; a second compile of the same
         #: text (a retry, or a plan-cache eviction) starts recording —
         #: first-time compiles pay zero recording overhead
@@ -208,6 +213,8 @@ class CompilationPipeline:
                 cached = None
             if cached is not None:
                 self._search_cache.move_to_end(text)
+                if text in self._suspended:
+                    self._suspended.move_to_end(text)
                 self.search_replays += 1
                 table_count = cached.table_count
                 task = _ReplayTask(cached)
@@ -261,11 +268,12 @@ class CompilationPipeline:
             finally:
                 if recording is not None:
                     recording.suspend(task, steps_iter)
-                    self._search_cache[text] = recording
-                    while len(self._search_cache) > self.SEARCH_CACHE_SIZE:
-                        self._search_cache.popitem(last=False)
-                    if recording._iter is not None:
-                        self._evict_suspended()
+                    self._remember(text, recording)
+                elif cached is not None and cached._iter is None \
+                        and self._suspended.get(text) is cached:
+                    # this replay ran the suspended tail to its end
+                    # (no yield since, so the tracking never lags)
+                    del self._suspended[text]
             if result is None:
                 result = task.result
             if result is None:  # pragma: no cover - steps always yield one
@@ -321,9 +329,32 @@ class CompilationPipeline:
                 continue
             self._search_cache[text] = rec
             adopted += 1
-        while len(self._search_cache) > self.SEARCH_CACHE_SIZE:
-            self._search_cache.popitem(last=False)
+        self._trim_search_cache()
         return adopted
+
+    def _remember(self, text: str, recording: _SearchRecording) -> None:
+        """Cache a finished compile's recording (LRU, both bounds)."""
+        replaced = text in self._search_cache
+        self._search_cache[text] = recording
+        self._trim_search_cache()
+        if recording._iter is None:
+            self._suspended.pop(text, None)
+            return
+        if replaced and text not in self._suspended:
+            # a concurrent compile of the same text cached a completed
+            # recording first and this one took over its slot mid-cache:
+            # the one case where appending would break the cache order
+            self._suspended = OrderedDict(
+                (t, rec) for t, rec in self._search_cache.items()
+                if rec._iter is not None)
+        else:
+            self._suspended[text] = recording
+        self._evict_suspended()
+
+    def _trim_search_cache(self) -> None:
+        while len(self._search_cache) > self.SEARCH_CACHE_SIZE:
+            text, _ = self._search_cache.popitem(last=False)
+            self._suspended.pop(text, None)
 
     def _evict_suspended(self) -> None:
         """Drop the oldest suspended recordings beyond the bound.
@@ -332,10 +363,20 @@ class CompilationPipeline:
         memory, invisible to the simulated accounting), so they get a
         tighter cap than completed traces.
         """
-        suspended = [t for t, rec in self._search_cache.items()
-                     if rec._iter is not None]
-        for text in suspended[:-self.SUSPENDED_CACHE_SIZE]:
+        while len(self._suspended) > self.SUSPENDED_CACHE_SIZE:
+            text, _ = self._suspended.popitem(last=False)
             del self._search_cache[text]
+
+    def close(self) -> None:
+        """Forget every recorded search of this server.
+
+        Suspended recordings pin a live memo each; completed ones a
+        caller wants to keep must be exported first
+        (:meth:`export_recorded_searches`).  ``live_accounts`` needs no
+        clearing: every compile removes its own entry as it unwinds.
+        """
+        self._search_cache.clear()
+        self._suspended.clear()
 
     # -- extension (b): best-plan-so-far cutoffs ---------------------------
     def _charge(self, account: MemoryAccount, task, nbytes: int):

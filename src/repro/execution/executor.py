@@ -88,6 +88,11 @@ class QueryExecutor:
             # the semaphore failed the grant: physical memory could not
             # back it even after cache reclamation
             raise ExecutionOutOfMemoryError(str(exc)) from exc
+        except BaseException:
+            # unwound mid-wait (the run was closed): withdraw the
+            # request, or return a grant made during the teardown
+            self.semaphore.release(grant)
+            raise
         if not grant.granted:
             self.semaphore.cancel(grant)
             if grant.triggered and not grant.ok:

@@ -136,7 +136,9 @@ class ResourceSemaphore:
                 self._outstanding += head.nbytes
                 self.stats.grants += 1
                 self.stats.total_wait += self.env.now - head.requested_at
-                head.succeed(head)
+                # fires with the byte count, not with itself: an event
+                # holding itself is a cycle only the collector frees
+                head.succeed(head.nbytes)
         finally:
             self._pumping = False
 

@@ -195,13 +195,14 @@ def execute_cell(task: CellTask,
 
     spec, cell = task.spec, task.cell
     if spec.kind != "experiment":
-        started = time.time()
+        started = time.perf_counter()
         result = run_cell_scenario(spec)
         metrics = {
             name: (repr(value) if isinstance(value, float)
                    and not math.isfinite(value) else value)
             for name, value in sorted(result.scenario_metrics.items())}
-        return CellResult(cell=cell, wall_seconds=time.time() - started,
+        return CellResult(cell=cell,
+                          wall_seconds=time.perf_counter() - started,
                           scenario_metrics=metrics, body=result.body)
     try:
         job = next((job for job in jobs_for_scenario(spec)

@@ -25,9 +25,9 @@ from repro.workload.sales import SalesWorkload
 def figure1_monitors(throttling: bool = True) -> str:
     """Render the monitor ladder of a freshly-booted paper server."""
     workload = SalesWorkload(scale=0.0001)
-    server = DatabaseServer(paper_server_config(throttling),
-                            workload.build_catalog())
-    return server.governor.describe()
+    with DatabaseServer(paper_server_config(throttling),
+                        workload.build_catalog()) as server:
+        return server.governor.describe()
 
 
 # --------------------------------------------------------------- Figure 2
@@ -116,7 +116,10 @@ def figure2_trace(seed: int = 11, fast_factor: float = 4.0,
             yield env.timeout(2.0)
 
     env.process(sampler())
-    env.run(until=900.0)
+    try:
+        env.run(until=900.0)
+    finally:
+        server.close()
     return ThrottleTrace(curves=curves)
 
 

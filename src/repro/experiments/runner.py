@@ -193,10 +193,6 @@ class ExperimentResult:
         return sum(c for _, c in self.throughput) / len(self.throughput)
 
 
-#: short runs pause the cyclic GC; a full sweep runs every few of them
-_RUNS_SINCE_GC_SWEEP = 0
-
-
 def search_profile(config: ExperimentConfig,
                    server_config: ServerConfig) -> tuple:
     """The key under which runs may share recorded optimizer searches.
@@ -238,8 +234,34 @@ def run_experiment(config: ExperimentConfig,
     through a whole batch so retried query texts replay across the
     worker pool.  Replays are charge-identical to live searches, so the
     pool affects wall-clock time only, never simulated results.
+
+    The run owns its server and closes it before returning, so the
+    cell's heap is freed by reference counting on the way out; only
+    the result and the exported recordings outlive the call.
     """
     preset = get_preset(config.preset)
+    # The simulation allocates millions of small, mostly refcounted
+    # objects; pausing the cyclic collector for a short run is
+    # measurably faster.  It comes back on only once the run has been
+    # torn down and its frame is gone, so the next collection looks at
+    # what outlives the cell rather than at the cell.  Long
+    # (paper-fidelity) runs keep the collector on so their heap stays
+    # bounded.
+    pause_gc = (preset.warmup + preset.measure) <= 12_000 and gc.isenabled()
+    if pause_gc:
+        gc.disable()
+    try:
+        return _run_cell(config, preset, workload, shared_searches)
+    finally:
+        if pause_gc:
+            gc.enable()
+
+
+def _run_cell(config: ExperimentConfig, preset: Preset,
+              workload: Optional[Workload],
+              shared_searches: Optional[Dict[tuple, dict]],
+              ) -> ExperimentResult:
+    """Build, run, measure and tear down one cell's server."""
     scale = preset.time_scale
     server_config = config.build_server_config()
     workload = workload or config.build_workload()
@@ -247,100 +269,83 @@ def run_experiment(config: ExperimentConfig,
 
     metrics = MetricsCollector(bucket_width=preset.bucket / scale)
     env = Environment(kernel=config.kernel)
-    server = DatabaseServer(server_config, catalog, env=env,
-                            metrics=metrics)
-    profile = None
-    if shared_searches is not None:
-        profile = search_profile(config, server_config)
-        server.pipeline.record_all_searches = True
-        server.pipeline.seed_recorded_searches(
-            shared_searches.get(profile, {}))
-    duration_sim = (preset.warmup + preset.measure) / scale
-    if config.traffic is not None:
-        from repro.traffic.openloop import OpenLoopGenerator
+    with DatabaseServer(server_config, catalog, env=env,
+                        metrics=metrics) as server:
+        profile = None
+        if shared_searches is not None:
+            profile = search_profile(config, server_config)
+            server.pipeline.record_all_searches = True
+            server.pipeline.seed_recorded_searches(
+                shared_searches.get(profile, {}))
+        duration_sim = (preset.warmup + preset.measure) / scale
+        if config.traffic is not None:
+            from repro.traffic.openloop import OpenLoopGenerator
 
-        generator = OpenLoopGenerator(
-            server, workload, traffic=config.traffic,
-            duration=duration_sim, metrics=metrics, seed=config.seed,
-            clients=config.clients, admission=config.admission,
-            capture=config.capture_trace is not None)
-    else:
-        generator = LoadGenerator(
-            server, workload, clients=config.clients,
-            duration=duration_sim, metrics=metrics, seed=config.seed,
-            think_time=config.think_time,
-            capture=config.capture_trace is not None)
+            generator = OpenLoopGenerator(
+                server, workload, traffic=config.traffic,
+                duration=duration_sim, metrics=metrics, seed=config.seed,
+                clients=config.clients, admission=config.admission,
+                capture=config.capture_trace is not None)
+        else:
+            generator = LoadGenerator(
+                server, workload, clients=config.clients,
+                duration=duration_sim, metrics=metrics, seed=config.seed,
+                think_time=config.think_time,
+                capture=config.capture_trace is not None)
 
-    started = time.time()
-    # The simulation allocates millions of small, mostly refcounted
-    # objects; pausing the cyclic collector for a short run is
-    # measurably faster, with leftover cycles swept every few runs.
-    # Long (paper-fidelity) runs keep the collector on so their heap
-    # stays bounded.
-    pause_gc = (preset.warmup + preset.measure) <= 12_000 and gc.isenabled()
-    if pause_gc:
-        gc.disable()
-    try:
+        started = time.perf_counter()
         generator.run()
-    finally:
-        if pause_gc:
-            gc.enable()
-    wall = time.time() - started
-    if pause_gc:
-        global _RUNS_SINCE_GC_SWEEP
-        _RUNS_SINCE_GC_SWEEP += 1
-        if _RUNS_SINCE_GC_SWEEP >= 4:
-            _RUNS_SINCE_GC_SWEEP = 0
-            gc.collect()
+        wall = time.perf_counter() - started
 
-    if shared_searches is not None:
-        pool = shared_searches.setdefault(profile, {})
-        pool.update(server.pipeline.export_recorded_searches())
+        if shared_searches is not None:
+            pool = shared_searches.setdefault(profile, {})
+            pool.update(server.pipeline.export_recorded_searches())
 
-    snapshot = None
-    if config.capture_snapshot:
-        from repro.server.dmv import ServerViews
+        snapshot = None
+        if config.capture_snapshot:
+            from repro.server.dmv import ServerViews
 
-        snapshot = ServerViews(server).snapshot()
+            snapshot = ServerViews(server).snapshot()
 
-    if config.capture_trace is not None:
-        from repro.admission.capture import write_capture
+        if config.capture_trace is not None:
+            from repro.admission.capture import write_capture
 
-        write_capture(config.capture_trace, generator.captured_events())
+            write_capture(config.capture_trace,
+                          generator.captured_events())
 
-    warm_sim = preset.warmup / scale
-    series = [(t * scale, count)
-              for t, count in metrics.throughput_series(
-                  warm_sim, duration_sim)]
-    totals = generator.totals()
-    memory = {clerk: trace.mean(warm_sim, duration_sim)
-              for clerk, trace in metrics.memory.items()}
-    gateways = [(g.name, g.stats.acquires, g.stats.timeouts,
-                 g.stats.mean_wait() * scale)
-                for g in server.governor.gateways]
-    open_loop = (generator.facts(scale)
-                 if config.traffic is not None else None)
-    slo = None
-    if config.slo is not None and open_loop is not None:
-        from repro.admission.slo import evaluate_slo
+        warm_sim = preset.warmup / scale
+        series = [(t * scale, count)
+                  for t, count in metrics.throughput_series(
+                      warm_sim, duration_sim)]
+        totals = generator.totals()
+        memory = {clerk: trace.mean(warm_sim, duration_sim)
+                  for clerk, trace in metrics.memory.items()}
+        gateways = [(g.name, g.stats.acquires, g.stats.timeouts,
+                     g.stats.mean_wait() * scale)
+                    for g in server.governor.gateways]
+        open_loop = (generator.facts(scale)
+                     if config.traffic is not None else None)
+        slo = None
+        if config.slo is not None and open_loop is not None:
+            from repro.admission.slo import evaluate_slo
 
-        slo = evaluate_slo(config.slo, open_loop)
-    return ExperimentResult(
-        config=config,
-        throughput=series,
-        completed=metrics.successes(warm_sim, duration_sim),
-        failed=metrics.failure_total(),
-        error_counts=dict(metrics.error_counts),
-        degraded=metrics.degraded_count(),
-        retries=totals.retries,
-        mean_compile_time=metrics.mean_compile_time() * scale,
-        mean_execution_time=metrics.mean_execution_time() * scale,
-        memory_by_clerk=memory,
-        gateway_stats=gateways,
-        wall_seconds=wall,
-        search_replays=server.pipeline.search_replays,
-        soft_denials=server.pipeline.soft_denials,
-        open_loop=open_loop,
-        slo=slo,
-        snapshot=snapshot,
-    )
+            slo = evaluate_slo(config.slo, open_loop)
+        return ExperimentResult(
+            config=config,
+            throughput=series,
+            completed=metrics.successes(warm_sim, duration_sim),
+            failed=metrics.failure_total(),
+            error_counts=dict(metrics.error_counts),
+            degraded=metrics.degraded_count(),
+            retries=totals.retries,
+            mean_compile_time=metrics.mean_compile_time() * scale,
+            mean_execution_time=metrics.mean_execution_time() * scale,
+            memory_by_clerk=memory,
+            gateway_stats=gateways,
+            wall_seconds=wall,
+            search_replays=server.pipeline.search_replays,
+            soft_denials=server.pipeline.soft_denials,
+            open_loop=open_loop,
+            slo=slo,
+            snapshot=snapshot,
+        )

@@ -54,6 +54,9 @@ class MemoryClerk:
         self.hard_denials = 0
         #: the OutOfMemoryError behind the most recent hard denial, so
         #: callers of the no-raise grant path can still chain/report it
+        #: (kept without its traceback, whose frames lead back to the
+        #: requesting task and would pin it — and this clerk — in a
+        #: reference cycle)
         self.last_oom: Optional[OutOfMemoryError] = None
 
     @property
@@ -89,7 +92,7 @@ class MemoryClerk:
             self.allocate(nbytes)
         except OutOfMemoryError as exc:
             self.hard_denials += 1
-            self.last_oom = exc
+            self.last_oom = exc.with_traceback(None)
             return GrantOutcome.DENIED_HARD
         return GrantOutcome.GRANTED
 

@@ -60,6 +60,14 @@ class MemoryManager:
         """Invoke ``callback()`` whenever memory is freed."""
         self._release_listeners.append(callback)
 
+    def close(self) -> None:
+        """Forget the shrink callbacks and release listeners (server
+        teardown: they are bound methods of the caches and grant queues
+        drawing on this manager, which would otherwise form reference
+        cycles with it).  Accounting keeps working."""
+        self._shrinkers.clear()
+        self._release_listeners.clear()
+
     # -- accounting --------------------------------------------------------
     @property
     def used(self) -> int:

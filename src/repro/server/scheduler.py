@@ -57,11 +57,12 @@ class CpuScheduler:
             quantum = min(self.QUANTUM, remaining)
             started = self.env.now
             req = self._cpus.request()
-            yield req
-            self.stats.queue_wait += self.env.now - started
             try:
+                yield req
+                self.stats.queue_wait += self.env.now - started
                 yield self.env.timeout(quantum / self._time_scale)
             finally:
+                # also when unwound while still queued for a CPU
                 self._cpus.release(req)
             self.stats.busy_time += quantum
             self.stats.quanta += 1

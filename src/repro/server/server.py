@@ -128,6 +128,31 @@ class DatabaseServer:
         self.broker.start()
         self.env.process(self._memory_sampler())
 
+    def close(self) -> None:
+        """End this server's run and release what it holds (idempotent).
+
+        Closes the environment — every in-flight query unwinds through
+        its ``finally`` blocks, so monitors, grants and compilation
+        accounts are returned — then drops the pipeline's recorded
+        searches and the wiring that points back up the object graph
+        (broker subscriptions, the clerk's grant advisor, the memory
+        manager's shrink callbacks and release listeners).  Read
+        results, views and recordings before closing; afterwards the
+        server is only good for inspection of its counters, and plain
+        reference counting frees it when the last user lets go.
+        """
+        self.env.close()
+        self.pipeline.close()
+        self.broker.unsubscribe_all()
+        self.compile_clerk.advisor = None
+        self.memory.close()
+
+    def __enter__(self) -> "DatabaseServer":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
     def _memory_sampler(self):
         """Sample per-clerk memory into the metrics collector."""
         interval = max(self.config.broker.interval,

@@ -19,7 +19,7 @@ Two interchangeable scheduler cores back the same facade — the
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
@@ -43,7 +43,8 @@ class Environment:
     10.0
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_wheel", "active_process")
+    __slots__ = ("_now", "_queue", "_eid", "_wheel", "_processes",
+                 "active_process", "__weakref__")
 
     def __init__(self, initial_time: float = 0.0, kernel: str = "legacy"):
         if kernel not in KERNEL_NAMES:
@@ -60,6 +61,9 @@ class Environment:
                 EventWheel(start=self._now)
         else:
             self._wheel = None
+        #: every still-live process, in creation order (a dict, not a
+        #: set: close() unwinds them in this order on every run)
+        self._processes: Dict["Process", None] = {}
         #: the process currently being resumed (kernel internal)
         self.active_process = None
 
@@ -164,6 +168,38 @@ class Environment:
                     raise event._value
         if until is not None:
             self._now = limit
+
+    # -- teardown ---------------------------------------------------------
+    def close(self) -> None:
+        """End the simulation: unwind every live process, drop the schedule.
+
+        Each still-live process has its generator closed, in creation
+        order, so every ``finally`` along its wait chain runs (held
+        slots, grants and memory accounts are released); then whatever
+        is left on the schedule — including events those releases
+        triggered — is dropped unprocessed.  Nothing is resumed.  What
+        remains is an empty environment at the current time, so calling
+        ``close`` again is a no-op.
+
+        A process that yields again while being closed is a model bug
+        and surfaces as :class:`~repro.errors.SimulationError` once
+        every other process has been unwound.
+        """
+        processes, self._processes = self._processes, {}
+        stubborn = None
+        for process in processes:
+            try:
+                process._close()
+            except RuntimeError as exc:  # generator ignored GeneratorExit
+                stubborn = stubborn or (process, exc)
+        if self._wheel is None:
+            self._queue.clear()
+        else:
+            self._wheel.clear()
+        if stubborn is not None:
+            process, exc = stubborn
+            raise SimulationError(
+                f"{process!r} yielded while being closed: {exc}") from exc
 
     def _run_wheel(self, limit: float) -> None:
         """The dispatch loop over the calendar-queue core."""

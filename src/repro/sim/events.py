@@ -175,6 +175,14 @@ class Condition(Event):
     def _satisfied(self) -> bool:
         raise NotImplementedError
 
+    def _release(self) -> None:
+        """Let go of the children: the outcome is settled (or nobody is
+        left to want it).  A child that never gets processed — the
+        request a timeout beat, a timer the run ended before — keeps
+        ``_check`` in its callbacks; still holding it from here would
+        close a reference cycle only the collector could free."""
+        self.events = ()
+
     def _check(self, event: Event) -> None:
         if self.triggered:
             # A sibling already resolved the condition; absorb failures so
@@ -186,8 +194,10 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._release()
         elif self._satisfied():
             self.succeed(self._collect())
+            self._release()
 
 
 class AnyOf(Condition):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Interrupt, _PENDING
+from repro.sim.events import Condition, Event, Interrupt, _PENDING
 
 
 class Process(Event):
@@ -34,6 +34,7 @@ class Process(Event):
         init._value = None
         env.schedule(init)
         init.add_callback(self._resume)
+        env._processes[self] = None
 
     @property
     def is_alive(self) -> bool:
@@ -64,6 +65,22 @@ class Process(Event):
         wakeup.add_callback(self._resume)
 
     # -- kernel internals --------------------------------------------------
+    def _finish(self) -> None:
+        """The generator is done: stop waiting, leave the live registry."""
+        self._target = None
+        self.env._processes.pop(self, None)
+
+    def _close(self) -> None:
+        """Unwind a live process for :meth:`Environment.close`: stop
+        waiting (the target may outlive the run in some queue and must
+        not resume us), then run the generator's ``finally`` blocks."""
+        target, self._target = self._target, None
+        if target is not None and target.callbacks is not None:
+            target.callbacks.remove(self._resume)
+            if isinstance(target, Condition):
+                target._release()
+        self._generator.close()
+
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         if not self.is_alive:
@@ -88,12 +105,15 @@ class Process(Event):
                 event._defused = True
                 next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self._target = None
+            self._finish()
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self._target = None
-            self.fail(exc)
+            self._finish()
+            # keep the model's frames for whoever re-raises this, but
+            # not this kernel frame: its ``self`` would tie the process
+            # and its own failure into a cycle only the collector frees
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
         finally:
             self.env.active_process = None

@@ -132,6 +132,16 @@ class EventWheel:
         self.push(when, eid, payload)
         return True
 
+    def clear(self) -> None:
+        """Drop every pending entry; the drain window stays put, so the
+        wheel keeps accepting pushes at or after the current time."""
+        for bucket in self._buckets:
+            bucket.clear()
+        self._ready.clear()
+        self._overflow.clear()
+        self._entries.clear()
+        self._live = self._wheel_live = 0
+
     def _place(self, entry: list) -> None:
         """Route a live entry to ready heap, bucket or overflow."""
         when = entry[_WHEN]

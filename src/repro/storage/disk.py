@@ -59,12 +59,13 @@ class DiskModel:
         """
         started = self.env.now
         req = self._channels.request()
-        yield req
-        waited = self.env.now - started
-        service = self.service_time(nbytes)
         try:
+            yield req
+            waited = self.env.now - started
+            service = self.service_time(nbytes)
             yield self.env.timeout(service)
         finally:
+            # also when unwound while still queued for a channel
             self._channels.release(req)
         self.stats.requests += 1
         self.stats.bytes_read += nbytes

@@ -70,7 +70,13 @@ class Gateway:
         self.stats.peak_queue = max(self.stats.peak_queue,
                                     self._resource.queued)
         timeout = self.env.timeout(self.timeout / self._time_scale)
-        yield self.env.any_of([req, timeout])
+        try:
+            yield self.env.any_of([req, timeout])
+        except BaseException:
+            # unwound mid-wait (the run was closed): withdraw the claim,
+            # or give back a slot granted while the run was torn down
+            self._resource.release(req)
+            raise
         if not req.granted:
             self._resource.cancel(req)
             self.stats.timeouts += 1

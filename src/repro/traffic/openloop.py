@@ -269,7 +269,13 @@ class OpenLoopGenerator:
         queued_at = env.now
         request = self._policy.request(arrival.tenant)
         timeout = env.timeout(self.traffic.queue_timeout / scale)
-        yield env.any_of([request, timeout])
+        try:
+            yield env.any_of([request, timeout])
+        except BaseException:
+            # unwound mid-wait (the run was closed): leave the queue, or
+            # give back a slot granted while the run was torn down
+            self._policy.release(request)
+            raise
         if not request.granted:
             self._policy.cancel(request)
             table.resolve(index, session_state.DROPPED_TIMEOUT,

@@ -48,7 +48,6 @@ class LoadGenerator:
         self.max_retries = max_retries
         self.stats: List[ClientStats] = [ClientStats()
                                          for _ in range(clients)]
-        self._processes = []
         #: submissions on record for trace capture (submission order,
         #: which is sim-time order; outcomes patched in on completion)
         self._capture: Optional[List[dict]] = [] if capture else None
@@ -58,8 +57,7 @@ class LoadGenerator:
         self.server.start()
         for client_id in range(self.clients):
             rng = random.Random(f"{self.seed}/{client_id}")
-            process = self.server.env.process(self._client(client_id, rng))
-            self._processes.append(process)
+            self.server.env.process(self._client(client_id, rng))
 
     def run(self) -> None:
         """Start clients and run the simulation to ``duration``."""
