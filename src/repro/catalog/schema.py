@@ -19,12 +19,15 @@ class ColumnType(Enum):
 
     def default_width(self) -> int:
         """Bytes per value used for row-width estimates."""
-        return {
-            ColumnType.INTEGER: 4,
-            ColumnType.DECIMAL: 8,
-            ColumnType.VARCHAR: 24,
-            ColumnType.DATE: 4,
-        }[self]
+        return _DEFAULT_WIDTHS[self]
+
+
+_DEFAULT_WIDTHS = {
+    ColumnType.INTEGER: 4,
+    ColumnType.DECIMAL: 8,
+    ColumnType.VARCHAR: 24,
+    ColumnType.DATE: 4,
+}
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,12 @@ class Table:
         if len(names) != len(set(names)):
             raise CatalogError(f"table {self.name!r}: duplicate column names")
         self._by_name = {c.name: c for c in self.columns}
+        # nothing changes columns or row count after construction, and
+        # the optimizer reads both sizes for every scan it costs
+        #: bytes per row (sum of column widths plus per-row overhead)
+        self.row_width = sum(c.byte_width for c in self.columns) + 10
+        #: total table size in bytes
+        self.nbytes = self.row_count * self.row_width
         index_cols = {col for ix in self.indexes for col in ix.columns}
         unknown = index_cols - set(names)
         if unknown:
@@ -97,16 +106,6 @@ class Table:
 
     def has_column(self, name: str) -> bool:
         return name in self._by_name
-
-    @property
-    def row_width(self) -> int:
-        """Bytes per row (sum of column widths plus per-row overhead)."""
-        return sum(c.byte_width for c in self.columns) + 10
-
-    @property
-    def nbytes(self) -> int:
-        """Total table size in bytes."""
-        return self.row_count * self.row_width
 
     def column_names(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.columns)

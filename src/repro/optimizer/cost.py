@@ -9,6 +9,7 @@ time agree in shape but diverge under pressure — as in a real system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.units import GiB, MiB
@@ -85,8 +86,6 @@ class CostModel:
 
     # -- sort ---------------------------------------------------------------------
     def sort_cost(self, rows: float) -> float:
-        import math
-
         n = max(rows, 2.0)
         return n * math.log2(n) * self.params.sort_per_row
 

@@ -6,23 +6,27 @@ compilation pipeline can charge memory and CPU between steps, and asks
 the selection stage for an implementation pass at each of its stage
 boundaries.
 
-``MemoEnumerator`` (``memo``) is the pre-pipeline staged search moved
-here verbatim: a syntactic stage-0 plan (always available as the
-best-plan-so-far fallback), then budgeted exploration rounds applying
-transformation rules.  ``UesEnumerator`` (``ues``) is a greedy
-upper-bound-driven reorder in the spirit of UES: it orders the join
-left-deep by minimizing upper-bound intermediate cardinalities, does a
-single implementation pass, and never explores — a fraction of the
-work units and memo bytes, at the price of trusting the bounds.
+``MemoEnumerator`` (``memo``) is the pre-pipeline staged search: a
+syntactic stage-0 plan (always available as the best-plan-so-far
+fallback), then budgeted exploration rounds applying transformation
+rules.  The rules never look at a literal, so their work is done once
+per query *shape* in a :class:`ShapeTrace` and every search of that
+shape copies the prefix its budget pays for.  ``UesEnumerator``
+(``ues``) is a greedy upper-bound-driven reorder in the spirit of UES:
+it orders the join left-deep by minimizing upper-bound intermediate
+cardinalities, does a single implementation pass, and never explores —
+a fraction of the work units and memo bytes, at the price of trusting
+the bounds.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import SimulationError
-from repro.optimizer.memo import GroupExpression
+from repro.optimizer.memo import GroupExpression, GroupStats, Memo
+from repro.optimizer.rules import GroupRef, RuleContext
 from repro.optimizer.selection import _split_join_keys
 from repro.plans import expressions as ex
 from repro.plans import logical as lg
@@ -34,6 +38,158 @@ MIN_BUDGET = 30
 MAX_BUDGET = 3000
 #: fraction of the budget spent before the first re-costing pass
 STAGE_BOUNDARIES = (0.3, 1.0)
+
+
+def shape_key(node: lg.LogicalNode) -> tuple:
+    """A bound tree's identity with single-table predicates dropped.
+
+    Everything rule exploration can see: scans by alias and table, and
+    every other operator by its full payload — so a literal inside a
+    join condition or a residual filter makes a different shape.
+    """
+    if isinstance(node, lg.LogicalGet):
+        return ("get", node.alias, node.table)
+    return (node.payload(),) + tuple([shape_key(child)
+                                      for child in node.children])
+
+
+class ShapeTrace:
+    """The rule exploration of one query shape, run once and shared.
+
+    Which expressions the transformation rules add to a memo, and in
+    what order, depends on join conditions, group alias sets and the
+    rules — never on a scan's predicate.  Literals only set a search's
+    budget, that is, *how long a prefix* of this one sequence it
+    consumes.  So the trace explores a private structural memo (no
+    cardinalities) lazily, as far as the hungriest search so far has
+    asked, and logs what each exploration unit (one frontier pop,
+    rule fired or not) created; :meth:`replay` copies a range of units
+    into a task's own memo and derives the one per-task number, each
+    new group's row count.
+
+    The log only grows and a task only reads a prefix, so searches of
+    one shape may interleave freely (suspended mid-search, resumed
+    after another advanced the trace) with results that cannot depend
+    on who explored first.  Length is bounded by ``MAX_BUDGET`` units,
+    the most any search may ask for.
+    """
+
+    def __init__(self, task):
+        """Seed from ``task``, which has just inserted its stage-0
+        tree: same groups, one expression each, every rule pending."""
+        opt = task.opt
+        self._rules = opt.rules
+        self._estimator = opt.estimator
+        self._alias_tables = task._alias_tables
+        self._memo = memo = Memo()
+        self._ctx = RuleContext(memo)
+        for group in task.memo.groups:
+            (gexpr,) = group.expressions
+            memo.insert_expression(gexpr.node, gexpr.children, None)
+            # structural stats: rules ask for alias sets, replays for
+            # widths; row counts belong to the tasks
+            memo.groups[group.id].stats = GroupStats(
+                width=group.stats.width, aliases=group.stats.aliases)
+        self._frontier: deque = deque(
+            (gexpr, rule) for gexpr in memo.expressions()
+            for rule in self._rules)
+        #: created expressions in creation order, each ``(node,
+        #: children, group id, split, fresh)``; ``fresh`` is None, or
+        #: ``(selectivity, width, aliases)`` when the expression opened
+        #: a new group
+        self._log: List[tuple] = []
+        #: ``_marks[n]`` is the log length after ``n`` units
+        self._marks: List[int] = [0]
+
+    @property
+    def units(self) -> int:
+        """Exploration units run so far."""
+        return len(self._marks) - 1
+
+    def has_unit(self, index: int) -> bool:
+        """Whether the exploration has a unit number ``index``: false
+        exactly when the frontier is empty after ``index`` units."""
+        return index < self.units or bool(self._frontier)
+
+    def replay(self, task, start: int, count: int) -> int:
+        """Make units ``[start, start + count)`` visible in ``task``'s
+        memo, exploring first if nobody has been that far; returns how
+        many of them exist (fewer once the frontier runs dry)."""
+        stop = start + count
+        if stop > self.units:
+            self._explore(stop)
+            stop = min(stop, self.units)
+        memo = task.memo
+        groups = memo.groups
+        marks = self._marks
+        created = self._log[marks[start]:marks[stop]]
+        for node, children, gid, split, fresh in created:
+            if fresh is None:
+                group = groups[gid]
+            else:
+                group = memo.new_group()
+                sel, width, aliases = fresh
+                left, right = children
+                # same operand order as OptimizationTask._derive_stats
+                group.stats = GroupStats(
+                    max(1.0, groups[left].stats.rows
+                        * groups[right].stats.rows * sel),
+                    width, aliases)
+            group.expressions.append(
+                GroupExpression(node, children, gid, split))
+        memo.expression_count += len(created)
+        return stop - start
+
+    # ---------------------------------------------------------- exploration
+    def _explore(self, stop: int) -> None:
+        """Run units until ``stop`` have run or the frontier is empty."""
+        frontier, marks, log, ctx = \
+            self._frontier, self._marks, self._log, self._ctx
+        while frontier and len(marks) <= stop:
+            gexpr, rule = frontier.popleft()
+            if rule is not None and rule.matches(gexpr, ctx):
+                for tree in rule.apply(gexpr, ctx):
+                    self._insert(tree, gexpr.group_id, rule)
+            marks.append(len(log))
+
+    def _insert(self, node: lg.LogicalNode, target_group, rule) -> int:
+        """Insert a rule's result (a join tree over GroupRef leaves)."""
+        if isinstance(node, GroupRef):
+            return node.group
+        if not isinstance(node, lg.LogicalJoin):
+            raise SimulationError(
+                f"rule {rule.name!r} produced {type(node).__name__}; "
+                f"exploration traces hold joins only")
+        left, right = children = tuple(
+            [self._insert(child, None, rule) for child in node.children])
+        memo = self._memo
+        gexpr, created = memo.insert_expression(node, children,
+                                                target_group)
+        if not created:
+            return gexpr.group_id
+        groups = memo.groups
+        lstats, rstats = groups[left].stats, groups[right].stats
+        fresh = None
+        if target_group is None:
+            stats = groups[gexpr.group_id].stats = GroupStats(
+                width=lstats.width + rstats.width,
+                aliases=lstats.aliases | rstats.aliases)
+            fresh = (self._estimator.join_selectivity(
+                         node.condition, self._alias_tables),
+                     stats.width, stats.aliases)
+        self._log.append((
+            node, children, gexpr.group_id,
+            _split_join_keys(node.condition, lstats.aliases,
+                             rstats.aliases),
+            fresh))
+        # a commuted join must not commute straight back: its slot stays
+        # in the queue (popping it is a unit of some search's budget)
+        # but holds no rule
+        commuted = rule.name == "join_commute"
+        for follow_up in self._rules:
+            barred = commuted and follow_up.name == "join_commute"
+            self._frontier.append((gexpr, None if barred else follow_up))
+        return gexpr.group_id
 
 
 class MemoEnumerator:
@@ -60,26 +216,21 @@ class MemoEnumerator:
         budget = self._budget(task, task._best.cost)
 
         # -- exploration stages ----------------------------------------
-        frontier: deque = deque()
-        for gexpr in task.memo.expressions():
-            for rule in task.opt.rules:
-                frontier.append((gexpr, rule))
+        trace = task.opt.shape_trace(task)
         spent = 0
         for boundary_index, boundary in enumerate(STAGE_BOUNDARIES,
                                                   start=1):
             limit = int(budget * boundary)
-            while frontier and spent < limit:
-                batch = min(BATCH_UNITS, limit - spent)
-                done = self._explore_batch(task, frontier, batch)
-                if done == 0:
-                    break
+            while spent < limit and trace.has_unit(spent):
+                done = trace.replay(task, spent,
+                                    min(BATCH_UNITS, limit - spent))
                 spent += done
                 task._work_units += done
                 yield task._make_step("explore", done)
             task._implement(root_gid, stage=boundary_index)
             task._work_units += task.memo.group_count
             yield task._make_step("implement", task.memo.group_count)
-            if not frontier:
+            if not trace.has_unit(spent):
                 break
 
     def _budget(self, task, estimated_cost: float) -> int:
@@ -90,30 +241,6 @@ class MemoEnumerator:
         units = int(estimated_cost * 8.0 * (1.0 + njoins / 4.0)
                     * task.opt.effort_multiplier)
         return max(MIN_BUDGET, min(MAX_BUDGET, units))
-
-    def _explore_batch(self, task, frontier: deque,
-                       max_units: int) -> int:
-        """Apply up to ``max_units`` (expression, rule) attempts."""
-        done = 0
-        while frontier and done < max_units:
-            gexpr, rule = frontier.popleft()
-            done += 1
-            if rule.name in gexpr.applied_rules:
-                continue
-            gexpr.applied_rules.add(rule.name)
-            if not rule.matches(gexpr, task._ctx):
-                continue
-            for tree in rule.apply(gexpr, task._ctx):
-                created: List[GroupExpression] = []
-                task._insert(tree, target_group=gexpr.group_id,
-                             created=created)
-                for new_gexpr in created:
-                    if rule.name == "join_commute":
-                        # a commuted join must not commute straight back
-                        new_gexpr.applied_rules.add("join_commute")
-                    for r in task.opt.rules:
-                        frontier.append((new_gexpr, r))
-        return done
 
 
 class UesEnumerator:

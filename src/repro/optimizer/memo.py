@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import SimulationError
 from repro.plans.logical import LogicalNode
 from repro.units import KiB
 
@@ -24,21 +23,20 @@ GROUP_BYTES = 64 * KiB
 GEXPR_BYTES = 24 * KiB
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupExpression:
     """One logical operator with children resolved to group ids."""
 
     node: LogicalNode
     children: Tuple[int, ...]
     group_id: int = -1
-    #: names of transformation rules already fired on this expression
-    applied_rules: set = field(default_factory=set)
+    #: for a join, its condition split into ``(build keys, probe keys,
+    #: residual)`` against the child groups' alias sets; set by whoever
+    #: creates the expression
+    split: Optional[tuple] = None
 
-    def key(self) -> tuple:
-        return (self.node.payload(), self.children)
 
-
-@dataclass
+@dataclass(slots=True)
 class GroupStats:
     """Estimated statistical properties shared by a whole group."""
 
@@ -46,22 +44,22 @@ class GroupStats:
     #: bytes per output row
     width: float = 0.0
     aliases: FrozenSet[str] = frozenset()
+    #: ``rows * width``; a group's statistics never change once derived
+    bytes: float = field(init=False)
 
-    @property
-    def bytes(self) -> float:
-        return self.rows * self.width
+    def __post_init__(self):
+        self.bytes = self.rows * self.width
 
 
 class Group:
     """A set of semantically equivalent expressions."""
 
+    __slots__ = ("id", "expressions", "stats")
+
     def __init__(self, group_id: int):
         self.id = group_id
         self.expressions: List[GroupExpression] = []
         self.stats: Optional[GroupStats] = None
-        #: filled by the implementation pass: (cost, physical-plan builder)
-        self.best_cost: Optional[float] = None
-        self.explored = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Group {self.id} exprs={len(self.expressions)}>"
@@ -73,6 +71,9 @@ class Memo:
     def __init__(self):
         self.groups: List[Group] = []
         self._index: Dict[tuple, GroupExpression] = {}
+        #: expressions held, whether inserted here (and indexed) or
+        #: replayed from a shape's exploration trace (not indexed)
+        self.expression_count = 0
         #: extra simulated bytes charged beyond group/expression costs
         #: (query tree, binding structures); set by the optimizer
         self.base_bytes = 0
@@ -82,17 +83,13 @@ class Memo:
 
     # -- accounting ------------------------------------------------------------
     @property
-    def expression_count(self) -> int:
-        return len(self._index)
-
-    @property
     def group_count(self) -> int:
         return len(self.groups)
 
     @property
     def bytes_used(self) -> int:
         """Simulated memory footprint of the whole memo."""
-        structural = (self.group_count * GROUP_BYTES
+        structural = (len(self.groups) * GROUP_BYTES
                       + self.expression_count * GEXPR_BYTES)
         return self.base_bytes + int(structural * self.byte_multiplier)
 
@@ -142,6 +139,7 @@ class Memo:
                                 group_id=group.id)
         group.expressions.append(gexpr)
         self._index[key] = gexpr
+        self.expression_count += 1
         return gexpr, True
 
     def expressions(self) -> List[GroupExpression]:

@@ -22,11 +22,14 @@ implementation (costing) pass at each stage boundary.
 
 The task keeps the state every stage shares — the memo, derived
 statistics, per-task caches, the running best plan — while the stage
-strategies hold the swappable logic.
+strategies hold the swappable logic.  The optimizer keeps the one thing
+searches share: an exploration trace per query shape (see
+:class:`~repro.optimizer.enumeration.ShapeTrace`).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -34,13 +37,11 @@ from repro.catalog.catalog import Catalog
 from repro.errors import SimulationError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
-# budget knobs live with the memo enumerator now; re-exported for
-# backwards compatibility with pre-pipeline imports
-from repro.optimizer.enumeration import (BATCH_UNITS, MAX_BUDGET,  # noqa: F401
-                                         MIN_BUDGET, STAGE_BOUNDARIES)
-from repro.optimizer.memo import GroupExpression, GroupStats, Memo
+from repro.optimizer.enumeration import ShapeTrace, shape_key
+from repro.optimizer.memo import GroupStats, Memo
 from repro.optimizer.pipeline import OptimizerPipeline
-from repro.optimizer.rules import DEFAULT_RULES, GroupRef, Rule, RuleContext
+from repro.optimizer.rules import DEFAULT_RULES, Rule
+from repro.optimizer.selection import _split_join_keys
 from repro.optimizer.spec import OptimizerSpec
 from repro.plans import expressions as ex
 from repro.plans import logical as lg
@@ -79,7 +80,17 @@ class OptimizationResult:
 
 
 class Optimizer:
-    """Per-server optimizer factory (stateless across queries)."""
+    """Per-server optimizer factory.
+
+    Queries share no cost, cardinality or plan; the only state kept
+    across them is the rule exploration of each query shape, which no
+    literal can influence.
+    """
+
+    #: exploration traces kept (LRU; a full-length one holds about 3 MB
+    #: of host memory); a search holds its own reference, so eviction
+    #: never disturbs one in flight
+    SHAPE_TRACE_SIZE = 32
 
     def __init__(self, catalog: Catalog,
                  cost_model: Optional[CostModel] = None,
@@ -98,6 +109,8 @@ class Optimizer:
         self.memory_multiplier = memory_multiplier
         #: the resolved stage strategies, shared by every task
         self.pipeline = OptimizerPipeline(spec)
+        #: shape key -> the exploration every search of that shape reads
+        self._traces: "OrderedDict[tuple, ShapeTrace]" = OrderedDict()
 
     @property
     def spec(self) -> OptimizerSpec:
@@ -116,6 +129,23 @@ class Optimizer:
         if result is None:
             raise SimulationError("optimization finished without a result")
         return result
+
+    def shape_trace(self, task: "OptimizationTask") -> ShapeTrace:
+        """The exploration trace for ``task``'s query shape; ``task``
+        has just inserted its stage-0 tree and seeds a missing one."""
+        key = shape_key(task.bound.root)
+        trace = self._traces.get(key)
+        if trace is None:
+            trace = self._traces[key] = ShapeTrace(task)
+            if len(self._traces) > self.SHAPE_TRACE_SIZE:
+                self._traces.popitem(last=False)
+        else:
+            self._traces.move_to_end(key)
+        return trace
+
+    def close(self) -> None:
+        """Forget every exploration trace (each pins a memo)."""
+        self._traces.clear()
 
 
 class OptimizationTask:
@@ -136,23 +166,15 @@ class OptimizationTask:
         self.memo.byte_multiplier = optimizer.memory_multiplier
         self._charged_bytes = 0
         self._work_units = 0
-        self._stage = 0
         self._best: Optional[OptimizationResult] = None
         self.result: Optional[OptimizationResult] = None
         #: worst-case cost bound, published by bounding enumerators
         #: (``ues``); None under the exhaustive memo search
         self.cost_upper_bound: Optional[float] = None
-        self._ctx = RuleContext(self.memo)
         self._alias_tables = dict(bound.aliases)
-        #: join condition -> selectivity (conditions are immutable and
-        #: shared across the memo, so this is hit constantly)
-        self._join_sel_cache: Dict[Optional[ex.Expr], float] = {}
-        #: id(gexpr) -> cached equi-join key split (stable per gexpr)
-        self._join_split_cache: Dict[int, tuple] = {}
-        #: id(gexpr) -> cached clustered-scan window (stable per gexpr)
-        self._scan_window_cache: Dict[int, tuple] = {}
-        #: gid -> (cost, plan), reset by each implementation pass
-        self._plan_cache: Dict[int, Tuple[float, ph.PhysicalNode]] = {}
+        #: id(gexpr) -> a scan's ``(cost, winner)``: its window and cost
+        #: depend on this query's literals but not on the pass
+        self._scan_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ API
     def steps(self) -> Iterator[OptStep]:
@@ -199,26 +221,16 @@ class OptimizationTask:
         """Hand one implementation pass to the selection strategy."""
         self.opt.pipeline.selection.implement(self, root_gid, stage)
 
-    def _insert(self, tree: lg.LogicalNode,
-                target_group: Optional[int] = None,
-                created: Optional[List[GroupExpression]] = None) -> int:
-        gid = self._insert_tree(tree, target_group, created)
-        self._ensure_stats(gid)
-        return gid
-
-    def _insert_tree(self, node: lg.LogicalNode,
-                     target_group: Optional[int],
-                     created: Optional[List[GroupExpression]] = None) -> int:
-        if isinstance(node, GroupRef):
-            return node.group
-        child_ids = tuple([self._insert_tree(child, None, created)
-                           for child in node.children])
-        gexpr, was_created = self.memo.insert_expression(
-            node, child_ids, target_group)
-        if was_created and created is not None:
-            created.append(gexpr)
-        # stats for intermediate groups are needed by rule application
+    def _insert(self, node: lg.LogicalNode) -> int:
+        """Insert a logical tree (deduplicated); returns its root group."""
+        child_ids = tuple([self._insert(child) for child in node.children])
+        gexpr, created = self.memo.insert_expression(node, child_ids, None)
         self._ensure_stats(gexpr.group_id)
+        if created and isinstance(node, lg.LogicalJoin):
+            groups = self.memo.groups
+            gexpr.split = _split_join_keys(
+                node.condition, groups[child_ids[0]].stats.aliases,
+                groups[child_ids[1]].stats.aliases)
         return gexpr.group_id
 
     # -------------------------------------------------------------- statistics
@@ -243,18 +255,14 @@ class OptimizationTask:
                               aliases=frozenset({node.alias}))
         if isinstance(node, lg.LogicalJoin):
             left, right = child_stats
-            sel = self._join_sel_cache.get(node.condition)
-            if sel is None:
-                sel = est.join_selectivity(node.condition,
-                                           self._alias_tables)
-                self._join_sel_cache[node.condition] = sel
+            sel = est.join_selectivity(node.condition, self._alias_tables)
             rows = max(1.0, left.rows * right.rows * sel)
             return GroupStats(rows=rows, width=left.width + right.width,
                               aliases=left.aliases | right.aliases)
         if isinstance(node, lg.LogicalFilter):
             (child,) = child_stats
             sel = 1.0
-            for conjunct in ex.conjuncts(node.predicate):
+            for _ in ex.conjuncts(node.predicate):
                 sel *= 0.1
             return GroupStats(rows=max(1.0, child.rows * sel),
                               width=child.width, aliases=child.aliases)

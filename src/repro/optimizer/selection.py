@@ -5,26 +5,32 @@ best physical plan per implementation pass.  The enumerator decides
 *when* passes run (at its stage boundaries); the strategy decides
 *which* candidate implementation wins inside each pass.
 
-``CostBasedSelection`` (``cost``) is the pre-pipeline behaviour moved
-here verbatim: every candidate is costed as a scalar and only each
-group's winner is materialized into physical nodes (losers were ~2/3
-of all node construction).  ``HeuristicSelection`` (``heuristic``)
-skips the comparisons and fixes the classic choices — hash-build on
-the smaller input, hash aggregation — the way a syntax-driven
-optimizer would.
+A pass costs every candidate as a scalar and keeps each group's winner
+as plain data — the physical operator, the group expression and the
+few scalars its node needs.  Physical nodes are built afterwards, for
+the root's winning tree only, and only when the pass does not lose to
+the plan the task already holds.
+
+``CostBasedSelection`` (``cost``) compares every candidate.
+``HeuristicSelection`` (``heuristic``) skips the comparisons and fixes
+the classic choices — hash-build on the smaller input, hash
+aggregation — the way a syntax-driven optimizer would.
 """
 
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.optimizer.memo import GroupExpression
+from repro.optimizer.memo import GroupStats
 from repro.plans import expressions as ex
 from repro.plans import logical as lg
 from repro.plans import physical as ph
 from repro.units import MiB
+
+#: what a group with no feasible implementation costs
+_INFEASIBLE = (math.inf, None)
 
 
 class CostBasedSelection:
@@ -38,250 +44,198 @@ class CostBasedSelection:
         """(Re-)cost the memo bottom-up and record the best full plan."""
         from repro.optimizer.optimizer import OptimizationResult
 
-        for group in task.memo.groups:
-            group.best_cost = None
-        task._plan_cache = {}
-        cost, plan = self._best_plan(task, root_gid, set())
-        if plan is None:
+        best: Dict[int, tuple] = {}
+        cost, winner = self._cost_group(task, root_gid, best, set())
+        if winner is None:
             raise SimulationError("no physical plan produced")
-        result = OptimizationResult(
-            plan=plan, cost=cost, memo_bytes=task.memo.bytes_used,
-            work_units=task._work_units, stage=stage)
-        if task._best is None or cost <= task._best.cost:
-            task._best = result
+        previous = task._best
+        if previous is None or cost <= previous.cost:
+            plan = self._build(task, root_gid, best)
         else:
             # keep the better previous plan but refresh bookkeeping
-            task._best = OptimizationResult(
-                plan=task._best.plan, cost=task._best.cost,
-                memo_bytes=task.memo.bytes_used,
-                work_units=task._work_units, stage=stage)
+            plan, cost = previous.plan, previous.cost
+        task._best = OptimizationResult(
+            plan=plan, cost=cost, memo_bytes=task.memo.bytes_used,
+            work_units=task._work_units, stage=stage)
 
-    def _best_plan(self, task, gid: int,
-                   visiting: set
-                   ) -> Tuple[float, Optional[ph.PhysicalNode]]:
-        # ``visiting`` is one mutable set shared down the recursion
-        # (add/discard instead of building a frozenset per group)
-        cached = task._plan_cache.get(gid)
-        if cached is not None:
-            return cached
+    def _cost_group(self, task, gid: int, best: Dict[int, tuple],
+                    visiting: set) -> tuple:
+        """``(cost, winner)`` of one group in this pass.
+
+        ``winner`` is a tuple starting ``(physical class, group
+        expression)`` followed by the scalars :meth:`_build` needs, or
+        None when no expression can be implemented.  Candidates are
+        compared in a stable order (the group's expression order, hash
+        build-left before build-right, hash aggregate before
+        sort + stream) under a strict ``<``, so cost ties keep resolving
+        to the first candidate.  ``visiting`` is one mutable set shared
+        down the recursion (add/discard, not a frozenset per group).
+        """
+        found = best.get(gid)
+        if found is not None:
+            return found
         if gid in visiting:
-            return math.inf, None
-        group = task.memo.group(gid)
+            return _INFEASIBLE
+        groups = task.memo.groups
+        group = groups[gid]
+        stats = group.stats
+        cm = task.opt.cost_model
         visiting.add(gid)
         best_cost = math.inf
-        best_build = None
+        winner = None
         try:
             for gexpr in group.expressions:
-                for cost, build in self._implement_gexpr(task, gexpr,
-                                                         visiting):
+                node = gexpr.node
+                if isinstance(node, lg.LogicalJoin):
+                    # nearly every expression of an explored memo is a
+                    # join: costed in place, no candidate list
+                    left, right = gexpr.children
+                    lcost, lwinner = (best.get(left) or self._cost_group(
+                        task, left, best, visiting))
+                    rcost, rwinner = (best.get(right) or self._cost_group(
+                        task, right, best, visiting))
+                    if lwinner is None or rwinner is None:
+                        continue
+                    lstats = groups[left].stats
+                    rstats = groups[right].stats
+                    if gexpr.split[0]:
+                        # hash join; the memory term biases the choice
+                        # toward building on the smaller input
+                        for build_left in self._hash_join_orders(lstats,
+                                                                 rstats):
+                            build, probe = ((lstats, rstats) if build_left
+                                            else (rstats, lstats))
+                            memory = cm.hash_join_memory(build.bytes)
+                            cost = (lcost + rcost
+                                    + cm.hash_join_cost(build.rows,
+                                                        probe.rows,
+                                                        stats.rows)
+                                    + cm.memory_pressure_cost(memory))
+                            if cost < best_cost:
+                                best_cost = cost
+                                winner = (ph.HashJoin, gexpr, memory,
+                                          build_left)
+                    else:
+                        cost = (lcost + rcost + cm.nl_join_cost(
+                            lstats.rows, rstats.rows, stats.rows))
+                        if cost < best_cost:
+                            best_cost = cost
+                            winner = (ph.NestedLoopsJoin, gexpr)
+                    continue
+
+                if isinstance(node, lg.LogicalGet):
+                    candidates = (self._scan_candidate(task, gexpr),)
+                else:
+                    child = gexpr.children[0]
+                    ccost, cwinner = self._cost_group(task, child, best,
+                                                      visiting)
+                    if cwinner is None:
+                        continue
+                    candidates = self._unary_candidates(
+                        cm, gexpr, ccost, groups[child].stats.rows,
+                        stats.rows)
+                for cost, choice in candidates:
                     if cost < best_cost:
                         best_cost = cost
-                        best_build = build
+                        winner = choice
         finally:
             visiting.discard(gid)
-        if best_build is None:
-            return math.inf, None
-        # candidates are costed as scalars; only the group winner is
-        # materialized into physical nodes (losers were ~2/3 of all
-        # node construction across the three implementation passes)
-        best = (best_cost, best_build())
-        task._plan_cache[gid] = best
-        group.best_cost = best_cost
-        return best
+        if winner is None:
+            return _INFEASIBLE
+        found = best[gid] = (best_cost, winner)
+        return found
 
-    def _implement_gexpr(self, task, gexpr: GroupExpression,
-                         visiting: set) -> List[tuple]:
-        """Candidate implementations as ``(cost, build)`` pairs.
-
-        ``build`` is a zero-argument callable producing the physical
-        node; candidate order is stable so cost ties keep resolving to
-        the first candidate, exactly as when nodes were built eagerly.
-        """
-        node = gexpr.node
-        stats = task.memo.group(gexpr.group_id).stats
-        assert stats is not None
-        cm = task.opt.cost_model
-        est = task.opt.estimator
-        out: List[tuple] = []
-
-        if isinstance(node, lg.LogicalGet):
-            window = task._scan_window_cache.get(id(gexpr))
-            if window is None:
-                window = est.clustered_scan_window(
-                    node.table, node.predicate)
-                task._scan_window_cache[id(gexpr)] = window
-            offset, length = window
+    def _scan_candidate(self, task, gexpr) -> tuple:
+        """A scan's ``(cost, winner)``; the same in every pass."""
+        candidate = task._scan_cache.get(id(gexpr))
+        if candidate is None:
+            node = gexpr.node
+            offset, length = task.opt.estimator.clustered_scan_window(
+                node.table, node.predicate)
             table = task.opt.catalog.table(node.table)
-            cost = cm.scan_cost(table.nbytes, length, stats.rows)
+            rows = task.memo.groups[gexpr.group_id].stats.rows
+            candidate = task._scan_cache[id(gexpr)] = (
+                task.opt.cost_model.scan_cost(table.nbytes, length, rows),
+                (ph.TableScan, gexpr, offset, length))
+        return candidate
 
-            def build_scan(cost=cost, offset=offset, length=length):
-                scan = ph.TableScan(node.alias, node.table, node.predicate)
-                scan.scan_fraction = length
-                scan.scan_offset = offset
-                scan.estimates = ph.Estimates(
-                    rows=stats.rows, bytes=stats.bytes, memory=0.0,
-                    cost=cost)
-                return scan
-
-            out.append((cost, build_scan))
-            return out
-
-        if isinstance(node, lg.LogicalJoin):
-            lcost, lplan = self._best_plan(task, gexpr.children[0],
-                                           visiting)
-            rcost, rplan = self._best_plan(task, gexpr.children[1],
-                                           visiting)
-            if lplan is None or rplan is None:
-                return out
-            lstats = task.memo.group(gexpr.children[0]).stats
-            rstats = task.memo.group(gexpr.children[1]).stats
-            split = task._join_split_cache.get(id(gexpr))
-            if split is None:
-                split = _split_join_keys(
-                    node.condition, lstats.aliases, rstats.aliases)
-                task._join_split_cache[id(gexpr)] = split
-            build_keys, probe_keys, residual = split
-            if build_keys:
-                # hash join, both build orders; the memory term biases
-                # the choice toward building on the smaller input
-                for build_stats, probe_stats, build_plan, probe_plan, \
-                        bkeys, pkeys in self._hash_join_orders(
-                            lstats, rstats, lplan, rplan,
-                            build_keys, probe_keys):
-                    memory = cm.hash_join_memory(build_stats.bytes)
-                    cost = (lcost + rcost
-                            + cm.hash_join_cost(build_stats.rows,
-                                                probe_stats.rows,
-                                                stats.rows)
-                            + cm.memory_pressure_cost(memory))
-
-                    def build_hj(cost=cost, memory=memory,
-                                 build_plan=build_plan,
-                                 probe_plan=probe_plan,
-                                 bkeys=bkeys, pkeys=pkeys):
-                        hj = ph.HashJoin(build_plan, probe_plan,
-                                         bkeys, pkeys, residual)
-                        hj.estimates = ph.Estimates(
-                            rows=stats.rows, bytes=stats.bytes,
-                            memory=memory, cost=cost)
-                        return hj
-
-                    out.append((cost, build_hj))
-            else:
-                cost = (lcost + rcost + cm.nl_join_cost(
-                    lstats.rows, rstats.rows, stats.rows))
-
-                def build_nl(cost=cost):
-                    nl = ph.NestedLoopsJoin(lplan, rplan, node.condition)
-                    nl.estimates = ph.Estimates(
-                        rows=stats.rows, bytes=stats.bytes,
-                        memory=min(lstats.bytes, 64 * MiB), cost=cost)
-                    return nl
-
-                out.append((cost, build_nl))
-            return out
-
+    def _unary_candidates(self, cm, gexpr, ccost: float, crows: float,
+                          rows: float) -> List[tuple]:
+        """``(cost, winner)`` candidates of a one-input operator whose
+        input costs ``ccost`` and yields ``crows`` rows."""
+        node = gexpr.node
         if isinstance(node, lg.LogicalFilter):
-            ccost, cplan = self._best_plan(task, gexpr.children[0],
-                                           visiting)
-            if cplan is None:
-                return out
-            cstats = task.memo.group(gexpr.children[0]).stats
-            cost = ccost + cm.filter_cost(cstats.rows)
-
-            def build_filter(cost=cost):
-                flt = ph.Filter(cplan, node.predicate)
-                flt.estimates = ph.Estimates(
-                    rows=stats.rows, bytes=stats.bytes, memory=0.0,
-                    cost=cost)
-                return flt
-
-            out.append((cost, build_filter))
-            return out
-
+            return [(ccost + cm.filter_cost(crows), (ph.Filter, gexpr))]
         if isinstance(node, lg.LogicalAggregate):
-            ccost, cplan = self._best_plan(task, gexpr.children[0],
-                                           visiting)
-            if cplan is None:
-                return out
-            cstats = task.memo.group(gexpr.children[0]).stats
-            # hash aggregate
-            cost = ccost + cm.hash_agg_cost(cstats.rows, stats.rows)
-
-            def build_hash_agg(cost=cost):
-                ha = ph.HashAggregate(cplan, node.keys, node.aggregates)
-                ha.estimates = ph.Estimates(
-                    rows=stats.rows, bytes=stats.bytes,
-                    memory=cm.hash_agg_memory(stats.rows, stats.width),
-                    cost=cost)
-                return ha
-
-            out.append((cost, build_hash_agg))
-            # sort + stream aggregate
+            out = [(ccost + cm.hash_agg_cost(crows, rows),
+                    (ph.HashAggregate, gexpr))]
             if node.keys and self._consider_stream_aggregate():
-                sort_cost = cm.sort_cost(cstats.rows)
-                total = ccost + sort_cost + cm.stream_agg_cost(cstats.rows)
-
-                def build_stream_agg(total=total, sort_cost=sort_cost):
-                    sort = ph.Sort(cplan, node.keys)
-                    sort.estimates = ph.Estimates(
-                        rows=cstats.rows, bytes=cstats.bytes,
-                        memory=cm.sort_memory(cstats.bytes),
-                        cost=ccost + sort_cost)
-                    sa = ph.StreamAggregate(sort, node.keys,
-                                            node.aggregates)
-                    sa.estimates = ph.Estimates(
-                        rows=stats.rows, bytes=stats.bytes, memory=0.0,
-                        cost=total)
-                    return sa
-
-                out.append((total, build_stream_agg))
+                sort_cost = cm.sort_cost(crows)
+                out.append((ccost + sort_cost + cm.stream_agg_cost(crows),
+                            (ph.StreamAggregate, gexpr, sort_cost)))
             return out
-
         if isinstance(node, lg.LogicalProject):
-            ccost, cplan = self._best_plan(task, gexpr.children[0],
-                                           visiting)
-            if cplan is None:
-                return out
-            cstats = task.memo.group(gexpr.children[0]).stats
-            cost = ccost + cm.project_cost(cstats.rows)
-
-            def build_project(cost=cost):
-                proj = ph.Project(cplan, node.exprs)
-                proj.estimates = ph.Estimates(
-                    rows=stats.rows, bytes=stats.bytes, memory=0.0,
-                    cost=cost)
-                return proj
-
-            out.append((cost, build_project))
-            return out
-
+            return [(ccost + cm.project_cost(crows), (ph.Project, gexpr))]
         if isinstance(node, lg.LogicalSort):
-            ccost, cplan = self._best_plan(task, gexpr.children[0],
-                                           visiting)
-            if cplan is None:
-                return out
-            cstats = task.memo.group(gexpr.children[0]).stats
-            cost = ccost + cm.sort_cost(cstats.rows)
-
-            def build_sort(cost=cost):
-                sort = ph.Sort(cplan, node.keys, node.descending)
-                sort.estimates = ph.Estimates(
-                    rows=stats.rows, bytes=stats.bytes,
-                    memory=cm.sort_memory(cstats.bytes), cost=cost)
-                return sort
-
-            out.append((cost, build_sort))
-            return out
-
+            return [(ccost + cm.sort_cost(crows), (ph.Sort, gexpr))]
         raise SimulationError(f"no implementation for {node!r}")
 
+    def _build(self, task, gid: int,
+               best: Dict[int, tuple]) -> ph.PhysicalNode:
+        """Materialize the winning tree below group ``gid``."""
+        cost, winner = best[gid]
+        op, gexpr = winner[:2]
+        node = gexpr.node
+        groups = task.memo.groups
+        stats = groups[gid].stats
+        cm = task.opt.cost_model
+        inputs = [self._build(task, child, best)
+                  for child in gexpr.children]
+        memory = 0.0
+        if op is ph.TableScan:
+            plan = ph.TableScan(node.alias, node.table, node.predicate)
+            plan.scan_offset, plan.scan_fraction = winner[2:]
+        elif op is ph.HashJoin:
+            memory, build_left = winner[2:]
+            build_keys, probe_keys, residual = gexpr.split
+            if build_left:
+                plan = ph.HashJoin(inputs[0], inputs[1],
+                                   build_keys, probe_keys, residual)
+            else:
+                plan = ph.HashJoin(inputs[1], inputs[0],
+                                   probe_keys, build_keys, residual)
+        elif op is ph.NestedLoopsJoin:
+            plan = ph.NestedLoopsJoin(inputs[0], inputs[1], node.condition)
+            memory = min(groups[gexpr.children[0]].stats.bytes, 64 * MiB)
+        elif op is ph.Filter:
+            plan = ph.Filter(inputs[0], node.predicate)
+        elif op is ph.HashAggregate:
+            plan = ph.HashAggregate(inputs[0], node.keys, node.aggregates)
+            memory = cm.hash_agg_memory(stats.rows, stats.width)
+        elif op is ph.StreamAggregate:
+            child = gexpr.children[0]
+            cstats = groups[child].stats
+            sort = ph.Sort(inputs[0], node.keys)
+            sort.estimates = ph.Estimates(
+                rows=cstats.rows, bytes=cstats.bytes,
+                memory=cm.sort_memory(cstats.bytes),
+                cost=best[child][0] + winner[2])
+            plan = ph.StreamAggregate(sort, node.keys, node.aggregates)
+        elif op is ph.Project:
+            plan = ph.Project(inputs[0], node.exprs)
+        else:  # ph.Sort
+            plan = ph.Sort(inputs[0], node.keys, node.descending)
+            memory = cm.sort_memory(groups[gexpr.children[0]].stats.bytes)
+        plan.estimates = ph.Estimates(rows=stats.rows, bytes=stats.bytes,
+                                      memory=memory, cost=cost)
+        return plan
+
     # --------------------------------------------------- strategy points
-    def _hash_join_orders(self, lstats, rstats, lplan, rplan,
-                          build_keys, probe_keys):
-        """Which build orders to cost: cost-based tries both."""
-        return ((lstats, rstats, lplan, rplan, build_keys, probe_keys),
-                (rstats, lstats, rplan, lplan, probe_keys, build_keys))
+    def _hash_join_orders(self, lstats: GroupStats,
+                          rstats: GroupStats) -> Tuple[bool, ...]:
+        """Which hash builds to cost, as "build on the left input?"
+        flags: cost-based tries both."""
+        return (True, False)
 
     def _consider_stream_aggregate(self) -> bool:
         """Whether sort+stream competes with the hash aggregate."""
@@ -302,13 +256,9 @@ class HeuristicSelection(CostBasedSelection):
 
     name = "heuristic"
 
-    def _hash_join_orders(self, lstats, rstats, lplan, rplan,
-                          build_keys, probe_keys):
-        if lstats.bytes <= rstats.bytes:
-            return ((lstats, rstats, lplan, rplan,
-                     build_keys, probe_keys),)
-        return ((rstats, lstats, rplan, lplan,
-                 probe_keys, build_keys),)
+    def _hash_join_orders(self, lstats: GroupStats,
+                          rstats: GroupStats) -> Tuple[bool, ...]:
+        return (lstats.bytes <= rstats.bytes,)
 
     def _consider_stream_aggregate(self) -> bool:
         return False

@@ -10,10 +10,10 @@ the outside:
   monitors, grant queue, CPUs, disk channels and admission slots all
   read zero, whatever the deadline interrupted;
 * **no leak** — the finished cell is freed by reference counting alone:
-  weak references to its server, environment, memos and optimization
-  tasks are dead the moment ``run_experiment`` returns, with the cyclic
-  collector switched off, and a collection afterwards finds next to
-  nothing.
+  weak references to its server, environment, memos, optimization
+  tasks and shape traces are dead the moment ``run_experiment``
+  returns, with the cyclic collector switched off, and a collection
+  afterwards finds next to nothing.
 
 The kernel half (``Environment.close`` on both scheduler cores) is
 tested directly on toy processes.
@@ -37,6 +37,7 @@ from repro.errors import (
 )
 from repro.experiments.runner import run_experiment
 from repro.memory.account import MemoryAccount
+from repro.optimizer.enumeration import ShapeTrace
 from repro.optimizer.memo import Memo
 from repro.optimizer.optimizer import OptimizationTask
 from repro.scenarios import get_scenario
@@ -270,7 +271,7 @@ def watched(request) -> WatchedRun:
     run = WatchedRun(kind=kind)
     policies, accounts = [], []
     tracked = {cls: [] for cls in (DatabaseServer, Environment, Memo,
-                                   OptimizationTask)}
+                                   OptimizationTask, ShapeTrace)}
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         for cls, sink in tracked.items():

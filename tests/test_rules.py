@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.optimizer import Optimizer
+from repro.optimizer import Memo, Optimizer
 from repro.optimizer.rules import (
     GroupRef,
     JoinAssociativity,
@@ -47,15 +47,31 @@ def test_commutativity_adds_swapped_expression(star_catalog):
     assert doubled
 
 
-def test_commuted_join_does_not_commute_back(star_catalog):
-    """The join_commute firing mask must prevent A,B -> B,A -> A,B churn:
-    every (payload, children) pair stays unique, so dedup would catch it,
-    but the mask must prevent even attempting it."""
-    task = make_task(star_catalog, THREE_WAY)
-    explore_fully(task)
-    for gexpr in find_join_gexprs(task.memo):
-        # each expression fired each rule at most once
-        assert len(gexpr.applied_rules) <= 2
+def test_commuted_join_does_not_commute_back(star_catalog, monkeypatch):
+    """No A,B -> B,A -> A,B churn: dedup would catch the round trip,
+    but an expression commutation created must not even attempt it."""
+    events = []
+    apply, insert = JoinCommutativity.apply, Memo.insert_expression
+
+    def spying_apply(self, gexpr, ctx):
+        events.append(("commute", gexpr))
+        return apply(self, gexpr, ctx)
+
+    def spying_insert(self, node, child_ids, target_group):
+        gexpr, created = insert(self, node, child_ids, target_group)
+        events.append(("created" if created else "found", gexpr))
+        return gexpr, created
+
+    monkeypatch.setattr(JoinCommutativity, "apply", spying_apply)
+    monkeypatch.setattr(Memo, "insert_expression", spying_insert)
+    explore_fully(make_task(star_catalog, THREE_WAY))
+    # a commutation's one result is inserted right after it fires
+    commuted = [after[1] for before, after in zip(events, events[1:])
+                if before[0] == "commute" and after[0] == "created"]
+    assert commuted
+    fired = [gexpr for kind, gexpr in events if kind == "commute"]
+    assert len({id(gexpr) for gexpr in fired}) == len(fired)
+    assert not any(gexpr is mirror for gexpr in fired for mirror in commuted)
 
 
 def test_associativity_creates_new_intermediate_group(star_catalog):

@@ -1,0 +1,359 @@
+"""The shape trace pinned to per-task rule application.
+
+Every search used to apply the transformation rules to its own memo.
+That loop lives on here as :class:`ReferenceEnumerator`; the production
+enumerator instead copies a prefix of one exploration shared by every
+search of the same query shape
+(:class:`~repro.optimizer.enumeration.ShapeTrace`).  The two must be
+indistinguishable from outside a task — step stream, memo contents at
+every yield, statistics, final plan — for any literals, any budget,
+whoever explored first and however same-shape searches interleave.
+"""
+
+import re
+from collections import deque
+
+import pytest
+
+from test_optimizer_pipeline import random_join_graph
+from tests.conftest import build_star_catalog
+
+from repro.optimizer import Optimizer
+from repro.optimizer.enumeration import (
+    BATCH_UNITS,
+    MAX_BUDGET,
+    MIN_BUDGET,
+    STAGE_BOUNDARIES,
+    MemoEnumerator,
+    shape_key,
+)
+from repro.optimizer.rules import GroupRef, RuleContext
+from repro.optimizer.selection import _split_join_keys
+from repro.plans import expressions as ex
+from repro.plans import logical as lg
+from repro.sql import Binder, parse
+
+
+# ------------------------------------------------- the reference model
+class ReferenceEnumerator(MemoEnumerator):
+    """Stage 2 as it was before the shape trace: each task fires the
+    rules on its own memo, tracking per expression which rules fired."""
+
+    __slots__ = ()
+
+    def steps(self, task):
+        root_gid = task._insert(task.bound.root)
+        task._work_units += task.bound.table_count
+        yield task._make_step("stage0", task.bound.table_count)
+
+        task._implement(root_gid, stage=0)
+        task._work_units += task.memo.group_count
+        yield task._make_step("implement", task.memo.group_count)
+
+        budget = self._budget(task, task._best.cost)
+        ctx = RuleContext(task.memo)
+        applied_rules = {}      # id(gexpr) -> names of rules fired on it
+        frontier = deque()
+        for gexpr in task.memo.expressions():
+            for rule in task.opt.rules:
+                frontier.append((gexpr, rule))
+        spent = 0
+        for boundary_index, boundary in enumerate(STAGE_BOUNDARIES,
+                                                  start=1):
+            limit = int(budget * boundary)
+            while frontier and spent < limit:
+                batch = min(BATCH_UNITS, limit - spent)
+                done = self._explore_batch(task, ctx, applied_rules,
+                                           frontier, batch)
+                if done == 0:
+                    break
+                spent += done
+                task._work_units += done
+                yield task._make_step("explore", done)
+            task._implement(root_gid, stage=boundary_index)
+            task._work_units += task.memo.group_count
+            yield task._make_step("implement", task.memo.group_count)
+            if not frontier:
+                break
+
+    def _explore_batch(self, task, ctx, applied_rules, frontier,
+                       max_units):
+        done = 0
+        while frontier and done < max_units:
+            gexpr, rule = frontier.popleft()
+            done += 1
+            fired = applied_rules.setdefault(id(gexpr), set())
+            if rule.name in fired:
+                continue
+            fired.add(rule.name)
+            if not rule.matches(gexpr, ctx):
+                continue
+            for tree in rule.apply(gexpr, ctx):
+                created = []
+                self._insert_tree(task, tree, gexpr.group_id, created)
+                for new_gexpr in created:
+                    if rule.name == "join_commute":
+                        # a commuted join must not commute straight back
+                        applied_rules[id(new_gexpr)] = {"join_commute"}
+                    for r in task.opt.rules:
+                        frontier.append((new_gexpr, r))
+        return done
+
+    def _insert_tree(self, task, node, target_group, created):
+        if isinstance(node, GroupRef):
+            return node.group
+        child_ids = tuple([self._insert_tree(task, child, None, created)
+                           for child in node.children])
+        gexpr, was_created = task.memo.insert_expression(
+            node, child_ids, target_group)
+        task._ensure_stats(gexpr.group_id)
+        if was_created:
+            groups = task.memo.groups
+            gexpr.split = _split_join_keys(
+                node.condition, groups[child_ids[0]].stats.aliases,
+                groups[child_ids[1]].stats.aliases)
+            created.append(gexpr)
+        return gexpr.group_id
+
+
+def reference_optimizer(catalog) -> Optimizer:
+    opt = Optimizer(catalog)
+    opt.pipeline.enumerator = ReferenceEnumerator()
+    return opt
+
+
+# ----------------------------------------------------------- observing
+def memo_shape(memo):
+    """Per group id: its statistics and its expressions in order."""
+    return [(group.stats.rows, group.stats.width, group.stats.aliases,
+             [(type(gexpr.node), gexpr.node.payload(), gexpr.children,
+               gexpr.group_id, gexpr.split)
+              for gexpr in group.expressions])
+            for group in memo.groups]
+
+
+def observe(steps, task, into):
+    """Advance ``steps`` by one yield, appending what is visible."""
+    step = next(steps, None)
+    if step is None:
+        return False
+    into.append((step.phase, step.work_units, step.alloc_bytes,
+                 task.memo.group_count, task.memo.expression_count,
+                 task.memo.bytes_used, task._best and task._best.cost))
+    return True
+
+
+def finished(task, seen):
+    result = task.result
+    return {"steps": seen, "memo": memo_shape(task.memo),
+            "plan": result.plan.describe(), "cost": result.cost,
+            "work_units": result.work_units,
+            "memo_bytes": result.memo_bytes}
+
+
+def search(opt, catalog, sql):
+    """Everything one complete search shows from outside."""
+    task = opt.task(Binder(catalog).bind(parse(sql)))
+    steps, seen = task.steps(), []
+    while observe(steps, task, seen):
+        pass
+    return finished(task, seen)
+
+
+@pytest.fixture
+def budget(monkeypatch):
+    """Pin the exploration budget (normally scaled from the cost)."""
+    def pin(units):
+        monkeypatch.setattr(MemoEnumerator, "_budget",
+                            lambda self, task, cost: units)
+    return pin
+
+
+#: (seed, max_tables): two to nine relations; exploration ends after
+#: 24 to 2430 units, and twice not within MAX_BUDGET at all
+GRAPHS = [(seed, 8) for seed in range(5)] + [(7, 6), (5, 9)]
+
+
+def literal_draws(sql):
+    """The same statement under different single-table predicates."""
+    (high,) = re.findall(r"BETWEEN 0 AND (\d+)", sql)
+    high = int(high)
+    yield sql
+    yield sql.replace(f"BETWEEN 0 AND {high}",
+                      f"BETWEEN {high // 3} AND {high * 2}")
+    # a predicate fewer, a predicate more: still the same shape
+    yield re.sub(r" AND a\d+\.pk BETWEEN 0 AND \d+", "", sql)
+    yield sql + " AND a0.fk = 3 AND a1.pk < 40"
+
+
+# ------------------------------------------- (a) trace == reference
+@pytest.mark.parametrize("seed,max_tables", GRAPHS)
+def test_trace_matches_per_task_exploration(budget, seed, max_tables):
+    catalog, sql, _joins, _n = random_join_graph(seed, max_tables)
+    shared = Optimizer(catalog)
+    # small budgets first on even seeds, the exhaustive one first on odd
+    # ones: who extends the trace must not matter
+    budgets = [MIN_BUDGET, 517, MAX_BUDGET][::1 if seed % 2 == 0 else -1]
+    for units in budgets:
+        budget(units)
+        for text in literal_draws(sql):
+            expected = search(reference_optimizer(catalog), catalog, text)
+            assert search(shared, catalog, text) == expected, \
+                f"seed {seed}, budget {units}: {text}"
+    assert len(shared._traces) == 1
+
+
+def test_natural_budgets_match_per_task_exploration():
+    """No pinned budget: literals choose how much of the trace each
+    search consumes."""
+    catalog, sql, _joins, _n = random_join_graph(2, 8)
+    shared = Optimizer(catalog)
+    spent = set()
+    for text in literal_draws(sql):
+        expected = search(reference_optimizer(catalog), catalog, text)
+        assert search(shared, catalog, text) == expected
+        spent.add(expected["work_units"])
+    assert len(spent) > 1
+
+
+# --------------------------------------------------- (b) cold == warm
+def test_cold_search_equals_warm_search(budget):
+    catalog, sql, _joins, _n = random_join_graph(3, 8)
+    small, large = list(literal_draws(sql))[:2]
+    warm = Optimizer(catalog)
+    budget(MAX_BUDGET)
+    search(warm, catalog, large)
+    (trace,) = warm._traces.values()
+    assert not trace.has_unit(trace.units)      # ran to exhaustion
+    explored = trace.units
+    budget(200)
+    assert search(warm, catalog, small) \
+        == search(Optimizer(catalog), catalog, small)
+    assert trace.units == explored              # read, not extended
+
+
+# ------------------------------------------------- (c) interleaving
+def test_interleaved_searches_equal_their_solo_runs(budget):
+    catalog, sql, _joins, _n = random_join_graph(4, 8)
+    budget(900)
+    texts = list(literal_draws(sql))[:3]
+    solo = [search(Optimizer(catalog), catalog, text) for text in texts]
+
+    shared = Optimizer(catalog)
+    tasks = [shared.task(Binder(catalog).bind(parse(text)))
+             for text in texts]
+    runs = [(task, task.steps(), []) for task in tasks]
+    abandoned_task, abandoned_steps, abandoned_seen = runs[2]
+    live = runs[:2]
+    turn = 0
+    while live:
+        # uneven turns, so each search is sometimes ahead of the trace
+        # and sometimes behind it
+        task, steps, seen = live[turn % len(live)]
+        for _ in range(1 + turn % 3):
+            if not observe(steps, task, seen):
+                live.remove((task, steps, seen))
+                break
+        if turn < 6:
+            observe(abandoned_steps, abandoned_task, abandoned_seen)
+        elif turn == 6:
+            abandoned_steps.close()     # a compile cut short mid-search
+        turn += 1
+    for (task, _steps, seen), expected in zip(runs[:2], solo):
+        assert finished(task, seen) == expected
+    assert abandoned_task.result is None
+    assert abandoned_seen == solo[2]["steps"][:len(abandoned_seen)]
+    assert 2 < len(abandoned_seen) < len(solo[2]["steps"])
+    assert len(shared._traces) == 1
+
+
+# ---------------------------------------------------- (d) the shape key
+def star_key(sql):
+    catalog = build_star_catalog()
+    return shape_key(Binder(catalog).bind(parse(sql)).root)
+
+
+BASE = ("SELECT p.category_id, SUM(f.amount) FROM fact_sales f, products p "
+        "WHERE f.product_id = p.product_id {extra} GROUP BY p.category_id")
+
+
+def test_scan_literals_do_not_change_the_shape():
+    keys = {star_key(BASE.format(extra=extra)) for extra in (
+        "", "AND f.date_id BETWEEN 1 AND 9",
+        "AND f.date_id BETWEEN 100 AND 900 AND p.category_id = 3")}
+    assert len(keys) == 1
+
+
+def test_everything_else_changes_the_shape():
+    base = star_key(BASE.format(extra=""))
+    others = [
+        # a literal inside a join condition
+        star_key(BASE.format(extra="AND f.amount > p.category_id + 1")),
+        star_key(BASE.format(extra="AND f.amount > p.category_id + 2")),
+        # another alias, another table, another grouping
+        star_key(BASE.replace("products p", "products q")
+                 .replace("p.", "q.").format(extra="")),
+        star_key("SELECT s.region_id, SUM(f.amount) FROM fact_sales f, "
+                 "stores s WHERE f.store_id = s.store_id "
+                 "GROUP BY s.region_id"),
+        star_key(BASE.format(extra="") + ", p.product_id"),
+    ]
+    assert len({base, *others}) == len(others) + 1
+
+
+def test_residual_filter_literals_change_the_shape():
+    join = lg.LogicalJoin(lg.LogicalGet("a", "t"), lg.LogicalGet("b", "u"))
+
+    def filtered(value):
+        return lg.LogicalFilter(join, ex.Comparison(
+            ">", ex.ColumnRef("a", "x"), ex.Literal(value)))
+
+    assert shape_key(filtered(1)) == shape_key(filtered(1))
+    assert shape_key(filtered(1)) != shape_key(filtered(2))
+    assert shape_key(filtered(1)) != shape_key(join)
+
+
+# ------------------------------------------------------ (e) the bound
+def test_trace_table_is_bounded_and_eviction_is_harmless(monkeypatch):
+    monkeypatch.setattr(Optimizer, "SHAPE_TRACE_SIZE", 2)
+    catalog = build_star_catalog()
+    shapes = [
+        "SELECT f.amount FROM fact_sales f, products p, stores s "
+        "WHERE f.product_id = p.product_id AND f.store_id = s.store_id",
+        "SELECT f.amount FROM fact_sales f, stores s "
+        "WHERE f.store_id = s.store_id",
+        "SELECT p.category_id FROM products p, categories c "
+        "WHERE p.category_id = c.category_id",
+        "SELECT f.amount FROM fact_sales f, products p "
+        "WHERE f.product_id = p.product_id",
+    ]
+    solo = search(Optimizer(catalog), catalog, shapes[0])
+
+    opt = Optimizer(catalog)
+    task = opt.task(Binder(catalog).bind(parse(shapes[0])))
+    steps, seen = task.steps(), []
+    for _ in range(3):                  # into the first explore batch
+        observe(steps, task, seen)
+    (held,) = opt._traces.values()
+    for sql in shapes[1:]:
+        search(opt, catalog, sql)
+        assert len(opt._traces) <= 2
+    assert held not in opt._traces.values()
+    while observe(steps, task, seen):
+        pass
+    assert finished(task, seen) == solo
+    # the shape comes back as a fresh trace, with the same answer
+    assert search(opt, catalog, shapes[0]) == solo
+    assert len(opt._traces) == 2
+
+
+def test_closing_the_optimizer_forgets_its_traces():
+    catalog = build_star_catalog()
+    opt = Optimizer(catalog)
+    sql = ("SELECT f.amount FROM fact_sales f, stores s "
+           "WHERE f.store_id = s.store_id")
+    first = search(opt, catalog, sql)
+    assert len(opt._traces) == 1
+    opt.close()
+    assert not opt._traces
+    assert search(opt, catalog, sql) == first
