@@ -6,6 +6,7 @@ from collections import OrderedDict
 from typing import List, Optional
 
 from repro.compilation.compiled import CompiledPlan
+from repro.compilation.skeleton import SkeletonCache, mask
 from repro.errors import CompileOutOfMemoryError
 from repro.memory.account import MemoryAccount
 from repro.memory.clerk import GrantOutcome, MemoryClerk
@@ -191,6 +192,9 @@ class CompilationPipeline:
         self.record_all_searches = False
         #: compiles served by replaying a recorded search
         self.search_replays = 0
+        #: bound trees by statement shape: every other compile parses
+        #: and binds only if its text's shape is new
+        self.skeletons = SkeletonCache()
 
     def compile(self, text: str, label: str = ""):
         """Process generator: compile ``text``; returns CompiledPlan.
@@ -219,8 +223,7 @@ class CompilationPipeline:
                 table_count = cached.table_count
                 task = _ReplayTask(cached)
             else:
-                stmt = parse(text)
-                bound = self.binder.bind(stmt)
+                bound = self.front_end(text)
                 table_count = bound.table_count
                 task = self.optimizer.task(bound)
                 # best-plan servers rarely fail a compile, so recording
@@ -296,6 +299,18 @@ class CompilationPipeline:
             self.governor.release(ticket)
             account.close()
 
+    def front_end(self, text: str):
+        """Query text to :class:`~repro.sql.binder.BoundQuery`: filled
+        into its shape's skeleton, or — the first text of a shape, and
+        any text the front end must reject — parsed and bound."""
+        shape, literals = mask(text)
+        bound = self.skeletons.bind(shape, literals)
+        if bound is None:
+            stmt = parse(text)
+            bound = self.binder.bind(stmt)
+            self.skeletons.learn(shape, bound)
+        return bound
+
     # -- search replay housekeeping ----------------------------------------
     def export_recorded_searches(self, limit: Optional[int] = None
                                  ) -> "OrderedDict[str, _SearchRecording]":
@@ -368,7 +383,8 @@ class CompilationPipeline:
             del self._search_cache[text]
 
     def close(self) -> None:
-        """Forget every recorded search of this server.
+        """Forget every recorded search and statement skeleton of this
+        server.
 
         Suspended recordings pin a live memo each; completed ones a
         caller wants to keep must be exported first
@@ -377,6 +393,7 @@ class CompilationPipeline:
         """
         self._search_cache.clear()
         self._suspended.clear()
+        self.skeletons.clear()
 
     # -- extension (b): best-plan-so-far cutoffs ---------------------------
     def _charge(self, account: MemoryAccount, task, nbytes: int):

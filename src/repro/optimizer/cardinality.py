@@ -11,7 +11,9 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import grouping_ndv, join_ndv
+from repro.errors import SimulationError
 from repro.plans import expressions as ex
+from repro.plans import logical as lg
 
 #: selectivity guess for predicates the estimator cannot analyze
 DEFAULT_SELECTIVITY = 0.1
@@ -129,6 +131,38 @@ class CardinalityEstimator:
         if not ndvs:
             return 1.0  # scalar aggregate
         return grouping_ndv(ndvs, input_rows)
+
+    # -- what the query's shape alone decides -----------------------------------
+    def shape_stats(self, node: lg.LogicalNode, child_stats,
+                    alias_tables: Dict[str, str]) -> tuple:
+        """``(factor, width, aliases)``: the part of a logical node's
+        statistics no literal in a scan predicate can change, given its
+        children's (of which only widths and alias sets are read).
+        ``factor`` is what the row count is scaled by where the shape
+        fixes that — a scan's table rows, a join's or residual filter's
+        selectivity — else None.
+        """
+        if isinstance(node, lg.LogicalGet):
+            return (self.table_rows(node.table), self.table_width(node.table),
+                    frozenset({node.alias}))
+        if isinstance(node, lg.LogicalJoin):
+            left, right = child_stats
+            return (self.join_selectivity(node.condition, alias_tables),
+                    left.width + right.width, left.aliases | right.aliases)
+        (child,) = child_stats
+        if isinstance(node, lg.LogicalFilter):
+            sel = 1.0
+            for _ in ex.conjuncts(node.predicate):
+                sel *= 0.1
+            return sel, child.width, child.aliases
+        if isinstance(node, lg.LogicalAggregate):
+            width = 8.0 * (len(node.keys) + len(node.aggregates)) + 10.0
+            return None, width, child.aliases
+        if isinstance(node, lg.LogicalProject):
+            return None, 8.0 * max(1, len(node.exprs)), child.aliases
+        if isinstance(node, lg.LogicalSort):
+            return None, child.width, child.aliases
+        raise SimulationError(f"no stats derivation for {node!r}")
 
     # -- misc ------------------------------------------------------------------
     def _stats(self, table: str, column: str):

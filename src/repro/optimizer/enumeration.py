@@ -9,9 +9,11 @@ boundaries.
 ``MemoEnumerator`` (``memo``) is the pre-pipeline staged search: a
 syntactic stage-0 plan (always available as the best-plan-so-far
 fallback), then budgeted exploration rounds applying transformation
-rules.  The rules never look at a literal, so their work is done once
-per query *shape* in a :class:`ShapeTrace` and every search of that
-shape copies the prefix its budget pays for.  ``UesEnumerator``
+rules.  Neither how the tree lays out as memo groups nor what the
+rules add to them depends on a literal, so both are worked out once
+per query *shape* in a :class:`ShapeTrace`: every search of the shape
+gets stage 0 from it around its own nodes and row counts, and copies
+the prefix of the exploration its budget pays for.  ``UesEnumerator``
 (``ues``) is a greedy upper-bound-driven reorder in the spirit of UES:
 it orders the join left-deep by minimizing upper-bound intermediate
 cardinalities, does a single implementation pass, and never explores —
@@ -54,7 +56,13 @@ def shape_key(node: lg.LogicalNode) -> tuple:
 
 
 class ShapeTrace:
-    """The rule exploration of one query shape, run once and shared.
+    """The stage-0 memo and rule exploration of one query shape, built
+    once and shared.
+
+    Stage 0 is the bound tree as groups: which group each node opens,
+    its children, a join's key split and selectivity, widths and alias
+    sets are the same for every query of the shape, so :meth:`seed`
+    hands them to a search, which adds its own nodes and row counts.
 
     Which expressions the transformation rules add to a memo, and in
     what order, depends on join conditions, group alias sets and the
@@ -75,21 +83,21 @@ class ShapeTrace:
     """
 
     def __init__(self, task):
-        """Seed from ``task``, which has just inserted its stage-0
-        tree: same groups, one expression each, every rule pending."""
+        """Build from ``task``'s bound tree: its stage-0 memo (one
+        expression per group) with every rule pending on it."""
         opt = task.opt
         self._rules = opt.rules
         self._estimator = opt.estimator
         self._alias_tables = task._alias_tables
         self._memo = memo = Memo()
         self._ctx = RuleContext(memo)
-        for group in task.memo.groups:
-            (gexpr,) = group.expressions
-            memo.insert_expression(gexpr.node, gexpr.children, None)
-            # structural stats: rules ask for alias sets, replays for
-            # widths; row counts belong to the tasks
-            memo.groups[group.id].stats = GroupStats(
-                width=group.stats.width, aliases=group.stats.aliases)
+        #: the bound tree's nodes in post-order (the order
+        #: ``OptimizationTask._insert`` visits them), each ``(group id,
+        #: children, split, shared)`` with ``shared`` the literal-free
+        #: part of the group's statistics, or None where the node is a
+        #: subtree seen before and opens no group
+        self._stage0: List[tuple] = []
+        self._insert_stage0(task.bound.root)
         self._frontier: deque = deque(
             (gexpr, rule) for gexpr in memo.expressions()
             for rule in self._rules)
@@ -100,6 +108,51 @@ class ShapeTrace:
         self._log: List[tuple] = []
         #: ``_marks[n]`` is the log length after ``n`` units
         self._marks: List[int] = [0]
+
+    def _insert_stage0(self, node: lg.LogicalNode) -> int:
+        children = tuple([self._insert_stage0(child)
+                          for child in node.children])
+        memo = self._memo
+        gexpr, created = memo.insert_expression(node, children, None)
+        if created:
+            groups = memo.groups
+            shared = self._estimator.shape_stats(
+                node, [groups[child].stats for child in children],
+                self._alias_tables)
+            # structural stats: rules ask for alias sets, replays for
+            # widths; row counts belong to the tasks
+            groups[gexpr.group_id].stats = GroupStats(
+                width=shared[1], aliases=shared[2])
+            if isinstance(node, lg.LogicalJoin):
+                gexpr.split = _split_join_keys(
+                    node.condition, groups[children[0]].stats.aliases,
+                    groups[children[1]].stats.aliases)
+            self._stage0.append((gexpr.group_id, children, gexpr.split,
+                                 shared))
+        else:
+            # the same subtree twice: its second visit creates nothing
+            self._stage0.append((gexpr.group_id, children, None, None))
+        return gexpr.group_id
+
+    def seed(self, task) -> int:
+        """Fill ``task``'s empty memo with stage 0 — this shape's
+        groups around the task's own nodes, statistics derived from its
+        own predicates; returns the root group."""
+        nodes: List[lg.LogicalNode] = []
+        _post_order(task.bound.root, nodes)
+        memo = task.memo
+        groups = memo.groups
+        for node, (gid, children, split, shared) in zip(
+                nodes, self._stage0, strict=True):
+            if shared is None:
+                continue
+            group = memo.new_group()
+            group.stats = task._derive_stats(
+                node, [groups[child].stats for child in children], shared)
+            group.expressions.append(
+                GroupExpression(node, children, gid, split))
+            memo.expression_count += 1
+        return gid
 
     @property
     def units(self) -> int:
@@ -171,12 +224,10 @@ class ShapeTrace:
         lstats, rstats = groups[left].stats, groups[right].stats
         fresh = None
         if target_group is None:
-            stats = groups[gexpr.group_id].stats = GroupStats(
-                width=lstats.width + rstats.width,
-                aliases=lstats.aliases | rstats.aliases)
-            fresh = (self._estimator.join_selectivity(
-                         node.condition, self._alias_tables),
-                     stats.width, stats.aliases)
+            fresh = self._estimator.shape_stats(node, (lstats, rstats),
+                                                self._alias_tables)
+            groups[gexpr.group_id].stats = GroupStats(width=fresh[1],
+                                                      aliases=fresh[2])
         self._log.append((
             node, children, gexpr.group_id,
             _split_join_keys(node.condition, lstats.aliases,
@@ -192,6 +243,12 @@ class ShapeTrace:
         return gexpr.group_id
 
 
+def _post_order(node: lg.LogicalNode, out: list) -> None:
+    for child in node.children:
+        _post_order(child, out)
+    out.append(node)
+
+
 class MemoEnumerator:
     """Staged Cascades-style search under a cost-scaled work budget."""
 
@@ -204,7 +261,8 @@ class MemoEnumerator:
         # -- stage 0: the syntactic (FROM-order) left-deep tree.  This
         # is the optimizer's always-available fallback plan; exploration
         # then reorders joins from it.
-        root_gid = task._insert(task.bound.root)
+        trace = task.opt.shape_trace(task)
+        root_gid = trace.seed(task)
         task._work_units += task.bound.table_count
         yield task._make_step("stage0", task.bound.table_count)
 
@@ -216,7 +274,6 @@ class MemoEnumerator:
         budget = self._budget(task, task._best.cost)
 
         # -- exploration stages ----------------------------------------
-        trace = task.opt.shape_trace(task)
         spent = 0
         for boundary_index, boundary in enumerate(STAGE_BOUNDARIES,
                                                   start=1):

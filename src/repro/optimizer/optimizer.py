@@ -23,7 +23,8 @@ implementation (costing) pass at each stage boundary.
 The task keeps the state every stage shares — the memo, derived
 statistics, per-task caches, the running best plan — while the stage
 strategies hold the swappable logic.  The optimizer keeps the one thing
-searches share: an exploration trace per query shape (see
+searches share: a trace per query shape holding its stage-0 memo layout
+and rule exploration (see
 :class:`~repro.optimizer.enumeration.ShapeTrace`).
 """
 
@@ -43,7 +44,6 @@ from repro.optimizer.pipeline import OptimizerPipeline
 from repro.optimizer.rules import DEFAULT_RULES, Rule
 from repro.optimizer.selection import _split_join_keys
 from repro.optimizer.spec import OptimizerSpec
-from repro.plans import expressions as ex
 from repro.plans import logical as lg
 from repro.plans import physical as ph
 from repro.sql.binder import BoundQuery
@@ -83,8 +83,8 @@ class Optimizer:
     """Per-server optimizer factory.
 
     Queries share no cost, cardinality or plan; the only state kept
-    across them is the rule exploration of each query shape, which no
-    literal can influence.
+    across them is what no literal can influence, per query shape: how
+    the bound tree lays out as memo groups and what the rules add.
     """
 
     #: exploration traces kept (LRU; a full-length one holds about 3 MB
@@ -131,9 +131,12 @@ class Optimizer:
         return result
 
     def shape_trace(self, task: "OptimizationTask") -> ShapeTrace:
-        """The exploration trace for ``task``'s query shape; ``task``
-        has just inserted its stage-0 tree and seeds a missing one."""
-        key = shape_key(task.bound.root)
+        """The trace for ``task``'s query shape: its stage-0 memo and
+        its rule exploration.  A new shape's is built from ``task``'s
+        bound tree."""
+        key = task.bound.shape_key
+        if key is None:
+            key = shape_key(task.bound.root)
         trace = self._traces.get(key)
         if trace is None:
             trace = self._traces[key] = ShapeTrace(task)
@@ -154,8 +157,8 @@ class OptimizationTask:
     The task owns everything the pipeline stages share — memo, derived
     statistics, caches, the running best plan — and exposes the small
     protocol the stages drive it through: :meth:`_insert` /
-    :meth:`_make_step` for enumerators, :meth:`_implement` to hand a
-    costing pass to the selection strategy.
+    :meth:`_derive_stats` / :meth:`_make_step` for enumerators,
+    :meth:`_implement` to hand a costing pass to the selection strategy.
     """
 
     def __init__(self, optimizer: Optimizer, bound: BoundQuery):
@@ -222,7 +225,12 @@ class OptimizationTask:
         self.opt.pipeline.selection.implement(self, root_gid, stage)
 
     def _insert(self, node: lg.LogicalNode) -> int:
-        """Insert a logical tree (deduplicated); returns its root group."""
+        """Insert a logical tree (deduplicated); returns its root group.
+
+        For an enumerator that builds its own stage-0 tree; one that
+        searches from the bound tree gets stage 0 from the shape's
+        trace (:meth:`ShapeTrace.seed`).
+        """
         child_ids = tuple([self._insert(child) for child in node.children])
         gexpr, created = self.memo.insert_expression(node, child_ids, None)
         self._ensure_stats(gexpr.group_id)
@@ -245,41 +253,31 @@ class OptimizationTask:
         return group.stats
 
     def _derive_stats(self, node: lg.LogicalNode,
-                      child_stats: List[GroupStats]) -> GroupStats:
-        est = self.opt.estimator
+                      child_stats: List[GroupStats],
+                      shared: Optional[tuple] = None) -> GroupStats:
+        """A group's statistics from its first expression.
+
+        ``shared`` is the part no literal can change
+        (:meth:`CardinalityEstimator.shape_stats`); a search whose
+        shape has a trace gets it from there and derives only the row
+        count.
+        """
+        if shared is None:
+            shared = self.opt.estimator.shape_stats(
+                node, child_stats, self._alias_tables)
+        factor, width, aliases = shared
         if isinstance(node, lg.LogicalGet):
-            rows = est.table_rows(node.table)
-            sel = est.local_selectivity(node.table, node.predicate)
-            return GroupStats(rows=max(1.0, rows * sel),
-                              width=est.table_width(node.table),
-                              aliases=frozenset({node.alias}))
-        if isinstance(node, lg.LogicalJoin):
+            sel = self.opt.estimator.local_selectivity(node.table,
+                                                       node.predicate)
+            rows = max(1.0, factor * sel)
+        elif isinstance(node, lg.LogicalJoin):
             left, right = child_stats
-            sel = est.join_selectivity(node.condition, self._alias_tables)
-            rows = max(1.0, left.rows * right.rows * sel)
-            return GroupStats(rows=rows, width=left.width + right.width,
-                              aliases=left.aliases | right.aliases)
-        if isinstance(node, lg.LogicalFilter):
-            (child,) = child_stats
-            sel = 1.0
-            for _ in ex.conjuncts(node.predicate):
-                sel *= 0.1
-            return GroupStats(rows=max(1.0, child.rows * sel),
-                              width=child.width, aliases=child.aliases)
-        if isinstance(node, lg.LogicalAggregate):
-            (child,) = child_stats
-            groups = est.group_count(node.keys, self._alias_tables,
-                                     child.rows)
-            width = 8.0 * (len(node.keys) + len(node.aggregates)) + 10.0
-            return GroupStats(rows=groups, width=width,
-                              aliases=child.aliases)
-        if isinstance(node, lg.LogicalProject):
-            (child,) = child_stats
-            width = 8.0 * max(1, len(node.exprs))
-            return GroupStats(rows=child.rows, width=width,
-                              aliases=child.aliases)
-        if isinstance(node, lg.LogicalSort):
-            (child,) = child_stats
-            return GroupStats(rows=child.rows, width=child.width,
-                              aliases=child.aliases)
-        raise SimulationError(f"no stats derivation for {node!r}")
+            rows = max(1.0, left.rows * right.rows * factor)
+        elif isinstance(node, lg.LogicalFilter):
+            rows = max(1.0, child_stats[0].rows * factor)
+        elif isinstance(node, lg.LogicalAggregate):
+            rows = self.opt.estimator.group_count(
+                node.keys, self._alias_tables, child_stats[0].rows)
+        else:
+            rows = child_stats[0].rows
+        return GroupStats(rows=rows, width=width, aliases=aliases)

@@ -8,7 +8,6 @@ relation alias assigned by the binder, which is unique within a query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import FrozenSet, Optional, Tuple, Union
 
 Value = Union[int, float, str]
@@ -46,10 +45,10 @@ def _cached_hash(cls):
         return h
 
     def __getstate__(self):
-        # never pickle the cache: string hashes are per-process
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        # never pickle the memos: string hashes are per-process, and
+        # the others (see cached_aliases, conjuncts) are cheap to redo
+        return {name: value for name, value in self.__dict__.items()
+                if not name.startswith("_")}
 
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
@@ -80,6 +79,9 @@ class Literal(Expr):
     """A constant value."""
 
     value: Value
+    #: which literal token of the query text the value came from (see
+    #: :class:`repro.sql.ast.NumberLit`); None for a made-up constant
+    slot: Optional[int] = field(default=None, compare=False, repr=False)
 
     def referenced_aliases(self) -> FrozenSet[str]:
         return frozenset()
@@ -247,28 +249,35 @@ class Aggregate(Expr):
 
 
 # -- predicate helpers ---------------------------------------------------
-@lru_cache(maxsize=16384)
 def cached_aliases(expr: Expr) -> FrozenSet[str]:
-    """Memoized :meth:`Expr.referenced_aliases`.
+    """:meth:`Expr.referenced_aliases`, memoized on the instance.
 
     Rule application asks for the alias set of the same (immutable)
-    conjuncts thousands of times per optimization; caching here turns
-    the recursive frozenset unions into one dict hit.
+    conjuncts thousands of times per optimization; the memo lives and
+    dies with the expression, like its cached hash.
     """
-    return expr.referenced_aliases()
+    aliases = expr.__dict__.get("_aliases")
+    if aliases is None:
+        aliases = expr.referenced_aliases()
+        object.__setattr__(expr, "_aliases", aliases)
+    return aliases
 
 
-@lru_cache(maxsize=16384)
 def conjuncts(predicate: Optional[Expr]) -> Tuple[Expr, ...]:
-    """Flatten a predicate into its top-level AND factors."""
+    """Flatten a predicate into its top-level AND factors (memoized on
+    an :class:`And`; anything else is its own single factor)."""
     if predicate is None:
         return ()
-    if isinstance(predicate, And):
+    if not isinstance(predicate, And):
+        return (predicate,)
+    flat = predicate.__dict__.get("_conjuncts")
+    if flat is None:
         out = []
         for child in predicate.children:
             out.extend(conjuncts(child))
-        return tuple(out)
-    return (predicate,)
+        flat = tuple(out)
+        object.__setattr__(predicate, "_conjuncts", flat)
+    return flat
 
 
 def make_conjunction(parts) -> Optional[Expr]:

@@ -134,8 +134,8 @@ class DatabaseServer:
         Closes the environment — every in-flight query unwinds through
         its ``finally`` blocks, so monitors, grants and compilation
         accounts are returned — then drops the pipeline's recorded
-        searches, the optimizer's exploration traces and the wiring
-        that points back up the object graph
+        searches and statement skeletons, the optimizer's shape traces
+        and the wiring that points back up the object graph
         (broker subscriptions, the clerk's grant advisor, the memory
         manager's shrink callbacks and release listeners).  Read
         results, views and recordings before closing; afterwards the

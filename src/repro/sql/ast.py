@@ -23,11 +23,15 @@ class Identifier(AstNode):
 @dataclass(frozen=True)
 class NumberLit(AstNode):
     value: Union[int, float]
+    #: which of the text's literal tokens this is, counting NUMBER and
+    #: STRING tokens from 0 (provenance, not identity)
+    slot: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class StringLit(AstNode):
     value: str
+    slot: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)

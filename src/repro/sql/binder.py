@@ -30,6 +30,9 @@ class BoundQuery:
     join_count: int
     #: bound output expressions (the SELECT list)
     output: Tuple[ex.Expr, ...]
+    #: the tree's ``shape_key`` when whoever built it already knows it
+    #: (a statement skeleton does); the optimizer walks the tree if not
+    shape_key: Optional[tuple] = None
 
     @property
     def table_count(self) -> int:
@@ -181,10 +184,8 @@ class Binder:
 
     def _bind_expr(self, node: ast.AstNode,
                    aliases: Dict[str, str]) -> ex.Expr:
-        if isinstance(node, ast.NumberLit):
-            return ex.Literal(node.value)
-        if isinstance(node, ast.StringLit):
-            return ex.Literal(node.value)
+        if isinstance(node, (ast.NumberLit, ast.StringLit)):
+            return ex.Literal(node.value, node.slot)
         if isinstance(node, ast.Identifier):
             return self._resolve_column(node.parts, aliases)
         if isinstance(node, ast.BinaryOp):

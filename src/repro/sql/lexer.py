@@ -1,10 +1,19 @@
-"""Tokenizer for the SQL subset."""
+"""Tokenizer for the SQL subset.
+
+What a comment, a string, a number and an identifier look like is
+defined once, as the regex fragments below.  The lexer is one compiled
+alternation of them; the statement-skeleton masker
+(:mod:`repro.compilation.skeleton`) builds its own patterns from the
+same fragments, so the two cannot disagree about where a literal
+starts and ends.
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Iterator, List
+from typing import Iterator, List, Union
 
 from repro.errors import SqlSyntaxError
 
@@ -14,6 +23,22 @@ KEYWORDS = frozenset({
     "and", "or", "not", "between", "as", "asc", "desc",
     "distinct", "limit", "top",
 })
+
+# -- the shared recognisers ------------------------------------------------
+#: ``-- to end of line`` or ``/* block */``; a ``/*`` with no ``*/``
+#: after it is *not* a comment (the lexer reports it)
+COMMENT = r"--[^\n]*|/\*(?s:.*?)\*/"
+#: a quoted string; there is no escape, so the next quote ends it
+STRING = r"'[^']*'"
+#: digits and dots after a leading digit: ``1.2.3`` is one token, and
+#: :func:`number_value` is what rejects it
+NUMBER = r"\d[\d.]*"
+IDENT = r"[^\W\d]\w*"
+
+
+def number_value(text: str) -> Union[int, float]:
+    """The value of a NUMBER token; ``ValueError`` when malformed."""
+    return float(text) if "." in text else int(text)
 
 
 class TokenType(Enum):
@@ -38,9 +63,17 @@ class Token:
         return self.text if self.type is not TokenType.EOF else "<eof>"
 
 
-#: multi-character symbols, longest first
-_SYMBOLS2 = ("<=", ">=", "<>", "!=")
-_SYMBOLS1 = "(),.*=<>+-/;"
+_BLANKS = rf"(?:\s+|{COMMENT})*"
+#: whitespace and comments, then one token; the named group that
+#: matched is the token's kind.  The skipped run sits in a lookahead so
+#: that a failure after it cannot reopen it (a comment must end at its
+#: *first* ``*/``), and ``/`` is a symbol only where it does not open a
+#: comment, so an unterminated ``/*`` matches nothing.
+_TOKEN = re.compile(
+    rf"(?=({_BLANKS}))\1"
+    rf"(?:(?P<word>{IDENT})|(?P<number>{NUMBER})|(?P<string>{STRING})"
+    rf"|(?P<symbol><=|>=|<>|!=|/(?!\*)|[(),.*=<>+\-;])|(?P<eof>\Z))")
+_SKIP_BLANKS = re.compile(_BLANKS)
 
 
 class Lexer:
@@ -51,63 +84,41 @@ class Lexer:
         self.pos = 0
 
     def tokens(self) -> Iterator[Token]:
-        text, n = self.text, len(self.text)
+        text = self.text
+        match = _TOKEN.match
         while True:
-            # skip whitespace and comments
-            while self.pos < n:
-                ch = text[self.pos]
-                if ch.isspace():
-                    self.pos += 1
-                elif text.startswith("--", self.pos):
-                    nl = text.find("\n", self.pos)
-                    self.pos = n if nl < 0 else nl + 1
-                elif text.startswith("/*", self.pos):
-                    end = text.find("*/", self.pos + 2)
-                    if end < 0:
-                        raise SqlSyntaxError("unterminated comment", self.pos)
-                    self.pos = end + 2
-                else:
-                    break
-            if self.pos >= n:
-                yield Token(TokenType.EOF, "", self.pos)
-                return
-            start = self.pos
-            ch = text[start]
-            if ch.isalpha() or ch == "_":
-                while self.pos < n and (text[self.pos].isalnum()
-                                        or text[self.pos] == "_"):
-                    self.pos += 1
-                word = text[start:self.pos]
-                lowered = word.lower()
-                if lowered in KEYWORDS:
-                    yield Token(TokenType.KEYWORD, lowered, start)
-                else:
-                    yield Token(TokenType.IDENT, lowered, start)
-            elif ch.isdigit():
-                while self.pos < n and (text[self.pos].isdigit()
-                                        or text[self.pos] == "."):
-                    self.pos += 1
-                yield Token(TokenType.NUMBER, text[start:self.pos], start)
-            elif ch == "'":
-                self.pos += 1
-                while self.pos < n and text[self.pos] != "'":
-                    self.pos += 1
-                if self.pos >= n:
-                    raise SqlSyntaxError("unterminated string literal", start)
-                self.pos += 1
-                yield Token(TokenType.STRING, text[start + 1:self.pos - 1], start)
+            found = match(text, self.pos)
+            if found is None:
+                raise self._error()
+            kind = found.lastgroup
+            start = found.start(kind)
+            self.pos = found.end()
+            if kind == "word":
+                lowered = found.group(kind).lower()
+                yield Token(TokenType.KEYWORD if lowered in KEYWORDS
+                            else TokenType.IDENT, lowered, start)
+            elif kind == "number":
+                yield Token(TokenType.NUMBER, found.group(kind), start)
+            elif kind == "string":
+                yield Token(TokenType.STRING, found.group(kind)[1:-1], start)
+            elif kind == "symbol":
+                symbol = found.group(kind)
+                # normalize != to <>
+                yield Token(TokenType.SYMBOL,
+                            "<>" if symbol == "!=" else symbol, start)
             else:
-                two = text[start:start + 2]
-                if two in _SYMBOLS2:
-                    self.pos += 2
-                    # normalize != to <>
-                    yield Token(TokenType.SYMBOL,
-                                "<>" if two == "!=" else two, start)
-                elif ch in _SYMBOLS1:
-                    self.pos += 1
-                    yield Token(TokenType.SYMBOL, ch, start)
-                else:
-                    raise SqlSyntaxError(f"unexpected character {ch!r}", start)
+                yield Token(TokenType.EOF, "", start)
+                return
+
+    def _error(self) -> SqlSyntaxError:
+        """Why nothing lexes at the first unskippable character."""
+        start = _SKIP_BLANKS.match(self.text, self.pos).end()
+        if self.text.startswith("/*", start):
+            return SqlSyntaxError("unterminated comment", start)
+        if self.text[start] == "'":
+            return SqlSyntaxError("unterminated string literal", start)
+        return SqlSyntaxError(
+            f"unexpected character {self.text[start]!r}", start)
 
 
 def tokenize(text: str) -> List[Token]:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
-from repro.sql.lexer import Token, TokenType, tokenize
+from repro.sql.lexer import Token, TokenType, number_value, tokenize
 
 
 class Parser:
@@ -15,6 +15,8 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._index = 0
+        #: NUMBER and STRING tokens consumed so far
+        self._literals = 0
 
     # -- token helpers -----------------------------------------------------
     @property
@@ -107,12 +109,21 @@ class Parser:
                 self._current.position)
         return stmt
 
+    def _parse_number(self) -> Union[int, float]:
+        """Consume the current NUMBER token (one literal slot)."""
+        cur = self._advance()
+        self._literals += 1
+        try:
+            return number_value(cur.text)
+        except ValueError:
+            raise SqlSyntaxError(f"malformed number {cur.text!r}",
+                                 cur.position) from None
+
     def _parse_int_literal(self) -> int:
         cur = self._current
         if cur.type is not TokenType.NUMBER:
             raise SqlSyntaxError(f"expected number, found {cur}", cur.position)
-        self._advance()
-        return int(float(cur.text))
+        return int(self._parse_number())
 
     def _parse_select_items(self) -> List[ast.SelectItem]:
         items = [self._parse_select_item()]
@@ -213,13 +224,12 @@ class Parser:
     def _parse_primary(self) -> ast.AstNode:
         cur = self._current
         if cur.type is TokenType.NUMBER:
-            self._advance()
-            text = cur.text
-            value = float(text) if "." in text else int(text)
-            return ast.NumberLit(value)
+            slot = self._literals
+            return ast.NumberLit(self._parse_number(), slot)
         if cur.type is TokenType.STRING:
             self._advance()
-            return ast.StringLit(cur.text)
+            self._literals += 1
+            return ast.StringLit(cur.text, self._literals - 1)
         if self._accept_symbol("("):
             inner = self._parse_expr()
             self._expect_symbol(")")

@@ -11,9 +11,11 @@ the outside:
   read zero, whatever the deadline interrupted;
 * **no leak** — the finished cell is freed by reference counting alone:
   weak references to its server, environment, memos, optimization
-  tasks and shape traces are dead the moment ``run_experiment``
+  tasks, shape traces, statement skeletons, bound queries and
+  predicate expressions are dead the moment ``run_experiment``
   returns, with the cyclic collector switched off, and a collection
-  afterwards finds next to nothing.
+  afterwards finds next to nothing.  No module-level cache may hold
+  an expression past ``close()``.
 
 The kernel half (``Environment.close`` on both scheduler cores) is
 tested directly on toy processes.
@@ -37,13 +39,16 @@ from repro.errors import (
 )
 from repro.experiments.runner import run_experiment
 from repro.memory.account import MemoryAccount
+from repro.compilation.skeleton import SkeletonCache
 from repro.optimizer.enumeration import ShapeTrace
 from repro.optimizer.memo import Memo
 from repro.optimizer.optimizer import OptimizationTask
+from repro.plans import expressions as ex
 from repro.scenarios import get_scenario
 from repro.scenarios.facade import jobs_for_scenario
 from repro.server.server import DatabaseServer
 from repro.sim import KERNEL_NAMES, Environment, Resource
+from repro.sql.binder import BoundQuery
 from repro.traffic import openloop
 
 RUN_KINDS = ("throttled", "unthrottled", "open_loop")
@@ -270,8 +275,12 @@ def watched(request) -> WatchedRun:
     kind, kernel = request.param
     run = WatchedRun(kind=kind)
     policies, accounts = [], []
+    # expression nodes stand for everything a front-end or optimizer
+    # memo could pin: none may outlive the server that bound them
     tracked = {cls: [] for cls in (DatabaseServer, Environment, Memo,
-                                   OptimizationTask, ShapeTrace)}
+                                   OptimizationTask, ShapeTrace,
+                                   SkeletonCache, BoundQuery,
+                                   ex.Comparison, ex.And)}
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         for cls, sink in tracked.items():

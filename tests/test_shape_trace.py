@@ -8,6 +8,10 @@ search of the same query shape
 indistinguishable from outside a task — step stream, memo contents at
 every yield, statistics, final plan — for any literals, any budget,
 whoever explored first and however same-shape searches interleave.
+
+The trace also hands every search its stage-0 memo layout; that is
+compared with plain node-by-node insertion and with the whole-node
+statistics derivation every task used to run (``reference_stats``).
 """
 
 import re
@@ -25,13 +29,24 @@ from repro.optimizer.enumeration import (
     MIN_BUDGET,
     STAGE_BOUNDARIES,
     MemoEnumerator,
+    UesEnumerator,
     shape_key,
 )
+from repro.optimizer.memo import GroupStats, Memo
 from repro.optimizer.rules import GroupRef, RuleContext
 from repro.optimizer.selection import _split_join_keys
+from repro.optimizer.spec import OptimizerSpec
 from repro.plans import expressions as ex
 from repro.plans import logical as lg
-from repro.sql import Binder, parse
+from repro.sql import Binder, BoundQuery, parse
+
+#: an aggregate over a two-arm star, optionally sorted
+BASE_STAR = ("SELECT p.category_id, s.region_id, SUM(f.amount) AS total "
+             "FROM fact_sales f, products p, stores s "
+             "WHERE f.product_id = p.product_id "
+             "AND f.store_id = s.store_id "
+             "AND f.date_id BETWEEN {lo} AND {hi} "
+             "GROUP BY p.category_id, s.region_id")
 
 
 # ------------------------------------------------- the reference model
@@ -267,7 +282,146 @@ def test_interleaved_searches_equal_their_solo_runs(budget):
     assert len(shared._traces) == 1
 
 
-# ---------------------------------------------------- (d) the shape key
+# ------------------------------------------------ (d) stage 0 itself
+def reference_stats(task, node, child_stats):
+    """Statistics derivation as every task ran it for every node,
+    before a trace handed out the literal-free part."""
+    est = task.opt.estimator
+    if isinstance(node, lg.LogicalGet):
+        rows = est.table_rows(node.table)
+        sel = est.local_selectivity(node.table, node.predicate)
+        return GroupStats(rows=max(1.0, rows * sel),
+                          width=est.table_width(node.table),
+                          aliases=frozenset({node.alias}))
+    if isinstance(node, lg.LogicalJoin):
+        left, right = child_stats
+        sel = est.join_selectivity(node.condition, task._alias_tables)
+        rows = max(1.0, left.rows * right.rows * sel)
+        return GroupStats(rows=rows, width=left.width + right.width,
+                          aliases=left.aliases | right.aliases)
+    (child,) = child_stats
+    if isinstance(node, lg.LogicalFilter):
+        sel = 1.0
+        for _ in ex.conjuncts(node.predicate):
+            sel *= 0.1
+        return GroupStats(rows=max(1.0, child.rows * sel),
+                          width=child.width, aliases=child.aliases)
+    if isinstance(node, lg.LogicalAggregate):
+        groups = est.group_count(node.keys, task._alias_tables, child.rows)
+        width = 8.0 * (len(node.keys) + len(node.aggregates)) + 10.0
+        return GroupStats(rows=groups, width=width, aliases=child.aliases)
+    if isinstance(node, lg.LogicalProject):
+        return GroupStats(rows=child.rows,
+                          width=8.0 * max(1, len(node.exprs)),
+                          aliases=child.aliases)
+    assert isinstance(node, lg.LogicalSort)
+    return GroupStats(rows=child.rows, width=child.width,
+                      aliases=child.aliases)
+
+
+def stage0(opt, bound):
+    """A task of ``opt`` stopped at its first yield: stage 0 is in."""
+    task = opt.task(bound)
+    steps = task.steps()
+    first = next(steps)
+    assert first.phase == "stage0"
+    steps.close()
+    return task
+
+
+def assert_stage0_is(task, tree):
+    """``task``'s memo holds exactly ``tree``, inserted node by node,
+    with statistics the reference derivation reproduces bit for bit."""
+    plain = Memo()
+    plain.insert_tree(tree)
+    groups = task.memo.groups
+    assert task.memo.expression_count == plain.expression_count
+    assert task.memo.bytes_used - task.memo.base_bytes \
+        == plain.bytes_used - plain.base_bytes
+    assert len(groups) == len(plain.groups)
+    for group, expected in zip(groups, plain.groups):
+        (gexpr,), (wanted,) = group.expressions, expected.expressions
+        assert (gexpr.node.payload(), gexpr.children, gexpr.group_id) \
+            == (wanted.node.payload(), wanted.children, wanted.group_id)
+        child_stats = [groups[child].stats for child in gexpr.children]
+        # dataclass equality: rows, width, aliases and bytes, exactly
+        assert group.stats == reference_stats(task, gexpr.node, child_stats)
+        if isinstance(gexpr.node, lg.LogicalJoin):
+            assert gexpr.split == _split_join_keys(
+                gexpr.node.condition, *[s.aliases for s in child_stats])
+        else:
+            assert gexpr.split is None
+
+
+STAR_SHAPES = [
+    BASE_STAR + " ORDER BY total DESC",
+    BASE_STAR,
+    "SELECT f.amount FROM fact_sales f WHERE f.date_id < {hi}",
+]
+
+
+def stage0_inputs():
+    for seed, max_tables in GRAPHS:
+        catalog, sql, _joins, _n = random_join_graph(seed, max_tables)
+        yield catalog, list(literal_draws(sql))
+    catalog = build_star_catalog()
+    for shape in STAR_SHAPES:
+        yield catalog, [shape.format(lo=lo, hi=hi)
+                        for lo, hi in ((1, 9), (100, 900), (0, 5))]
+
+
+@pytest.mark.parametrize("enumerator", ["memo", "ues"])
+def test_stage0_memo_on_first_and_repeat_sightings(enumerator):
+    for catalog, texts in stage0_inputs():
+        shared = Optimizer(catalog,
+                           spec=OptimizerSpec(enumerator=enumerator))
+        binder = Binder(catalog)
+        # the first text builds the shape's trace, the others read it,
+        # and the first one again must not see what they left behind
+        for text in texts + texts[:1]:
+            task = stage0(shared, binder.bind(parse(text)))
+            tree = task.bound.root if enumerator == "memo" \
+                else UesEnumerator()._reorder(task)
+            assert_stage0_is(task, tree)
+            reference = stage0(reference_optimizer(catalog),
+                               binder.bind(parse(text)))
+            if enumerator == "memo":
+                assert memo_shape(task.memo) == memo_shape(reference.memo)
+        assert len(shared._traces) == (enumerator == "memo")
+
+
+def test_stage0_with_a_residual_filter_and_a_repeated_subtree():
+    """Shapes the binder never emits, hand-built."""
+    catalog = build_star_catalog()
+    opt = Optimizer(catalog)
+
+    def bound(value):
+        f = lg.LogicalGet("f", "fact_sales", ex.Comparison(
+            "<", ex.ColumnRef("f", "date_id"), ex.Literal(value)))
+        p = lg.LogicalGet("p", "products")
+        join = lg.LogicalJoin(f, p, ex.Comparison(
+            "=", ex.ColumnRef("f", "product_id"),
+            ex.ColumnRef("p", "product_id")))
+        residual = lg.LogicalFilter(lg.LogicalJoin(join, p), ex.And((
+            ex.Comparison(">", ex.ColumnRef("f", "amount"), ex.Literal(7)),
+            ex.Comparison("<", ex.ColumnRef("f", "amount"),
+                          ex.Literal(70)))))
+        root = lg.LogicalProject(residual, (ex.ColumnRef("f", "amount"),))
+        return BoundQuery(root=root,
+                          aliases={"f": "fact_sales", "p": "products"},
+                          join_count=2, output=root.exprs)
+
+    rows = set()
+    for value in (10, 500, 10):
+        task = stage0(opt, bound(value))
+        assert_stage0_is(task, task.bound.root)
+        # scan ``p`` appears twice and is one group
+        assert task.memo.group_count == 6
+        rows.add(task.memo.groups[-1].stats.rows)
+    assert len(rows) == 2 and len(opt._traces) == 1
+
+
+# ---------------------------------------------------- (e) the shape key
 def star_key(sql):
     catalog = build_star_catalog()
     return shape_key(Binder(catalog).bind(parse(sql)).root)
@@ -313,7 +467,7 @@ def test_residual_filter_literals_change_the_shape():
     assert shape_key(filtered(1)) != shape_key(join)
 
 
-# ------------------------------------------------------ (e) the bound
+# ------------------------------------------------------ (f) the bound
 def test_trace_table_is_bounded_and_eviction_is_harmless(monkeypatch):
     monkeypatch.setattr(Optimizer, "SHAPE_TRACE_SIZE", 2)
     catalog = build_star_catalog()

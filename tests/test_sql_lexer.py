@@ -75,3 +75,45 @@ def test_qualified_name_tokens():
         (TokenType.SYMBOL, "."),
         (TokenType.IDENT, "b"),
     ]
+
+
+def test_dotted_number_is_one_token():
+    """``1.2.3`` is one NUMBER; the parser is what rejects its value."""
+    assert kinds("a = 1.2.3") == [
+        (TokenType.IDENT, "a"),
+        (TokenType.SYMBOL, "="),
+        (TokenType.NUMBER, "1.2.3"),
+    ]
+    # a digit starts a number only where no identifier is under way
+    assert kinds("t1.c2 x.1 1.5") == [
+        (TokenType.IDENT, "t1"), (TokenType.SYMBOL, "."),
+        (TokenType.IDENT, "c2"),
+        (TokenType.IDENT, "x"), (TokenType.SYMBOL, "."),
+        (TokenType.NUMBER, "1"),
+        (TokenType.NUMBER, "1.5"),
+    ]
+
+
+def test_comment_ends_at_its_first_terminator():
+    with pytest.raises(SqlSyntaxError) as excinfo:
+        tokenize("/* a */ @ */ x")
+    assert str(excinfo.value).startswith("unexpected character '@'")
+    assert excinfo.value.position == 8
+
+
+@pytest.mark.parametrize("text,message,position", [
+    ("select 'a' /* oops 'b'", "unterminated comment", 11),
+    ("select /*/ x", "unterminated comment", 7),
+    ("select a -- c\n 'oops /* x */", "unterminated string literal", 15),
+    ("select a / * b", None, None),
+    ("select a - - b -- /* never opened", None, None),
+])
+def test_unterminated_tokens_report_where_they_start(text, message,
+                                                     position):
+    if message is None:
+        tokenize(text)
+        return
+    with pytest.raises(SqlSyntaxError) as excinfo:
+        tokenize(text)
+    assert str(excinfo.value).startswith(message)
+    assert excinfo.value.position == position

@@ -114,3 +114,29 @@ def test_comments_are_transparent():
     b = parse("/* adhoc ff001 */ SELECT a FROM t WHERE x = 5")
     assert a.items == b.items
     assert a.where == b.where
+
+
+@pytest.mark.parametrize("text,position", [
+    ("SELECT a.x FROM t a WHERE a.x = 1.2.3", 32),
+    ("SELECT a.x FROM t a WHERE a.x BETWEEN 1 AND 2..5", 44),
+    ("SELECT TOP 1.2.3 a.x FROM t a", 11),
+    ("SELECT a.x FROM t a LIMIT 4.5.", 26),
+])
+def test_malformed_number_is_a_syntax_error(text, position):
+    """Not the bare ValueError ``float()`` raises."""
+    with pytest.raises(SqlSyntaxError) as excinfo:
+        parse(text)
+    assert "malformed number" in str(excinfo.value)
+    assert excinfo.value.position == position
+
+
+def test_literals_are_numbered_in_token_order():
+    stmt = parse("SELECT TOP 3 a.x + 1 FROM t a WHERE a.y = 'k' "
+                 "AND a.z BETWEEN 2.5 AND 9 LIMIT 4")
+    item = stmt.items[0].expr.right
+    assert (item.value, item.slot) == (1, 1)
+    where = stmt.where
+    assert (where.left.right.value, where.left.right.slot) == ("k", 2)
+    assert (where.right.low.slot, where.right.high.slot) == (3, 4)
+    # the slot is provenance, not identity
+    assert item == ast.NumberLit(1)
