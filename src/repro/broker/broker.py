@@ -17,12 +17,13 @@ subscribers, which in this server are:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import BrokerConfig
-from repro.broker.trend import TrendEstimator
+from repro.broker.trend import WindowTerms, least_squares, window_terms
 from repro.memory.manager import MemoryManager
 from repro.sim import Environment
 
@@ -66,7 +67,18 @@ class MemoryBroker:
         self.manager = manager
         self.config = config
         self._time_scale = time_scale
-        self._trends: Dict[str, TrendEstimator] = {}
+        if config.window < 2:
+            raise ValueError("trend window must hold at least 2 samples")
+        #: times of the last ``window`` sweeps, shared by every clerk:
+        #: clerks are never unregistered, so each one is sampled at
+        #: every sweep since it first appeared and its window's times
+        #: are the tail of this one
+        self._times: Deque[float] = deque(maxlen=config.window)
+        #: per-clerk usage windows, aligned with the tail of ``_times``
+        self._values: Dict[str, Deque[float]] = {}
+        #: by window length: the sample offsets last fitted over and
+        #: their x terms (see :meth:`_x_terms`)
+        self._x_memo: Dict[int, Tuple[Tuple[float, ...], WindowTerms]] = {}
         self._handlers: Dict[str, List[NotificationHandler]] = {}
         #: most recent notifications by clerk (observability)
         self.last_notifications: Dict[str, BrokerNotification] = {}
@@ -155,15 +167,7 @@ class MemoryBroker:
         self.sweeps += 1
         now = self.env.now
         usage = self.manager.usage_by_clerk()
-        predicted: Dict[str, int] = {}
-        for name, used in usage.items():
-            trend = self._trends.get(name)
-            if trend is None:
-                trend = TrendEstimator(window=self.config.window)
-                self._trends[name] = trend
-            trend.add(now, used)
-            predicted[name] = int(trend.predict(self.config.horizon))
-
+        predicted = self._predict(now, usage)
         total_predicted = sum(predicted.values())
         limit = self.pressure_limit
         self.under_pressure = total_predicted > limit
@@ -181,6 +185,49 @@ class MemoryBroker:
                 clerk=name, signal=signal, current=usage[name],
                 predicted=predicted[name], target=target, at=now)
             self._dispatch(note)
+
+    def _predict(self, now: float,
+                 usage: Dict[str, int]) -> Dict[str, int]:
+        """Add this sweep's samples; project each clerk ``horizon``
+        seconds ahead from the least-squares line through its window."""
+        times = self._times
+        times.append(now)
+        horizon = self.config.horizon
+        terms: Dict[int, WindowTerms] = {}  # by window length
+        predicted: Dict[str, int] = {}
+        for name, used in usage.items():
+            values = self._values.get(name)
+            if values is None:
+                values = self._values[name] = deque(maxlen=times.maxlen)
+            value = float(used)
+            values.append(value)
+            n = len(values)
+            if values.count(value) == n:
+                # a flat window predicts its value without a fit, exactly:
+                # usage is an integer byte count and window * usage <
+                # 2**53, so every partial sum is exact, mean_y == value,
+                # sxy == 0.0 and the fitted level is value itself
+                predicted[name] = int(value)
+                continue
+            shared = terms.get(n)
+            if shared is None:
+                shared = terms[n] = self._x_terms(n)
+            predicted[name] = int(
+                least_squares(shared, values).predict(horizon))
+        return predicted
+
+    def _x_terms(self, n: int) -> WindowTerms:
+        """The x terms of the last ``n`` sweep times.  They depend only
+        on each time's offset from the newest, and sweeps one interval
+        apart repeat the same offsets, so the terms last computed for
+        ``n`` are reused while the offsets match."""
+        times = list(self._times)[-n:]
+        t_last = times[-1]
+        offsets = tuple([t - t_last for t in times])
+        memo = self._x_memo.get(n)
+        if memo is None or memo[0] != offsets:
+            memo = self._x_memo[n] = (offsets, window_terms(offsets))
+        return memo[1]
 
     def _compute_targets(self, usage: Dict[str, int],
                          predicted: Dict[str, int],

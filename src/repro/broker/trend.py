@@ -3,15 +3,23 @@
 The broker needs to *predict* near-future memory usage, not just react
 to the present, so that components are notified before the machine is
 actually exhausted.  A sliding-window least-squares slope is robust to
-the sawtooth allocation patterns compilations produce; an EWMA variant
-is provided for comparison in the ablation benchmarks.
+the sawtooth allocation patterns compilations produce.
+
+The fit is split in two so the broker can share work across clerks:
+:func:`window_terms` holds everything that depends only on the sample
+times, :func:`least_squares` the part that depends on the values.
+:class:`TrendEstimator` is the one-window wrapper around both.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Tuple
+from typing import Deque, List, Sequence, Tuple
+
+#: ``(mean_x, sxx, deviations)`` of a window's sample times, with
+#: ``x = t - t_last`` and ``deviations[i] = x_i - mean_x``
+WindowTerms = Tuple[float, float, List[float]]
 
 
 @dataclass
@@ -25,6 +33,31 @@ class LinearTrend:
         """Projected value ``horizon`` seconds past the last sample
         (clamped at zero — memory usage cannot go negative)."""
         return max(0.0, self.level + self.slope * horizon)
+
+
+def window_terms(times: Sequence[float]) -> WindowTerms:
+    """The x terms of a least-squares fit over samples taken at
+    ``times`` (at least one), anchored at the last sample time."""
+    t_last = times[-1]
+    xs = [t - t_last for t in times]
+    mean_x = sum(xs) / len(xs)
+    deviations = [x - mean_x for x in xs]
+    sxx = sum(d ** 2 for d in deviations)
+    return mean_x, sxx, deviations
+
+
+def least_squares(terms: WindowTerms, ys: Sequence[float]) -> LinearTrend:
+    """Least-squares line through ``ys`` sampled at the times ``terms``
+    was computed from.  Samples that all share one time (a single
+    sample, too) have no slope; the line is flat at the last value."""
+    mean_x, sxx, deviations = terms
+    if sxx <= 0:
+        return LinearTrend(level=ys[-1], slope=0.0)
+    mean_y = sum(ys) / len(ys)
+    sxy = sum(d * (y - mean_y) for d, y in zip(deviations, ys))
+    slope = sxy / sxx
+    level = mean_y + slope * (0.0 - mean_x)
+    return LinearTrend(level=level, slope=slope)
 
 
 class TrendEstimator:
@@ -51,62 +84,11 @@ class TrendEstimator:
     def fit(self) -> LinearTrend:
         """Least-squares line through the window, anchored at the last
         sample time.  With fewer than 2 samples the slope is zero."""
-        n = len(self._samples)
-        if n == 0:
+        if not self._samples:
             return LinearTrend(level=0.0, slope=0.0)
-        if n == 1:
-            return LinearTrend(level=self._samples[0][1], slope=0.0)
-        t_last = self._samples[-1][0]
-        xs = [t - t_last for t, _ in self._samples]
-        ys = [v for _, v in self._samples]
-        mean_x = sum(xs) / n
-        mean_y = sum(ys) / n
-        sxx = sum((x - mean_x) ** 2 for x in xs)
-        if sxx <= 0:
-            return LinearTrend(level=ys[-1], slope=0.0)
-        sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-        slope = sxy / sxx
-        level = mean_y + slope * (0.0 - mean_x)
-        return LinearTrend(level=level, slope=slope)
+        return least_squares(window_terms([t for t, _ in self._samples]),
+                             [v for _, v in self._samples])
 
     def predict(self, horizon: float) -> float:
         """Projected usage ``horizon`` seconds from the last sample."""
         return self.fit().predict(horizon)
-
-
-class EwmaEstimator:
-    """Exponentially-weighted alternative predictor (ablation use).
-
-    Tracks level and rate-of-change with the same ``add``/``predict``
-    interface as :class:`TrendEstimator`.
-    """
-
-    def __init__(self, alpha: float = 0.4):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self._level: float | None = None
-        self._rate = 0.0
-        self._last_t: float | None = None
-
-    def add(self, t: float, value: float) -> None:
-        value = float(value)
-        if self._level is None or self._last_t is None:
-            self._level, self._last_t = value, t
-            return
-        dt = max(1e-9, t - self._last_t)
-        instantaneous_rate = (value - self._level) / dt
-        self._rate = (self.alpha * instantaneous_rate
-                      + (1.0 - self.alpha) * self._rate)
-        self._level = (self.alpha * value
-                       + (1.0 - self.alpha) * self._level)
-        self._last_t = t
-
-    @property
-    def last_value(self) -> float:
-        return self._level or 0.0
-
-    def predict(self, horizon: float) -> float:
-        if self._level is None:
-            return 0.0
-        return max(0.0, self._level + self._rate * horizon)

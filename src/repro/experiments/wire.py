@@ -26,11 +26,11 @@ The conversation::
     {"op": "next"}           ->
                              <-   {"op": "drain"}        (queue is done)
 
-Fault model: a worker that disconnects mid-cell gets its cell
-re-queued for the survivors; a duplicate result for an already-merged
-cell is ignored (results are deterministic, so either copy is
-correct).  Workers may join at any time, including before the queue
-has work.
+Fault model: a worker that disconnects mid-cell, or sends a frame
+that is oversized, torn or malformed, gets its cell re-queued for the
+survivors; a duplicate result for an already-merged cell is ignored
+(results are deterministic, so either copy is correct).  Workers may
+join at any time, including before the queue has work.
 """
 
 from __future__ import annotations
@@ -48,6 +48,12 @@ from repro.experiments.engine import ARTIFACT_SCHEMA, _trim_search_pool
 #: version of the wire conversation itself (bump on incompatible
 #: message-flow changes; payload evolution rides ARTIFACT_SCHEMA)
 WIRE_PROTOCOL = 1
+
+#: longest frame (JSON plus newline) either side reads, so a peer that
+#: never sends a newline cannot make the other buffer without limit.
+#: The largest result document the test suite and the benchmark
+#: produce is 2.3 KB (3.4 KB with a ``--snapshot`` DMV dump).
+MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 
 class WireError(ReproError):
@@ -72,6 +78,14 @@ def parse_address(text: str) -> Tuple[str, int]:
 
 
 # ------------------------------------------------------------- framing
+def _no_delay(conn: socket.socket) -> None:
+    """Send each frame as soon as it is flushed.  A worker writes
+    ``result`` then ``next`` back to back; under Nagle the second
+    frame waits for the ACK of the first, which the coordinator delays
+    by about 40 ms because it has nothing to answer ``result`` with."""
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def send_message(stream, doc: dict) -> None:
     """Write one newline-delimited JSON message."""
     stream.write(json.dumps(doc, separators=(",", ":")).encode("utf-8")
@@ -80,10 +94,19 @@ def send_message(stream, doc: dict) -> None:
 
 
 def recv_message(stream) -> Optional[dict]:
-    """Read one message; ``None`` means the peer disconnected."""
-    line = stream.readline()
+    """Read one message; ``None`` means the peer disconnected.
+
+    A frame longer than :data:`MAX_FRAME_BYTES`, or a final frame cut
+    off by EOF before its newline, is a :class:`WireError`."""
+    line = stream.readline(MAX_FRAME_BYTES)
     if not line:
         return None
+    # a socket's BufferedRWPair may read a few KB past the limit
+    if not line.endswith(b"\n") or len(line) > MAX_FRAME_BYTES:
+        if len(line) >= MAX_FRAME_BYTES:
+            raise WireError(f"wire frame exceeds {MAX_FRAME_BYTES} bytes")
+        raise WireError(f"torn wire frame: {len(line)} byte(s) before "
+                        f"EOF without a newline")
     try:
         doc = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -259,6 +282,7 @@ class CellQueueServer:
         assigned = None
         welcomed = False
         try:
+            _no_delay(conn)
             hello = recv_message(stream)
             if hello is None or hello.get("op") != "hello":
                 return
@@ -377,6 +401,7 @@ def run_worker(host: str, port: int,
     stream = conn.makefile("rwb")
     executed = 0
     try:
+        _no_delay(conn)
         send_message(stream, {"op": "hello", "protocol": WIRE_PROTOCOL,
                               "schema": ARTIFACT_SCHEMA})
         welcome = recv_message(stream)

@@ -8,9 +8,11 @@ Inline, Pool and Stream executors produces canonically byte-identical
 artifacts.
 """
 
+import io
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.experiments.executors import (
 )
 from repro.experiments.shards import ShardCell, canonical_document
 from repro.experiments.wire import (
+    MAX_FRAME_BYTES,
     WIRE_PROTOCOL,
     WireError,
     parse_address,
@@ -148,6 +151,62 @@ def test_wire_framing_roundtrip():
     b.close()
 
 
+def test_wire_framing_bounds_frames():
+    """A frame is read up to MAX_FRAME_BYTES and must end in a newline:
+    a peer cannot make the reader buffer without limit, and a final
+    frame cut off by EOF is an error even when its JSON is complete."""
+    frame = b'{"op":"next"}'
+    assert recv_message(io.BytesIO(frame + b"\n")) == {"op": "next"}
+    assert recv_message(io.BytesIO(b"")) is None
+    with pytest.raises(WireError, match="torn"):
+        recv_message(io.BytesIO(frame))
+    fits = frame[:-1] + b" " * (MAX_FRAME_BYTES - len(frame) - 1) + b"}\n"
+    assert recv_message(io.BytesIO(fits)) == {"op": "next"}
+    with pytest.raises(WireError, match="exceeds"):
+        recv_message(io.BytesIO(b" " + fits))
+
+
+def test_stream_wire_sends_without_delayed_ack_stall(monkeypatch):
+    """Both ends of a stream connection set TCP_NODELAY: a worker
+    writes ``result`` then ``next``, and under Nagle the second frame
+    waits about 40 ms for the coordinator's delayed ACK.  Thirty cheap
+    cells would then need at least 1.2 s; they must take under 0.6."""
+    sockets = []
+    accept, connect = socket.socket.accept, socket.create_connection
+
+    def spy_accept(listener):
+        conn, address = accept(listener)
+        sockets.append(conn)
+        return conn, address
+
+    def spy_connect(*args, **kwargs):
+        sockets.append(connect(*args, **kwargs))
+        return sockets[-1]
+
+    monkeypatch.setattr(socket.socket, "accept", spy_accept)
+    monkeypatch.setattr(socket, "create_connection", spy_connect)
+    tasks = tasks_for_specs([monitors_spec(f"ex-fast-{i}")
+                             for i in range(30)])
+    executor = StreamExecutor(timeout=30)
+    address = executor.start()
+    worker = threading.Thread(target=_drain_worker, args=(address,),
+                              daemon=True)
+    worker.start()
+    try:
+        started = time.perf_counter()
+        results = list(executor.submit(tasks))
+        elapsed = time.perf_counter() - started
+        # still connected: the worker is waiting for its next cell
+        no_delay = [conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                    for conn in sockets]
+    finally:
+        executor.close()
+    worker.join(timeout=10)
+    assert len(no_delay) == 2 and all(no_delay), no_delay
+    assert len(results) == 30 and all(r.ok for r in results)
+    assert elapsed < 0.6, f"30 cells took {elapsed:.2f}s"
+
+
 def test_worker_rejected_on_protocol_or_schema_mismatch():
     """Version skew is refused at the handshake: a stale worker must
     never feed summaries of another schema into an artifact."""
@@ -252,7 +311,34 @@ def test_stream_work_stealing_recovers_from_a_killed_worker():
     """The kill-one-worker recovery pin: a worker that claims a cell
     and dies without delivering gets its cell re-queued, and a healthy
     worker joining later finishes the whole queue."""
-    specs = [monitors_spec(f"ex-kill-{i}") for i in range(3)]
+    _recover_from_doomed_worker("ex-kill", last_words=lambda task: b"")
+
+
+def _result_frame(task_doc, padding=0, newline=b"\n"):
+    """The worker's real ``result`` frame for a claimed cell, with
+    ``padding`` blanks inside the JSON object and the given ending."""
+    result = execute_cell(CellTask.from_doc(task_doc))
+    return (b'{"op":"result","result":'
+            + json.dumps(result.to_doc()).encode("utf-8")
+            + b" " * padding + b"}" + newline)
+
+
+@pytest.mark.parametrize("last_words", [
+    lambda task: _result_frame(task, padding=MAX_FRAME_BYTES),
+    lambda task: _result_frame(task, newline=b""),
+], ids=["oversized", "torn"])
+def test_stream_requeues_cell_of_worker_sending_bad_frame(last_words):
+    """A valid result is refused when its frame is longer than
+    MAX_FRAME_BYTES, or when EOF cuts it off before its newline: the
+    worker is dropped like a dead one and its cell re-queued."""
+    _recover_from_doomed_worker("ex-frame", last_words)
+
+
+def _recover_from_doomed_worker(prefix, last_words):
+    """Run three cells; a worker claims one, sends
+    ``last_words(task_doc)`` as its last bytes and hangs up; a healthy
+    worker joining later finishes the queue."""
+    specs = [monitors_spec(f"{prefix}-{i}") for i in range(3)]
     executor = StreamExecutor(timeout=30)
     host, port = executor.start()
     server = executor._server
@@ -269,8 +355,16 @@ def test_stream_work_stealing_recovers_from_a_killed_worker():
         message = recv_message(stream)
         assert message["op"] == "cell"
         claimed.set()
+        try:
+            stream.write(last_words(message["task"]))
+            stream.flush()
+        except OSError:  # the coordinator hung up mid-frame
+            pass
         # die mid-cell: no result, just a dropped connection
-        stream.close()
+        try:
+            stream.close()
+        except OSError:  # the unsent rest of an oversized frame
+            pass
         conn.close()
 
     results = []

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.broker.trend import EwmaEstimator, LinearTrend, TrendEstimator
+from repro.broker.trend import LinearTrend, TrendEstimator
 
 
 def test_empty_estimator_predicts_zero():
@@ -67,21 +67,6 @@ def test_window_validation():
 def test_linear_trend_predict():
     assert LinearTrend(level=10, slope=2).predict(5) == 20
     assert LinearTrend(level=10, slope=-5).predict(100) == 0.0
-
-
-def test_ewma_tracks_level_and_rate():
-    est = EwmaEstimator(alpha=0.5)
-    for t in range(10):
-        est.add(float(t), 10.0 * t)
-    assert est.predict(0.0) == pytest.approx(est.last_value)
-    assert est.predict(2.0) > est.last_value
-
-
-def test_ewma_alpha_validation():
-    with pytest.raises(ValueError):
-        EwmaEstimator(alpha=0.0)
-    with pytest.raises(ValueError):
-        EwmaEstimator(alpha=1.5)
 
 
 @settings(max_examples=60, deadline=None)
