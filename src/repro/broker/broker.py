@@ -1,6 +1,7 @@
-"""The Memory Broker process.
+"""The Memory Broker.
 
-Every ``interval`` seconds the broker samples per-clerk usage, fits
+Every ``interval`` seconds (on the server's tick, which calls
+:meth:`MemoryBroker.sweep`) the broker samples per-clerk usage, fits
 trends, and projects total usage ``horizon`` seconds ahead.  While the
 projection fits in physical memory (minus headroom) it does nothing —
 "the system behaves as if the Memory Broker was not there."  Under
@@ -62,13 +63,10 @@ class MemoryBroker:
     COMPILE_CLERK = "compilation"
 
     def __init__(self, env: Environment, manager: MemoryManager,
-                 config: BrokerConfig, time_scale: float = 1.0):
+                 config: BrokerConfig):
         self.env = env
         self.manager = manager
         self.config = config
-        self._time_scale = time_scale
-        if config.window < 2:
-            raise ValueError("trend window must hold at least 2 samples")
         #: times of the last ``window`` sweeps, shared by every clerk:
         #: clerks are never unregistered, so each one is sampled at
         #: every sweep since it first appeared and its window's times
@@ -86,7 +84,6 @@ class MemoryBroker:
         self.under_pressure = False
         #: sweeps performed (diagnostics)
         self.sweeps = 0
-        self._process = None
 
     # -- wiring ------------------------------------------------------------
     def subscribe(self, clerk_name: str,
@@ -98,11 +95,6 @@ class MemoryBroker:
         """Drop every notification handler (server teardown: handlers
         are bound methods of the components the broker serves)."""
         self._handlers.clear()
-
-    def start(self) -> None:
-        """Launch the periodic broker process (no-op when disabled)."""
-        if self.config.enabled and self._process is None:
-            self._process = self.env.process(self._run())
 
     # -- policy ------------------------------------------------------------
     @property
@@ -156,14 +148,9 @@ class MemoryBroker:
         return out
 
     # -- the periodic sweep ---------------------------------------------------
-    def _run(self):
-        interval = self.config.interval / self._time_scale
-        while True:
-            yield self.env.timeout(interval)
-            self.sweep()
-
     def sweep(self) -> None:
-        """One accounting pass: sample, predict, notify."""
+        """One accounting pass: sample, predict, notify.  The server's
+        tick calls it every ``interval`` seconds."""
         self.sweeps += 1
         now = self.env.now
         usage = self.manager.usage_by_clerk()

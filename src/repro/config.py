@@ -150,6 +150,19 @@ class BrokerConfig:
     #: the broker never asks the pool to shrink below this
     buffer_pool_floor_fraction: float = 0.15
 
+    def __post_init__(self):
+        if self.interval <= 0:
+            raise ConfigurationError("broker interval must be positive")
+        if self.window < 2:
+            raise ConfigurationError(
+                "trend window must hold at least 2 samples")
+        if self.horizon < 0:
+            raise ConfigurationError("broker horizon must be non-negative")
+        for name in ("headroom_fraction", "compile_target_fraction",
+                     "buffer_pool_floor_fraction"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1)")
+
 
 @dataclass(frozen=True)
 class ExecutionConfig:

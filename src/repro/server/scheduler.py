@@ -19,7 +19,7 @@ from repro.sim import Environment, Resource
 
 @dataclass
 class CpuStats:
-    """Cumulative scheduler counters."""
+    """Cumulative scheduler counters over completed quanta."""
 
     busy_time: float = 0.0
     quanta: int = 0
@@ -56,14 +56,15 @@ class CpuScheduler:
         while remaining > 1e-12:
             quantum = min(self.QUANTUM, remaining)
             started = self.env.now
-            req = self._cpus.request()
+            # one event per quantum: it fires when the quantum ends,
+            # still holding the CPU (see Resource._grant)
+            req = self._cpus.request(quantum / self._time_scale)
             try:
                 yield req
-                self.stats.queue_wait += self.env.now - started
-                yield self.env.timeout(quantum / self._time_scale)
             finally:
                 # also when unwound while still queued for a CPU
                 self._cpus.release(req)
+            self.stats.queue_wait += req.granted_at - started
             self.stats.busy_time += quantum
             self.stats.quanta += 1
             remaining -= quantum

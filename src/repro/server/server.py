@@ -71,8 +71,7 @@ class DatabaseServer:
             memory_multiplier=config.optimizer_memory_multiplier,
             spec=config.optimizer)
         self.binder = Binder(catalog)
-        self.broker = MemoryBroker(self.env, self.memory, config.broker,
-                                   time_scale=scale)
+        self.broker = MemoryBroker(self.env, self.memory, config.broker)
         best_plan = (config.throttle.enabled
                      and config.throttle.best_plan_so_far)
         if config.broker.enabled:
@@ -121,12 +120,11 @@ class DatabaseServer:
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
-        """Launch background processes (broker sweeps, memory sampling)."""
+        """Launch the server tick (broker sweep, then memory sample)."""
         if self._started:
             return
         self._started = True
-        self.broker.start()
-        self.env.process(self._memory_sampler())
+        self.env.process(self._tick())
 
     def close(self) -> None:
         """End this server's run and release what it holds (idempotent).
@@ -155,13 +153,19 @@ class DatabaseServer:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-    def _memory_sampler(self):
-        """Sample per-clerk memory into the metrics collector."""
-        interval = max(self.config.broker.interval,
-                       1.0) / self.config.time_scale
+    def _tick(self):
+        """The one periodic process: every broker interval, sweep (when
+        the broker is enabled), then sample per-clerk memory into the
+        metrics — read after the sweep, whose notifications can shrink
+        the caches."""
+        env = self.env
+        interval = self.config.broker.interval / self.config.time_scale
+        sweep = self.broker.sweep if self.config.broker.enabled else None
         while True:
-            yield self.env.timeout(interval)
-            self.metrics.sample_memory(self.env.now,
+            yield env.timeout(interval)
+            if sweep is not None:
+                sweep()
+            self.metrics.sample_memory(env.now,
                                        self.memory.usage_by_clerk())
 
     # -- introspection -----------------------------------------------------------

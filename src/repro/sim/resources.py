@@ -3,7 +3,8 @@
 :class:`Resource` is a FIFO counted semaphore — the building block for
 CPUs, disk channels, memory-grant queues and the paper's compilation
 gateways.  A request is itself an event; processes ``yield`` it and are
-resumed when a slot is granted.
+resumed when a slot is granted — or, for a *hold request*, ``hold``
+seconds after the grant, still holding the slot.
 """
 
 from __future__ import annotations
@@ -16,15 +17,25 @@ from repro.sim.events import Event
 
 
 class Request(Event):
-    """A pending claim on one slot of a :class:`Resource`."""
+    """A pending claim on one slot of a :class:`Resource`.
 
-    __slots__ = ("resource", "granted")
+    The event fires ``hold`` seconds after the slot is granted (at the
+    grant when ``hold`` is 0); the slot stays held until released.
+    """
 
-    def __init__(self, resource: "Resource"):
+    __slots__ = ("resource", "granted", "hold", "granted_at")
+
+    def __init__(self, resource: "Resource", hold: float = 0.0):
+        if hold < 0:
+            raise SimulationError(f"negative hold {hold!r}")
         super().__init__(resource.env)
         self.resource = resource
         #: set True once the slot has been granted
         self.granted = False
+        #: seconds between the grant and the event firing
+        self.hold = hold
+        #: simulated time of the grant (None while queued)
+        self.granted_at: Optional[float] = None
 
     def __enter__(self) -> "Request":
         return self
@@ -42,6 +53,11 @@ class Resource:
         yield req
         ...           # critical section
         resource.release(req)
+
+    ``request(hold)`` folds a fixed-length critical section into the
+    request: the process resumes ``hold`` seconds after the grant,
+    still holding the slot, and ``req.granted_at`` tells when the
+    grant came.
 
     ``cancel`` withdraws a queued request (used to implement timeouts:
     wait on ``AnyOf([req, env.timeout(t)])`` and cancel on timeout).
@@ -82,9 +98,10 @@ class Resource:
         self._capacity = capacity
         self._grant()
 
-    def request(self) -> Request:
-        """Ask for one slot; returns an event that fires when granted."""
-        req = Request(self)
+    def request(self, hold: float = 0.0) -> Request:
+        """Ask for one slot; returns an event that fires ``hold`` seconds
+        after the slot is granted (at the grant by default)."""
+        req = Request(self, hold)
         self.queue.append(req)
         self._grant()
         return req
@@ -107,11 +124,21 @@ class Resource:
             pass
 
     def _grant(self) -> None:
+        # A hold request replaces "yield the grant, then yield
+        # timeout(hold)" exactly: the slot is still allocated here,
+        # synchronously in request()/release(), and the event fires at
+        # the same float time now + hold the timeout got, because the
+        # grant event fired at now.  Only its eid rank against other
+        # events at that very instant can differ.
+        env = self.env
         while self.queue and len(self.users) < self._capacity:
             req = self.queue.popleft()
             req.granted = True
+            req.granted_at = env.now
             self.users.append(req)
-            req.succeed(self)
+            req._ok = True
+            req._value = self
+            env.schedule(req, req.hold)
 
 
 class Store:

@@ -58,17 +58,17 @@ class DiskModel:
         Returns the total time spent (wait + service).
         """
         started = self.env.now
-        req = self._channels.request()
+        service = self.service_time(nbytes)
+        # one event per read: it fires when the transfer ends, still
+        # holding the channel (see Resource._grant)
+        req = self._channels.request(service)
         try:
             yield req
-            waited = self.env.now - started
-            service = self.service_time(nbytes)
-            yield self.env.timeout(service)
         finally:
             # also when unwound while still queued for a channel
             self._channels.release(req)
         self.stats.requests += 1
         self.stats.bytes_read += nbytes
         self.stats.busy_time += service
-        self.stats.queue_wait += waited
+        self.stats.queue_wait += req.granted_at - started
         return self.env.now - started

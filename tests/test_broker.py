@@ -112,18 +112,27 @@ def test_grow_restored_after_pressure_clears(env):
     assert notes[-1].signal is BrokerSignal.GROW
 
 
+def _started_server(env, **broker):
+    from repro.catalog import Catalog
+    from repro.config import ServerConfig
+    from repro.server import DatabaseServer
+
+    server = DatabaseServer(ServerConfig(broker=BrokerConfig(**broker)),
+                            Catalog(), env=env)
+    server.start()
+    return server
+
+
 def test_periodic_process_sweeps(env):
-    manager, broker = make_broker(env, interval=2.0)
-    broker.start()
+    server = _started_server(env, interval=2.0)
     env.run(until=11.0)
-    assert broker.sweeps == 5
+    assert server.broker.sweeps == 5
 
 
 def test_disabled_broker_never_starts(env):
-    manager, broker = make_broker(env, enabled=False)
-    broker.start()
+    server = _started_server(env, enabled=False)
     env.run(until=10.0)
-    assert broker.sweeps == 0
+    assert server.broker.sweeps == 0
 
 
 def test_pressure_limit_includes_headroom(env):

@@ -17,6 +17,7 @@ import pytest
 import repro.broker.broker as broker_module
 from repro.broker import MemoryBroker, TrendEstimator
 from repro.config import BrokerConfig
+from repro.errors import ConfigurationError
 
 
 class ReferenceBroker(MemoryBroker):
@@ -164,6 +165,5 @@ def test_traces_cover_pressure_and_flat_windows(fitted):
 
 
 def test_window_below_two_is_rejected():
-    with pytest.raises(ValueError, match="at least 2"):
-        MemoryBroker(SimpleNamespace(now=0.0), TraceManager(1),
-                     BrokerConfig(window=1))
+    with pytest.raises(ConfigurationError, match="at least 2"):
+        BrokerConfig(window=1)

@@ -79,6 +79,28 @@ def test_throttle_fraction_validation():
         ThrottleConfig(medium_fraction=1.5)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("interval", 0, "interval"),
+    ("interval", -1.0, "interval"),
+    ("window", 1, "at least 2"),
+    ("horizon", -0.5, "horizon"),
+    ("headroom_fraction", 1.0, "headroom_fraction"),
+    ("headroom_fraction", -0.1, "headroom_fraction"),
+    ("compile_target_fraction", 1.5, "compile_target_fraction"),
+    ("buffer_pool_floor_fraction", 1.0, "buffer_pool_floor_fraction"),
+])
+def test_broker_validation(field, value, match):
+    # a zero interval would make the server tick yield timeout(0) forever
+    with pytest.raises(ConfigurationError, match=match):
+        BrokerConfig(**{field: value})
+
+
+def test_broker_edge_values_are_valid():
+    BrokerConfig(interval=0.01, window=2, horizon=0.0,
+                 headroom_fraction=0.0, compile_target_fraction=0.0,
+                 buffer_pool_floor_fraction=0.0)
+
+
 def test_configs_are_immutable():
     config = paper_server_config()
     with pytest.raises(Exception):

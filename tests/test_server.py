@@ -147,10 +147,56 @@ def test_oltp_queries_stay_below_medium_gateway():
     assert big.stats.acquires == 0
 
 
-def test_memory_sampler_populates_metrics():
+def test_server_tick_populates_memory_metrics():
     server = make_server()
     server.start()
     server.submit(STAR_QUERY)
     server.env.run(until=100.0)
     assert "compilation" in server.metrics.memory
     assert len(server.metrics.total_memory) > 0
+
+
+def _idle_server(env, **broker):
+    from dataclasses import replace
+
+    config = paper_server_config(throttling=True)
+    config = replace(config, broker=replace(config.broker, **broker))
+    server = DatabaseServer(config, build_star_catalog(), env=env)
+    server.start()
+    return server
+
+
+def test_idle_server_schedules_one_event_per_broker_interval():
+    from tests.test_sim_hold import CountingEnvironment
+
+    env = CountingEnvironment()
+    _idle_server(env)
+    env.run(until=10.5)
+    before = env.scheduled
+    env.run(until=110.5)
+    assert env.scheduled - before == 100
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("interval", [1.0, 0.5])
+def test_tick_sweeps_then_samples_at_the_broker_interval(enabled, interval):
+    from repro.sim import Environment
+
+    server = _idle_server(Environment(), enabled=enabled, interval=interval)
+    samples = []
+    if enabled:
+        # each sample sees the sweep of its own tick
+        sweep = server.broker.sweep
+
+        def spy():
+            sweep()
+            samples.append(len(server.metrics.total_memory))
+
+        server.broker.sweep = spy
+    server.env.run(until=4.25)
+    ticks = int(4.25 / interval)
+    assert server.broker.sweeps == (ticks if enabled else 0)
+    assert list(server.metrics.total_memory.times) == [
+        interval * k for k in range(1, ticks + 1)]
+    if enabled:
+        assert samples == list(range(ticks))
