@@ -4,7 +4,8 @@ Every ``interval`` seconds (on the server's tick, which calls
 :meth:`MemoryBroker.sweep`) the broker samples per-clerk usage, fits
 trends, and projects total usage ``horizon`` seconds ahead.  While the
 projection fits in physical memory (minus headroom) it does nothing —
-"the system behaves as if the Memory Broker was not there."  Under
+"the system behaves as if the Memory Broker was not there" — and a
+sweep that provably changes nothing skips even the sampling.  Under
 projected pressure it computes per-component targets and notifies
 subscribers, which in this server are:
 
@@ -24,7 +25,7 @@ from enum import Enum
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import BrokerConfig
-from repro.broker.trend import WindowTerms, least_squares, window_terms
+from repro.broker.trend import WindowTerms, project, window_terms
 from repro.memory.manager import MemoryManager
 from repro.sim import Environment
 
@@ -37,10 +38,15 @@ class BrokerSignal(Enum):
     SHRINK = "shrink"   # must release memory toward the target
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BrokerNotification:
     """One per-component notification (paper §3: each subcomponent gets
-    its predicted and target numbers plus a directive)."""
+    its predicted and target numbers plus a directive).
+
+    Read-only by contract.  Not a frozen dataclass because a sweep under
+    pressure builds one per clerk, and a frozen ``__init__`` costs more
+    than twice as much; equality, hashing and ``repr`` are the same.
+    """
 
     clerk: str
     signal: BrokerSignal
@@ -84,6 +90,14 @@ class MemoryBroker:
         self.under_pressure = False
         #: sweeps performed (diagnostics)
         self.sweeps = 0
+        #: clerks with a value window whose last notification is not
+        #: GROW, or who have none yet: at 0 the grow loop has nothing
+        #: to send
+        self._not_grow = 0
+        #: the usage the last sampling sweep read, and whether every
+        #: value window was full and flat after it (see :meth:`sweep`)
+        self._last_usage: Optional[Dict[str, int]] = None
+        self._settled = False
 
     # -- wiring ------------------------------------------------------------
     def subscribe(self, clerk_name: str,
@@ -148,12 +162,33 @@ class MemoryBroker:
         return out
 
     # -- the periodic sweep ---------------------------------------------------
-    def sweep(self) -> None:
+    def sweep(self, usage: Optional[Dict[str, int]] = None) -> bool:
         """One accounting pass: sample, predict, notify.  The server's
-        tick calls it every ``interval`` seconds."""
+        tick calls it every ``interval`` seconds with the tick's usage
+        snapshot (read from the manager when omitted; the broker keeps
+        it, so it must not be changed afterwards).  Returns True when a
+        notification went out, whose handlers may have changed usage.
+
+        A sweep is *idle* when every clerk's last notification is GROW,
+        every value window is full and flat, usage equals the last
+        sweep's and its total is within the limit.  Sampling would then
+        append each clerk's value to a full window holding nothing but
+        that value, which changes nothing; every prediction would be
+        that value, so no pressure; and the grow loop would have nobody
+        to tell.  An idle sweep therefore only counts itself and
+        records its time.
+        """
         self.sweeps += 1
         now = self.env.now
-        usage = self.manager.usage_by_clerk()
+        if usage is None:
+            usage = self.manager.usage_by_clerk()
+        if (self._settled and not self._not_grow
+                and usage == self._last_usage
+                and sum(usage.values()) <= self.pressure_limit):
+            self._times.append(now)
+            self.under_pressure = False
+            return False
+        self._last_usage = usage
         predicted = self._predict(now, usage)
         total_predicted = sum(predicted.values())
         limit = self.pressure_limit
@@ -161,17 +196,18 @@ class MemoryBroker:
         if not self.under_pressure:
             # no action: the system behaves as if the broker was absent,
             # but notify anyone previously told to shrink that it may grow
-            self._notify_all_grow(usage, predicted, now)
-            return
+            if not self._not_grow:
+                return False  # every clerk is at GROW already
+            return self._notify_all_grow(usage, predicted, now)
 
         targets = self._compute_targets(usage, predicted, limit)
-        for name in usage:
-            target = targets.get(name, predicted[name])
-            signal = self._signal_for(usage[name], predicted[name], target)
-            note = BrokerNotification(
-                clerk=name, signal=signal, current=usage[name],
-                predicted=predicted[name], target=target, at=now)
-            self._dispatch(note)
+        for name, used in usage.items():
+            expected = predicted[name]
+            target = targets.get(name, expected)
+            signal = self._signal_for(used, expected, target)
+            self._dispatch(BrokerNotification(
+                name, signal, used, expected, target, now))
+        return bool(usage)
 
     def _predict(self, now: float,
                  usage: Dict[str, int]) -> Dict[str, int]:
@@ -179,13 +215,17 @@ class MemoryBroker:
         seconds ahead from the least-squares line through its window."""
         times = self._times
         times.append(now)
+        window = times.maxlen
         horizon = self.config.horizon
+        windows = self._values
         terms: Dict[int, WindowTerms] = {}  # by window length
         predicted: Dict[str, int] = {}
+        settled = True
         for name, used in usage.items():
-            values = self._values.get(name)
+            values = windows.get(name)
             if values is None:
-                values = self._values[name] = deque(maxlen=times.maxlen)
+                values = windows[name] = deque(maxlen=window)
+                self._not_grow += 1  # not notified yet
             value = float(used)
             values.append(value)
             n = len(values)
@@ -195,12 +235,15 @@ class MemoryBroker:
                 # 2**53, so every partial sum is exact, mean_y == value,
                 # sxy == 0.0 and the fitted level is value itself
                 predicted[name] = int(value)
+                if n < window:
+                    settled = False
                 continue
+            settled = False
             shared = terms.get(n)
             if shared is None:
                 shared = terms[n] = self._x_terms(n)
-            predicted[name] = int(
-                least_squares(shared, values).predict(horizon))
+            predicted[name] = int(project(shared, values, horizon))
+        self._settled = settled
         return predicted
 
     def _x_terms(self, n: int) -> WindowTerms:
@@ -261,18 +304,26 @@ class MemoryBroker:
         return BrokerSignal.GROW
 
     def _notify_all_grow(self, usage: Dict[str, int],
-                         predicted: Dict[str, int], now: float) -> None:
+                         predicted: Dict[str, int], now: float) -> bool:
+        """Tell every clerk not already at GROW that it may grow; True
+        if anyone was told."""
+        sent = False
         for name, used in usage.items():
             previous = self.last_notifications.get(name)
             if previous is not None and previous.signal is BrokerSignal.GROW:
                 continue  # already unconstrained; stay quiet
-            note = BrokerNotification(
-                clerk=name, signal=BrokerSignal.GROW, current=used,
-                predicted=predicted[name],
-                target=self.manager.physical_memory, at=now)
-            self._dispatch(note)
+            self._dispatch(BrokerNotification(
+                name, BrokerSignal.GROW, used, predicted[name],
+                self.manager.physical_memory, now))
+            sent = True
+        return sent
 
     def _dispatch(self, note: BrokerNotification) -> None:
+        grow = note.signal is BrokerSignal.GROW
+        previous = self.last_notifications.get(note.clerk)
+        if (previous is not None
+                and previous.signal is BrokerSignal.GROW) is not grow:
+            self._not_grow += -1 if grow else 1
         self.last_notifications[note.clerk] = note
-        for handler in self._handlers.get(note.clerk, []):
+        for handler in self._handlers.get(note.clerk, ()):
             handler(note)

@@ -7,7 +7,8 @@ the sawtooth allocation patterns compilations produce.
 
 The fit is split in two so the broker can share work across clerks:
 :func:`window_terms` holds everything that depends only on the sample
-times, :func:`least_squares` the part that depends on the values.
+times, :func:`least_squares` the part that depends on the values
+(:func:`project` is the same fit, returning only the projection).
 :class:`TrendEstimator` is the one-window wrapper around both.
 """
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 from typing import Deque, List, Sequence, Tuple
 
 #: ``(mean_x, sxx, deviations)`` of a window's sample times, with
@@ -46,18 +49,33 @@ def window_terms(times: Sequence[float]) -> WindowTerms:
     return mean_x, sxx, deviations
 
 
+def _fit(terms: WindowTerms, ys: Sequence[float]) -> Tuple[float, float]:
+    """``(level, slope)`` of the least-squares line through ``ys``."""
+    mean_x, sxx, deviations = terms
+    if sxx <= 0:
+        return ys[-1], 0.0
+    mean_y = sum(ys) / len(ys)
+    # d * (y - mean_y) for each sample, summed in sample order (the
+    # order every pinned prediction was computed in), by map and sum in C
+    sxy = sum(map(mul, deviations, map(sub, ys, repeat(mean_y))))
+    slope = sxy / sxx
+    return mean_y + slope * (0.0 - mean_x), slope
+
+
 def least_squares(terms: WindowTerms, ys: Sequence[float]) -> LinearTrend:
     """Least-squares line through ``ys`` sampled at the times ``terms``
     was computed from.  Samples that all share one time (a single
     sample, too) have no slope; the line is flat at the last value."""
-    mean_x, sxx, deviations = terms
-    if sxx <= 0:
-        return LinearTrend(level=ys[-1], slope=0.0)
-    mean_y = sum(ys) / len(ys)
-    sxy = sum(d * (y - mean_y) for d, y in zip(deviations, ys))
-    slope = sxy / sxx
-    level = mean_y + slope * (0.0 - mean_x)
+    level, slope = _fit(terms, ys)
     return LinearTrend(level=level, slope=slope)
+
+
+def project(terms: WindowTerms, ys: Sequence[float], horizon: float) -> float:
+    """``least_squares(terms, ys).predict(horizon)`` without building
+    the :class:`LinearTrend`: the broker projects every clerk whose
+    window is not flat at every sweep."""
+    level, slope = _fit(terms, ys)
+    return max(0.0, level + slope * horizon)
 
 
 class TrendEstimator:

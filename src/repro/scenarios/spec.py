@@ -10,6 +10,7 @@ change, not a code change.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
@@ -254,6 +255,8 @@ class VariantSpec:
                 f"whitespace")
         if self.clients is not None and self.clients < 1:
             raise ConfigurationError("variant clients must be >= 1")
+        if self.think_time is not None:
+            _check_think_time(self.think_time, "variant think_time")
 
     def to_dict(self) -> dict:
         doc: dict = {"name": self.name}
@@ -375,6 +378,7 @@ class ScenarioSpec:
                 f"{', '.join(presets)}")
         if self.clients < 1:
             raise ConfigurationError("clients must be >= 1")
+        _check_think_time(self.think_time, "think_time")
         if self.traffic is not None and self.kind != "experiment":
             raise ConfigurationError(
                 f"scenario {self.scenario_id!r} is a {self.kind!r} "
@@ -563,6 +567,17 @@ class ScenarioSpec:
                 Expectation.from_dict(e) if isinstance(e, dict) else e
                 for e in expectations)
         return cls(**kwargs)
+
+
+def _check_think_time(value, what: str) -> None:
+    """A think time is the mean of an exponential draw and the bound of
+    a uniform one, so only a finite number above zero runs.  Checked at
+    construction because ``json`` parses ``NaN`` and ``Infinity``, and
+    the load generator would otherwise fail mid-run."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value <= 0:
+        raise ConfigurationError(
+            f"{what} must be a finite number > 0, got {value!r}")
 
 
 def _checked_version(doc: dict, what: str) -> dict:

@@ -52,19 +52,22 @@ class CpuScheduler:
         executed quantum by quantum, requeueing after each quantum so
         concurrent tasks interleave fairly.
         """
+        # every quantum of every task runs this loop: look up once
+        env, cpus, stats = self.env, self._cpus, self.stats
+        full, scale = self.QUANTUM, self._time_scale
         remaining = cpu_seconds / self.hardware.cpu_speed
         while remaining > 1e-12:
-            quantum = min(self.QUANTUM, remaining)
-            started = self.env.now
+            quantum = remaining if remaining < full else full
+            started = env.now
             # one event per quantum: it fires when the quantum ends,
             # still holding the CPU (see Resource._grant)
-            req = self._cpus.request(quantum / self._time_scale)
+            req = cpus.request(quantum / scale)
             try:
                 yield req
             finally:
                 # also when unwound while still queued for a CPU
-                self._cpus.release(req)
-            self.stats.queue_wait += req.granted_at - started
-            self.stats.busy_time += quantum
-            self.stats.quanta += 1
+                cpus.release(req)
+            stats.queue_wait += req.granted_at - started
+            stats.busy_time += quantum
+            stats.quanta += 1
             remaining -= quantum

@@ -156,17 +156,21 @@ class DatabaseServer:
     def _tick(self):
         """The one periodic process: every broker interval, sweep (when
         the broker is enabled), then sample per-clerk memory into the
-        metrics — read after the sweep, whose notifications can shrink
-        the caches."""
+        metrics.  Both read one usage snapshot; it is read again for the
+        sample only when the sweep sent a notification, since only a
+        notification's handlers can change usage in between (by
+        shrinking the caches)."""
         env = self.env
         interval = self.config.broker.interval / self.config.time_scale
         sweep = self.broker.sweep if self.config.broker.enabled else None
+        usage_by_clerk = self.memory.usage_by_clerk
+        sample = self.metrics.sample_memory
         while True:
             yield env.timeout(interval)
-            if sweep is not None:
-                sweep()
-            self.metrics.sample_memory(env.now,
-                                       self.memory.usage_by_clerk())
+            usage = usage_by_clerk()
+            if sweep is not None and sweep(usage):
+                usage = usage_by_clerk()
+            sample(env.now, usage)
 
     # -- introspection -----------------------------------------------------------
     def views(self):

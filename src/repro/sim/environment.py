@@ -43,7 +43,7 @@ class Environment:
     10.0
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_wheel", "_processes",
+    __slots__ = ("now", "_queue", "_eid", "_wheel", "_processes",
                  "active_process", "__weakref__")
 
     def __init__(self, initial_time: float = 0.0, kernel: str = "legacy"):
@@ -51,14 +51,16 @@ class Environment:
             raise SimulationError(
                 f"unknown kernel {kernel!r}; valid kernels: "
                 f"{', '.join(KERNEL_NAMES)}")
-        self._now = float(initial_time)
+        #: current simulated time in seconds; only the kernel advances
+        #: it (a plain attribute: every process reads it, often)
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
         if kernel == "wheel":
             from repro.sim.wheel import EventWheel
 
             self._wheel: Optional["EventWheel"] = \
-                EventWheel(start=self._now)
+                EventWheel(start=self.now)
         else:
             self._wheel = None
         #: every still-live process, in creation order (a dict, not a
@@ -72,11 +74,6 @@ class Environment:
         """Which scheduler core backs this environment."""
         return "legacy" if self._wheel is None else "wheel"
 
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
@@ -88,11 +85,11 @@ class Environment:
 
     def any_of(self, events) -> AnyOf:
         """An event that fires when any of ``events`` fires."""
-        return AnyOf(self, list(events))
+        return AnyOf(self, events)
 
     def all_of(self, events) -> AllOf:
         """An event that fires when all of ``events`` have fired."""
-        return AllOf(self, list(events))
+        return AllOf(self, events)
 
     def process(self, generator: Generator) -> "Process":
         """Start a new process running ``generator``."""
@@ -103,11 +100,11 @@ class Environment:
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Place a triggered event on the schedule, ``delay`` s from now."""
-        self._eid += 1
+        eid = self._eid = self._eid + 1
         if self._wheel is None:
-            heappush(self._queue, (self._now + delay, self._eid, event))
+            heappush(self._queue, (self.now + delay, eid, event))
         else:
-            self._wheel.push(self._now + delay, self._eid, event)
+            self._wheel.push(self.now + delay, eid, event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -125,9 +122,9 @@ class Environment:
             if not self._wheel:
                 raise SimulationError("step() on an empty schedule")
             when, _, event = self._wheel.pop()
-        if when < self._now:
+        if when < self.now:
             raise SimulationError("event scheduled in the past")
-        self._now = when
+        self.now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -143,9 +140,9 @@ class Environment:
         time before returning, even if no event falls on it.
         """
         if until is not None:
-            if until < self._now:
+            if until < self.now:
                 raise SimulationError(
-                    f"run(until={until}) is in the past (now={self._now})")
+                    f"run(until={until}) is in the past (now={self.now})")
             limit = float(until)
         else:
             limit = float("inf")
@@ -158,16 +155,16 @@ class Environment:
             pop = heappop
             while queue and queue[0][0] <= limit:
                 when, _, event = pop(queue)
-                if when < self._now:
+                if when < self.now:
                     raise SimulationError("event scheduled in the past")
-                self._now = when
+                self.now = when
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
                     raise event._value
         if until is not None:
-            self._now = limit
+            self.now = limit
 
     # -- teardown ---------------------------------------------------------
     def close(self) -> None:
@@ -203,12 +200,15 @@ class Environment:
 
     def _run_wheel(self, limit: float) -> None:
         """The dispatch loop over the calendar-queue core."""
-        wheel = self._wheel
-        while wheel and wheel.peek() <= limit:
-            when, _, event = wheel.pop()
-            if when < self._now:
+        pop_due = self._wheel.pop_due
+        while True:
+            entry = pop_due(limit)
+            if entry is None:
+                break
+            when, event = entry[0], entry[2]
+            if when < self.now:
                 raise SimulationError("event scheduled in the past")
-            self._now = when
+            self.now = when
             callbacks, event.callbacks = event.callbacks, None
             for callback in callbacks:
                 callback(event)

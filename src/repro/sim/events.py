@@ -80,7 +80,7 @@ class Event:
     # -- triggering ------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -91,7 +91,7 @@ class Event:
         """Trigger the event with an exception to raise in waiters."""
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
@@ -131,11 +131,15 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # the Event fields, set here and not through Event.__init__: a
+        # timeout is built for nearly every wait of every process
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        env.schedule(self, delay)
 
 
 class Condition(Event):
@@ -144,20 +148,25 @@ class Condition(Event):
     __slots__ = ("events", "_unprocessed")
 
     def __init__(self, env: "Environment", events: List[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        for event in self.events:
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
+        self.events = events = list(events)
+        for event in events:
             if event.env is not env:
                 raise SimulationError("events belong to different environments")
-        self._unprocessed = len(self.events)
-        if not self.events:
+        self._unprocessed = len(events)
+        if not events:
             self.succeed(self._collect())
             return
-        for event in self.events:
-            if event.processed:
-                self._check(event)
+        check = self._check
+        for event in events:
+            if event.callbacks is None:  # already processed
+                check(event)
             else:
-                event.add_callback(self._check)
+                event.callbacks.append(check)
 
     def _collect(self) -> dict:
         """Gather the values of all already-processed successful children.
@@ -169,7 +178,7 @@ class Condition(Event):
         return {
             event: event._value
             for event in self.events
-            if event.processed and event._ok
+            if event.callbacks is None and event._ok
         }
 
     def _satisfied(self) -> bool:
@@ -184,10 +193,10 @@ class Condition(Event):
         self.events = ()
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             # A sibling already resolved the condition; absorb failures so
             # they do not escape as unhandled.
-            if event.triggered and not event._ok:
+            if event._value is not _PENDING and not event._ok:
                 event._defused = True
             return
         self._unprocessed -= 1
@@ -206,7 +215,8 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def _satisfied(self) -> bool:
-        return any(event.processed and event._ok for event in self.events)
+        return any(event.callbacks is None and event._ok
+                   for event in self.events)
 
 
 class AllOf(Condition):

@@ -23,7 +23,11 @@ class Process(Event):
     def __init__(self, env, generator: Generator):
         if not hasattr(generator, "send"):
             raise SimulationError(f"process needs a generator, got {generator!r}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
         self._generator = generator
         #: the event this process is currently waiting on (None when running)
         self._target: Event | None = None
@@ -33,7 +37,7 @@ class Process(Event):
         init._ok = True
         init._value = None
         env.schedule(init)
-        init.add_callback(self._resume)
+        init.callbacks.append(self._resume)
         env._processes[self] = None
 
     @property
@@ -82,22 +86,31 @@ class Process(Event):
         self._generator.close()
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
-        if not self.is_alive:
-            # e.g. an interrupt raced with normal completion
+        """Advance the generator with the outcome of ``event``.
+
+        Every event of a run that wakes a process comes through here,
+        so the checks are ordered for the common case: ``event`` is the
+        target the process yielded, and it is neither an interrupt nor
+        a stale wakeup.
+        """
+        if self._value is not _PENDING:
+            # finished: e.g. an interrupt raced with normal completion
             return
-        if isinstance(event._value, Interrupt):
-            # Detach from the pending target; its eventual outcome must not
-            # resume us anymore.
-            if self._target is not None and self._target.callbacks is not None:
-                try:
-                    self._target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        elif event is not self._target and self._target is not None:
-            # Stale wakeup from an event we stopped waiting on.
-            return
-        self.env.active_process = self
+        target = self._target
+        if event is not target:
+            if isinstance(event._value, Interrupt):
+                # Detach from the pending target; its eventual outcome
+                # must not resume us anymore.
+                if target is not None and target.callbacks is not None:
+                    try:
+                        target.callbacks.remove(self._resume)
+                    except ValueError:
+                        pass
+            elif target is not None:
+                # Stale wakeup from an event we stopped waiting on.
+                return
+        env = self.env
+        env.active_process = self
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -116,22 +129,23 @@ class Process(Event):
             self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
         finally:
-            self.env.active_process = None
+            env.active_process = None
 
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process yielded a non-event: {next_event!r}")
-        self._target = next_event
-        if next_event.callbacks is None:
+        callbacks = next_event.callbacks
+        if callbacks is None:
             # Already processed: resume immediately via a zero-delay event.
-            relay = Event(self.env)
+            relay = Event(env)
             relay._ok = next_event._ok
             relay._value = next_event._value
             if not next_event._ok:
                 next_event._defused = True
                 relay._defused = True
-            self.env.schedule(relay)
+            env.schedule(relay)
             self._target = relay
-            relay.add_callback(self._resume)
+            relay.callbacks.append(self._resume)
         else:
-            next_event.add_callback(self._resume)
+            self._target = next_event
+            callbacks.append(self._resume)

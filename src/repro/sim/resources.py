@@ -13,7 +13,7 @@ from collections import deque
 from typing import Any, Deque, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import Event, _PENDING
 
 
 class Request(Event):
@@ -28,7 +28,13 @@ class Request(Event):
     def __init__(self, resource: "Resource", hold: float = 0.0):
         if hold < 0:
             raise SimulationError(f"negative hold {hold!r}")
-        super().__init__(resource.env)
+        # the Event fields, set here and not through Event.__init__: a
+        # request is built for every CPU quantum and disk transfer
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._defused = False
         self.resource = resource
         #: set True once the slot has been granted
         self.granted = False
@@ -103,7 +109,8 @@ class Resource:
         after the slot is granted (at the grant by default)."""
         req = Request(self, hold)
         self.queue.append(req)
-        self._grant()
+        if len(self.users) < self._capacity:
+            self._grant()
         return req
 
     def release(self, request: Request) -> None:
@@ -111,7 +118,8 @@ class Resource:
         if request.granted:
             self.users.remove(request)
             request.granted = False
-            self._grant()
+            if self.queue:
+                self._grant()
         else:
             self.cancel(request)
 
@@ -124,18 +132,21 @@ class Resource:
             pass
 
     def _grant(self) -> None:
+        # request() and release() call this only when its loop can run:
+        # a slot is free, or someone waits.
+        #
         # A hold request replaces "yield the grant, then yield
         # timeout(hold)" exactly: the slot is still allocated here,
         # synchronously in request()/release(), and the event fires at
         # the same float time now + hold the timeout got, because the
         # grant event fired at now.  Only its eid rank against other
         # events at that very instant can differ.
-        env = self.env
-        while self.queue and len(self.users) < self._capacity:
-            req = self.queue.popleft()
+        env, queue, users = self.env, self.queue, self.users
+        while queue and len(users) < self._capacity:
+            req = queue.popleft()
             req.granted = True
             req.granted_at = env.now
-            self.users.append(req)
+            users.append(req)
             req._ok = True
             req._value = self
             env.schedule(req, req.hold)

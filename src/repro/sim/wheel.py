@@ -107,7 +107,19 @@ class EventWheel:
         entry = [when, eid, payload, True, True]
         self._entries[eid] = entry
         self._live += 1
-        self._place(entry)
+        width = self.width
+        if when < (self._win + 1) * width:
+            # due inside the current drain window (or behind it, which
+            # happens when peek() pre-advanced the window): straight to
+            # the ready heap, which tolerates any timestamp
+            self._wheel_live += 1
+            heappush(self._ready, entry)
+        elif when < self._win * width + self._span:
+            self._wheel_live += 1
+            self._buckets[int(when / width) % self.slots].append(entry)
+        else:
+            entry[_IN_WHEEL] = False
+            heappush(self._overflow, entry)
 
     def cancel(self, eid: int) -> bool:
         """Remove a scheduled entry; True if it was still pending."""
@@ -142,24 +154,6 @@ class EventWheel:
         self._entries.clear()
         self._live = self._wheel_live = 0
 
-    def _place(self, entry: list) -> None:
-        """Route a live entry to ready heap, bucket or overflow."""
-        when = entry[_WHEN]
-        if when < (self._win + 1) * self.width:
-            # due inside the current drain window (or behind it, which
-            # happens when peek() pre-advanced the window): straight to
-            # the ready heap, which tolerates any timestamp
-            entry[_IN_WHEEL] = True
-            self._wheel_live += 1
-            heappush(self._ready, entry)
-        elif when < self._win * self.width + self._span:
-            entry[_IN_WHEEL] = True
-            self._wheel_live += 1
-            self._buckets[int(when / self.width) % self.slots].append(entry)
-        else:
-            entry[_IN_WHEEL] = False
-            heappush(self._overflow, entry)
-
     # -------------------------------------------------------------- read
     def peek(self) -> float:
         """Timestamp of the earliest pending entry, ``inf`` if none."""
@@ -169,13 +163,26 @@ class EventWheel:
 
     def pop(self) -> Tuple[float, int, Any]:
         """Remove and return the earliest ``(when, eid, payload)``."""
-        if not self._ensure_ready():
+        entry = self.pop_due(math.inf)
+        if entry is None:
             raise IndexError("pop from an empty event wheel")
-        entry = heappop(self._ready)
+        return entry[_WHEN], entry[_EID], entry[_PAYLOAD]
+
+    def pop_due(self, limit: float) -> Optional[list]:
+        """Remove and return the earliest entry (``[when, eid,
+        payload, ...]``) if it is due at or before ``limit``; None when
+        the wheel is empty or its earliest entry is later.  One call in
+        place of ``peek`` then ``pop`` for the kernel's dispatch loop."""
+        if not self._ensure_ready():
+            return None
+        ready = self._ready
+        if ready[0][_WHEN] > limit:
+            return None
+        entry = heappop(ready)
         self._live -= 1
         self._wheel_live -= 1
         del self._entries[entry[_EID]]
-        return entry[_WHEN], entry[_EID], entry[_PAYLOAD]
+        return entry
 
     def drain(self) -> Iterator[Tuple[float, int, Any]]:
         """Pop everything, in order (test/diagnostic convenience)."""

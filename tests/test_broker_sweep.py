@@ -1,12 +1,16 @@
-"""Differential test of the broker's shared-window sweep.
+"""Differential test of the broker's sweep.
 
-``MemoryBroker._predict`` keeps one sample-time window for all clerks,
+``MemoryBroker.sweep`` keeps one sample-time window for all clerks,
 computes the x terms once per window length (and keeps them while the
-sample offsets repeat) and skips the fit for a window holding one
-repeated value.  The reference model fits each clerk on its own: one
-:class:`TrendEstimator` per clerk, refitted at every sweep.  On seeded
-usage traces the two must agree exactly — predictions, pressure and
-every notification — with float equality, never approximately.
+sample offsets repeat), skips the fit for a window holding one repeated
+value, skips the grow loop when every clerk is at GROW, and skips the
+whole sampling pass when the sweep is provably idle.  The reference
+model is the sweep without any of that: one :class:`TrendEstimator`
+per clerk, refitted at every sweep, and every sweep samples, predicts
+and walks the grow loop.  On seeded usage traces and on directed cases
+the two must agree exactly after every sweep: pressure, every clerk's
+window (times and values) and every notification, with float
+equality, never approximately.
 """
 
 import random
@@ -15,17 +19,39 @@ from types import SimpleNamespace
 import pytest
 
 import repro.broker.broker as broker_module
-from repro.broker import MemoryBroker, TrendEstimator
+from repro.broker import (BrokerNotification, BrokerSignal, MemoryBroker,
+                          TrendEstimator)
 from repro.config import BrokerConfig
 from repro.errors import ConfigurationError
 
 
 class ReferenceBroker(MemoryBroker):
-    """The broker with one :class:`TrendEstimator` per clerk."""
+    """The broker with one :class:`TrendEstimator` per clerk and a sweep
+    that always samples, predicts and runs the grow loop."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._trends = {}
+
+    def sweep(self):
+        self.sweeps += 1
+        now = self.env.now
+        usage = self.manager.usage_by_clerk()
+        predicted = self._predict(now, usage)
+        total_predicted = sum(predicted.values())
+        limit = self.pressure_limit
+        self.under_pressure = total_predicted > limit
+        if not self.under_pressure:
+            self._notify_all_grow(usage, predicted, now)
+            return
+        targets = self._compute_targets(usage, predicted, limit)
+        for name in usage:
+            target = targets.get(name, predicted[name])
+            signal = self._signal_for(usage[name], predicted[name], target)
+            note = BrokerNotification(
+                clerk=name, signal=signal, current=usage[name],
+                predicted=predicted[name], target=target, at=now)
+            self._dispatch(note)
 
     def _predict(self, now, usage):
         predicted = {}
@@ -37,6 +63,20 @@ class ReferenceBroker(MemoryBroker):
             trend.add(now, used)
             predicted[name] = int(trend.predict(self.config.horizon))
         return predicted
+
+    def windows(self):
+        return {name: ([t for t, _ in trend._samples],
+                       [v for _, v in trend._samples])
+                for name, trend in self._trends.items()}
+
+
+def _windows(broker):
+    """Every clerk's ``(times, values)`` window."""
+    if isinstance(broker, ReferenceBroker):
+        return broker.windows()
+    times = list(broker._times)
+    return {name: (times[len(times) - len(values):], list(values))
+            for name, values in broker._values.items()}
 
 
 class TraceManager:
@@ -77,7 +117,8 @@ def _trace(rng, sweeps, top):
 
 def _case(seed):
     """A seeded scenario: config, clerk traces with their first sweep,
-    sweep times and the machine size."""
+    sweep times and the machine size.  Some stretches hold every clerk
+    still, so that sweeps go idle."""
     rng = random.Random(seed)
     sweeps = rng.randint(20, 60)
     top = 2 ** rng.randint(10, 40)
@@ -87,6 +128,12 @@ def _case(seed):
               "last": sweeps - 1}                  # a single sample
     traces = {name: (first, _trace(rng, sweeps - first, top))
               for name, first in clerks.items()}
+    for _ in range(rng.randint(0, 2)):
+        start = rng.randrange(sweeps)
+        end = min(sweeps, start + rng.randint(2, 25))
+        for first, values in traces.values():
+            for index in range(max(start, first) + 1, end):
+                values[index - first] = values[max(start, first) - first]
     times, now = [], 0.0
     for _ in range(sweeps):
         if rng.random() > 0.1:  # sometimes two sweeps share a time
@@ -99,8 +146,12 @@ def _case(seed):
 
 
 def _run(broker_cls, case):
-    """Drive one broker through a case; returns ``(predicted,
-    under_pressure)`` per sweep and every notification dispatched."""
+    """Drive one broker through a case.
+
+    Returns one record per sweep — ``(under_pressure, windows)`` — every
+    notification dispatched, and per sweep whether it was idle (did not
+    sample) together with the signals outstanding when it began.
+    """
     config, traces, times, physical = case
     env = SimpleNamespace(now=0.0)
     manager = TraceManager(physical)
@@ -108,60 +159,156 @@ def _run(broker_cls, case):
     notes = []
     for name in traces:
         broker.subscribe(name, notes.append)
-    predictions = []
+    sampled = []
     predict = broker._predict
 
-    def recording(now, usage):
-        predictions.append(predict(now, usage))
-        return predictions[-1]
+    def counting(now, usage):
+        sampled.append(now)
+        return predict(now, usage)
 
-    broker._predict = recording
-    records = []
+    broker._predict = counting
+    records, idle = [], []
     for index, now in enumerate(times):
         env.now = now
         for name, (first, values) in traces.items():
             if index >= first:
                 manager.usage[name] = values[index - first]
+        outstanding = {name: broker.last_notifications[name].signal
+                       if name in broker.last_notifications else None
+                       for name in manager.usage}
+        before = len(sampled)
         broker.sweep()
-        records.append((predictions[-1], broker.under_pressure))
-    return records, notes
+        idle.append((len(sampled) == before, outstanding))
+        records.append((broker.under_pressure, _windows(broker)))
+    assert broker.sweeps == len(times)
+    return records, notes, idle
+
+
+def _check(case):
+    """Both brokers agree on the case; returns the optimised run's idle
+    log, checked against the notes outstanding at each idle sweep."""
+    expected_records, expected_notes, reference_idle = \
+        _run(ReferenceBroker, case)
+    records, notes, idle = _run(MemoryBroker, case)
+    assert records == expected_records
+    assert notes == expected_notes
+    assert not any(was_idle for was_idle, _ in reference_idle)
+    for was_idle, outstanding in idle:
+        if was_idle:
+            assert set(outstanding.values()) == {BrokerSignal.GROW}
+    return idle
 
 
 @pytest.fixture
 def fitted(monkeypatch):
     """Every value window the sweep fits a line through."""
     windows = []
-    fit = broker_module.least_squares
+    fit = broker_module.project
 
-    def spy(terms, ys):
+    def spy(terms, ys, horizon):
         windows.append(list(ys))
-        return fit(terms, ys)
+        return fit(terms, ys, horizon)
 
-    monkeypatch.setattr(broker_module, "least_squares", spy)
+    monkeypatch.setattr(broker_module, "project", spy)
     return windows
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_sweep_matches_per_clerk_refit(seed, fitted):
-    case = _case(seed)
-    expected_records, expected_notes = _run(ReferenceBroker, case)
-    records, notes = _run(MemoryBroker, case)
-    assert records == expected_records
-    assert notes == expected_notes
+    _check(_case(seed))
     assert all(len(set(ys)) > 1 for ys in fitted), \
         "a flat window was fitted"
 
 
 def test_traces_cover_pressure_and_flat_windows(fitted):
     """The seeded cases exercise what the sweep distinguishes: sweeps
-    with and without pressure, flat and fitted windows."""
-    pressure, predictions = set(), 0
+    with and without pressure, flat and fitted windows, idle sweeps."""
+    pressure, idle_sweeps, sweeps = set(), 0, 0
     for seed in range(40):
-        records, _notes = _run(MemoryBroker, _case(seed))
-        pressure.update(under for _predicted, under in records)
-        predictions += sum(len(predicted) for predicted, _ in records)
+        case = _case(seed)
+        records, _notes, idle = _run(MemoryBroker, case)
+        pressure.update(under for under, _windows in records)
+        idle_sweeps += sum(was_idle for was_idle, _ in idle)
+        sweeps += len(records)
     assert pressure == {True, False}
-    assert 0 < len(fitted) < predictions
+    assert fitted
+    assert 0 < idle_sweeps < sweeps
+
+
+def _directed(usages, physical, window=3, times=None):
+    """A case from explicit per-sweep usage dicts."""
+    names = sorted({name for usage in usages for name in usage})
+    traces = {}
+    for name in names:
+        first = next(i for i, usage in enumerate(usages) if name in usage)
+        traces[name] = (first, [usage[name] for usage in usages[first:]])
+    times = times or [float(i + 1) for i in range(len(usages))]
+    return (BrokerConfig(window=window, horizon=5.0), traces, times,
+            physical)
+
+
+GIB = 2 ** 30
+
+
+def test_constant_stretch_after_pressure_waits_for_grow():
+    """A steep ramp puts the broker under pressure; usage then holds
+    still below the limit, and the ramp keeps the projection over it
+    until the windows are flat.  That sweep finds the projection fits
+    and sends GROW; only the sweep after it may idle."""
+    usages = [{"compilation": v * GIB // 8, "buffer_pool": GIB // 8}
+              for v in (1, 3, 6, 6, 6, 6, 6, 6, 6, 6)]
+    case = _directed(usages, physical=GIB)
+    idle = _check(case)
+    records, notes, _ = _run(MemoryBroker, case)
+    pressured = [i for i, (under, _w) in enumerate(records) if under]
+    assert pressured, "the ramp must cause pressure"
+    grow_at = max(i for i, (_under, _w) in enumerate(records)
+                  if any(n.signal is BrokerSignal.GROW
+                         and n.at == case[2][i] for n in notes))
+    assert grow_at > max(pressured)
+    idle_at = [i for i, (was_idle, _) in enumerate(idle) if was_idle]
+    assert idle_at and min(idle_at) == grow_at + 1
+
+
+def test_clerk_appearing_mid_idle():
+    """A new clerk breaks the idle streak: it is sampled, told GROW,
+    and the sweeps idle again only once its window is full."""
+    quiet = {"compilation": GIB // 8, "buffer_pool": GIB // 8}
+    usages = [quiet] * 6 + [dict(quiet, workspace=GIB // 16)] * 8
+    idle = _check(_directed(usages, physical=GIB))
+    flags = [was_idle for was_idle, _ in idle]
+    assert any(flags[:6])
+    # the arrival and the two sweeps that fill its window all sample
+    assert flags[6:9] == [False, False, False]
+    assert flags[9] is True
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_total_at_the_limit(over):
+    """A total exactly at the pressure limit is no pressure and may
+    idle; one byte more is pressure at every sweep and never idles."""
+    config = BrokerConfig(window=3, horizon=5.0)
+    limit = int(GIB * (1.0 - config.headroom_fraction))
+    usage = {"compilation": limit // 4, "buffer_pool": limit - limit // 4
+             + over}
+    idle = _check(_directed([usage] * 10, physical=GIB))
+    flags = [was_idle for was_idle, _ in idle]
+    assert any(flags) is (over == 0)
+
+
+def test_sweep_reports_whether_it_notified():
+    env = SimpleNamespace(now=0.0)
+    manager = TraceManager(GIB)
+    broker = MemoryBroker(env, manager, BrokerConfig(window=2))
+    manager.usage = {"compilation": GIB // 8}
+    assert broker.sweep() is True       # first GROW
+    env.now = 1.0
+    assert broker.sweep() is False      # nothing to tell
+    env.now = 2.0
+    assert broker.sweep(manager.usage_by_clerk()) is False  # idle
+    manager.usage = {"compilation": GIB}
+    env.now = 3.0
+    assert broker.sweep() is True       # pressure: a note per clerk
 
 
 def test_window_below_two_is_rejected():

@@ -138,6 +138,41 @@ def test_spec_validation_rejects_bad_values():
                                 "family": "x", "bogus": 1})
 
 
+BAD_THINK_TIMES = [0, 0.0, -1.0, float("nan"), float("inf"),
+                   float("-inf"), True, "15"]
+
+
+@pytest.mark.parametrize("bad", BAD_THINK_TIMES, ids=repr)
+def test_bad_think_time_is_rejected_at_construction(bad):
+    with pytest.raises(ConfigurationError, match="think_time must be"):
+        tiny_spec(think_time=bad)
+    with pytest.raises(ConfigurationError, match="variant think_time"):
+        VariantSpec("v", think_time=bad)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "0",
+                                  "-2.5"])
+def test_bad_think_time_is_rejected_from_json(text):
+    """``json`` parses ``NaN`` and ``Infinity``; both levels of a spec
+    document reject them, as they reject zero and negatives."""
+    def parsed(doc):
+        return json.loads(json.dumps(doc).replace('"@think"', text))
+
+    scenario = tiny_spec().to_dict()
+    scenario["think_time"] = "@think"
+    with pytest.raises(ConfigurationError, match="think_time must be"):
+        ScenarioSpec.from_dict(parsed(scenario))
+    variant = tiny_spec().to_dict()
+    variant["variants"][0]["think_time"] = "@think"
+    with pytest.raises(ConfigurationError, match="variant think_time"):
+        ScenarioSpec.from_dict(parsed(variant))
+
+
+def test_positive_think_times_are_accepted():
+    assert tiny_spec(think_time=1).think_time == 1
+    assert VariantSpec("v", think_time=0.25).think_time == 0.25
+
+
 def test_spec_customized_applies_overrides():
     spec = tiny_spec()
     custom = spec.customized(preset="scaled", seed=42, clients=7)

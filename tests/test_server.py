@@ -188,9 +188,10 @@ def test_tick_sweeps_then_samples_at_the_broker_interval(enabled, interval):
         # each sample sees the sweep of its own tick
         sweep = server.broker.sweep
 
-        def spy():
-            sweep()
+        def spy(*args):
+            notified = sweep(*args)
             samples.append(len(server.metrics.total_memory))
+            return notified
 
         server.broker.sweep = spy
     server.env.run(until=4.25)
@@ -200,3 +201,40 @@ def test_tick_sweeps_then_samples_at_the_broker_interval(enabled, interval):
         interval * k for k in range(1, ticks + 1)]
     if enabled:
         assert samples == list(range(ticks))
+
+
+def test_tick_reads_usage_once_unless_the_sweep_notified():
+    from repro.sim import Environment
+
+    server = _idle_server(Environment())
+    reads, notified = [], []
+    usage_by_clerk = server.memory.usage_by_clerk
+    sweep = server.broker.sweep
+
+    def counted():
+        reads.append(server.env.now)
+        return usage_by_clerk()
+
+    def spy(usage):
+        notified.append(sweep(usage))
+        return notified[-1]
+
+    server.memory.usage_by_clerk = counted
+    server.broker.sweep = spy
+    server.env.run(until=30.5)
+    assert len(notified) == 30
+    assert notified[0] is True  # every clerk's first GROW
+    assert not any(notified[1:])
+    assert len(reads) == 30 + sum(notified)
+
+
+def test_tick_sample_sees_what_notification_handlers_changed():
+    from repro.sim import Environment
+    from repro.units import MiB
+
+    server = _idle_server(Environment())
+    side = server.memory.clerk("side")
+    # the first sweep tells the new clerk GROW; its handler allocates
+    server.broker.subscribe("side", lambda note: side.allocate(MiB))
+    server.env.run(until=1.5)
+    assert server.metrics.memory["side"].values == [float(MiB)]
