@@ -62,7 +62,7 @@ class _SearchRecording:
         """Keep the in-flight search for on-demand continuation.
 
         A search that already ran to exhaustion is finalized right away
-        so the cache does not pin its memo.
+        so the cache does not pin its task.
         """
         if task.result is not None:
             self.result = task.result
@@ -85,10 +85,12 @@ class _SearchRecording:
             self._task = None
             self._iter = None
             return False
-        except Exception:  # pragma: no cover - defensive: drop the tail
+        except BaseException:
+            # a search that crashed has no tail: forget it, and let the
+            # error surface as it would have on the first sighting
             self._task = None
             self._iter = None
-            return False
+            raise
         self.live_append(step, self._task)
         return True
 
@@ -143,8 +145,9 @@ class CompilationPipeline:
     #: recorded searches kept per server (LRU); retried/evicted query
     #: texts replay their search instead of re-running it
     SEARCH_CACHE_SIZE = 512
-    #: tighter bound on *suspended* recordings — each pins a live memo
-    #: and exploration frontier in real memory until its tail is needed
+    #: tighter bound on *suspended* recordings — each pins a live task,
+    #: and through it its shape's memo and exploration frontier, in real
+    #: memory until its tail is needed
     SUSPENDED_CACHE_SIZE = 128
 
     def __init__(self, env: Environment, scheduler: CpuScheduler,
@@ -317,7 +320,7 @@ class CompilationPipeline:
         """Completed recordings, oldest first (for cross-run seeding).
 
         Only *completed* recordings travel: suspended ones pin a live
-        memo and an in-flight generator, neither of which can cross a
+        task and an in-flight generator, neither of which can cross a
         process boundary.  ``limit`` keeps the newest N entries.
         """
         out: "OrderedDict[str, _SearchRecording]" = OrderedDict()
@@ -374,9 +377,10 @@ class CompilationPipeline:
     def _evict_suspended(self) -> None:
         """Drop the oldest suspended recordings beyond the bound.
 
-        Suspended recordings hold a live memo each (real interpreter
-        memory, invisible to the simulated accounting), so they get a
-        tighter cap than completed traces.
+        Suspended recordings hold a live task each, and with it its
+        shape's memo (real interpreter memory, invisible to the
+        simulated accounting), so they get a tighter cap than completed
+        traces.
         """
         while len(self._suspended) > self.SUSPENDED_CACHE_SIZE:
             text, _ = self._suspended.popitem(last=False)
@@ -386,7 +390,7 @@ class CompilationPipeline:
         """Forget every recorded search and statement skeleton of this
         server.
 
-        Suspended recordings pin a live memo each; completed ones a
+        Suspended recordings pin a live task each; completed ones a
         caller wants to keep must be exported first
         (:meth:`export_recorded_searches`).  ``live_accounts`` needs no
         clearing: every compile removes its own entry as it unwinds.

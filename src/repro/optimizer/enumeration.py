@@ -11,23 +11,23 @@ syntactic stage-0 plan (always available as the best-plan-so-far
 fallback), then budgeted exploration rounds applying transformation
 rules.  Neither how the tree lays out as memo groups nor what the
 rules add to them depends on a literal, so both are worked out once
-per query *shape* in a :class:`ShapeTrace`: every search of the shape
-gets stage 0 from it around its own nodes and row counts, and copies
-the prefix of the exploration its budget pays for.  ``UesEnumerator``
-(``ues``) is a greedy upper-bound-driven reorder in the spirit of UES:
-it orders the join left-deep by minimizing upper-bound intermediate
-cardinalities, does a single implementation pass, and never explores —
-a fraction of the work units and memo bytes, at the price of trusting
-the bounds.
+per query *shape* in a :class:`ShapeTrace`, whose memo is the only
+memo of the shape: a search reads it up to the prefix of the
+exploration its budget pays for, with its own nodes and row counts.
+``UesEnumerator`` (``ues``) is a greedy upper-bound-driven reorder in
+the spirit of UES: it orders the join left-deep by minimizing
+upper-bound intermediate cardinalities into a private memo, does a
+single implementation pass, and never explores — a fraction of the
+work units and memo bytes, at the price of trusting the bounds.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.optimizer.memo import GroupExpression, GroupStats, Memo
+from repro.optimizer.memo import GroupStats, Memo
 from repro.optimizer.rules import GroupRef, RuleContext
 from repro.optimizer.selection import _split_join_keys
 from repro.plans import expressions as ex
@@ -56,27 +56,30 @@ def shape_key(node: lg.LogicalNode) -> tuple:
 
 
 class ShapeTrace:
-    """The stage-0 memo and rule exploration of one query shape, built
-    once and shared.
+    """The memo and rule exploration of one query shape, built once
+    and shared by every search of the shape.
 
     Stage 0 is the bound tree as groups: which group each node opens,
     its children, a join's key split and selectivity, widths and alias
     sets are the same for every query of the shape, so :meth:`seed`
-    hands them to a search, which adds its own nodes and row counts.
+    hands a search the trace's stage-0 groups, and the search adds its
+    own nodes and row counts.
 
     Which expressions the transformation rules add to a memo, and in
     what order, depends on join conditions, group alias sets and the
     rules — never on a scan's predicate.  Literals only set a search's
     budget, that is, *how long a prefix* of this one sequence it
-    consumes.  So the trace explores a private structural memo (no
-    cardinalities) lazily, as far as the hungriest search so far has
-    asked, and logs what each exploration unit (one frontier pop,
-    rule fired or not) created; :meth:`replay` copies a range of units
-    into a task's own memo and derives the one per-task number, each
-    new group's row count.
+    consumes.  So the trace explores its memo (no cardinalities)
+    lazily, as far as the hungriest search so far has asked, and marks
+    where each exploration unit (one frontier pop, rule fired or not)
+    left the memo's group and expression counts.  A search sees the
+    memo up to a mark: the groups below its group count and the
+    expressions below its horizon.  :meth:`replay` moves a search's
+    mark forward and derives the one per-search number, each newly
+    visible group's row count.
 
-    The log only grows and a task only reads a prefix, so searches of
-    one shape may interleave freely (suspended mid-search, resumed
+    The memo only grows and a search only reads a prefix, so searches
+    of one shape may interleave freely (suspended mid-search, resumed
     after another advanced the trace) with results that cannot depend
     on who explored first.  Length is bounded by ``MAX_BUDGET`` units,
     the most any search may ask for.
@@ -89,70 +92,65 @@ class ShapeTrace:
         self._rules = opt.rules
         self._estimator = opt.estimator
         self._alias_tables = task._alias_tables
-        self._memo = memo = Memo()
+        #: the only memo of this shape; searches read it, only
+        #: :meth:`_explore` writes to it
+        self.memo = memo = Memo()
         self._ctx = RuleContext(memo)
         #: the bound tree's nodes in post-order (the order
-        #: ``OptimizationTask._insert`` visits them), each ``(group id,
-        #: children, split, shared)`` with ``shared`` the literal-free
-        #: part of the group's statistics, or None where the node is a
-        #: subtree seen before and opens no group
-        self._stage0: List[tuple] = []
-        self._insert_stage0(task.bound.root)
+        #: ``OptimizationTask._insert`` visits them), each ``(children,
+        #: factor)`` for a node that opens a group, with ``factor`` the
+        #: literal-free part of its row count, or None where the node
+        #: is a subtree seen before and opens no group
+        self._stage0: List[Optional[tuple]] = []
+        self._root = self._insert_stage0(task.bound.root)
         self._frontier: deque = deque(
             (gexpr, rule) for gexpr in memo.expressions()
             for rule in self._rules)
-        #: created expressions in creation order, each ``(node,
-        #: children, group id, split, fresh)``; ``fresh`` is None, or
-        #: ``(selectivity, width, aliases)`` when the expression opened
-        #: a new group
-        self._log: List[tuple] = []
-        #: ``_marks[n]`` is the log length after ``n`` units
-        self._marks: List[int] = [0]
+        #: per group id, how its row count follows from its inputs':
+        #: ``(left, right, selectivity)`` for a group exploration
+        #: opened, None for a stage-0 group
+        self._fresh: List[Optional[tuple]] = [None] * memo.group_count
+        #: ``_marks[n]`` is ``(groups, expressions)`` after ``n`` units
+        self._marks: List[Tuple[int, int]] = [
+            (memo.group_count, memo.expression_count)]
 
     def _insert_stage0(self, node: lg.LogicalNode) -> int:
         children = tuple([self._insert_stage0(child)
                           for child in node.children])
-        memo = self._memo
+        memo = self.memo
         gexpr, created = memo.insert_expression(node, children, None)
         if created:
             groups = memo.groups
-            shared = self._estimator.shape_stats(
+            factor, width, aliases = self._estimator.shape_stats(
                 node, [groups[child].stats for child in children],
                 self._alias_tables)
-            # structural stats: rules ask for alias sets, replays for
-            # widths; row counts belong to the tasks
-            groups[gexpr.group_id].stats = GroupStats(
-                width=shared[1], aliases=shared[2])
+            memo.set_stats(gexpr.group_id, GroupStats(width, aliases))
             if isinstance(node, lg.LogicalJoin):
                 gexpr.split = _split_join_keys(
                     node.condition, groups[children[0]].stats.aliases,
                     groups[children[1]].stats.aliases)
-            self._stage0.append((gexpr.group_id, children, gexpr.split,
-                                 shared))
+            self._stage0.append((children, factor))
         else:
             # the same subtree twice: its second visit creates nothing
-            self._stage0.append((gexpr.group_id, children, None, None))
+            self._stage0.append(None)
         return gexpr.group_id
 
     def seed(self, task) -> int:
-        """Fill ``task``'s empty memo with stage 0 — this shape's
-        groups around the task's own nodes, statistics derived from its
+        """Point ``task`` at this shape's memo with stage 0 visible:
+        the task's own nodes and the row counts they derive, from its
         own predicates; returns the root group."""
         nodes: List[lg.LogicalNode] = []
         _post_order(task.bound.root, nodes)
-        memo = task.memo
-        groups = memo.groups
-        for node, (gid, children, split, shared) in zip(
-                nodes, self._stage0, strict=True):
-            if shared is None:
-                continue
-            group = memo.new_group()
-            group.stats = task._derive_stats(
-                node, [groups[child].stats for child in children], shared)
-            group.expressions.append(
-                GroupExpression(node, children, gid, split))
-            memo.expression_count += 1
-        return gid
+        rows, own = task.rows, task.nodes
+        for node, opened in zip(nodes, self._stage0, strict=True):
+            if opened is not None:
+                children, factor = opened
+                rows.append(task._derive_rows(
+                    node, [rows[child] for child in children], factor))
+                own.append(node)
+        task.memo = self.memo
+        task.expression_count = self._marks[0][1]
+        return self._root
 
     @property
     def units(self) -> int:
@@ -165,45 +163,33 @@ class ShapeTrace:
         return index < self.units or bool(self._frontier)
 
     def replay(self, task, start: int, count: int) -> int:
-        """Make units ``[start, start + count)`` visible in ``task``'s
-        memo, exploring first if nobody has been that far; returns how
-        many of them exist (fewer once the frontier runs dry)."""
+        """Make units ``[start, start + count)`` visible to ``task``,
+        exploring first if nobody has been that far; returns how many
+        of them exist (fewer once the frontier runs dry)."""
         stop = start + count
         if stop > self.units:
             self._explore(stop)
             stop = min(stop, self.units)
-        memo = task.memo
-        groups = memo.groups
         marks = self._marks
-        created = self._log[marks[start]:marks[stop]]
-        for node, children, gid, split, fresh in created:
-            if fresh is None:
-                group = groups[gid]
-            else:
-                group = memo.new_group()
-                sel, width, aliases = fresh
-                left, right = children
-                # same operand order as OptimizationTask._derive_stats
-                group.stats = GroupStats(
-                    max(1.0, groups[left].stats.rows
-                        * groups[right].stats.rows * sel),
-                    width, aliases)
-            group.expressions.append(
-                GroupExpression(node, children, gid, split))
-        memo.expression_count += len(created)
+        rows = task.rows
+        groups_to, horizon = marks[stop]
+        for left, right, sel in self._fresh[marks[start][0]:groups_to]:
+            # same operand order as OptimizationTask._derive_rows
+            rows.append(max(1.0, rows[left] * rows[right] * sel))
+        task.expression_count = horizon
         return stop - start
 
     # ---------------------------------------------------------- exploration
     def _explore(self, stop: int) -> None:
         """Run units until ``stop`` have run or the frontier is empty."""
-        frontier, marks, log, ctx = \
-            self._frontier, self._marks, self._log, self._ctx
+        frontier, marks, memo, ctx = \
+            self._frontier, self._marks, self.memo, self._ctx
         while frontier and len(marks) <= stop:
             gexpr, rule = frontier.popleft()
             if rule is not None and rule.matches(gexpr, ctx):
                 for tree in rule.apply(gexpr, ctx):
                     self._insert(tree, gexpr.group_id, rule)
-            marks.append(len(log))
+            marks.append((memo.group_count, memo.expression_count))
 
     def _insert(self, node: lg.LogicalNode, target_group, rule) -> int:
         """Insert a rule's result (a join tree over GroupRef leaves)."""
@@ -215,24 +201,20 @@ class ShapeTrace:
                 f"exploration traces hold joins only")
         left, right = children = tuple(
             [self._insert(child, None, rule) for child in node.children])
-        memo = self._memo
+        memo = self.memo
         gexpr, created = memo.insert_expression(node, children,
                                                 target_group)
         if not created:
             return gexpr.group_id
         groups = memo.groups
         lstats, rstats = groups[left].stats, groups[right].stats
-        fresh = None
+        gexpr.split = _split_join_keys(node.condition, lstats.aliases,
+                                       rstats.aliases)
         if target_group is None:
-            fresh = self._estimator.shape_stats(node, (lstats, rstats),
-                                                self._alias_tables)
-            groups[gexpr.group_id].stats = GroupStats(width=fresh[1],
-                                                      aliases=fresh[2])
-        self._log.append((
-            node, children, gexpr.group_id,
-            _split_join_keys(node.condition, lstats.aliases,
-                             rstats.aliases),
-            fresh))
+            sel, width, aliases = self._estimator.shape_stats(
+                node, (lstats, rstats), self._alias_tables)
+            memo.set_stats(gexpr.group_id, GroupStats(width, aliases))
+            self._fresh.append((left, right, sel))
         # a commuted join must not commute straight back: its slot stays
         # in the queue (popping it is a unit of some search's budget)
         # but holds no rule
@@ -267,8 +249,8 @@ class MemoEnumerator:
         yield task._make_step("stage0", task.bound.table_count)
 
         task._implement(root_gid, stage=0)
-        task._work_units += task.memo.group_count
-        yield task._make_step("implement", task.memo.group_count)
+        task._work_units += task.group_count
+        yield task._make_step("implement", task.group_count)
 
         assert task._best is not None
         budget = self._budget(task, task._best.cost)
@@ -285,8 +267,8 @@ class MemoEnumerator:
                 task._work_units += done
                 yield task._make_step("explore", done)
             task._implement(root_gid, stage=boundary_index)
-            task._work_units += task.memo.group_count
-            yield task._make_step("implement", task.memo.group_count)
+            task._work_units += task.group_count
+            yield task._make_step("implement", task.group_count)
             if not trace.has_unit(spent):
                 break
 
@@ -307,7 +289,8 @@ class UesEnumerator:
     fixed up front by repeatedly attaching the relation that minimizes
     the upper-bound size of the next intermediate result (preferring
     predicate-connected relations; a cross product only when nothing
-    connects).  One stage-0 insert, one implementation pass.
+    connects).  One stage-0 insert into a private memo (the reordered
+    tree is no shape's), one implementation pass.
 
     The enumerator also publishes ``task.cost_upper_bound``: the cost
     of the *syntactic* plan priced with selectivity-free (worst-case)
@@ -325,13 +308,14 @@ class UesEnumerator:
     def steps(self, task):
         task.cost_upper_bound = self._pessimistic(task,
                                                   task.bound.root)[0]
+        task.memo = Memo()
         root_gid = task._insert(self._reorder(task))
         task._work_units += task.bound.table_count
         yield task._make_step("stage0", task.bound.table_count)
 
         task._implement(root_gid, stage=0)
-        task._work_units += task.memo.group_count
-        yield task._make_step("implement", task.memo.group_count)
+        task._work_units += task.group_count
+        yield task._make_step("implement", task.group_count)
 
     # ------------------------------------------------------- reordering
     def _reorder(self, task) -> lg.LogicalNode:

@@ -2,16 +2,21 @@
 
 Groups hold semantically-equivalent expressions; group expressions
 reference children *by group id*, so one stored subtree is shared by
-every alternative that uses it.  The memo also keeps the byte
-accounting the paper's mechanism depends on: every group and group
-expression has a simulated footprint, and
-:attr:`Memo.bytes_used` is what the compilation pipeline charges to the
-task's memory account as search proceeds.
+every alternative that uses it.  A memo holds only what a query's
+*shape* decides — expressions, key splits, widths and alias sets — so
+every search of one shape can read the same memo, each with its own
+row counts (see :class:`~repro.optimizer.enumeration.ShapeTrace`).
+
+The memo module also owns the byte accounting the paper's mechanism
+depends on: every group and group expression has a simulated
+footprint, and :func:`memo_bytes` of the groups and expressions a
+search can see is what the compilation pipeline charges to the task's
+memory account as search proceeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.plans.logical import LogicalNode
@@ -23,13 +28,27 @@ GROUP_BYTES = 64 * KiB
 GEXPR_BYTES = 24 * KiB
 
 
+def memo_bytes(groups: int, expressions: int, base_bytes: int = 0,
+               multiplier: float = 1.0) -> int:
+    """Simulated footprint of a memo of ``groups`` groups holding
+    ``expressions`` expressions, plus ``base_bytes`` of other structures
+    (query tree, binding); ``multiplier`` scales the memo part (lets
+    low-effort searches keep a full-effort memory profile in
+    scaled-down experiments)."""
+    structural = groups * GROUP_BYTES + expressions * GEXPR_BYTES
+    return base_bytes + int(structural * multiplier)
+
+
 @dataclass(slots=True)
 class GroupExpression:
     """One logical operator with children resolved to group ids."""
 
     node: LogicalNode
     children: Tuple[int, ...]
-    group_id: int = -1
+    group_id: int
+    #: position in the memo's creation order: a search sees exactly the
+    #: expressions whose index is below its horizon
+    index: int
     #: for a join, its condition split into ``(build keys, probe keys,
     #: residual)`` against the child groups' alias sets; set by whoever
     #: creates the expression
@@ -38,17 +57,12 @@ class GroupExpression:
 
 @dataclass(slots=True)
 class GroupStats:
-    """Estimated statistical properties shared by a whole group."""
+    """What a group's shape decides about its output: the row count is
+    each search's own."""
 
-    rows: float = 0.0
     #: bytes per output row
-    width: float = 0.0
-    aliases: FrozenSet[str] = frozenset()
-    #: ``rows * width``; a group's statistics never change once derived
-    bytes: float = field(init=False)
-
-    def __post_init__(self):
-        self.bytes = self.rows * self.width
+    width: float
+    aliases: FrozenSet[str]
 
 
 class Group:
@@ -66,32 +80,22 @@ class Group:
 
 
 class Memo:
-    """All groups of one optimization, with duplicate detection."""
+    """All groups of one query shape, with duplicate detection."""
 
     def __init__(self):
         self.groups: List[Group] = []
         self._index: Dict[tuple, GroupExpression] = {}
-        #: expressions held, whether inserted here (and indexed) or
-        #: replayed from a shape's exploration trace (not indexed)
         self.expression_count = 0
-        #: extra simulated bytes charged beyond group/expression costs
-        #: (query tree, binding structures); set by the optimizer
-        self.base_bytes = 0
-        #: scales the simulated footprint (lets low-effort searches keep
-        #: a full-effort memory profile in scaled-down experiments)
-        self.byte_multiplier = 1.0
+        #: the children-first order: ``levels[k]`` lists, ascending, the
+        #: groups whose alias set has ``k`` members.  A join's inputs
+        #: have strictly fewer aliases than the join, and a one-input
+        #: operator has its input's aliases and opens after it, so
+        #: every expression's children come before its group.
+        self.levels: List[List[int]] = []
 
-    # -- accounting ------------------------------------------------------------
     @property
     def group_count(self) -> int:
         return len(self.groups)
-
-    @property
-    def bytes_used(self) -> int:
-        """Simulated memory footprint of the whole memo."""
-        structural = (len(self.groups) * GROUP_BYTES
-                      + self.expression_count * GEXPR_BYTES)
-        return self.base_bytes + int(structural * self.byte_multiplier)
 
     # -- construction ------------------------------------------------------------
     def new_group(self) -> Group:
@@ -101,6 +105,16 @@ class Memo:
 
     def group(self, group_id: int) -> Group:
         return self.groups[group_id]
+
+    def set_stats(self, group_id: int, stats: GroupStats) -> None:
+        """Describe a group just opened, placing it in the
+        children-first order; groups are described in the order they
+        open."""
+        self.groups[group_id].stats = stats
+        level = len(stats.aliases)
+        while len(self.levels) <= level:
+            self.levels.append([])
+        self.levels[level].append(group_id)
 
     def insert_tree(self, node: LogicalNode,
                     target_group: Optional[int] = None) -> int:
@@ -135,8 +149,8 @@ class Memo:
             group = self.new_group()
         else:
             group = self.group(target_group)
-        gexpr = GroupExpression(node=node, children=child_ids,
-                                group_id=group.id)
+        gexpr = GroupExpression(node, child_ids, group.id,
+                                self.expression_count)
         group.expressions.append(gexpr)
         self._index[key] = gexpr
         self.expression_count += 1

@@ -20,11 +20,11 @@ exploration rounds then apply transformation rules under a work budget
 that scales with the estimated cost of the query, with an
 implementation (costing) pass at each stage boundary.
 
-The task keeps the state every stage shares — the memo, derived
-statistics, per-task caches, the running best plan — while the stage
-strategies hold the swappable logic.  The optimizer keeps the one thing
-searches share: a trace per query shape holding its stage-0 memo layout
-and rule exploration (see
+The task keeps the state every stage shares — how far it sees into its
+memo, its row counts, a per-task cache, the running best plan — while
+the stage strategies hold the swappable logic.  The optimizer keeps the
+one thing searches share: a trace per query shape holding the shape's
+memo and rule exploration (see
 :class:`~repro.optimizer.enumeration.ShapeTrace`).
 """
 
@@ -39,7 +39,8 @@ from repro.errors import SimulationError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost import CostModel
 from repro.optimizer.enumeration import ShapeTrace, shape_key
-from repro.optimizer.memo import GroupStats, Memo
+from repro.optimizer.memo import (GroupExpression, GroupStats, Memo,
+                                  memo_bytes)
 from repro.optimizer.pipeline import OptimizerPipeline
 from repro.optimizer.rules import DEFAULT_RULES, Rule
 from repro.optimizer.selection import _split_join_keys
@@ -87,9 +88,9 @@ class Optimizer:
     the bound tree lays out as memo groups and what the rules add.
     """
 
-    #: exploration traces kept (LRU; a full-length one holds about 3 MB
-    #: of host memory); a search holds its own reference, so eviction
-    #: never disturbs one in flight
+    #: exploration traces kept (LRU; a full-length one holds 1.6 to
+    #: 12 MB of host memory); a search holds its own reference, so
+    #: eviction never disturbs one in flight
     SHAPE_TRACE_SIZE = 32
 
     def __init__(self, catalog: Catalog,
@@ -131,9 +132,9 @@ class Optimizer:
         return result
 
     def shape_trace(self, task: "OptimizationTask") -> ShapeTrace:
-        """The trace for ``task``'s query shape: its stage-0 memo and
-        its rule exploration.  A new shape's is built from ``task``'s
-        bound tree."""
+        """The trace for ``task``'s query shape: its memo and its rule
+        exploration.  A new shape's is built from ``task``'s bound
+        tree."""
         key = task.bound.shape_key
         if key is None:
             key = shape_key(task.bound.root)
@@ -154,19 +155,30 @@ class Optimizer:
 class OptimizationTask:
     """State of one in-flight query optimization.
 
-    The task owns everything the pipeline stages share — memo, derived
-    statistics, caches, the running best plan — and exposes the small
+    A task reads a memo it does not own — its shape's, shared with
+    every other search of the shape, or a private one an enumerator
+    built — and holds what is its own: a row count per group id, its
+    own stage-0 nodes (its scans carry its predicates), how many groups
+    it sees (the row counts') and its expression horizon (it sees the
+    expressions whose index is below it).  Around that it keeps the
+    running best plan and a per-task cache, and exposes the small
     protocol the stages drive it through: :meth:`_insert` /
-    :meth:`_derive_stats` / :meth:`_make_step` for enumerators,
+    :meth:`_derive_rows` / :meth:`_make_step` for enumerators,
     :meth:`_implement` to hand a costing pass to the selection strategy.
     """
 
     def __init__(self, optimizer: Optimizer, bound: BoundQuery):
         self.opt = optimizer
         self.bound = bound
-        self.memo = Memo()
-        self.memo.base_bytes = BASE_BYTES_PER_TABLE * max(1, bound.table_count)
-        self.memo.byte_multiplier = optimizer.memory_multiplier
+        #: the memo this search reads; set by the enumerator
+        self.memo: Optional[Memo] = None
+        #: row count per visible group, by group id
+        self.rows: List[float] = []
+        #: this query's own node per stage-0 group, by group id
+        self.nodes: List[lg.LogicalNode] = []
+        #: the memo's expressions with an index below this are visible
+        self.expression_count = 0
+        self._base_bytes = BASE_BYTES_PER_TABLE * max(1, bound.table_count)
         self._charged_bytes = 0
         self._work_units = 0
         self._best: Optional[OptimizationResult] = None
@@ -175,7 +187,7 @@ class OptimizationTask:
         #: (``ues``); None under the exhaustive memo search
         self.cost_upper_bound: Optional[float] = None
         self._alias_tables = dict(bound.aliases)
-        #: id(gexpr) -> a scan's ``(cost, winner)``: its window and cost
+        #: group id -> a scan's ``(cost, winner)``: its window and cost
         #: depend on this query's literals but not on the pass
         self._scan_cache: Dict[int, tuple] = {}
 
@@ -203,17 +215,25 @@ class OptimizationTask:
             return None
         best = self._best
         return OptimizationResult(
-            plan=best.plan, cost=best.cost, memo_bytes=self.memo.bytes_used,
+            plan=best.plan, cost=best.cost, memo_bytes=self.bytes_used,
             work_units=self._work_units, stage=best.stage, degraded=True)
 
     @property
+    def group_count(self) -> int:
+        """Groups this search sees."""
+        return len(self.rows)
+
+    @property
     def bytes_used(self) -> int:
-        return self.memo.bytes_used
+        """Simulated footprint of what this search sees of its memo."""
+        return memo_bytes(len(self.rows), self.expression_count,
+                          self._base_bytes, self.opt.memory_multiplier)
 
     # ------------------------------------------------------ stage protocol
     def _make_step(self, phase: str, units: int) -> OptStep:
-        delta = self.memo.bytes_used - self._charged_bytes
-        self._charged_bytes = self.memo.bytes_used
+        used = self.bytes_used
+        delta = used - self._charged_bytes
+        self._charged_bytes = used
         # CPU per unit is scaled inversely with effort so a low-effort
         # search models the same optimization *time* with fewer steps
         cpu = units * CPU_PER_UNIT / self.opt.effort_multiplier
@@ -225,59 +245,55 @@ class OptimizationTask:
         self.opt.pipeline.selection.implement(self, root_gid, stage)
 
     def _insert(self, node: lg.LogicalNode) -> int:
-        """Insert a logical tree (deduplicated); returns its root group.
+        """Insert a logical tree (deduplicated) into this task's private
+        memo as its stage 0; returns the tree's root group.
 
         For an enumerator that builds its own stage-0 tree; one that
-        searches from the bound tree gets stage 0 from the shape's
-        trace (:meth:`ShapeTrace.seed`).
+        searches from the bound tree reads its shape's memo
+        (:meth:`ShapeTrace.seed`).
         """
         child_ids = tuple([self._insert(child) for child in node.children])
         gexpr, created = self.memo.insert_expression(node, child_ids, None)
-        self._ensure_stats(gexpr.group_id)
-        if created and isinstance(node, lg.LogicalJoin):
-            groups = self.memo.groups
-            gexpr.split = _split_join_keys(
-                node.condition, groups[child_ids[0]].stats.aliases,
-                groups[child_ids[1]].stats.aliases)
+        if created:
+            self.nodes.append(node)
+            self._admit(gexpr, opened=True)
         return gexpr.group_id
 
-    # -------------------------------------------------------------- statistics
-    def _ensure_stats(self, gid: int) -> GroupStats:
-        group = self.memo.groups[gid]
-        stats = group.stats
-        if stats is not None:
-            return stats
-        gexpr = group.expressions[0]
-        child_stats = [self._ensure_stats(c) for c in gexpr.children]
-        group.stats = self._derive_stats(gexpr.node, child_stats)
-        return group.stats
-
-    def _derive_stats(self, node: lg.LogicalNode,
-                      child_stats: List[GroupStats],
-                      shared: Optional[tuple] = None) -> GroupStats:
-        """A group's statistics from its first expression.
-
-        ``shared`` is the part no literal can change
-        (:meth:`CardinalityEstimator.shape_stats`); a search whose
-        shape has a trace gets it from there and derives only the row
-        count.
-        """
-        if shared is None:
-            shared = self.opt.estimator.shape_stats(
+    def _admit(self, gexpr: GroupExpression, opened: bool) -> None:
+        """Make an expression just created in this task's private memo
+        visible: set a join's key split and, when it ``opened`` a group,
+        describe the group and derive its row count."""
+        memo, rows = self.memo, self.rows
+        node, children = gexpr.node, gexpr.children
+        child_stats = [memo.groups[child].stats for child in children]
+        if opened:
+            factor, width, aliases = self.opt.estimator.shape_stats(
                 node, child_stats, self._alias_tables)
-        factor, width, aliases = shared
+            memo.set_stats(gexpr.group_id, GroupStats(width, aliases))
+            rows.append(self._derive_rows(
+                node, [rows[child] for child in children], factor))
+        if isinstance(node, lg.LogicalJoin):
+            gexpr.split = _split_join_keys(
+                node.condition, child_stats[0].aliases,
+                child_stats[1].aliases)
+        self.expression_count += 1
+
+    # -------------------------------------------------------------- statistics
+    def _derive_rows(self, node: lg.LogicalNode, child_rows: List[float],
+                     factor: Optional[float]) -> float:
+        """The row count of the group ``node`` opens, from its
+        children's and ``factor``, the part of it no literal can change
+        (:meth:`CardinalityEstimator.shape_stats`)."""
         if isinstance(node, lg.LogicalGet):
             sel = self.opt.estimator.local_selectivity(node.table,
                                                        node.predicate)
-            rows = max(1.0, factor * sel)
-        elif isinstance(node, lg.LogicalJoin):
-            left, right = child_stats
-            rows = max(1.0, left.rows * right.rows * factor)
-        elif isinstance(node, lg.LogicalFilter):
-            rows = max(1.0, child_stats[0].rows * factor)
-        elif isinstance(node, lg.LogicalAggregate):
-            rows = self.opt.estimator.group_count(
-                node.keys, self._alias_tables, child_stats[0].rows)
-        else:
-            rows = child_stats[0].rows
-        return GroupStats(rows=rows, width=width, aliases=aliases)
+            return max(1.0, factor * sel)
+        if isinstance(node, lg.LogicalJoin):
+            left, right = child_rows
+            return max(1.0, left * right * factor)
+        if isinstance(node, lg.LogicalFilter):
+            return max(1.0, child_rows[0] * factor)
+        if isinstance(node, lg.LogicalAggregate):
+            return self.opt.estimator.group_count(
+                node.keys, self._alias_tables, child_rows[0])
+        return child_rows[0]

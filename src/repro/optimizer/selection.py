@@ -5,11 +5,13 @@ best physical plan per implementation pass.  The enumerator decides
 *when* passes run (at its stage boundaries); the strategy decides
 *which* candidate implementation wins inside each pass.
 
-A pass costs every candidate as a scalar and keeps each group's winner
-as plain data — the physical operator, the group expression and the
-few scalars its node needs.  Physical nodes are built afterwards, for
-the root's winning tree only, and only when the pass does not lose to
-the plan the task already holds.
+A pass is one loop over the groups the task sees, children first (the
+order its memo keeps), costing every candidate as a scalar and keeping
+each group's cost and winner in lists indexed by group id.  A winner is
+plain data — the physical operator, the group expression and the few
+scalars its node needs.  Physical nodes are built afterwards, for the
+root's winning tree only, and only when the pass does not lose to the
+plan the task already holds.
 
 ``CostBasedSelection`` (``cost``) compares every candidate.
 ``HeuristicSelection`` (``heuristic``) skips the comparisons and fixes
@@ -20,17 +22,13 @@ aggregation — the way a syntax-driven optimizer would.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional
 
 from repro.errors import SimulationError
-from repro.optimizer.memo import GroupStats
 from repro.plans import expressions as ex
 from repro.plans import logical as lg
 from repro.plans import physical as ph
 from repro.units import MiB
-
-#: what a group with no feasible implementation costs
-_INFEASIBLE = (math.inf, None)
 
 
 class CostBasedSelection:
@@ -41,121 +39,142 @@ class CostBasedSelection:
     name = "cost"
 
     def implement(self, task, root_gid: int, stage: int) -> None:
-        """(Re-)cost the memo bottom-up and record the best full plan."""
+        """Cost every group the task sees and record the best full
+        plan."""
         from repro.optimizer.optimizer import OptimizationResult
 
-        best: Dict[int, tuple] = {}
-        cost, winner = self._cost_group(task, root_gid, best, set())
-        if winner is None:
+        costs, winners, sizes = self._cost_groups(task)
+        if winners[root_gid] is None:
             raise SimulationError("no physical plan produced")
+        cost = costs[root_gid]
         previous = task._best
         if previous is None or cost <= previous.cost:
-            plan = self._build(task, root_gid, best)
+            plan = self._build(task, root_gid, costs, winners, sizes)
         else:
             # keep the better previous plan but refresh bookkeeping
             plan, cost = previous.plan, previous.cost
         task._best = OptimizationResult(
-            plan=plan, cost=cost, memo_bytes=task.memo.bytes_used,
+            plan=plan, cost=cost, memo_bytes=task.bytes_used,
             work_units=task._work_units, stage=stage)
 
-    def _cost_group(self, task, gid: int, best: Dict[int, tuple],
-                    visiting: set) -> tuple:
-        """``(cost, winner)`` of one group in this pass.
+    def _cost_groups(self, task) -> tuple:
+        """``(costs, winners, sizes)`` of this pass, by group id.
 
-        ``winner`` is a tuple starting ``(physical class, group
-        expression)`` followed by the scalars :meth:`_build` needs, or
-        None when no expression can be implemented.  Candidates are
-        compared in a stable order (the group's expression order, hash
-        build-left before build-right, hash aggregate before
+        One loop over the groups the task sees in its memo's
+        children-first order (:attr:`Memo.levels`), so every input is
+        costed before the expressions that read it.  A group's winner
+        is a tuple starting ``(physical class, group expression)``
+        followed by the scalars :meth:`_build` needs, or None when no
+        visible expression can be implemented (its cost stays
+        infinite); its size is its rows times its width.  Candidates
+        are compared in a stable order (the group's expression order,
+        hash build-left before build-right, hash aggregate before
         sort + stream) under a strict ``<``, so cost ties keep resolving
-        to the first candidate.  ``visiting`` is one mutable set shared
-        down the recursion (add/discard, not a frozenset per group).
+        to the first candidate.
         """
-        found = best.get(gid)
-        if found is not None:
-            return found
-        if gid in visiting:
-            return _INFEASIBLE
-        groups = task.memo.groups
-        group = groups[gid]
-        stats = group.stats
+        memo = task.memo
+        groups = memo.groups
+        rows = task.rows
+        visible = len(rows)
+        horizon = task.expression_count
         cm = task.opt.cost_model
-        visiting.add(gid)
-        best_cost = math.inf
-        winner = None
-        try:
-            for gexpr in group.expressions:
-                node = gexpr.node
-                if isinstance(node, lg.LogicalJoin):
-                    # nearly every expression of an explored memo is a
-                    # join: costed in place, no candidate list
-                    left, right = gexpr.children
-                    lcost, lwinner = (best.get(left) or self._cost_group(
-                        task, left, best, visiting))
-                    rcost, rwinner = (best.get(right) or self._cost_group(
-                        task, right, best, visiting))
-                    if lwinner is None or rwinner is None:
-                        continue
-                    lstats = groups[left].stats
-                    rstats = groups[right].stats
-                    if gexpr.split[0]:
-                        # hash join; the memory term biases the choice
-                        # toward building on the smaller input
-                        for build_left in self._hash_join_orders(lstats,
-                                                                 rstats):
-                            build, probe = ((lstats, rstats) if build_left
-                                            else (rstats, lstats))
-                            memory = cm.hash_join_memory(build.bytes)
-                            cost = (lcost + rcost
-                                    + cm.hash_join_cost(build.rows,
-                                                        probe.rows,
-                                                        stats.rows)
-                                    + cm.memory_pressure_cost(memory))
+        hash_join_cost, nl_join_cost = cm.hash_join_cost, cm.nl_join_cost
+        both_builds = self.both_builds
+        inf = math.inf
+        costs = [inf] * visible
+        winners: List[Optional[tuple]] = [None] * visible
+        sizes = [0.0] * visible
+        # a hash build's workspace and its pressure term depend on the
+        # build input alone: worked out once per group, not per join
+        memories = [0.0] * visible
+        pressures = [0.0] * visible
+        for level in memo.levels:
+            for gid in level:
+                if gid >= visible:
+                    break
+                group = groups[gid]
+                grows = rows[gid]
+                size = sizes[gid] = grows * group.stats.width
+                memory = memories[gid] = cm.hash_join_memory(size)
+                pressures[gid] = cm.memory_pressure_cost(memory)
+                best_cost = inf
+                winner = None
+                for gexpr in group.expressions:
+                    if gexpr.index >= horizon:
+                        break
+                    node = gexpr.node
+                    if isinstance(node, lg.LogicalJoin):
+                        # nearly every expression of an explored memo is
+                        # a join: costed in place, no candidate list
+                        left, right = gexpr.children
+                        lcost, rcost = costs[left], costs[right]
+                        if lcost == inf or rcost == inf:
+                            continue    # an input with no winner
+                        inputs = lcost + rcost
+                        lrows, rrows = rows[left], rows[right]
+                        if gexpr.split[0]:
+                            # hash join; the memory term biases the
+                            # choice toward building on the smaller input
+                            if both_builds:
+                                build_left = build_right = True
+                            else:
+                                build_left = sizes[left] <= sizes[right]
+                                build_right = not build_left
+                            if build_left:
+                                cost = (inputs
+                                        + hash_join_cost(lrows, rrows, grows)
+                                        + pressures[left])
+                                if cost < best_cost:
+                                    best_cost = cost
+                                    winner = (ph.HashJoin, gexpr,
+                                              memories[left], True)
+                            if build_right:
+                                cost = (inputs
+                                        + hash_join_cost(rrows, lrows, grows)
+                                        + pressures[right])
+                                if cost < best_cost:
+                                    best_cost = cost
+                                    winner = (ph.HashJoin, gexpr,
+                                              memories[right], False)
+                        else:
+                            cost = inputs + nl_join_cost(lrows, rrows, grows)
                             if cost < best_cost:
                                 best_cost = cost
-                                winner = (ph.HashJoin, gexpr, memory,
-                                          build_left)
+                                winner = (ph.NestedLoopsJoin, gexpr)
+                        continue
+
+                    if isinstance(node, lg.LogicalGet):
+                        candidates = (self._scan_candidate(task, gexpr),)
                     else:
-                        cost = (lcost + rcost + cm.nl_join_cost(
-                            lstats.rows, rstats.rows, stats.rows))
+                        child = gexpr.children[0]
+                        ccost = costs[child]
+                        if ccost == inf:
+                            continue
+                        candidates = self._unary_candidates(
+                            cm, gexpr, ccost, rows[child], grows)
+                    for cost, choice in candidates:
                         if cost < best_cost:
                             best_cost = cost
-                            winner = (ph.NestedLoopsJoin, gexpr)
-                    continue
-
-                if isinstance(node, lg.LogicalGet):
-                    candidates = (self._scan_candidate(task, gexpr),)
-                else:
-                    child = gexpr.children[0]
-                    ccost, cwinner = self._cost_group(task, child, best,
-                                                      visiting)
-                    if cwinner is None:
-                        continue
-                    candidates = self._unary_candidates(
-                        cm, gexpr, ccost, groups[child].stats.rows,
-                        stats.rows)
-                for cost, choice in candidates:
-                    if cost < best_cost:
-                        best_cost = cost
-                        winner = choice
-        finally:
-            visiting.discard(gid)
-        if winner is None:
-            return _INFEASIBLE
-        found = best[gid] = (best_cost, winner)
-        return found
+                            winner = choice
+                if winner is not None:
+                    costs[gid] = best_cost
+                    winners[gid] = winner
+        return costs, winners, sizes
 
     def _scan_candidate(self, task, gexpr) -> tuple:
-        """A scan's ``(cost, winner)``; the same in every pass."""
-        candidate = task._scan_cache.get(id(gexpr))
+        """A scan's ``(cost, winner)``; the same in every pass.  A scan
+        group's one expression is the task's own node: its predicate
+        sets the window."""
+        gid = gexpr.group_id
+        candidate = task._scan_cache.get(gid)
         if candidate is None:
-            node = gexpr.node
+            node = task.nodes[gid]
             offset, length = task.opt.estimator.clustered_scan_window(
                 node.table, node.predicate)
             table = task.opt.catalog.table(node.table)
-            rows = task.memo.groups[gexpr.group_id].stats.rows
-            candidate = task._scan_cache[id(gexpr)] = (
-                task.opt.cost_model.scan_cost(table.nbytes, length, rows),
+            candidate = task._scan_cache[gid] = (
+                task.opt.cost_model.scan_cost(table.nbytes, length,
+                                              task.rows[gid]),
                 (ph.TableScan, gexpr, offset, length))
         return candidate
 
@@ -180,19 +199,20 @@ class CostBasedSelection:
             return [(ccost + cm.sort_cost(crows), (ph.Sort, gexpr))]
         raise SimulationError(f"no implementation for {node!r}")
 
-    def _build(self, task, gid: int,
-               best: Dict[int, tuple]) -> ph.PhysicalNode:
+    def _build(self, task, gid: int, costs: List[float],
+               winners: List[Optional[tuple]],
+               sizes: List[float]) -> ph.PhysicalNode:
         """Materialize the winning tree below group ``gid``."""
-        cost, winner = best[gid]
+        winner = winners[gid]
         op, gexpr = winner[:2]
         node = gexpr.node
-        groups = task.memo.groups
-        stats = groups[gid].stats
+        rows = task.rows
         cm = task.opt.cost_model
-        inputs = [self._build(task, child, best)
+        inputs = [self._build(task, child, costs, winners, sizes)
                   for child in gexpr.children]
         memory = 0.0
         if op is ph.TableScan:
+            node = task.nodes[gid]
             plan = ph.TableScan(node.alias, node.table, node.predicate)
             plan.scan_offset, plan.scan_fraction = winner[2:]
         elif op is ph.HashJoin:
@@ -206,36 +226,34 @@ class CostBasedSelection:
                                    probe_keys, build_keys, residual)
         elif op is ph.NestedLoopsJoin:
             plan = ph.NestedLoopsJoin(inputs[0], inputs[1], node.condition)
-            memory = min(groups[gexpr.children[0]].stats.bytes, 64 * MiB)
+            memory = min(sizes[gexpr.children[0]], 64 * MiB)
         elif op is ph.Filter:
             plan = ph.Filter(inputs[0], node.predicate)
         elif op is ph.HashAggregate:
             plan = ph.HashAggregate(inputs[0], node.keys, node.aggregates)
-            memory = cm.hash_agg_memory(stats.rows, stats.width)
+            memory = cm.hash_agg_memory(rows[gid],
+                                        task.memo.groups[gid].stats.width)
         elif op is ph.StreamAggregate:
             child = gexpr.children[0]
-            cstats = groups[child].stats
             sort = ph.Sort(inputs[0], node.keys)
             sort.estimates = ph.Estimates(
-                rows=cstats.rows, bytes=cstats.bytes,
-                memory=cm.sort_memory(cstats.bytes),
-                cost=best[child][0] + winner[2])
+                rows=rows[child], bytes=sizes[child],
+                memory=cm.sort_memory(sizes[child]),
+                cost=costs[child] + winner[2])
             plan = ph.StreamAggregate(sort, node.keys, node.aggregates)
         elif op is ph.Project:
             plan = ph.Project(inputs[0], node.exprs)
         else:  # ph.Sort
             plan = ph.Sort(inputs[0], node.keys, node.descending)
-            memory = cm.sort_memory(groups[gexpr.children[0]].stats.bytes)
-        plan.estimates = ph.Estimates(rows=stats.rows, bytes=stats.bytes,
-                                      memory=memory, cost=cost)
+            memory = cm.sort_memory(sizes[gexpr.children[0]])
+        plan.estimates = ph.Estimates(rows=rows[gid], bytes=sizes[gid],
+                                      memory=memory, cost=costs[gid])
         return plan
 
     # --------------------------------------------------- strategy points
-    def _hash_join_orders(self, lstats: GroupStats,
-                          rstats: GroupStats) -> Tuple[bool, ...]:
-        """Which hash builds to cost, as "build on the left input?"
-        flags: cost-based tries both."""
-        return (True, False)
+    #: whether a hash join is costed building on either input; if not,
+    #: only on the smaller one (rows times width; the left one on a tie)
+    both_builds = True
 
     def _consider_stream_aggregate(self) -> bool:
         """Whether sort+stream competes with the hash aggregate."""
@@ -256,9 +274,7 @@ class HeuristicSelection(CostBasedSelection):
 
     name = "heuristic"
 
-    def _hash_join_orders(self, lstats: GroupStats,
-                          rstats: GroupStats) -> Tuple[bool, ...]:
-        return (lstats.bytes <= rstats.bytes,)
+    both_builds = False
 
     def _consider_stream_aggregate(self) -> bool:
         return False

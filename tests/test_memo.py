@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.optimizer.memo import GEXPR_BYTES, GROUP_BYTES, Memo
+from repro.optimizer.memo import GEXPR_BYTES, GROUP_BYTES, Memo, memo_bytes
 from repro.plans import expressions as ex
 from repro.plans.logical import LogicalGet, LogicalJoin
 
@@ -50,20 +50,26 @@ def test_insert_expression_idempotent():
     assert first.group_id == a_id
 
 
+def footprint(memo, **kwargs):
+    return memo_bytes(memo.group_count, memo.expression_count, **kwargs)
+
+
 def test_bytes_accounting():
     memo = Memo()
-    memo.base_bytes = 1000
     memo.insert_tree(LogicalJoin(get("a"), get("b")))
     expected = 1000 + 3 * GROUP_BYTES + 3 * GEXPR_BYTES
-    assert memo.bytes_used == expected
+    assert footprint(memo, base_bytes=1000) == expected
 
 
 def test_byte_multiplier_scales_structural_bytes():
     memo = Memo()
     memo.insert_tree(get("a"))
-    baseline = memo.bytes_used
-    memo.byte_multiplier = 3.0
-    assert memo.bytes_used == pytest.approx(3 * baseline, rel=0.01)
+    baseline = footprint(memo)
+    assert footprint(memo, multiplier=3.0) \
+        == pytest.approx(3 * baseline, rel=0.01)
+    # the base bytes are not scaled
+    assert footprint(memo, base_bytes=7, multiplier=3.0) \
+        == footprint(memo, multiplier=3.0) + 7
 
 
 def test_bytes_grow_monotonically_with_insertions():
@@ -71,7 +77,7 @@ def test_bytes_grow_monotonically_with_insertions():
     sizes = []
     for alias in "abcdef":
         memo.insert_tree(get(alias))
-        sizes.append(memo.bytes_used)
+        sizes.append(footprint(memo))
     assert sizes == sorted(sizes)
     assert len(set(sizes)) == len(sizes)
 

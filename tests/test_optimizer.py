@@ -77,9 +77,9 @@ def test_memory_grows_with_join_count(star_catalog):
 def test_steps_alloc_bytes_sum_to_memo_bytes(star_catalog, star_query):
     task = task_for(star_catalog, star_query)
     total = sum(step.alloc_bytes for step in task.steps())
-    assert total == task.memo.bytes_used
+    assert total == task.bytes_used
     assert task.result is not None
-    assert task.result.memo_bytes == task.memo.bytes_used
+    assert task.result.memo_bytes == task.bytes_used
 
 
 def test_steps_consume_cpu(star_catalog, star_query):

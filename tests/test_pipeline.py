@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import paper_server_config
 from repro.errors import CompileOutOfMemoryError, GatewayTimeoutError
+from repro.optimizer.selection import CostBasedSelection
 from repro.server import DatabaseServer
 from repro.units import MiB
 from tests.conftest import build_star_catalog, STAR_QUERY
@@ -215,3 +216,42 @@ def test_parse_error_propagates():
     assert p.value == "SqlSyntaxError"
     assert server.pipeline.active == 0
     assert server.compile_clerk.used == 0
+
+
+def test_a_crash_in_a_suspended_search_is_not_a_compile_oom(monkeypatch):
+    """A replay that runs past its recording's prefix resumes the
+    suspended search; a host bug there surfaces as itself, never as a
+    simulated out-of-memory failure."""
+    server = make_server()
+    pipeline = server.pipeline
+    pipeline.record_all_searches = True
+    outcomes = []
+
+    def run(env, label):
+        try:
+            outcomes.append((yield from pipeline.compile(STAR_QUERY, label)))
+        except Exception as exc:
+            outcomes.append(exc)
+
+    # growth past stage 0 is denied: the first compile takes its best
+    # plan so far and leaves the rest of its search suspended
+    server.compile_clerk.advisor = lambda clerk, nbytes: clerk.used <= MiB
+    server.env.process(run(server.env, "first"))
+    server.env.run()
+    assert outcomes[0].degraded
+    recording = pipeline._search_cache[STAR_QUERY]
+    assert recording._iter is not None
+
+    def crash(self, task, root_gid, stage):
+        raise ZeroDivisionError("host bug in an implementation pass")
+
+    monkeypatch.setattr(CostBasedSelection, "implement", crash)
+    server.compile_clerk.advisor = None
+    server.env.process(run(server.env, "replay"))
+    server.env.run()
+    assert pipeline.search_replays == 1
+    assert isinstance(outcomes[1], ZeroDivisionError)
+    assert pipeline.oom_failures == 0
+    # the crashed tail is forgotten, not replayed as a dead end
+    assert not recording.usable()
+    assert pipeline.active == 0 and server.compile_clerk.used == 0

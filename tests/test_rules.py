@@ -79,10 +79,10 @@ def test_associativity_creates_new_intermediate_group(star_catalog):
     before_exploration_groups = 0
     steps = task.steps()
     next(steps)  # stage0
-    before_exploration_groups = task.memo.group_count
+    before_exploration_groups = task.group_count
     for _ in steps:
         pass
-    assert task.memo.group_count > before_exploration_groups
+    assert task.group_count > before_exploration_groups
 
 
 def test_associativity_preserves_alias_coverage(star_catalog):
@@ -114,10 +114,9 @@ def test_associativity_never_invents_cross_products(star_catalog):
         # every equi-join in this query has a condition somewhere up the
         # tree; inner joins created by associativity must carry one
         if node.condition is None:
-            left = task.memo.group(gexpr.children[0]).stats
-            right = task.memo.group(gexpr.children[1]).stats
+            left, right = gexpr.children
             # cross products only tolerable between tiny dimension inputs
-            assert min(left.rows, right.rows) <= 5000
+            assert min(task.rows[left], task.rows[right]) <= 5000
 
 
 def test_group_ref_payload_not_storable():

@@ -167,7 +167,7 @@ def test_a_losing_pass_builds_no_physical_node(monkeypatch, selection):
     task = star_task(spec=OptimizerSpec(selection=selection))
     steps = task.steps()
     next(steps), next(steps)        # stage 0 and its pass
-    root_gid = task.memo.group_count - 1
+    root_gid = task.group_count - 1
     # an incumbent no pass can beat
     incumbent = task._best = replace(task._best, cost=0.0)
     built = count_node_constructions(monkeypatch)
@@ -212,27 +212,35 @@ class RecordingCostModel(CostModel):
 @pytest.mark.parametrize("selection", SELECTION_NAMES)
 def test_join_over_an_infeasible_input_still_costs_both(selection):
     """A join whose left input cannot be implemented contributes no
-    candidate, and its right input has been costed by then."""
+    candidate, and its right input has been costed by then.  The hollow
+    group goes into the private memo a ``ues`` search builds: no search
+    may write to a shape's memo."""
     sql = ("SELECT f.amount FROM fact_sales f, products p "
            "WHERE f.product_id = p.product_id")
     cost_model = RecordingCostModel()
     task = star_task(sql, cost_model=cost_model,
-                     spec=OptimizerSpec(selection=selection))
+                     spec=OptimizerSpec(enumerator="ues",
+                                        selection=selection))
     steps = task.steps()
     next(steps), next(steps)
-    root_gid = task.memo.group_count - 1
+    assert not task.opt._traces
+    root_gid = task.group_count - 1
     reference = render(task._best.plan)
-    join_group = next(group for group in task.memo.groups
+    memo = task.memo
+    join_group = next(group for group in memo.groups
                       if isinstance(group.expressions[0].node,
                                     lg.LogicalJoin))
     # a scan nothing else references, to the right of a group with no
     # expression at all
     extra = task._insert(lg.LogicalGet("c", "categories"))
-    hollow = task.memo.new_group()
-    task.memo.insert_expression(
+    hollow = memo.new_group()
+    task.rows.append(1.0)
+    gexpr, created = memo.insert_expression(
         lg.LogicalJoin(lg.LogicalGet("x", "stores"),
                        lg.LogicalGet("c", "categories")),
         (hollow.id, extra), join_group.id)
+    assert created
+    task.expression_count += 1      # the join is visible to the task
     categories = task.opt.catalog.table("categories").nbytes
     assert categories not in cost_model.scanned
     task._implement(root_gid, stage=1)

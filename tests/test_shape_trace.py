@@ -1,13 +1,16 @@
 """The shape trace pinned to per-task rule application.
 
 Every search used to apply the transformation rules to its own memo.
-That loop lives on here as :class:`ReferenceEnumerator`; the production
-enumerator instead copies a prefix of one exploration shared by every
-search of the same query shape
+That loop lives on here as :class:`ReferenceEnumerator`, in a private
+memo of the task; the production enumerator instead reads a prefix of
+one memo and exploration shared by every search of the same query shape
 (:class:`~repro.optimizer.enumeration.ShapeTrace`).  The two must be
-indistinguishable from outside a task — step stream, memo contents at
-every yield, statistics, final plan — for any literals, any budget,
-whoever explored first and however same-shape searches interleave.
+indistinguishable from outside a task — step stream, what the task sees
+of its memo at every yield, row counts, final plan — for any literals,
+any budget, whoever explored first and however same-shape searches
+interleave.  No search may write to its shape's memo, and every
+expression a search sees must have its inputs ahead of its group in the
+children-first order selection loops over.
 
 The trace also hands every search its stage-0 memo layout; that is
 compared with plain node-by-node insertion and with the whole-node
@@ -16,6 +19,7 @@ statistics derivation every task used to run (``reference_stats``).
 
 import re
 from collections import deque
+from itertools import chain
 
 import pytest
 
@@ -32,7 +36,7 @@ from repro.optimizer.enumeration import (
     UesEnumerator,
     shape_key,
 )
-from repro.optimizer.memo import GroupStats, Memo
+from repro.optimizer.memo import Memo
 from repro.optimizer.rules import GroupRef, RuleContext
 from repro.optimizer.selection import _split_join_keys
 from repro.optimizer.spec import OptimizerSpec
@@ -52,18 +56,20 @@ BASE_STAR = ("SELECT p.category_id, s.region_id, SUM(f.amount) AS total "
 # ------------------------------------------------- the reference model
 class ReferenceEnumerator(MemoEnumerator):
     """Stage 2 as it was before the shape trace: each task fires the
-    rules on its own memo, tracking per expression which rules fired."""
+    rules on a private memo, tracking per expression which rules
+    fired."""
 
     __slots__ = ()
 
     def steps(self, task):
+        task.memo = Memo()
         root_gid = task._insert(task.bound.root)
         task._work_units += task.bound.table_count
         yield task._make_step("stage0", task.bound.table_count)
 
         task._implement(root_gid, stage=0)
-        task._work_units += task.memo.group_count
-        yield task._make_step("implement", task.memo.group_count)
+        task._work_units += task.group_count
+        yield task._make_step("implement", task.group_count)
 
         budget = self._budget(task, task._best.cost)
         ctx = RuleContext(task.memo)
@@ -86,8 +92,8 @@ class ReferenceEnumerator(MemoEnumerator):
                 task._work_units += done
                 yield task._make_step("explore", done)
             task._implement(root_gid, stage=boundary_index)
-            task._work_units += task.memo.group_count
-            yield task._make_step("implement", task.memo.group_count)
+            task._work_units += task.group_count
+            yield task._make_step("implement", task.group_count)
             if not frontier:
                 break
 
@@ -121,12 +127,8 @@ class ReferenceEnumerator(MemoEnumerator):
                            for child in node.children])
         gexpr, was_created = task.memo.insert_expression(
             node, child_ids, target_group)
-        task._ensure_stats(gexpr.group_id)
         if was_created:
-            groups = task.memo.groups
-            gexpr.split = _split_join_keys(
-                node.condition, groups[child_ids[0]].stats.aliases,
-                groups[child_ids[1]].stats.aliases)
+            task._admit(gexpr, opened=target_group is None)
             created.append(gexpr)
         return gexpr.group_id
 
@@ -138,13 +140,41 @@ def reference_optimizer(catalog) -> Optimizer:
 
 
 # ----------------------------------------------------------- observing
-def memo_shape(memo):
-    """Per group id: its statistics and its expressions in order."""
-    return [(group.stats.rows, group.stats.width, group.stats.aliases,
-             [(type(gexpr.node), gexpr.node.payload(), gexpr.children,
-               gexpr.group_id, gexpr.split)
-              for gexpr in group.expressions])
-            for group in memo.groups]
+def visible(task, gid):
+    """The expressions of group ``gid`` that ``task`` sees."""
+    return [gexpr for gexpr in task.memo.groups[gid].expressions
+            if gexpr.index < task.expression_count]
+
+
+def own_node(task, gexpr):
+    """The node ``task`` reads for ``gexpr``: a scan is its own."""
+    if isinstance(gexpr.node, lg.LogicalGet):
+        return task.nodes[gexpr.group_id]
+    return gexpr.node
+
+
+def memo_shape(task):
+    """Per group id ``task`` sees: its row count, its shape's statistics
+    and its visible expressions in order."""
+    groups = task.memo.groups
+    return [(task.rows[gid], groups[gid].stats.width,
+             groups[gid].stats.aliases,
+             [(type(gexpr.node), own_node(task, gexpr).payload(),
+               gexpr.children, gexpr.group_id, gexpr.split)
+              for gexpr in visible(task, gid)])
+            for gid in range(task.group_count)]
+
+
+def assert_children_first(task):
+    """Every visible expression's inputs come before its group in the
+    order a selection pass loops over, which holds every visible
+    group."""
+    rank = {gid: at for at, gid in enumerate(chain(*task.memo.levels))}
+    assert rank.keys() >= set(range(task.group_count))
+    for gid in range(task.group_count):
+        for gexpr in visible(task, gid):
+            for child in gexpr.children:
+                assert rank[child] < rank[gid], (gexpr, child)
 
 
 def observe(steps, task, into):
@@ -153,14 +183,15 @@ def observe(steps, task, into):
     if step is None:
         return False
     into.append((step.phase, step.work_units, step.alloc_bytes,
-                 task.memo.group_count, task.memo.expression_count,
-                 task.memo.bytes_used, task._best and task._best.cost))
+                 task.group_count, task.expression_count,
+                 task.bytes_used, task._best and task._best.cost))
     return True
 
 
 def finished(task, seen):
+    assert_children_first(task)
     result = task.result
-    return {"steps": seen, "memo": memo_shape(task.memo),
+    return {"steps": seen, "memo": memo_shape(task),
             "plan": result.plan.describe(), "cost": result.cost,
             "work_units": result.work_units,
             "memo_bytes": result.memo_bytes}
@@ -282,41 +313,87 @@ def test_interleaved_searches_equal_their_solo_runs(budget):
     assert len(shared._traces) == 1
 
 
+def memo_state(trace):
+    """What a search could change in ``trace``'s memo."""
+    return (trace.units, trace.memo.expression_count,
+            [list(group.expressions) for group in trace.memo.groups])
+
+
+def unchanged(before, after):
+    """Same counts, and each group's expression list by identity."""
+    units, count, groups = before
+    return (units, count, len(groups)) == (after[0], after[1],
+                                           len(after[2])) \
+        and all(len(old) == len(new)
+                and all(a is b for a, b in zip(old, new))
+                for old, new in zip(groups, after[2]))
+
+
+def test_searches_never_write_to_their_shapes_memo(budget):
+    """Interleaved same-shape searches and ``ues`` searches of the same
+    optimizer: a step that runs no exploration unit leaves every trace's
+    memo as it was, and each search sees its inputs children first."""
+    catalog, sql, _joins, _n = random_join_graph(4, 8)
+    budget(900)
+    texts = list(literal_draws(sql))[:3]
+    opt = Optimizer(catalog)
+    runs = []
+    for text in texts:
+        bound = Binder(catalog).bind(parse(text))
+        memo_task, ues_task = opt.task(bound), opt.task(bound)
+        runs += [(memo_task, memo_task.steps()),
+                 (ues_task, UesEnumerator().steps(ues_task))]
+    quiet = explored = 0
+    while runs:
+        for run in list(runs):
+            task, steps = run
+            before = [(trace, memo_state(trace))
+                      for trace in opt._traces.values()]
+            if next(steps, None) is None:
+                runs.remove(run)
+                continue
+            assert_children_first(task)
+            for trace, state in before:
+                after = memo_state(trace)
+                if after[0] == state[0]:
+                    quiet += 1
+                    assert unchanged(state, after)
+                else:
+                    explored += 1
+    assert len(opt._traces) == 1
+    assert quiet > explored > 0
+
+
 # ------------------------------------------------ (d) stage 0 itself
 def reference_stats(task, node, child_stats):
     """Statistics derivation as every task ran it for every node,
-    before a trace handed out the literal-free part."""
+    before a trace handed out the literal-free part: ``(rows, width,
+    aliases)`` from the children's."""
     est = task.opt.estimator
     if isinstance(node, lg.LogicalGet):
         rows = est.table_rows(node.table)
         sel = est.local_selectivity(node.table, node.predicate)
-        return GroupStats(rows=max(1.0, rows * sel),
-                          width=est.table_width(node.table),
-                          aliases=frozenset({node.alias}))
+        return (max(1.0, rows * sel), est.table_width(node.table),
+                frozenset({node.alias}))
     if isinstance(node, lg.LogicalJoin):
-        left, right = child_stats
+        (lrows, lwidth, laliases), (rrows, rwidth, raliases) = child_stats
         sel = est.join_selectivity(node.condition, task._alias_tables)
-        rows = max(1.0, left.rows * right.rows * sel)
-        return GroupStats(rows=rows, width=left.width + right.width,
-                          aliases=left.aliases | right.aliases)
-    (child,) = child_stats
+        return (max(1.0, lrows * rrows * sel), lwidth + rwidth,
+                laliases | raliases)
+    ((rows, width, aliases),) = child_stats
     if isinstance(node, lg.LogicalFilter):
         sel = 1.0
         for _ in ex.conjuncts(node.predicate):
             sel *= 0.1
-        return GroupStats(rows=max(1.0, child.rows * sel),
-                          width=child.width, aliases=child.aliases)
+        return max(1.0, rows * sel), width, aliases
     if isinstance(node, lg.LogicalAggregate):
-        groups = est.group_count(node.keys, task._alias_tables, child.rows)
-        width = 8.0 * (len(node.keys) + len(node.aggregates)) + 10.0
-        return GroupStats(rows=groups, width=width, aliases=child.aliases)
+        groups = est.group_count(node.keys, task._alias_tables, rows)
+        return (groups, 8.0 * (len(node.keys) + len(node.aggregates)) + 10.0,
+                aliases)
     if isinstance(node, lg.LogicalProject):
-        return GroupStats(rows=child.rows,
-                          width=8.0 * max(1, len(node.exprs)),
-                          aliases=child.aliases)
+        return rows, 8.0 * max(1, len(node.exprs)), aliases
     assert isinstance(node, lg.LogicalSort)
-    return GroupStats(rows=child.rows, width=child.width,
-                      aliases=child.aliases)
+    return rows, width, aliases
 
 
 def stage0(opt, bound):
@@ -330,25 +407,30 @@ def stage0(opt, bound):
 
 
 def assert_stage0_is(task, tree):
-    """``task``'s memo holds exactly ``tree``, inserted node by node,
-    with statistics the reference derivation reproduces bit for bit."""
+    """``task`` sees exactly ``tree``, inserted node by node, with its
+    own nodes and row counts the reference derivation reproduces bit
+    for bit."""
     plain = Memo()
     plain.insert_tree(tree)
+    assert (task.group_count, task.expression_count) \
+        == (plain.group_count, plain.expression_count)
     groups = task.memo.groups
-    assert task.memo.expression_count == plain.expression_count
-    assert task.memo.bytes_used - task.memo.base_bytes \
-        == plain.bytes_used - plain.base_bytes
-    assert len(groups) == len(plain.groups)
-    for group, expected in zip(groups, plain.groups):
-        (gexpr,), (wanted,) = group.expressions, expected.expressions
-        assert (gexpr.node.payload(), gexpr.children, gexpr.group_id) \
+    seen = []
+    for gid, expected in enumerate(plain.groups):
+        (gexpr,), (wanted,) = visible(task, gid), expected.expressions
+        node = task.nodes[gid]
+        assert (node.payload(), gexpr.children, gexpr.group_id) \
             == (wanted.node.payload(), wanted.children, wanted.group_id)
-        child_stats = [groups[child].stats for child in gexpr.children]
-        # dataclass equality: rows, width, aliases and bytes, exactly
-        assert group.stats == reference_stats(task, gexpr.node, child_stats)
-        if isinstance(gexpr.node, lg.LogicalJoin):
+        # the memo holds the shape's node: this one up to scan literals
+        assert shape_key(gexpr.node) == shape_key(node)
+        stats = groups[gid].stats
+        seen.append((task.rows[gid], stats.width, stats.aliases))
+        child_stats = [seen[child] for child in gexpr.children]
+        # rows, width and aliases, exactly
+        assert seen[gid] == reference_stats(task, node, child_stats)
+        if isinstance(node, lg.LogicalJoin):
             assert gexpr.split == _split_join_keys(
-                gexpr.node.condition, *[s.aliases for s in child_stats])
+                node.condition, *[aliases for *_, aliases in child_stats])
         else:
             assert gexpr.split is None
 
@@ -386,7 +468,7 @@ def test_stage0_memo_on_first_and_repeat_sightings(enumerator):
             reference = stage0(reference_optimizer(catalog),
                                binder.bind(parse(text)))
             if enumerator == "memo":
-                assert memo_shape(task.memo) == memo_shape(reference.memo)
+                assert memo_shape(task) == memo_shape(reference)
         assert len(shared._traces) == (enumerator == "memo")
 
 
@@ -416,8 +498,8 @@ def test_stage0_with_a_residual_filter_and_a_repeated_subtree():
         task = stage0(opt, bound(value))
         assert_stage0_is(task, task.bound.root)
         # scan ``p`` appears twice and is one group
-        assert task.memo.group_count == 6
-        rows.add(task.memo.groups[-1].stats.rows)
+        assert task.group_count == 6
+        rows.add(task.rows[-1])
     assert len(rows) == 2 and len(opt._traces) == 1
 
 
