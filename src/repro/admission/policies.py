@@ -26,7 +26,7 @@ to the old inline code** (it delegates to the very same ``Resource``).
 
 Determinism: policies react only to the generator's calls and the sim
 clock, never to wall time or hash order, so every decision is a pure
-function of (spec, seed) on either scheduler kernel.
+function of (spec, seed).
 """
 
 from __future__ import annotations

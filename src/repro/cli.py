@@ -114,10 +114,6 @@ def _add_selection_args(parser: argparse.ArgumentParser) -> None:
                         help="override each spec's seed")
     parser.add_argument("--clients", type=int, default=None,
                         help="override each spec's client count")
-    from repro.sim import KERNEL_NAMES
-    parser.add_argument("--kernel", default=None, choices=KERNEL_NAMES,
-                        help="override each spec's scheduler core "
-                             "(results are identical; wall clock is not)")
     from repro.optimizer.spec import ENUMERATOR_NAMES
     parser.add_argument("--optimizer", default=None,
                         choices=ENUMERATOR_NAMES,
@@ -593,15 +589,12 @@ def _resolve_run_specs(args) -> list:
                 f"different specs; rename the --scenario file's "
                 f"scenario_id or drop one selection")
         unique[spec.scenario_id] = spec
-    # the kernel and optimizer knobs only exist on experiment
-    # scenarios; a selection mixing in monitors/trace scenarios keeps
-    # those on their default
-    kernel = getattr(args, "kernel", None)
+    # the optimizer knob only exists on experiment scenarios; a
+    # selection mixing in monitors/trace scenarios keeps those on
+    # their default
     optimizer = getattr(args, "optimizer", None)
     return [spec.customized(preset=args.preset, seed=args.seed,
                             clients=args.clients,
-                            kernel=(kernel if spec.kind == "experiment"
-                                    else None),
                             optimizer=(optimizer
                                        if spec.kind == "experiment"
                                        else None))

@@ -41,9 +41,10 @@ from repro.experiments.runner import (
 #: a ``traffic`` key to their config doc and an ``open_loop`` fact
 #: block to their summary; both appear only when a run carries a
 #: traffic spec, so closed-loop artifacts are byte-identical.
-#: Second amendment under 4: runs on a non-default scheduler core add
-#: a ``kernel`` key to their config doc — again only when non-default,
-#: so legacy-kernel artifacts keep their exact bytes.
+#: Second amendment under 4, since withdrawn: runs on a non-default
+#: scheduler core added a ``kernel`` key to their config doc.  Configs
+#: no longer choose a core, so no run writes it; readers ignore it in
+#: old artifacts.
 #: Third amendment under 4: runs with an admission policy and/or SLO
 #: objectives add ``admission``/``slo`` keys to their config doc and an
 #: ``slo`` fact block to their summary — all three appear only when the
@@ -312,8 +313,6 @@ def summarize_result(result: ExperimentResult) -> dict:
     }
     if config.traffic is not None:
         config_doc["traffic"] = config.traffic.to_dict()
-    if config.kernel != "legacy":
-        config_doc["kernel"] = config.kernel
     if config.admission is not None:
         config_doc["admission"] = config.admission.to_dict()
     if config.slo is not None:

@@ -85,10 +85,6 @@ class ExperimentConfig:
     #: open-loop traffic shape (arrival process or trace replay);
     #: ``None`` keeps the closed-loop think-time clients, byte-for-byte
     traffic: Optional[TrafficSpec] = None
-    #: scheduler core for the simulation (``legacy`` heap or the
-    #: calendar-queue ``wheel``); both pop events in the identical
-    #: order, so this trades wall clock only, never simulated numbers
-    kernel: str = "legacy"
     #: admission policy arbitrating the open-loop slots (``None`` =
     #: FIFO, pinned byte-identical to the pre-policy behavior); only
     #: meaningful with a ``traffic`` spec
@@ -268,7 +264,7 @@ def _run_cell(config: ExperimentConfig, preset: Preset,
     catalog = workload.build_catalog()
 
     metrics = MetricsCollector(bucket_width=preset.bucket / scale)
-    env = Environment(kernel=config.kernel)
+    env = Environment()
     with DatabaseServer(server_config, catalog, env=env,
                         metrics=metrics) as server:
         profile = None

@@ -59,7 +59,6 @@ def jobs_for_scenario(spec: ScenarioSpec,
                 workload=spec.workload,
                 workload_params=spec.workload_params,
                 traffic=spec.traffic,
-                kernel=spec.kernel,
                 admission=(variant.admission
                            if variant.admission is not None
                            else spec.admission),
@@ -226,7 +225,6 @@ def result_from_summary(summary: Dict) -> ExperimentResult:
             (str(k), v) for k, v in config_doc["workload_params"].items())),
         traffic=(TrafficSpec.from_dict(config_doc["traffic"])
                  if "traffic" in config_doc else None),
-        kernel=config_doc.get("kernel", "legacy"),
         admission=(AdmissionSpec.from_dict(config_doc["admission"])
                    if "admission" in config_doc else None),
         slo=(SloSpec.from_dict(config_doc["slo"])

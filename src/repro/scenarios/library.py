@@ -15,9 +15,9 @@ Families
 ``ladder``      full ladder vs small-monitor-only across load levels
 ``burst``       open-loop adversarial arrivals (flash crowds, noisy
                 multi-tenant mixes) through the admission path
-``scale``       FIG-3-style curves at 100x-1000x the paper population
-                on the calendar-queue ``wheel`` kernel, plus the
-                100 000-session flood the scale-smoke CI lane runs
+``scale``       FIG-3-style curves at 100x-1000x the paper population,
+                plus the 100 000-session flood the scale-smoke CI
+                lane runs
 ``fairness``    the burst-noisy tenant mix re-run under ``fifo`` vs
                 ``weighted_fair`` admission with an SLO on the victim
                 tenant's queue wait (the fairness-smoke CI lane)
@@ -492,17 +492,14 @@ register_scenario(optimizer_scenario())
 PAPER_POPULATION = 30
 
 
-def scale_scenario(factor: int, preset: str = "smoke", seed: int = 3,
-                   kernel: str = "wheel") -> ScenarioSpec:
+def scale_scenario(factor: int, preset: str = "smoke",
+                   seed: int = 3) -> ScenarioSpec:
     """SCALE-<factor>X: FIG-3 throughput at ``factor`` times the paper
-    population, driven open-loop on the ``wheel`` kernel.
+    population, driven open-loop.
 
     ``factor * 30`` admission slots with a Poisson arrival stream
     sized to keep every slot contended for the whole run — the offered
-    load a closed loop can never generate.  Results are identical on
-    the legacy kernel (the differential harness checks exactly that at
-    small N); the wheel is the default here because at these
-    populations it is the kernel that keeps the run CI-sized.
+    load a closed loop can never generate.
     """
     population = PAPER_POPULATION * factor
     return ScenarioSpec(
@@ -513,7 +510,6 @@ def scale_scenario(factor: int, preset: str = "smoke", seed: int = 3,
         clients=PAPER_POPULATION,
         preset=preset,
         seed=seed,
-        kernel=kernel,
         traffic=TrafficSpec(
             arrivals="poisson",
             params={"rate": population / 1800.0},
@@ -538,13 +534,13 @@ def scale_scenario(factor: int, preset: str = "smoke", seed: int = 3,
 
 
 def scale_flood_scenario(sessions: int = 100_000, preset: str = "smoke",
-                         seed: int = 3,
-                         kernel: str = "wheel") -> ScenarioSpec:
+                         seed: int = 3) -> ScenarioSpec:
     """SCALE-FLOOD: 10^5 concurrent session slots in one run.
 
-    The scale-smoke CI lane runs this scenario on the wheel kernel
-    under a wall-clock budget; its artifact is radar-pinned so a
-    regression in kernel throughput or admission accounting blocks.
+    The scale-smoke CI lane runs this scenario under a wall-clock
+    budget; its artifact is radar-pinned so a regression in kernel
+    throughput or admission accounting blocks.  The description keeps
+    its original words: artifacts and frozen benchmark cells carry it.
     """
     return ScenarioSpec(
         scenario_id="scale-flood",
@@ -554,7 +550,6 @@ def scale_flood_scenario(sessions: int = 100_000, preset: str = "smoke",
         clients=PAPER_POPULATION,
         preset=preset,
         seed=seed,
-        kernel=kernel,
         traffic=TrafficSpec(
             arrivals="poisson",
             params={"rate": sessions / 2800.0},

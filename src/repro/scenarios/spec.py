@@ -28,18 +28,23 @@ from repro.traffic.spec import TrafficSpec
 #: misreads a newer spec file.
 #: History: 1 = the PR 2 format; 2 = cross-variant expectations
 #: (``than_variant``, ``value`` optional); 3 = the open-loop
-#: ``traffic`` axis; 4 = the ``kernel`` knob (simulation scheduler
-#: core selection); 5 = the ``admission`` / ``slo`` axes (policy-driven
-#: admission control and latency objectives); 6 = the ``optimizer``
-#: axis (pipeline stage strategies).
+#: ``traffic`` axis; 4 = the ``kernel`` knob (a choice of simulation
+#: scheduler core), since removed: nothing writes version 4 any more,
+#: and a version-4 document's ``kernel`` key is dropped on read;
+#: 5 = the ``admission`` / ``slo`` axes (policy-driven admission
+#: control and latency objectives); 6 = the ``optimizer`` axis
+#: (pipeline stage strategies).
 #: Documents are stamped with the *minimal* version able to read them
 #: (a spec without a traffic axis is still a version-2 document; one
-#: on the default legacy kernel needs at most version 3; one without
-#: admission policies or SLOs needs at most version 4; one without an
-#: optimizer axis needs at most version 5), so pre-existing scenarios
-#: keep producing byte-identical artifacts and stay readable by older
-#: builds.
+#: without admission policies or SLOs needs at most version 3; one
+#: without an optimizer axis needs at most version 5), so pre-existing
+#: scenarios keep producing byte-identical artifacts and stay readable
+#: by older builds.
 SPEC_FORMAT_VERSION = 6
+
+#: the values the removed ``kernel`` knob took; documents written
+#: with either still parse, and the key is dropped
+_RETIRED_KERNELS = ("legacy", "wheel")
 
 #: comparison operators an Expectation may use
 EXPECTATION_OPS = {
@@ -69,6 +74,23 @@ def _valid_presets() -> Tuple[str, ...]:
     from repro.experiments.runner import PRESETS
 
     return tuple(sorted(PRESETS))
+
+
+def _check_bool(value, what: str) -> None:
+    """A toggle is ``true``, ``false`` or unset: a non-empty string
+    such as ``"no"`` would otherwise switch it on."""
+    if value is not None and not isinstance(value, bool):
+        raise ConfigurationError(
+            f"{what} must be true or false, got {value!r}")
+
+
+def _check_int(value, what: str) -> None:
+    """A count is an integer or unset; ``bool`` is an ``int`` subclass
+    in Python, so ``true`` is refused explicitly."""
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int)):
+        raise ConfigurationError(
+            f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -175,6 +197,11 @@ class ConfigOverrides:
     cpus: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("throttling", "dynamic_thresholds",
+                     "best_plan_so_far", "broker_enabled"):
+            _check_bool(getattr(self, name), name)
+        for name in ("gateway_count", "physical_memory", "cpus"):
+            _check_int(getattr(self, name), name)
         if self.gateway_count is not None \
                 and not 0 <= self.gateway_count <= 3:
             raise ConfigurationError("gateway_count must be 0..3")
@@ -253,6 +280,7 @@ class VariantSpec:
             raise ConfigurationError(
                 f"variant name {self.name!r} must be non-empty with no "
                 f"whitespace")
+        _check_int(self.clients, "variant clients")
         if self.clients is not None and self.clients < 1:
             raise ConfigurationError("variant clients must be >= 1")
         if self.think_time is not None:
@@ -310,10 +338,6 @@ class ScenarioSpec:
     #: open-loop traffic shape (arrival process or trace replay);
     #: ``None`` = the default closed-loop think-time clients
     traffic: Optional[TrafficSpec] = None
-    #: simulation scheduler core (``legacy`` heap or the calendar-queue
-    #: ``wheel``); kernels pop events in the identical order, so this
-    #: knob trades wall clock, never simulated numbers
-    kernel: str = "legacy"
     #: admission policy arbitrating the open-loop slots (``None`` =
     #: FIFO, pinned byte-identical to the pre-policy behavior);
     #: variants may override it
@@ -376,24 +400,15 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"unknown preset {self.preset!r}; valid presets: "
                 f"{', '.join(presets)}")
+        _check_int(self.clients, "clients")
         if self.clients < 1:
             raise ConfigurationError("clients must be >= 1")
+        _check_int(self.seed, "seed")
         _check_think_time(self.think_time, "think_time")
         if self.traffic is not None and self.kind != "experiment":
             raise ConfigurationError(
                 f"scenario {self.scenario_id!r} is a {self.kind!r} "
                 f"scenario; the traffic axis only applies to "
-                f"experiment scenarios")
-        from repro.sim.environment import KERNEL_NAMES
-
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; valid kernels: "
-                f"{', '.join(KERNEL_NAMES)}")
-        if self.kernel != "legacy" and self.kind != "experiment":
-            raise ConfigurationError(
-                f"scenario {self.scenario_id!r} is a {self.kind!r} "
-                f"scenario; the kernel knob only applies to "
                 f"experiment scenarios")
         if self.traffic is None:
             if self.admission is not None or self.slo is not None \
@@ -438,7 +453,6 @@ class ScenarioSpec:
     def customized(self, preset: Optional[str] = None,
                    seed: Optional[int] = None,
                    clients: Optional[int] = None,
-                   kernel: Optional[str] = None,
                    optimizer: Optional[str] = None) -> "ScenarioSpec":
         """A copy with CLI-style overrides applied (and re-validated).
 
@@ -464,8 +478,6 @@ class ScenarioSpec:
             updates["seed"] = seed
         if clients is not None:
             updates["clients"] = clients
-        if kernel is not None:
-            updates["kernel"] = kernel
         if optimizer is not None:
             updates["optimizer"] = replace(
                 self.optimizer or OptimizerSpec(), enumerator=optimizer)
@@ -478,9 +490,9 @@ class ScenarioSpec:
         """The minimal spec-format version able to read this spec.
 
         Only the optimizer axis needs version 6, only admission
-        policies and SLOs need version 5, only a non-default kernel
-        needs version 4 and only the traffic axis needs version 3;
-        everything else has been expressible since version 2.  Minimal
+        policies and SLOs need version 5 and only the traffic axis
+        needs version 3; everything else has been expressible since
+        version 2 (nothing needs version 4 any more).  Minimal
         stamping is what keeps pre-existing scenarios byte-identical
         in artifacts across format bumps.
         """
@@ -490,8 +502,6 @@ class ScenarioSpec:
         if self.admission is not None or self.slo is not None \
                 or any(v.admission is not None for v in self.variants):
             return 5
-        if self.kernel != "legacy":
-            return 4
         if self.traffic is not None:
             return 3
         return 2
@@ -518,8 +528,6 @@ class ScenarioSpec:
         }
         if self.traffic is not None:
             doc["traffic"] = self.traffic.to_dict()
-        if self.kernel != "legacy":
-            doc["kernel"] = self.kernel
         if self.admission is not None:
             doc["admission"] = self.admission.to_dict()
         if self.slo is not None:
@@ -540,9 +548,17 @@ class ScenarioSpec:
 
         Unknown top-level keys raise :class:`ConfigurationError` naming
         the valid ones; a ``version`` newer than this build understands
-        is rejected instead of being misread.
+        is rejected instead of being misread.  The ``kernel`` key of
+        a version-4 document is dropped: the scheduler core it chose
+        never changed a simulated number.
         """
         doc = _checked_version(doc, "scenario")
+        kernel = doc.pop("kernel", "legacy")
+        if kernel not in _RETIRED_KERNELS:
+            raise ConfigurationError(
+                f"unknown kernel {kernel!r}; the scheduler-core choice "
+                f"was removed, and only {' or '.join(_RETIRED_KERNELS)} "
+                f"is still read (and ignored)")
         kwargs = _checked_kwargs(cls, doc, "scenario")
         traffic = kwargs.get("traffic")
         if isinstance(traffic, dict):

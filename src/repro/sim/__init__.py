@@ -10,11 +10,12 @@ gateways, client load generator — is built as processes on this kernel,
 which is what lets us replay hours of simulated server time in seconds
 and still get deterministic, reproducible interleavings.
 
-Two scheduler cores back the same :class:`Environment` facade: the
-default ``legacy`` binary heap and the ``wheel`` calendar queue
-(:mod:`repro.sim.wheel`) for very large session populations.  They pop
-events in the identical ``(time, eid)`` order, so kernel choice never
-changes a simulated number — see ``docs/kernel.md``.
+Every run uses the ``legacy`` binary heap.  The ``wheel`` calendar
+queue (:mod:`repro.sim.wheel`) pops events in the identical
+``(time, eid)`` order and is reachable only as
+``Environment(kernel="wheel")``, where the kernel tests play it
+against the heap; no spec, config or CLI flag selects it, and it is
+due for removal — see ``docs/kernel.md``.
 """
 
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout

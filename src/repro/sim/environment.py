@@ -9,11 +9,12 @@ Two interchangeable scheduler cores back the same facade — the
 ``kernel`` constructor knob picks one (see ``docs/kernel.md``):
 
 * ``legacy`` (default) — one binary heap ordered by ``(time, eid)``.
+  Every run uses it: no spec, config or CLI flag selects another.
 * ``wheel`` — the calendar-queue :class:`~repro.sim.wheel.EventWheel`:
   O(1) bucket inserts for near-horizon timers with a heap spillover
   for far-future events.  Pops in exactly the legacy order (same
-  timestamps, same FIFO tie-breaking), so every simulated number is
-  identical between kernels; the differential harness pins it.
+  timestamps, same FIFO tie-breaking); the kernel tests play it
+  against the heap until it is removed.
 """
 
 from __future__ import annotations

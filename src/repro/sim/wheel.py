@@ -28,9 +28,9 @@ earliest deadline first with FIFO tie-breaking at equal timestamps.
 The argument: an entry leaves a bucket for the ready heap only once
 the drain window reaches its timestamp, every entry outside the ready
 heap is provably due at-or-after the window's end, and the ready heap
-itself orders by ``(when, eid)``.  The differential harness
-(``tests/test_kernel_equivalence.py``) and the randomized model test
-(``tests/test_sim_wheel.py``) both pin this.
+itself orders by ``(when, eid)``.  The randomized model test
+(``tests/test_sim_wheel.py``) and the kernel tests run on both cores
+pin this.
 
 ``cancel`` exists for schedulers that revise timers (and for the
 property tests); cancelled entries die lazily wherever they sit and

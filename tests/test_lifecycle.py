@@ -47,7 +47,7 @@ from repro.plans import expressions as ex
 from repro.scenarios import get_scenario
 from repro.scenarios.facade import jobs_for_scenario
 from repro.server.server import DatabaseServer
-from repro.sim import KERNEL_NAMES, Environment, Resource
+from repro.sim import Environment, Resource
 from repro.sql.binder import BoundQuery
 from repro.traffic import openloop
 
@@ -186,8 +186,8 @@ def test_failed_process_does_not_pin_itself(env):
 
 
 # ------------------------------------------------- one watched run each
-def run_config(kind: str, kernel: str):
-    """The engine config of a small run of ``kind`` on ``kernel``."""
+def run_config(kind: str):
+    """The engine config of a small run of ``kind``."""
     if kind == "open_loop":
         spec = shrunk_spec(get_scenario("scale-flood"), max_sessions=4)
         # offered far beyond four slots: the deadline finds admitted
@@ -200,7 +200,6 @@ def run_config(kind: str, kernel: str):
         # fails compiles for lack of memory (the _charge path)
         spec = shrunk_spec(get_scenario("fig3"), clients=12)
         variant = kind
-    spec = spec.customized(kernel=kernel)
     return next(job.config for job in jobs_for_scenario(spec)
                 if job.name == variant)
 
@@ -266,13 +265,14 @@ def watch(monkeypatch, cls, sink) -> None:
 
 
 @pytest.fixture(scope="module",
-                params=[(kind, kernel) for kind in RUN_KINDS
-                        for kernel in KERNEL_NAMES],
-                ids=lambda param: "-".join(param))
+                params=RUN_KINDS,
+                # the heap core every run uses; the suffix keeps the
+                # ids from when a run could choose a second core
+                ids=lambda kind: f"{kind}-legacy")
 def watched(request) -> WatchedRun:
     """Run one cell through ``run_experiment`` with the collector off,
     spying on its teardown without keeping anything of it alive."""
-    kind, kernel = request.param
+    kind = request.param
     run = WatchedRun(kind=kind)
     policies, accounts = [], []
     # expression nodes stand for everything a front-end or optimizer
@@ -327,7 +327,7 @@ def watched(request) -> WatchedRun:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            run.result = run_experiment(run_config(kind, kernel),
+            run.result = run_experiment(run_config(kind),
                                         shared_searches={})
             for cls, refs in tracked.items():
                 run.created[cls.__name__] = len(refs)

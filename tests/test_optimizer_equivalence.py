@@ -4,8 +4,8 @@
 family, generated by the pre-refactor single-class optimizer.  Every
 family re-runs here (at test-sized N) through the staged pipeline with
 its default ``memo`` configuration, and the canonical bytes must match
-those goldens exactly — on both scheduler cores, through the inline
-executor and through a streamed remote-worker pool.
+those goldens exactly, through the inline executor and through a
+streamed remote-worker pool.
 
 An *explicit* default :class:`~repro.optimizer.spec.OptimizerSpec`
 must behave the same way: it may only add the declared ``optimizer``
@@ -24,7 +24,6 @@ from repro.experiments.executors import make_executor
 from repro.experiments.shards import canonical_document
 from repro.scenarios import list_scenarios, scenario_families
 from repro.scenarios.facade import run_scenario, write_scenario_artifact
-from repro.sim import KERNEL_NAMES
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "optimizer")
 
@@ -46,12 +45,11 @@ def representative_specs():
     return chosen
 
 
-def strip_stamps(doc, keys=("kernel",)):
+def strip_stamps(doc, keys):
     """Drop declared knob stamps from an artifact document.
 
-    ``kernel`` names the scheduler core, ``optimizer`` the pipeline
-    configuration; both are declarations, not simulated numbers, and
-    are the only bytes their knobs are allowed to change.
+    ``optimizer`` names the pipeline configuration: a declaration, not
+    a simulated number, and the only bytes its knob may change.
     """
     if isinstance(doc, dict):
         return {key: strip_stamps(value, keys)
@@ -61,7 +59,7 @@ def strip_stamps(doc, keys=("kernel",)):
     return doc
 
 
-def canonical_text(path, keys=("kernel",)):
+def canonical_text(path, keys=()):
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     # the spec's version stamp tracks the declared knobs (an optimizer
@@ -93,16 +91,12 @@ def test_goldens_cover_every_pre_refactor_family():
 
 
 @pytest.mark.slow
-def test_default_pipeline_matches_goldens_on_every_kernel(tmp_path):
-    """Per-family artifacts match the monolith's on both cores."""
+def test_default_pipeline_matches_goldens(tmp_path):
+    """Per-family artifacts match the monolith's."""
     for spec in representative_specs():
-        reference = golden_text(spec.scenario_id)
-        for kernel in KERNEL_NAMES:
-            path = artifact_for(spec.customized(kernel=kernel),
-                                tmp_path / kernel)
-            assert canonical_text(path) == reference, \
-                f"{spec.scenario_id} [{kernel}] diverged from the " \
-                f"pre-refactor optimizer"
+        path = artifact_for(spec, tmp_path)
+        assert canonical_text(path) == golden_text(spec.scenario_id), \
+            f"{spec.scenario_id} diverged from the pre-refactor optimizer"
 
 
 @pytest.mark.slow
@@ -119,7 +113,7 @@ def test_explicit_memo_spec_only_adds_the_stamp(tmp_path):
         with open(path, encoding="utf-8") as fh:
             stamped = json.load(fh)
         assert stamped["spec"]["version"] == 6
-        text = canonical_text(path, keys=("kernel", "optimizer"))
+        text = canonical_text(path, keys=("optimizer",))
         assert text == golden_text(spec.scenario_id), \
             f"{spec.scenario_id}: an explicit memo spec changed " \
             f"simulated numbers"

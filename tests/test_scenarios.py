@@ -75,13 +75,12 @@ def test_spec_format_versioning():
     doc = spec.to_dict()
     # documents are stamped with the *minimal* version able to read
     # them (only the optimizer axis needs the current version 6; the
-    # admission/slo axes need 5; a non-default kernel needs 4; the
+    # admission/slo axes need 5; nothing needs 4 any more; the
     # traffic axis needs 3) ...
     assert doc["version"] == spec.document_version() == 2
     assert SPEC_FORMAT_VERSION == 6
     traffic = TrafficSpec(arrivals="poisson", params={"rate": 0.01})
     assert tiny_spec(traffic=traffic).document_version() == 3
-    assert tiny_spec(kernel="wheel").document_version() == 4
     assert tiny_spec(
         traffic=traffic,
         admission=AdmissionSpec(policy="token_bucket", rate=1.0, burst=4.0),
@@ -166,6 +165,66 @@ def test_bad_think_time_is_rejected_from_json(text):
     variant["variants"][0]["think_time"] = "@think"
     with pytest.raises(ConfigurationError, match="variant think_time"):
         ScenarioSpec.from_dict(parsed(variant))
+
+
+#: (level, field, value): a field of a spec document with the wrong
+#: type.  Toggles must be JSON booleans and counts JSON integers;
+#: ``true`` is not a count and ``"no"`` is not ``false``
+BAD_TYPES = [
+    ("overrides", "throttling", "no"),
+    ("overrides", "dynamic_thresholds", 1),
+    ("overrides", "gateway_count", 1.5),
+    ("overrides", "cpus", 1.5),
+    ("overrides", "physical_memory", "x"),
+    ("overrides", "physical_memory", True),
+    ("scenario", "clients", True),
+    ("scenario", "clients", "24"),
+    ("scenario", "seed", "x"),
+    ("scenario", "seed", 1.0),
+    ("variant", "clients", "24"),
+    ("variant", "clients", False),
+]
+
+
+@pytest.mark.parametrize("level,name,value", BAD_TYPES, ids=repr)
+def test_mistyped_fields_are_rejected_at_construction(level, name, value):
+    with pytest.raises(ConfigurationError, match=f"{name} must be"):
+        if level == "overrides":
+            ConfigOverrides(**{name: value})
+        elif level == "variant":
+            VariantSpec("v", **{name: value})
+        else:
+            tiny_spec(**{name: value})
+
+
+@pytest.mark.parametrize("level,name,value", BAD_TYPES, ids=repr)
+def test_mistyped_spec_file_exits_2(tmp_path, capsys, level, name, value):
+    """A bad input is a usage error (exit 2), never a traceback."""
+    doc = tiny_spec().to_dict()
+    if level == "overrides":
+        doc["variants"][0]["overrides"][name] = value
+    elif level == "variant":
+        doc["variants"][0][name] = value
+    else:
+        doc[name] = value
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["scenarios", "describe", "--scenario", str(path)]) == 2
+    assert f"{name} must be" in capsys.readouterr().err
+
+
+def test_kernel_key_of_old_documents_is_dropped():
+    """Version-4 documents named a scheduler core; the choice is gone
+    but the documents still parse, and re-serialize without it."""
+    doc = get_scenario("scale-100x").to_dict()
+    assert doc["version"] == 3 and "kernel" not in doc
+    old = {**doc, "version": 4, "kernel": "wheel"}
+    spec = ScenarioSpec.from_dict(old)
+    assert spec == get_scenario("scale-100x")
+    assert spec.to_dict() == doc
+    assert ScenarioSpec.from_dict({**doc, "kernel": "legacy"}) == spec
+    with pytest.raises(ConfigurationError, match="unknown kernel 'bogus'"):
+        ScenarioSpec.from_dict({**old, "kernel": "bogus"})
 
 
 def test_positive_think_times_are_accepted():
