@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List
 
 from repro.compilation.compiled import CompiledPlan
 from repro.compilation.skeleton import SkeletonCache, mask
@@ -189,10 +189,6 @@ class CompilationPipeline:
         #: text (a retry, or a plan-cache eviction) starts recording —
         #: first-time compiles pay zero recording overhead
         self._search_seen: set = set()
-        #: when True every first-sighting search is recorded too; the
-        #: experiment engine enables this so recordings can be shared
-        #: across the worker pool (see export_recorded_searches)
-        self.record_all_searches = False
         #: compiles served by replaying a recorded search
         self.search_replays = 0
         #: bound trees by statement shape: every other compile parses
@@ -234,8 +230,7 @@ class CompilationPipeline:
                 # plan-cache eviction); hard-OOM servers fail and retry
                 # constantly and record cheaply (no best snapshots), so
                 # they record every search up front
-                if (self.record_all_searches or not self.best_plan_so_far
-                        or text in self._search_seen):
+                if not self.best_plan_so_far or text in self._search_seen:
                     recording = _SearchRecording(
                         table_count, record_bests=self.best_plan_so_far)
                 else:
@@ -315,41 +310,6 @@ class CompilationPipeline:
         return bound
 
     # -- search replay housekeeping ----------------------------------------
-    def export_recorded_searches(self, limit: Optional[int] = None
-                                 ) -> "OrderedDict[str, _SearchRecording]":
-        """Completed recordings, oldest first (for cross-run seeding).
-
-        Only *completed* recordings travel: suspended ones pin a live
-        task and an in-flight generator, neither of which can cross a
-        process boundary.  ``limit`` keeps the newest N entries.
-        """
-        out: "OrderedDict[str, _SearchRecording]" = OrderedDict()
-        for text, rec in self._search_cache.items():
-            if rec.result is not None and rec._iter is None:
-                out[text] = rec
-        if limit is not None:
-            while len(out) > limit:
-                out.popitem(last=False)
-        return out
-
-    def seed_recorded_searches(self, recordings) -> int:
-        """Adopt completed recordings from another server's pipeline.
-
-        Replaying a recording produces the same simulated CPU/memory
-        charges as re-running the search (the search is a pure function
-        of catalog and optimizer configuration), so seeding changes
-        wall-clock time only — never simulated results.  Returns the
-        number of entries adopted.
-        """
-        adopted = 0
-        for text, rec in recordings.items():
-            if rec.result is None or text in self._search_cache:
-                continue
-            self._search_cache[text] = rec
-            adopted += 1
-        self._trim_search_cache()
-        return adopted
-
     def _remember(self, text: str, recording: _SearchRecording) -> None:
         """Cache a finished compile's recording (LRU, both bounds)."""
         replaced = text in self._search_cache
@@ -390,10 +350,9 @@ class CompilationPipeline:
         """Forget every recorded search and statement skeleton of this
         server.
 
-        Suspended recordings pin a live task each; completed ones a
-        caller wants to keep must be exported first
-        (:meth:`export_recorded_searches`).  ``live_accounts`` needs no
-        clearing: every compile removes its own entry as it unwinds.
+        Suspended recordings pin a live task each; no recording
+        outlives its server.  ``live_accounts`` needs no clearing:
+        every compile removes its own entry as it unwinds.
         """
         self._search_cache.clear()
         self._suspended.clear()

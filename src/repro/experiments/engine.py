@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import pickle
 import platform
 import time
 from dataclasses import dataclass, field
@@ -54,9 +53,6 @@ from repro.experiments.runner import (
 #: config carries one, so spec-free artifacts keep their exact bytes)
 ARTIFACT_SCHEMA = 4
 
-#: recordings kept per search profile in a shared pool
-SHARED_SEARCH_POOL_CAP = 1024
-
 
 @dataclass(frozen=True)
 class ExperimentJob:
@@ -88,98 +84,27 @@ class BatchResult:
         return not self.errors
 
 
-#: per-worker-process shared search pool: profile -> {text: recording}.
-#: Each pool worker accumulates recordings across the jobs it executes;
-#: new entries are shipped back to the parent for later batches and for
-#: the serial fallback path.
-_WORKER_SEARCHES: Dict[tuple, dict] = {}
-
-
-def _init_worker(seed_pool: Dict[tuple, dict]) -> None:
-    global _WORKER_SEARCHES
-    _WORKER_SEARCHES = {profile: dict(texts)
-                        for profile, texts in seed_pool.items()}
-
-
-def _trim_search_pool(pool: Dict[tuple, dict],
-                      cap: int = SHARED_SEARCH_POOL_CAP) -> None:
-    """Drop the oldest recordings beyond ``cap`` per profile."""
-    for texts in pool.values():
-        while len(texts) > cap:
-            del texts[next(iter(texts))]
-
-
-def _export_new_searches(pool: Dict[tuple, dict],
-                         before: Dict[tuple, frozenset]) -> Optional[bytes]:
-    """Pickle the recordings this job added to the worker pool.
-
-    Pre-pickling here (instead of letting the pool serialize live
-    recording objects inside the outcome tuple) means a pathological
-    unpicklable recording degrades to "no sharing" instead of killing
-    the batch.
-    """
-    new = {}
-    for profile, texts in pool.items():
-        seen = before.get(profile, frozenset())
-        fresh = {t: rec for t, rec in texts.items() if t not in seen}
-        if fresh:
-            new[profile] = fresh
-    if not new:
-        return None
+def _run_job(payload: Tuple[int, str, ExperimentConfig]):
+    """Run one experiment, never raise (worker and serial entry point)."""
+    index, name, config = payload
     try:
-        return pickle.dumps(new, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:  # pragma: no cover - defensive: drop the export
-        return None
-
-
-def _merge_search_blob(pool: Dict[tuple, dict],
-                       blob: Optional[bytes]) -> None:
-    if blob is None:
-        return
-    try:
-        new = pickle.loads(blob)
-    except Exception:  # pragma: no cover - defensive: drop the import
-        return
-    for profile, texts in new.items():
-        pool.setdefault(profile, {}).update(texts)
-    _trim_search_pool(pool)
-
-
-def _run_job(payload: Tuple[int, str, ExperimentConfig, bool]):
-    """Worker entry point: run one experiment, never raise."""
-    index, name, config, share = payload
-    pool = _WORKER_SEARCHES if share else None
-    before = None
-    if pool is not None:
-        before = {profile: frozenset(texts)
-                  for profile, texts in pool.items()}
-    try:
-        result = run_experiment(config, shared_searches=pool)
+        result = run_experiment(config)
     except Exception as exc:  # noqa: BLE001 - error accounting, not control flow
-        return index, name, None, f"{type(exc).__name__}: {exc}", None
-    blob = None
-    if pool is not None:
-        _trim_search_pool(pool)
-        blob = _export_new_searches(pool, before)
-    return index, name, result, None, blob
+        return index, name, None, f"{type(exc).__name__}: {exc}"
+    return index, name, result, None
 
 
 class ExperimentEngine:
     """Runs experiment batches, serially or across processes.
 
-    The engine threads one shared search pool through every batch it
-    runs: recorded optimizer searches from finished jobs seed later
-    jobs (directly when serial; via worker-local accumulation plus a
-    parent-side merge when pooled), so retried query texts replay
-    instead of re-running their search.  Replays are charge-identical
-    to live searches — sharing never changes simulated results.
+    Each job builds, runs and tears down its own server, so nothing
+    one job leaves behind reaches another: a job's result is a
+    function of its config alone, whichever worker ran it and
+    whatever ran there before.
     """
 
-    def __init__(self, workers: int = 1, share_searches: bool = True):
+    def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
-        self.share_searches = bool(share_searches)
-        #: profile -> {text: recording}; persists across run() calls
-        self.search_pool: Dict[tuple, dict] = {}
 
     def run(self, jobs: Sequence[ExperimentJob],
             progress: Optional[Callable[[str], None]] = None) -> BatchResult:
@@ -209,54 +134,33 @@ class ExperimentEngine:
 
         The streaming sibling of :meth:`run`: consumers that persist
         per-job (the pool cell executor) see each outcome as soon as
-        its job finishes instead of after the whole batch.  Search
-        blobs shipped back by pool workers are merged into the engine
-        pool as they arrive.
+        its job finishes instead of after the whole batch.
         """
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate job names in batch: {names}")
-        payloads = [(i, job.name, job.config, self.share_searches)
+        payloads = [(i, job.name, job.config)
                     for i, job in enumerate(jobs)]
         workers = min(self.workers, len(payloads)) or 1
         if workers > 1:
-            outcomes = self._iter_pool(payloads, workers, progress)
+            yield from self._iter_pool(payloads, workers, progress)
         else:
-            outcomes = self._iter_serial(payloads, progress)
-        for index, name, result, error, blob in outcomes:
-            _merge_search_blob(self.search_pool, blob)
-            yield index, name, result, error
+            yield from self._iter_serial(payloads, progress)
 
     def _iter_serial(self, payloads, progress):
         for payload in payloads:
-            outcome = self._run_serial(payload)
+            outcome = _run_job(payload)
             self._note(progress, outcome)
             yield outcome
-
-    def _run_serial(self, payload) -> tuple:
-        """Run one job in-process, sharing the engine pool directly."""
-        index, name, config, share = payload
-        pool = self.search_pool if share else None
-        try:
-            result = run_experiment(config, shared_searches=pool)
-        except Exception as exc:  # noqa: BLE001 - error accounting
-            return index, name, None, f"{type(exc).__name__}: {exc}", None
-        if pool is not None:
-            _trim_search_pool(pool)
-        return index, name, result, None, None
 
     def _iter_pool(self, payloads, workers: int, progress):
         try:
             ctx = multiprocessing.get_context("fork")
-            # forked workers inherit the seed pool without pickling
-            seed_pool = self.search_pool
         except ValueError:  # pragma: no cover - non-POSIX fallback
             ctx = multiprocessing.get_context("spawn")
-            seed_pool = {}
         done = set()
         try:
-            with ctx.Pool(processes=workers, initializer=_init_worker,
-                          initargs=(seed_pool,)) as pool:
+            with ctx.Pool(processes=workers) as pool:
                 for outcome in pool.imap_unordered(_run_job, payloads):
                     self._note(progress, outcome)
                     done.add(outcome[0])
@@ -265,7 +169,7 @@ class ExperimentEngine:
             # no process spawning allowed: degrade to the serial path
             for payload in payloads:
                 if payload[0] not in done:
-                    outcome = self._run_serial(payload)
+                    outcome = _run_job(payload)
                     self._note(progress, outcome)
                     yield outcome
 
@@ -273,7 +177,7 @@ class ExperimentEngine:
     def _note(progress, outcome) -> None:
         if progress is None:
             return
-        _, name, result, error, _blob = outcome
+        _, name, result, error = outcome
         if error is not None:
             progress(f"{name}: FAILED ({error})")
         else:
@@ -283,12 +187,10 @@ class ExperimentEngine:
 
 
 def run_jobs(jobs: Sequence[ExperimentJob], workers: int = 1,
-             progress: Optional[Callable[[str], None]] = None,
-             share_searches: bool = True) -> BatchResult:
+             progress: Optional[Callable[[str], None]] = None
+             ) -> BatchResult:
     """Convenience wrapper: one engine, one batch."""
-    engine = ExperimentEngine(workers=workers,
-                              share_searches=share_searches)
-    return engine.run(jobs, progress=progress)
+    return ExperimentEngine(workers=workers).run(jobs, progress=progress)
 
 
 # ------------------------------------------------------------- artifacts

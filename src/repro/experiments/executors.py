@@ -11,21 +11,20 @@ workers`` pair — submits through this protocol, so single-machine,
 sharded and remote runs are one code path differing only in executor
 choice:
 
-* :class:`InlineExecutor` — serial, in-process, sharing one recorded
-  optimizer-search pool across cells.
+* :class:`InlineExecutor` — serial, in-process.
 * :class:`PoolExecutor` — wraps the existing process-pool
-  :class:`~repro.experiments.engine.ExperimentEngine`, keeping its
-  profile-keyed search-replay sharing.
+  :class:`~repro.experiments.engine.ExperimentEngine`.
 * :class:`StreamExecutor` — serves the cell queue to remote workers
   over the TCP wire protocol (:mod:`repro.experiments.wire`).  Workers
   *pull* cells one at a time, so slow cells rebalance automatically
   (work stealing), and a cell claimed by a worker that dies is
   re-queued for the survivors.
 
-Determinism contract: every simulated number in a result summary is a
-pure function of the cell's config and seed, so all three executors
-produce canonically byte-identical artifacts (pinned by tests; see
-:func:`repro.experiments.shards.canonical_document`).
+Determinism contract: every number in a result summary but its wall
+clock is a pure function of the cell's config and seed (each cell
+builds and tears down its own server, so no cache outlives it), and
+all three executors produce canonically byte-identical artifacts
+(pinned by tests; see :func:`repro.experiments.shards.canonical_document`).
 
 Two layers compose with any executor rather than being executors
 themselves: :mod:`repro.experiments.journal` wraps one in a durable
@@ -49,7 +48,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.engine import (
     ExperimentEngine,
     ExperimentJob,
-    _trim_search_pool,
     summarize_result,
 )
 from repro.experiments.runner import run_experiment
@@ -181,9 +179,7 @@ def tasks_for_specs(specs, snapshot: bool = False,
             for spec in specs for variant in spec.variant_names()]
 
 
-def execute_cell(task: CellTask,
-                 shared_searches: Optional[Dict[tuple, dict]] = None
-                 ) -> CellResult:
+def execute_cell(task: CellTask) -> CellResult:
     """Run one cell in-process — the primitive every executor shares.
 
     Experiment cells lower to their variant's engine config and run
@@ -213,7 +209,7 @@ def execute_cell(task: CellTask,
                 f"{cell.variant!r}")
         config = replace(job.config, capture_snapshot=task.snapshot,
                          capture_trace=task.trace_path())
-        result = run_experiment(config, shared_searches=shared_searches)
+        result = run_experiment(config)
     except Exception as exc:  # noqa: BLE001 - error accounting
         return CellResult(cell=cell,
                           error=f"{type(exc).__name__}: {exc}")
@@ -266,16 +262,9 @@ class CellExecutor(abc.ABC):
 
 
 class InlineExecutor(CellExecutor):
-    """Serial in-process execution — the facade's default.
+    """Serial in-process execution — the facade's default."""
 
-    One recorded-search pool persists across every cell this executor
-    runs, so repeated query texts replay instead of re-searching
-    (affects wall clock only, never simulated results).
-    """
-
-    def __init__(self, share_searches: bool = True):
-        self.search_pool: Optional[Dict[tuple, dict]] = \
-            {} if share_searches else None
+    def __init__(self):
         self._cancelled = False
 
     def cancel(self) -> None:
@@ -286,9 +275,7 @@ class InlineExecutor(CellExecutor):
         for task in tasks:
             if self._cancelled:
                 return
-            result = execute_cell(task, shared_searches=self.search_pool)
-            if self.search_pool is not None:
-                _trim_search_pool(self.search_pool)
+            result = execute_cell(task)
             _note(progress, result)
             yield result
 
@@ -296,17 +283,15 @@ class InlineExecutor(CellExecutor):
 class PoolExecutor(CellExecutor):
     """Process-pool execution via the experiment engine.
 
-    Experiment cells fan out across the engine's worker processes,
-    keeping its profile-keyed search-replay sharing; monitors/trace
-    cells (cheap renders) run inline, up front.  Experiment results
+    Experiment cells fan out across the engine's worker processes;
+    monitors/trace cells (cheap renders) run inline, up front.  Experiment results
     are yielded in completion order as jobs finish — never held back
     until the whole batch completes — so consumers can render and
     persist incrementally.
     """
 
-    def __init__(self, workers: int = 2, share_searches: bool = True):
-        self.engine = ExperimentEngine(workers=workers,
-                                       share_searches=share_searches)
+    def __init__(self, workers: int = 2):
+        self.engine = ExperimentEngine(workers=workers)
 
     def submit(self, tasks: Iterable[CellTask],
                progress: Progress = None) -> Iterator[CellResult]:

@@ -165,8 +165,8 @@ class ExperimentResult:
     memory_by_clerk: Dict[str, float]
     gateway_stats: List[Tuple[str, int, int, float]]
     wall_seconds: float
-    #: compiles served by replaying a recorded optimizer search (varies
-    #: with cache seeding/worker scheduling; never changes results)
+    #: compiles served by replaying a recorded optimizer search (host
+    #: work saved inside this cell's server; never changes results)
     search_replays: int = 0
     #: broker soft-grant denials that degraded to a best-so-far plan
     soft_denials: int = 0
@@ -189,33 +189,8 @@ class ExperimentResult:
         return sum(c for _, c in self.throughput) / len(self.throughput)
 
 
-def search_profile(config: ExperimentConfig,
-                   server_config: ServerConfig) -> tuple:
-    """The key under which runs may share recorded optimizer searches.
-
-    A recording is only replayable where the search would have been
-    recomputed identically: same catalog (workload name + parameters)
-    and same optimizer/time configuration.  The best-plan flag matters
-    too — recordings made without best-plan snapshots cannot serve a
-    best-plan server's fallback lookups.  The optimizer pipeline spec
-    is part of the key for the same reason: a ``ues`` search's steps
-    cannot stand in for a ``memo`` search's.
-    """
-    return (
-        config.workload,
-        config.workload_params,
-        server_config.optimizer_effort,
-        server_config.optimizer_memory_multiplier,
-        server_config.time_scale,
-        server_config.throttle.enabled and
-        server_config.throttle.best_plan_so_far,
-        server_config.optimizer,
-    )
-
-
 def run_experiment(config: ExperimentConfig,
                    workload: Optional[Workload] = None,
-                   shared_searches: Optional[Dict[tuple, dict]] = None,
                    ) -> ExperimentResult:
     """Execute one run and collect its results.
 
@@ -223,17 +198,9 @@ def run_experiment(config: ExperimentConfig,
     runs of a comparison (building it is cheap, but sharing guarantees
     identical schemas).
 
-    ``shared_searches`` is a caller-owned ``profile -> {text:
-    recording}`` pool: matching recordings seed this run's pipeline
-    before it starts, and recordings completed during the run are
-    merged back afterwards.  The experiment engine threads one pool
-    through a whole batch so retried query texts replay across the
-    worker pool.  Replays are charge-identical to live searches, so the
-    pool affects wall-clock time only, never simulated results.
-
     The run owns its server and closes it before returning, so the
-    cell's heap is freed by reference counting on the way out; only
-    the result and the exported recordings outlive the call.
+    cell's heap — every compile cache included — is freed by reference
+    counting on the way out; only the result outlives the call.
     """
     preset = get_preset(config.preset)
     # The simulation allocates millions of small, mostly refcounted
@@ -247,16 +214,14 @@ def run_experiment(config: ExperimentConfig,
     if pause_gc:
         gc.disable()
     try:
-        return _run_cell(config, preset, workload, shared_searches)
+        return _run_cell(config, preset, workload)
     finally:
         if pause_gc:
             gc.enable()
 
 
 def _run_cell(config: ExperimentConfig, preset: Preset,
-              workload: Optional[Workload],
-              shared_searches: Optional[Dict[tuple, dict]],
-              ) -> ExperimentResult:
+              workload: Optional[Workload]) -> ExperimentResult:
     """Build, run, measure and tear down one cell's server."""
     scale = preset.time_scale
     server_config = config.build_server_config()
@@ -267,12 +232,6 @@ def _run_cell(config: ExperimentConfig, preset: Preset,
     env = Environment()
     with DatabaseServer(server_config, catalog, env=env,
                         metrics=metrics) as server:
-        profile = None
-        if shared_searches is not None:
-            profile = search_profile(config, server_config)
-            server.pipeline.record_all_searches = True
-            server.pipeline.seed_recorded_searches(
-                shared_searches.get(profile, {}))
         duration_sim = (preset.warmup + preset.measure) / scale
         if config.traffic is not None:
             from repro.traffic.openloop import OpenLoopGenerator
@@ -292,10 +251,6 @@ def _run_cell(config: ExperimentConfig, preset: Preset,
         started = time.perf_counter()
         generator.run()
         wall = time.perf_counter() - started
-
-        if shared_searches is not None:
-            pool = shared_searches.setdefault(profile, {})
-            pool.update(server.pipeline.export_recorded_searches())
 
         snapshot = None
         if config.capture_snapshot:

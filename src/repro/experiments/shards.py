@@ -15,12 +15,12 @@ Determinism contract
 Every simulated number (completions, errors, degradations, throughput
 series, gateway stats, ``soft_denials``) depends only on the cell's
 config and seed, never on which shard or machine ran it, so a merge is
-byte-identical to the single-machine artifact apart from two
-execution-dependent fields: ``wall_seconds`` (real time) and
-``search_replays`` (how often the optimizer-search cache of *this*
-process happened to hit — replays are charge-identical, see
-``repro.compilation.pipeline``).  :func:`canonical_document` zeroes
-exactly those fields; tests pin byte-equality of the canonical forms.
+byte-identical to the single-machine artifact apart from two fields:
+``wall_seconds`` (real time) and ``search_replays`` (compiles the
+cell's own server served from its recorded searches — replays are
+charge-identical, see ``repro.compilation.pipeline``).
+:func:`canonical_document` zeroes exactly those fields; tests pin
+byte-equality of the canonical forms.
 
 Merge safety
 ------------
@@ -53,11 +53,14 @@ from repro.scenarios.facade import (
 from repro.scenarios.spec import ScenarioSpec
 
 #: volatile artifact fields zeroed by :func:`canonical_document` —
-#: wall clock, cache-locality counters and the opt-in DMV ``snapshot``
+#: wall clock, the replay counter and the opt-in DMV ``snapshot``
 #: (whose summary embeds ``search_replays``); everything else is
-#: pinned.  Corollary: an *expectation* referencing ``wall_seconds``
-#: or ``search_replays`` asserts on the executing process and is
-#: outside the determinism contract (see docs/sharding.md).
+#: pinned.  No cache outlives its cell, so ``search_replays`` is a
+#: function of the cell alone; it stays here only so that canonical
+#: bytes, goldens and the benchmark's ``sim_digest`` do not move.
+#: Corollary: an *expectation* referencing ``wall_seconds`` asserts on
+#: the executing host and is outside the determinism contract (see
+#: docs/sharding.md).
 #: ``wall_seconds_percentiles`` (the merge summary's per-cell timing
 #: digest) is derived purely from wall clocks and volatile with them.
 VOLATILE_FIELDS = frozenset({"wall_seconds", "search_replays", "python",

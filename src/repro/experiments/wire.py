@@ -43,7 +43,7 @@ from collections import deque
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.engine import ARTIFACT_SCHEMA, _trim_search_pool
+from repro.experiments.engine import ARTIFACT_SCHEMA
 
 #: version of the wire conversation itself (bump on incompatible
 #: message-flow changes; payload evolution rides ARTIFACT_SCHEMA)
@@ -385,8 +385,7 @@ def run_worker(host: str, port: int,
 
     Connects to a coordinator, pulls cells until it drains, and runs
     each through the shared :func:`~repro.experiments.executors.
-    execute_cell` primitive with a worker-local recorded-search pool.
-    Returns how many cells this worker executed.  Exceptions inside a
+    execute_cell` primitive.  Returns how many cells this worker executed.  Exceptions inside a
     cell become error results (shipped back, never crashing the
     worker); protocol failures raise :class:`WireError`.
     """
@@ -412,7 +411,6 @@ def run_worker(host: str, port: int,
                 or welcome.get("protocol") != WIRE_PROTOCOL \
                 or welcome.get("schema") != ARTIFACT_SCHEMA:
             raise WireError(f"unexpected handshake reply: {welcome!r}")
-        searches: dict = {}
         while True:
             send_message(stream, {"op": "next"})
             message = recv_message(stream)
@@ -431,11 +429,10 @@ def run_worker(host: str, port: int,
             if progress is not None:
                 progress(f"cell {task.cell.describe()}")
             try:
-                result = execute_cell(task, shared_searches=searches)
+                result = execute_cell(task)
             except Exception as exc:  # noqa: BLE001 - ship, don't die
                 result = CellResult(cell=task.cell,
                                     error=f"{type(exc).__name__}: {exc}")
-            _trim_search_pool(searches)
             send_message(stream, {"op": "result",
                                   "result": result.to_doc()})
             executed += 1

@@ -601,9 +601,6 @@ class Warehouse:
             for run in runs:
                 if run.run_id == int(ref):
                     return run
-            raise ConfigurationError(
-                f"no run {ref} in warehouse {self.path!r} (runs "
-                f"{runs[0].run_id}..{runs[-1].run_id})")
         labelled = [run for run in runs if run.label == ref]
         if len(labelled) == 1:
             return labelled[0]
@@ -615,6 +612,12 @@ class Warehouse:
                     if run.fingerprint.startswith(ref)]
         if len(prefixed) == 1:
             return prefixed[0]
+        if ref.isdigit():
+            # a fingerprint prefix may be all digits, so a number that
+            # names no run id is tried as a label and prefix first
+            raise ConfigurationError(
+                f"no run {ref} in warehouse {self.path!r} (runs "
+                f"{runs[0].run_id}..{runs[-1].run_id})")
         raise ConfigurationError(
             f"no run named {ref!r} in warehouse {self.path!r}; refs "
             f"are a run id, 'latest', 'prev', a label or a "

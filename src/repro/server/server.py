@@ -136,7 +136,7 @@ class DatabaseServer:
         and the wiring that points back up the object graph
         (broker subscriptions, the clerk's grant advisor, the memory
         manager's shrink callbacks and release listeners).  Read
-        results, views and recordings before closing; afterwards the
+        results and views before closing; afterwards the
         server is only good for inspection of its counters, and plain
         reference counting frees it when the last user lets go.
         """

@@ -41,6 +41,7 @@ from repro.experiments.wire import (
 from repro.scenarios import (
     ScenarioSpec,
     VariantSpec,
+    get_scenario,
     run_scenario,
     write_scenario_artifact,
 )
@@ -489,6 +490,42 @@ def test_executor_equivalence_is_byte_identical(tmp_path):
     inline_text = canonical_text(inline_dir / name)
     assert inline_text == canonical_text(pool_dir / name), "pool"
     assert inline_text == canonical_text(stream_dir / name), "stream"
+    # canonical documents zero search_replays; the raw count agrees too,
+    # because no recorded search outlives the cell that made it
+    replays = {label: _raw_replays(out / name) for label, out in
+               (("inline", inline_dir), ("pool", pool_dir),
+                ("stream", stream_dir))}
+    assert replays["pool"] == replays["inline"], "pool"
+    assert replays["stream"] == replays["inline"], "stream"
+
+
+def _raw_replays(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return {variant: summary["search_replays"]
+            for variant, summary in doc["results"].items()}
+
+
+@pytest.mark.slow
+def test_a_cell_result_does_not_depend_on_what_ran_before_it():
+    """A cell run after another cell in the same executor matches the
+    same cell run alone, raw ``search_replays`` included: only the wall
+    clock may differ."""
+    spec = get_scenario("fairness-noisy").customized(seed=3)
+    fifo, fair = tasks_for_specs([spec])
+    assert (fifo.cell.variant, fair.cell.variant) == ("fifo",
+                                                      "weighted_fair")
+
+    def without_wall_clock(result: CellResult) -> dict:
+        assert result.error is None, result.error
+        return {key: value for key, value in result.summary.items()
+                if key != "wall_seconds"}
+
+    alone = list(InlineExecutor().submit([fair]))
+    after = list(InlineExecutor().submit([fifo, fair]))
+    assert [r.cell for r in after] == [fifo.cell, fair.cell]
+    assert without_wall_clock(after[0])["completed"] > 0
+    assert without_wall_clock(after[1]) == without_wall_clock(alone[0])
 
 
 @pytest.mark.slow

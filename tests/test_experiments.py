@@ -157,41 +157,6 @@ def test_engine_parallel_matches_serial(tmp_path):
 
 
 @pytest.mark.slow
-def test_shared_searches_replay_without_changing_results():
-    """Seeding a run from another run's recorded searches replays them
-    (wall-clock win) but leaves every simulated number untouched."""
-    import pickle
-
-    config = tiny_config(workload="sales", clients=2, seed=9)
-    baseline = run_experiment(config)
-    pool = {}
-    first = run_experiment(config, shared_searches=pool)
-    second = run_experiment(config, shared_searches=pool)
-    for seeded in (first, second):
-        assert seeded.completed == baseline.completed
-        assert seeded.failed == baseline.failed
-        assert seeded.error_counts == baseline.error_counts
-        assert seeded.degraded == baseline.degraded
-        assert seeded.throughput == baseline.throughput
-    assert second.search_replays > first.search_replays
-    # recordings must survive the process boundary (engine pool path)
-    assert pickle.loads(pickle.dumps(pool))
-
-
-@pytest.mark.slow
-def test_engine_shares_searches_across_jobs():
-    """A job repeating another job's config replays its searches."""
-    jobs = [ExperimentJob("first", tiny_config(seed=4)),
-            ExperimentJob("again", tiny_config(seed=4))]
-    batch = run_jobs(jobs, workers=1)
-    assert batch.ok
-    assert (batch.results["again"].completed
-            == batch.results["first"].completed)
-    assert (batch.results["again"].search_replays
-            > batch.results["first"].search_replays)
-
-
-@pytest.mark.slow
 def test_run_experiment_oltp_smoke():
     """A tiny end-to-end run through the harness."""
     workload = make_workload("oltp")

@@ -327,8 +327,7 @@ def watched(request) -> WatchedRun:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            run.result = run_experiment(run_config(kind),
-                                        shared_searches={})
+            run.result = run_experiment(run_config(kind))
             for cls, refs in tracked.items():
                 run.created[cls.__name__] = len(refs)
                 run.alive[cls.__name__] = sum(

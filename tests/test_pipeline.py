@@ -224,7 +224,6 @@ def test_a_crash_in_a_suspended_search_is_not_a_compile_oom(monkeypatch):
     simulated out-of-memory failure."""
     server = make_server()
     pipeline = server.pipeline
-    pipeline.record_all_searches = True
     outcomes = []
 
     def run(env, label):
@@ -233,10 +232,15 @@ def test_a_crash_in_a_suspended_search_is_not_a_compile_oom(monkeypatch):
         except Exception as exc:
             outcomes.append(exc)
 
-    # growth past stage 0 is denied: the first compile takes its best
+    # a best-plan server records a text from its second sighting on
+    server.env.process(run(server.env, "sighting"))
+    server.env.run()
+    assert STAR_QUERY not in pipeline._search_cache
+    assert not isinstance(outcomes.pop(0), Exception)
+    # growth past stage 0 is denied: the second compile takes its best
     # plan so far and leaves the rest of its search suspended
     server.compile_clerk.advisor = lambda clerk, nbytes: clerk.used <= MiB
-    server.env.process(run(server.env, "first"))
+    server.env.process(run(server.env, "recorded"))
     server.env.run()
     assert outcomes[0].degraded
     recording = pipeline._search_cache[STAR_QUERY]

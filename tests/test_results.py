@@ -321,6 +321,24 @@ def test_query_filters_and_run_resolution(inline_runs, tmp_path):
             warehouse.resolve("prev")
 
 
+def test_an_all_digit_fingerprint_prefix_resolves(inline_runs, tmp_path):
+    """A hex fingerprint can start with ten digits; as a ref it names
+    its run unless it is also a run id."""
+    db = tmp_path / "w.sqlite"
+    _load(db, inline_runs / "run-a")
+    with Warehouse(str(db)) as warehouse:
+        run = warehouse.resolve("latest")
+        digits = "6522727595" + run.fingerprint[10:]
+        warehouse._conn.execute(
+            "UPDATE runs SET fingerprint = ? WHERE run_id = ?",
+            (digits, run.run_id))
+        warehouse._conn.commit()
+        assert warehouse.resolve(digits[:10]).run_id == run.run_id
+        assert warehouse.resolve(str(run.run_id)).run_id == run.run_id
+        with pytest.raises(ConfigurationError, match="no run 99 "):
+            warehouse.resolve("99")
+
+
 def test_warehouse_schema_version_is_checked(tmp_path):
     db = tmp_path / "w.sqlite"
     with Warehouse(str(db), create=True) as warehouse:

@@ -431,8 +431,9 @@ def test_every_compile_replays_fills_a_skeleton_or_parses(monkeypatch):
     monkeypatch.setattr(CompilationPipeline, "compile", counting_compile)
     monkeypatch.setattr(DatabaseServer, "close", counting_close)
 
-    # its second variant replays searches the first one recorded
-    spec = get_scenario("fairness-noisy").customized(seed=3)
+    # both variants retry texts inside their own server, so each
+    # replays searches it recorded itself
+    spec = get_scenario("mixed-rush").customized(seed=3)
     (result,) = run_scenarios([spec], executor=InlineExecutor())
     assert result.batch is not None and not result.batch.errors
     assert counts["replays"] > 0 and counts["hits"] > 0
