@@ -21,16 +21,17 @@ class Catalog:
         self._skew: Dict[str, float] = {}
 
     def create_table(self, table: Table, skew: float = 0.0) -> Table:
-        """Register a table, lay it out on disk and build statistics."""
+        """Register a table and lay it out on disk.
+
+        Column statistics are built the first time :meth:`statistics`
+        reads them.
+        """
         key = table.name.lower()
         if key in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[key] = table
         self._skew[key] = skew
         self.pagemap.add_table(key, table.nbytes)
-        for column in table.columns:
-            self._stats[(key, column.name.lower())] = build_column_statistics(
-                column, table.row_count, skew=skew)
         return table
 
     def drop_table(self, name: str) -> None:
@@ -59,9 +60,10 @@ class Catalog:
     def merge_from(self, other: "Catalog") -> None:
         """Adopt every table of ``other`` into this catalog.
 
-        Statistics are carried over rather than rebuilt; each adopted
-        table gets a fresh on-disk layout slot.  Mixed workloads use
-        this to union the schemas of their component workloads.
+        Each adopted table keeps its skew and gets a fresh on-disk
+        layout slot; its statistics are built here when first read.
+        Mixed workloads use this to union the schemas of their
+        component workloads.
         """
         for key, table in other._tables.items():
             if key in self._tables:
@@ -70,14 +72,28 @@ class Catalog:
             self._tables[key] = table
             self._skew[key] = other._skew.get(key, 0.0)
             self.pagemap.add_table(key, table.nbytes)
-        self._stats.update(other._stats)
 
     def statistics(self, table: str, column: str) -> ColumnStatistics:
-        try:
-            return self._stats[(table.lower(), column.lower())]
-        except KeyError:
-            raise CatalogError(
-                f"no statistics for {table}.{column}") from None
+        """Statistics of ``table.column``, built on the first read.
+
+        A histogram is a pure function of (column, row count, skew), so
+        when it is built changes no estimate; most cells never read
+        most columns.
+        """
+        key = (table.lower(), column.lower())
+        stats = self._stats.get(key)
+        if stats is None:
+            owner = self._tables.get(key[0])
+            # names match case-insensitively; of two columns that differ
+            # only in case, the last one wins
+            for col in reversed(owner.columns if owner else ()):
+                if col.name.lower() == key[1]:
+                    stats = self._stats[key] = build_column_statistics(
+                        col, owner.row_count, skew=self._skew[key[0]])
+                    break
+            else:
+                raise CatalogError(f"no statistics for {table}.{column}")
+        return stats
 
     def chunk_range(self, table: str) -> ChunkRange:
         """On-disk chunk range of a table (for the buffer pool)."""

@@ -36,10 +36,8 @@ class Histogram:
             if cur.low < prev.high:
                 raise CatalogError("histogram buckets overlap")
         self.buckets: Tuple[Bucket, ...] = tuple(buckets)
-
-    @property
-    def total_rows(self) -> float:
-        return sum(b.rows for b in self.buckets)
+        #: the buckets never change, and every selectivity call reads this
+        self.total_rows: float = sum(b.rows for b in self.buckets)
 
     @property
     def low(self) -> float:

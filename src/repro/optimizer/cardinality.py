@@ -11,7 +11,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import grouping_ndv, join_ndv
-from repro.errors import SimulationError
+from repro.errors import CatalogError, SimulationError
 from repro.plans import expressions as ex
 from repro.plans import logical as lg
 
@@ -168,7 +168,7 @@ class CardinalityEstimator:
     def _stats(self, table: str, column: str):
         try:
             return self.catalog.statistics(table, column)
-        except Exception:
+        except CatalogError:
             return None
 
     def clustered_scan_window(self, table: str,

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.catalog.catalog as catalog_module
 from repro.catalog import Catalog, Column, ColumnType, Index, Table
 from repro.catalog.statistics import (
     Histogram,
@@ -11,6 +12,15 @@ from repro.catalog.statistics import (
     join_ndv,
 )
 from repro.errors import CatalogError
+from repro.experiments.figures import figure1_monitors
+from repro.optimizer import CardinalityEstimator
+from repro.plans import expressions as ex
+from repro.workload import (
+    MixedWorkload,
+    OltpWorkload,
+    SalesWorkload,
+    TpchWorkload,
+)
 
 
 def make_table(name="t", rows=1000):
@@ -93,6 +103,94 @@ def test_catalog_builds_statistics_and_layout():
     crange = cat.chunk_range("t")
     assert len(crange) >= 1
     assert cat.total_bytes == cat.table("t").nbytes
+
+
+@pytest.mark.parametrize("workload", [
+    SalesWorkload(scale=0.0001), TpchWorkload(scale=0.001),
+    OltpWorkload(scale=0.01), MixedWorkload(scale=0.01),
+], ids=lambda w: w.name)
+def test_statistics_built_on_first_read_match_a_direct_build(
+        workload, monkeypatch):
+    skews = {}
+    create_table = Catalog.create_table
+
+    def recording_create_table(self, table, skew=0.0):
+        skews[table.name] = skew
+        return create_table(self, table, skew)
+
+    monkeypatch.setattr(Catalog, "create_table", recording_create_table)
+    cat = workload.build_catalog()
+    tables = list(cat.tables())
+    assert tables and set(skews) == {t.name for t in tables}
+    for table in tables:
+        for column in table.columns:
+            # the first read builds, e.g. statistics("SALES", "Date_Id")
+            stats = cat.statistics(table.name.upper(), column.name.title())
+            want = build_column_statistics(
+                column, table.row_count, skew=skews[table.name])
+            assert stats.column == want.column
+            assert stats.row_count == want.row_count
+            assert stats.histogram.buckets == want.histogram.buckets
+            assert cat.statistics(table.name, column.name) is stats
+
+
+def test_figure1_builds_no_statistics(monkeypatch):
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build_column_statistics(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "build_column_statistics",
+                        counting_build)
+    assert figure1_monitors() == (
+        "compilation memory monitors:\n"
+        "  > 512.0 KiB  small   limit=32  timeout=360s active=0 waiting=0\n"
+        "  >  40.0 MiB  medium  limit=8   timeout=600s active=0 waiting=0\n"
+        "  > 180.0 MiB  big     limit=1   timeout=1200s active=0 waiting=0")
+    assert calls == []
+
+
+def test_merge_from_resolves_both_sides():
+    left, right = Catalog(), Catalog()
+    left.create_table(make_table("a"))
+    right.create_table(make_table("b", rows=500), skew=0.3)
+    left.merge_from(right)
+    assert left.statistics("A", "v").row_count == 1000
+    merged = left.statistics("b", "ID")
+    assert merged.row_count == 500
+    assert merged.histogram.buckets == build_column_statistics(
+        right.table("b").column("id"), 500, skew=0.3).histogram.buckets
+
+
+def test_statistics_of_dropped_table_or_unknown_column_raise():
+    cat = Catalog()
+    cat.create_table(make_table("t"))
+    cat.statistics("t", "v")
+    with pytest.raises(CatalogError):
+        cat.statistics("t", "nope")
+    cat.drop_table("t")
+    with pytest.raises(CatalogError):
+        cat.statistics("t", "v")
+    with pytest.raises(CatalogError):
+        cat.statistics("t", "id")
+
+
+def test_estimator_propagates_errors_other_than_catalog_errors(monkeypatch):
+    cat = Catalog()
+    cat.create_table(make_table("t"))
+    estimator = CardinalityEstimator(cat)
+    pred = ex.Comparison("=", ex.ColumnRef("t", "v"), ex.Literal(7))
+    unknown = ex.Comparison("=", ex.ColumnRef("t", "nope"), ex.Literal(7))
+    assert estimator.local_selectivity("t", unknown) == pytest.approx(0.1)
+
+    def broken_build(*args, **kwargs):
+        raise ZeroDivisionError("bug while building a histogram")
+
+    monkeypatch.setattr(catalog_module, "build_column_statistics",
+                        broken_build)
+    with pytest.raises(ZeroDivisionError):
+        estimator.local_selectivity("t", pred)
 
 
 # ------------------------------------------------------------------ stats
