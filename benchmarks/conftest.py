@@ -16,7 +16,7 @@ import pytest
 PRESET = os.environ.get("REPRO_PRESET", "smoke")
 #: seed shared by all benchmark runs
 SEED = int(os.environ.get("REPRO_SEED", "3"))
-#: worker processes for benchmarks that fan out through the engine
+#: worker processes for benchmarks that fan cells out (1 = inline)
 WORKERS = int(os.environ.get("REPRO_WORKERS", "1"))
 #: when set, a BENCH_benchmarks.json artifact is written there
 BENCH_DIR = os.environ.get("REPRO_BENCH_DIR", "")
@@ -81,7 +81,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
     """
     if not BENCH_DIR:
         return
-    from repro.experiments.engine import write_bench_document
+    from repro.experiments.runner import write_bench_document
 
     write_bench_document(BENCH_DIR, "benchmarks", {
         "preset": PRESET,

@@ -11,8 +11,8 @@ Commands
 ``figure``       reproduce one of the paper's figures (1, 2, 3, 4, 5)
 ``sweep``        client sweep (the CLAIM-SAT saturation experiment)
 ``ablation``     run one of the design ablations
-``experiments``  fan a whole suite out across workers and write
-                 ``BENCH_*.json`` artifacts
+``experiments``  run a named suite of registered scenarios (figures,
+                 ablations, saturation) and write their artifacts
 ``results``      the cross-run results warehouse: ``load`` BENCH
                  artifact dirs / journals, then ``query`` / ``diff`` /
                  ``trend`` / ``radar`` across runs
@@ -23,19 +23,21 @@ Commands
 ``query``        compile + execute one ad-hoc query and print the report
 ``monitors``     print the memory-monitor ladder
 
-``figure``/``sweep``/``ablation`` are shims over the scenario registry:
-``repro figure 3`` and ``repro scenarios run fig3`` execute the same
-spec through the same facade and print identical output.
+``figure``/``sweep``/``ablation``/``experiments`` are shims over the
+scenario registry: ``repro figure 3`` and ``repro scenarios run fig3``
+execute the same spec through the same facade and print identical
+output.
 
 Every run surface submits its cells through one
 :class:`~repro.experiments.executors.CellExecutor`; ``--executor
-{inline,pool,stream}`` picks the implementation (default: inline for
-``--workers 1``, the process pool otherwise) and results are
-canonically byte-identical whichever one runs the cells.  ``--journal
-PATH`` makes the queue durable (kill the coordinator, restart with
-``--resume``: completed cells replay from the journal) and ``--order
-{spec,cost}`` picks the queue order — both are scheduling/durability
-concerns only and never change artifact bytes.
+{inline,stream}`` picks the implementation (default: inline for
+``--workers 1``, otherwise a stream executor that spawns ``--workers``
+local worker processes) and results are canonically byte-identical
+whichever one runs the cells.  ``--journal PATH`` makes the queue
+durable (kill the coordinator, restart with ``--resume``: completed
+cells replay from the journal) and ``--order {spec,cost}`` picks the
+queue order — both are scheduling/durability concerns only and never
+change artifact bytes.
 
 See ``docs/cli.md`` for the full command reference,
 ``docs/sharding.md`` for the shard execution model,
@@ -49,7 +51,7 @@ Examples
     python -m repro scenarios list
     python -m repro scenarios run fig3 mixed-rush --workers 4
     python -m repro scenarios run --scenario my_scenario.json
-    python -m repro scenarios run abl-dyn --executor stream --stream-workers 2
+    python -m repro scenarios run abl-dyn --executor stream --workers 2
     python -m repro shards run --shard 2/4 --all --out shard-artifacts
     python -m repro shards merge shard-artifacts --out bench-artifacts
     python -m repro workers serve --all --bind 127.0.0.1:7731 --out bench
@@ -90,8 +92,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", default="smoke", choices=sorted(PRESETS),
                         help="fidelity/runtime preset")
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for experiment fan-out")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="local worker processes to spawn "
+                             "(1 = run inline)")
 
 
 def _add_selection_args(parser: argparse.ArgumentParser) -> None:
@@ -122,20 +125,18 @@ def _add_selection_args(parser: argparse.ArgumentParser) -> None:
                              "greedy upper-bound ordering)")
 
 
-def _add_executor_args(parser: argparse.ArgumentParser,
-                       stream_workers: int = 2) -> None:
+def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     """Cell-executor arguments shared by every run surface."""
+    from repro.experiments.executors import EXECUTOR_NAMES
+
     parser.add_argument("--executor", default=None,
-                        choices=("inline", "pool", "stream"),
+                        choices=EXECUTOR_NAMES,
                         help="cell executor: inline (serial, default "
-                             "for --workers 1), pool (process pool), "
-                             "stream (TCP worker pool)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the pool executor")
-    parser.add_argument("--stream-workers", type=int,
-                        default=stream_workers, metavar="N",
+                             "for --workers 1) or stream (TCP worker "
+                             "pool, default for --workers N > 1)")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="local worker processes a stream executor "
-                             "spawns itself (0 = external workers only)")
+                             "spawns (0 = external workers only)")
     parser.add_argument("--bind", default="127.0.0.1:0",
                         metavar="HOST:PORT",
                         help="address a stream executor serves on "
@@ -175,10 +176,9 @@ def _executor_from_args(args):
     from repro.experiments.executors import StreamExecutor, make_executor
 
     executor = make_executor(args.executor, workers=args.workers,
-                             bind=args.bind,
-                             stream_workers=args.stream_workers)
+                             bind=args.bind)
     if isinstance(executor, StreamExecutor):
-        # announce the bound address up front: with --stream-workers 0
+        # announce the bound address up front: with --workers 0
         # the queue waits for external joiners, who need somewhere to
         # point `repro workers join --connect`
         host, port = executor.start()
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     w_serve.add_argument("--bind", default="127.0.0.1:7731",
                          metavar="HOST:PORT",
                          help="address to serve the cell queue on")
-    w_serve.add_argument("--stream-workers", type=int, default=0,
+    w_serve.add_argument("--workers", type=int, default=0,
                          metavar="N",
                          help="local worker processes to spawn in "
                               "addition to external joiners")
@@ -349,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser(
         "experiments",
-        help="run a whole suite through the parallel engine and write "
-             "BENCH_*.json artifacts")
+        help="run a suite of registered scenarios and write "
+             "BENCH_scenario_*.json artifacts")
     exp.add_argument("--suite", default="figures",
                      choices=("figures", "ablations", "saturation", "all"))
     exp.add_argument("--out", default="bench-artifacts",
-                     help="directory for BENCH_*.json artifacts")
+                     help="directory for BENCH_scenario_*.json artifacts")
     exp.add_argument("--snapshot", action="store_true",
                      help="embed the end-of-run DMV snapshot in each "
                           "run's artifact summary")
@@ -736,7 +736,7 @@ def cmd_workers(args) -> int:
     specs = _resolve_run_specs(args)
     host, port = parse_address(args.bind)
     stream = StreamExecutor(host=host, port=port,
-                            spawn_workers=args.stream_workers)
+                            spawn_workers=args.workers)
     executor = _wrap_journal(stream, args)
     try:
         bound_host, bound_port = stream.start()
@@ -789,55 +789,30 @@ def cmd_ablation(args) -> int:
     return _run_specs([spec], workers=args.workers, out=None)
 
 
-# ------------------------------------------------------- engine suites
+# ---------------------------------------------------- experiment suites
+#: ``repro experiments --suite`` name -> the registered scenarios it runs
+EXPERIMENT_SUITES = {
+    "figures": ("fig3", "fig4", "fig5"),
+    "ablations": ("abl-gates", "abl-dyn", "abl-bpsf"),
+    "saturation": ("saturation",),
+}
+
+
+def experiment_suite_specs(suite: str, preset: str, seed: int) -> list:
+    """The registered scenarios of one suite (``all`` = every suite),
+    customized to ``preset`` and ``seed``."""
+    from repro.scenarios import get_scenario
+
+    names = list(EXPERIMENT_SUITES) if suite == "all" else [suite]
+    return [get_scenario(scenario_id).customized(preset=preset, seed=seed)
+            for name in names for scenario_id in EXPERIMENT_SUITES[name]]
+
+
 def cmd_experiments(args) -> int:
-    """Fan out a suite, print a summary, write BENCH artifacts."""
-    from repro.experiments.ablations import ablation_suite_jobs
-    from repro.experiments.engine import (
-        ExperimentJob,
-        figure_suite_jobs,
-        run_jobs,
-        saturation_suite_jobs,
-        write_artifact,
-    )
-
-    suites = {}
-    if args.suite in ("figures", "all"):
-        suites["figures"] = figure_suite_jobs(preset=args.preset,
-                                              seed=args.seed)
-    if args.suite in ("ablations", "all"):
-        suites["ablations"] = ablation_suite_jobs(preset=args.preset,
-                                                  seed=args.seed)
-    if args.suite in ("saturation", "all"):
-        suites["saturation"] = saturation_suite_jobs(preset=args.preset,
-                                                     seed=args.seed)
-    if args.snapshot:
-        from dataclasses import replace
-
-        suites = {name: [ExperimentJob(job.name,
-                                       replace(job.config,
-                                               capture_snapshot=True))
-                         for job in jobs]
-                  for name, jobs in suites.items()}
-
-    failed = False
-    for suite_name, jobs in suites.items():
-        print(f"== suite {suite_name}: {len(jobs)} runs, "
-              f"workers={args.workers}, preset={args.preset}")
-        batch = run_jobs(jobs, workers=args.workers,
-                         progress=lambda line: print(f"   {line}"))
-        path = write_artifact(args.out, suite_name, batch)
-        rows = [(name, r.completed, r.failed, r.degraded,
-                 f"{r.wall_seconds:.1f}s")
-                for name, r in batch.results.items()]
-        print(render_table(
-            ("run", "completed", "errors", "degraded", "wall"), rows))
-        print(f"   wall {batch.wall_seconds:.1f}s -> {path}")
-        if batch.errors:
-            failed = True
-            for name, error in batch.errors.items():
-                print(f"   FAILED {name}: {error}")
-    return 1 if failed else 0
+    """Run a suite's scenarios and write their BENCH artifacts."""
+    specs = experiment_suite_specs(args.suite, args.preset, args.seed)
+    return _run_specs(specs, workers=args.workers, out=args.out,
+                      snapshot=args.snapshot)
 
 
 # ------------------------------------------------------ results warehouse

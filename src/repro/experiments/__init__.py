@@ -5,8 +5,8 @@ into an :class:`~repro.experiments.runner.ExperimentResult`;
 ``figures`` reproduces each figure of the paper; ``ablations`` covers
 the design choices the paper reports tuning (monitor count, dynamic
 thresholds, best-plan-so-far); ``executors`` is the pluggable
-cell-execution protocol (inline / process pool / streamed TCP worker
-pool) and ``wire`` its coordinator/worker transport; ``journal``
+cell-execution protocol (inline, or a streamed TCP pool of worker
+processes) and ``wire`` its coordinator/worker transport; ``journal``
 makes any executor's queue durable (checkpoint/restart) and
 ``scheduler`` orders it by expected cost (slowest cells first).
 """
@@ -17,21 +17,11 @@ from repro.experiments.runner import (
     PRESETS,
     run_experiment,
 )
-from repro.experiments.engine import (
-    BatchResult,
-    ExperimentEngine,
-    ExperimentJob,
-    figure_suite_jobs,
-    run_jobs,
-    saturation_suite_jobs,
-    write_artifact,
-)
 from repro.experiments.executors import (
     CellExecutor,
     CellResult,
     CellTask,
     InlineExecutor,
-    PoolExecutor,
     StreamExecutor,
     execute_cell,
     make_executor,
@@ -56,35 +46,27 @@ from repro.experiments.figures import (
 )
 
 __all__ = [
-    "BatchResult",
     "CellExecutor",
     "CellJournal",
     "CellResult",
     "CellScheduler",
     "CellTask",
     "ExperimentConfig",
-    "ExperimentEngine",
-    "ExperimentJob",
     "ExperimentResult",
     "InlineExecutor",
     "JournalState",
     "JournaledExecutor",
     "PRESETS",
-    "PoolExecutor",
     "StreamExecutor",
     "ThroughputComparison",
     "execute_cell",
     "figure1_monitors",
     "figure2_trace",
-    "figure_suite_jobs",
     "journaled_executor",
     "load_journal",
     "make_executor",
     "order_tasks",
     "run_experiment",
-    "run_jobs",
-    "saturation_suite_jobs",
     "tasks_for_specs",
     "throughput_figure",
-    "write_artifact",
 ]

@@ -67,8 +67,9 @@ class AblationResult:
 def _run_scenario_ablation(name: str, spec, workers: int) -> AblationResult:
     """Run one ablation scenario through the facade.
 
-    With ``workers > 1`` the variants fan out across processes; the
-    result dict always preserves the variant declaration order.
+    With ``workers > 1`` the variants fan out across spawned worker
+    processes; the result dict always preserves the variant
+    declaration order.
     """
     from repro.scenarios import run_scenario
 
@@ -136,15 +137,3 @@ def ablate_best_plan(clients: int = 40, preset: str = "smoke",
                                     seed=seed),
         workers=workers)
 
-
-def ablation_suite_jobs(preset: str = "smoke",
-                        seed: int = 1) -> list:
-    """Every ablation variant as one flat engine batch, derived from
-    the registered ablation scenarios."""
-    from repro.scenarios import ABLATION_SCENARIOS, jobs_for_scenario
-
-    jobs = []
-    for _name, prefix, builder in ABLATION_SCENARIOS:
-        spec = builder(preset=preset, seed=seed)
-        jobs.extend(jobs_for_scenario(spec, prefix=f"{prefix}_"))
-    return jobs

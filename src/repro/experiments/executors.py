@@ -1,4 +1,4 @@
-"""The cell-execution protocol: one contract, three executors.
+"""The cell-execution protocol: one contract, two executors.
 
 A **cell** (scenario × variant × seed, :class:`ShardCell`) is the
 atomic unit of experiment work everywhere in this codebase; this
@@ -12,18 +12,17 @@ sharded and remote runs are one code path differing only in executor
 choice:
 
 * :class:`InlineExecutor` — serial, in-process.
-* :class:`PoolExecutor` — wraps the existing process-pool
-  :class:`~repro.experiments.engine.ExperimentEngine`.
-* :class:`StreamExecutor` — serves the cell queue to remote workers
-  over the TCP wire protocol (:mod:`repro.experiments.wire`).  Workers
-  *pull* cells one at a time, so slow cells rebalance automatically
-  (work stealing), and a cell claimed by a worker that dies is
-  re-queued for the survivors.
+* :class:`StreamExecutor` — serves the cell queue to worker processes
+  over the TCP wire protocol (:mod:`repro.experiments.wire`): local
+  ones it spawns itself (``--workers N``) and/or remote joiners.
+  Workers *pull* cells one at a time, so slow cells rebalance
+  automatically (work stealing), and a cell claimed by a worker that
+  dies is re-queued for the survivors.
 
 Determinism contract: every number in a result summary but its wall
 clock is a pure function of the cell's config and seed (each cell
 builds and tears down its own server, so no cache outlives it), and
-all three executors produce canonically byte-identical artifacts
+both executors produce canonically byte-identical artifacts
 (pinned by tests; see :func:`repro.experiments.shards.canonical_document`).
 
 Two layers compose with any executor rather than being executors
@@ -42,15 +41,10 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import (
-    ExperimentEngine,
-    ExperimentJob,
-    summarize_result,
-)
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import run_experiment, summarize_result
 
 Progress = Optional[Callable[[str], None]]
 
@@ -119,7 +113,7 @@ class CellResult:
     """Everything one executed cell produced, in JSON-ready form.
 
     Experiment cells carry a ``summary`` (the exact
-    :func:`~repro.experiments.engine.summarize_result` document) or an
+    :func:`~repro.experiments.runner.summarize_result` document) or an
     ``error``; monitors/trace cells carry ``scenario_metrics`` (JSON-
     safe, sorted — the shard-document form) plus the rendered ``body``.
     ``wall_seconds`` is execution-dependent and canonically volatile.
@@ -182,10 +176,9 @@ def tasks_for_specs(specs, snapshot: bool = False,
 def execute_cell(task: CellTask) -> CellResult:
     """Run one cell in-process — the primitive every executor shares.
 
-    Experiment cells lower to their variant's engine config and run
-    through :func:`run_experiment`; failures come back as error
-    results (error accounting, not control flow), exactly like the
-    engine's workers.  Monitors/trace cells render whole.
+    Experiment cells lower to their variant's config and run through
+    :func:`run_experiment`; failures come back as error results (error
+    accounting, not control flow).  Monitors/trace cells render whole.
     """
     from repro.scenarios.facade import jobs_for_scenario, run_cell_scenario
 
@@ -278,66 +271,6 @@ class InlineExecutor(CellExecutor):
             result = execute_cell(task)
             _note(progress, result)
             yield result
-
-
-class PoolExecutor(CellExecutor):
-    """Process-pool execution via the experiment engine.
-
-    Experiment cells fan out across the engine's worker processes;
-    monitors/trace cells (cheap renders) run inline, up front.  Experiment results
-    are yielded in completion order as jobs finish — never held back
-    until the whole batch completes — so consumers can render and
-    persist incrementally.
-    """
-
-    def __init__(self, workers: int = 2):
-        self.engine = ExperimentEngine(workers=workers)
-
-    def submit(self, tasks: Iterable[CellTask],
-               progress: Progress = None) -> Iterator[CellResult]:
-        tasks = list(tasks)
-        jobs = []
-        by_key: Dict[str, CellTask] = {}
-        for task in tasks:
-            if task.spec.kind != "experiment":
-                result = execute_cell(task)
-                _note(progress, result)
-                yield result
-                continue
-            lowered = jobs_for_task(task)
-            if not lowered:
-                raise ConfigurationError(
-                    f"scenario {task.spec.scenario_id!r} has no variant "
-                    f"{task.cell.variant!r}")
-            jobs.extend(lowered)
-            by_key[task.key()] = task
-        for _index, name, run, error in self.engine.run_iter(
-                jobs, progress=progress):
-            task = by_key[name]
-            if error is not None:
-                yield CellResult(cell=task.cell, error=error)
-            else:
-                yield CellResult(cell=task.cell,
-                                 wall_seconds=run.wall_seconds,
-                                 summary=summarize_result(run))
-
-
-def jobs_for_task(task: CellTask) -> List[ExperimentJob]:
-    """Lower one experiment cell task to engine jobs (batch-unique
-    names via :meth:`CellTask.key`, snapshot flag applied)."""
-    from repro.scenarios.facade import jobs_for_scenario
-
-    cell = task.cell
-    jobs = []
-    for job in jobs_for_scenario(task.spec):
-        if job.name != cell.variant:
-            continue
-        config = replace(job.config, capture_snapshot=task.snapshot,
-                         capture_trace=task.trace_path())
-        jobs.append(ExperimentJob(
-            name=f"{cell.scenario_id}/{job.name}#{cell.seed}",
-            config=config))
-    return jobs
 
 
 class StreamExecutor(CellExecutor):
@@ -434,42 +367,49 @@ class StreamExecutor(CellExecutor):
 
     @staticmethod
     def _spawn_worker(host: str, port: int) -> subprocess.Popen:
+        # the worker imports the same repro as this process, even when
+        # that is a checkout on sys.path rather than an installed package
+        import repro
+
+        root = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (root, env.get("PYTHONPATH"))))
         # stdout is noise (per-cell progress is suppressed) but stderr
         # is kept: a crashing worker must leave a diagnosable trace
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "workers", "join",
              "--connect", f"{host}:{port}", "--quiet"],
-            stdout=subprocess.DEVNULL)
+            stdout=subprocess.DEVNULL, env=env)
 
 
 # ------------------------------------------------------------- factory
 #: executor names the CLI accepts
-EXECUTOR_NAMES = ("inline", "pool", "stream")
+EXECUTOR_NAMES = ("inline", "stream")
 
 
 def make_executor(name: Optional[str] = None, workers: int = 1,
-                  bind: str = "127.0.0.1:0", stream_workers: int = 2,
+                  bind: str = "127.0.0.1:0",
                   timeout: Optional[float] = None) -> CellExecutor:
     """Build an executor from CLI-ish knobs.
 
     ``name=None`` picks :class:`InlineExecutor` for ``workers <= 1``
-    and :class:`PoolExecutor` otherwise — exactly the pre-executor
-    behaviour of every surface.
+    and otherwise a :class:`StreamExecutor` that spawns ``workers``
+    local worker processes.  An explicit ``"stream"`` spawns
+    ``workers`` of them too, so ``workers=0`` serves external joiners
+    only.
     """
     if name is None:
-        name = "inline" if workers <= 1 else "pool"
+        name = "inline" if workers <= 1 else "stream"
     if name == "inline":
         return InlineExecutor()
-    if name == "pool":
-        # an explicit `--executor pool --workers 1` is honored (the
-        # engine degrades to its serial path), never silently doubled
-        return PoolExecutor(workers=max(1, workers))
     if name == "stream":
         from repro.experiments.wire import parse_address
 
         host, port = parse_address(bind)
         return StreamExecutor(host=host, port=port,
-                              spawn_workers=stream_workers,
+                              spawn_workers=max(0, workers),
                               timeout=timeout)
     raise ConfigurationError(
         f"unknown executor {name!r}; valid executors: "

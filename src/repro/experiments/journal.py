@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import ARTIFACT_SCHEMA
+from repro.experiments.runner import ARTIFACT_SCHEMA
 from repro.experiments.executors import (
     CellExecutor,
     CellResult,
@@ -189,8 +189,7 @@ class JournalState:
         """Dispatched-but-never-completed cells, in dispatch order.
 
         Exact for streamed runs (dispatch = a worker's wire-level
-        claim); an upper bound for batch executors that record the
-        whole queue as dispatched at submit time.
+        claim) and inline ones (dispatch = the cell being run).
         """
         return [cell for cell in self.dispatched
                 if cell not in self.results]
@@ -336,9 +335,7 @@ class JournaledExecutor(CellExecutor):
         (the moment a worker claims the cell) through its
         ``on_dispatch`` hook.  Other executors record a dispatch as
         they pull tasks from this generator — one at a time for the
-        inline executor, but a pool executor takes the whole batch up
-        front, so its dispatch records mean "queued to the executor",
-        not "executing right now".
+        inline executor.
         """
         if hasattr(type(self.inner), "on_dispatch"):
             self.inner.on_dispatch = self.journal.record_dispatch

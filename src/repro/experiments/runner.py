@@ -1,14 +1,21 @@
-"""Generic experiment runner.
+"""Generic experiment runner and the artifact envelope.
 
 All durations in :class:`ExperimentConfig` are expressed in *paper
 seconds* (the testbed's wall clock); ``time_scale`` compresses them for
 simulation and results are reported back in paper seconds, so every
 harness prints series directly comparable to the figures.
+
+:func:`summarize_result` turns a result into its JSON summary, and
+:func:`write_bench_document` writes every ``BENCH_*.json`` under one
+:data:`ARTIFACT_SCHEMA` envelope.
 """
 
 from __future__ import annotations
 
 import gc
+import json
+import os
+import platform
 import random
 import time
 from dataclasses import dataclass, field, replace
@@ -300,3 +307,105 @@ def _run_cell(config: ExperimentConfig, preset: Preset,
             slo=slo,
             snapshot=snapshot,
         )
+
+
+# ------------------------------------------------------------- artifacts
+#: artifact schema version — bump when the JSON layout changes
+#: (2: workload_params in configs, search_replays/soft_denials counters;
+#: 3: versioned scenario specs, shard artifacts with shard/selection
+#: metadata and mergeable per-variant results;
+#: 4: optional per-run DMV ``snapshot`` behind ``--snapshot``,
+#: cross-variant expectation checks carrying a ``reference`` value.
+#: Amendment under 4 (backward compatible, no bump): open-loop runs add
+#: a ``traffic`` key to their config doc and an ``open_loop`` fact
+#: block to their summary; both appear only when a run carries a
+#: traffic spec, so closed-loop artifacts are byte-identical.
+#: Second amendment under 4, since withdrawn: runs on a non-default
+#: scheduler core added a ``kernel`` key to their config doc.  Configs
+#: no longer choose a core, so no run writes it; readers ignore it in
+#: old artifacts.
+#: Third amendment under 4: runs with an admission policy and/or SLO
+#: objectives add ``admission``/``slo`` keys to their config doc and an
+#: ``slo`` fact block to their summary — all three appear only when the
+#: config carries them, so policy-free artifacts keep their exact bytes.
+#: Fourth amendment under 4: runs with an explicit optimizer pipeline
+#: spec add an ``optimizer`` key to their config doc — only when the
+#: config carries one, so spec-free artifacts keep their exact bytes)
+ARTIFACT_SCHEMA = 4
+
+
+def summarize_result(result: ExperimentResult) -> dict:
+    """The JSON-ready summary of one run (stable key order).
+
+    The optional trailing ``snapshot`` key (the end-of-run DMV dump,
+    present only when the run was configured with
+    ``capture_snapshot``) is execution metadata: it is zeroed by
+    :func:`~repro.experiments.shards.canonical_document` and never
+    feeds back into metrics.
+    """
+    config = result.config
+    config_doc = {
+        "workload": config.workload,
+        "workload_params": dict(config.workload_params),
+        "clients": config.clients,
+        "throttling": config.throttling,
+        "preset": config.preset,
+        "seed": config.seed,
+        "think_time": config.think_time,
+    }
+    if config.traffic is not None:
+        config_doc["traffic"] = config.traffic.to_dict()
+    if config.admission is not None:
+        config_doc["admission"] = config.admission.to_dict()
+    if config.slo is not None:
+        config_doc["slo"] = config.slo.to_dict()
+    if config.optimizer is not None:
+        config_doc["optimizer"] = config.optimizer.to_dict()
+    summary = {
+        "config": config_doc,
+        "completed": result.completed,
+        "failed": result.failed,
+        "error_counts": dict(sorted(result.error_counts.items())),
+        "degraded": result.degraded,
+        "retries": result.retries,
+        "search_replays": result.search_replays,
+        "soft_denials": result.soft_denials,
+        "mean_per_bucket": result.mean_per_bucket,
+        "mean_compile_time": result.mean_compile_time,
+        "mean_execution_time": result.mean_execution_time,
+        "memory_by_clerk": dict(sorted(result.memory_by_clerk.items())),
+        "gateway_stats": [list(row) for row in result.gateway_stats],
+        "throughput": [[t, c] for t, c in result.throughput],
+        "wall_seconds": result.wall_seconds,
+    }
+    if result.open_loop is not None:
+        # deterministic simulated admission facts — pinned, unlike the
+        # wall-clock fields above
+        summary["open_loop"] = dict(sorted(result.open_loop.items()))
+    if result.slo is not None:
+        # SLO verdicts over the open-loop facts — pinned as well
+        summary["slo"] = dict(sorted(result.slo.items()))
+    if result.snapshot is not None:
+        summary["snapshot"] = result.snapshot
+    return summary
+
+
+def write_bench_document(out_dir: str, name: str, payload: dict) -> str:
+    """Write ``BENCH_<name>.json`` with the standard envelope.
+
+    Every artifact (scenario and shard documents, the benchmark
+    session summary) goes through here so the schema version, filename convention and
+    serialization stay uniform for CI consumers.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"BENCH_{name}.json")
+    doc = {
+        "schema": ARTIFACT_SCHEMA,
+        "name": name,
+        "python": platform.python_version(),
+    }
+    doc.update(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=False)
+        fh.write("\n")
+    return path

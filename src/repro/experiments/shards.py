@@ -1,7 +1,7 @@
 """Sharded scenario execution: partition, run anywhere, merge.
 
-The single-machine engine saturates one worker pool; this module is the
-step past it.  A :class:`ShardPlan` partitions any scenario selection
+One machine saturates at its core count; this module is the step
+past it.  A :class:`ShardPlan` partitions any scenario selection
 into ``N`` independent shards at **cell** granularity (one cell = one
 scenario × variant × seed), ``repro shards run --shard k/N`` executes
 one shard in its own process — shards share nothing but the spec JSON,
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import (
+from repro.experiments.runner import (
     ARTIFACT_SCHEMA,
     write_bench_document,
 )
@@ -264,8 +264,8 @@ def run_shard(plan: ShardPlan, index: int, workers: int = 1,
             entry["errors"] = dict(sorted(
                 (name, c.error) for name, c in by_variant.items()
                 if c.error is not None))
-            # spec variant order, matching the engine's deterministic
-            # submission-order aggregation
+            # spec variant order, matching run_scenario's deterministic
+            # aggregation
             entry["results"] = {
                 name: by_variant[name].summary
                 for name in spec.variant_names()

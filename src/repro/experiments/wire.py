@@ -43,7 +43,7 @@ from collections import deque
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.engine import ARTIFACT_SCHEMA
+from repro.experiments.runner import ARTIFACT_SCHEMA
 
 #: version of the wire conversation itself (bump on incompatible
 #: message-flow changes; payload evolution rides ARTIFACT_SCHEMA)

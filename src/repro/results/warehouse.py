@@ -43,7 +43,7 @@ from datetime import datetime, timezone
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import ARTIFACT_SCHEMA
+from repro.experiments.runner import ARTIFACT_SCHEMA
 from repro.experiments.shards import (
     VOLATILE_FIELDS,
     load_bench_document,
@@ -140,7 +140,7 @@ class RunExtract:
     ``facts`` maps ``(scenario_id, variant, seed)`` to that cell's
     metric namespace; ``kinds`` records each cell's scenario kind for
     the dimension row; ``skipped`` names documents that carry no
-    per-cell facts (merge summaries, engine batch artifacts) — they
+    per-cell facts (merge summaries, batch summaries) — they
     are reported, never silently dropped *or* silently fatal.
     """
 
@@ -255,10 +255,11 @@ def extract_artifact_dir(directory: str) -> RunExtract:
 
     Ingests scenario artifacts and shard documents (artifact schemas
     ``MIN_ARTIFACT_SCHEMA..ARTIFACT_SCHEMA``); merge summaries and
-    engine batch artifacts carry no
-    per-cell facts and are skipped with a note.  Malformed documents
-    and future schemas are hard errors — a warehouse load is strict
-    where the scheduler's advisory history reader is tolerant.
+    batch summaries (the benchmark session's, older ``repro
+    experiments`` suites) carry no per-cell facts and are skipped with
+    a note.  Malformed documents and future schemas are hard errors — a
+    warehouse load is strict where the scheduler's advisory history
+    reader is tolerant.
     """
     paths = sorted(glob.glob(os.path.join(directory, "BENCH_*.json")))
     if not paths:
@@ -285,7 +286,7 @@ def extract_artifact_dir(directory: str) -> RunExtract:
             entries = {doc["spec"].get("scenario_id"): doc}
         else:
             skipped.append(
-                f"{name}: {doc.get('kind') or 'engine batch'} summary "
+                f"{name}: {doc.get('kind') or 'batch'} summary "
                 f"(no per-cell facts)")
             continue
         schema_seen = max(schema_seen, schema)

@@ -1,13 +1,13 @@
 """The programmatic scenario facade.
 
 ``run_scenario(spec, workers=N)`` is the one entry point the CLI, the
-legacy figure/ablation shims, the engine suite builders and the tests
-all route through: it lowers a :class:`ScenarioSpec` to **cell tasks**,
-submits them through a :class:`~repro.experiments.executors.
-CellExecutor` (inline, process pool, or a streamed remote-worker
-pool — the caller's choice, results identical by contract), extracts
-a uniform metric namespace, evaluates the spec's expectations and
-renders the scenario's artifact text.
+legacy figure/ablation/experiments shims and the tests all route
+through: it lowers a :class:`ScenarioSpec` to **cell tasks**, submits
+them through a :class:`~repro.experiments.executors.CellExecutor`
+(inline, or a streamed pool of worker processes — the caller's choice,
+results identical by contract), extracts a uniform metric namespace,
+evaluates the spec's expectations and renders the scenario's artifact
+text.
 """
 
 from __future__ import annotations
@@ -20,20 +20,27 @@ from typing import Callable, Dict, List, Optional
 
 from repro.config import paper_server_config
 from repro.errors import ConfigurationError
-from repro.experiments.engine import (
-    BatchResult,
-    ExperimentJob,
+from repro.experiments.runner import (
+    ExperimentConfig,
+    ExperimentResult,
+    summarize_result,
     write_bench_document,
 )
-from repro.experiments.runner import ExperimentConfig, ExperimentResult
 from repro.metrics.report import render_table
 from repro.scenarios.spec import Expectation, ScenarioSpec
 
 
 # ------------------------------------------------------------ lowering
-def jobs_for_scenario(spec: ScenarioSpec,
-                      prefix: str = "") -> List[ExperimentJob]:
-    """One engine job per variant of an experiment scenario.
+@dataclass(frozen=True)
+class ExperimentJob:
+    """One variant of an experiment scenario, lowered to its config."""
+
+    name: str
+    config: ExperimentConfig
+
+
+def jobs_for_scenario(spec: ScenarioSpec) -> List[ExperimentJob]:
+    """One job per variant of an experiment scenario.
 
     Variants whose overrides only toggle throttling lower to plain
     ``ExperimentConfig`` flags (exactly the configs the legacy
@@ -42,7 +49,7 @@ def jobs_for_scenario(spec: ScenarioSpec,
     if spec.kind != "experiment":
         raise ConfigurationError(
             f"scenario {spec.scenario_id!r} is a {spec.kind!r} scenario; "
-            f"only experiment scenarios lower to engine jobs")
+            f"only experiment scenarios lower to jobs")
     jobs = []
     for variant in spec.variants:
         overrides = variant.overrides
@@ -54,7 +61,7 @@ def jobs_for_scenario(spec: ScenarioSpec,
             server = overrides.apply(paper_server_config())
             throttling = server.throttle.enabled
         jobs.append(ExperimentJob(
-            name=prefix + variant.name,
+            name=variant.name,
             config=ExperimentConfig(
                 workload=spec.workload,
                 workload_params=spec.workload_params,
@@ -79,6 +86,24 @@ def jobs_for_scenario(spec: ScenarioSpec,
 
 
 # ------------------------------------------------------------- results
+@dataclass
+class BatchResult:
+    """The runs of one experiment scenario, rebuilt from its cells.
+
+    ``results`` maps variant name -> result for variants that finished;
+    ``errors`` maps variant name -> formatted exception for those that
+    did not.
+    """
+
+    results: Dict[str, ExperimentResult] = field(default_factory=dict)
+    errors: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        """True when every variant finished without error."""
+        return not self.errors
+
+
 @dataclass
 class CheckOutcome:
     """One evaluated expectation.
@@ -110,9 +135,9 @@ class ScenarioResult:
     """Everything one scenario run produced."""
 
     spec: ScenarioSpec
-    #: engine batch (experiment scenarios only); under executor-based
-    #: execution the results are rebuilt from the cell summaries, so
-    #: the batch is equivalent no matter which executor ran the cells
+    #: the variants' runs (experiment scenarios only), rebuilt from the
+    #: cell summaries, so the batch is equivalent no matter which
+    #: executor ran the cells
     batch: Optional[BatchResult]
     #: variant name -> metric name -> value
     variant_metrics: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -129,7 +154,7 @@ class ScenarioResult:
 
     @property
     def ok(self) -> bool:
-        """True when every engine run and every expectation passed."""
+        """True when every run and every expectation passed."""
         if self.batch is not None and self.batch.errors:
             return False
         return all(check.passed for check in self.checks)
@@ -160,15 +185,13 @@ def result_metrics(result: ExperimentResult) -> Dict[str, float]:
     merge can never drift: a metric exists here exactly when it can be
     rebuilt from an artifact by :func:`metrics_from_summary`.
     """
-    from repro.experiments.engine import summarize_result
-
     return metrics_from_summary(summarize_result(result))
 
 
 def metrics_from_summary(summary: Dict) -> Dict[str, float]:
     """Rebuild the per-variant metric namespace from an artifact summary.
 
-    The inverse of :func:`~repro.experiments.engine.summarize_result`
+    The inverse of :func:`~repro.experiments.runner.summarize_result`
     for expectation purposes: feeding a run's JSON summary through here
     yields exactly ``result_metrics(result)`` of the result it
     summarized (JSON round-trips floats losslessly), which is what lets
@@ -206,7 +229,7 @@ def result_from_summary(summary: Dict) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from its JSON summary.
 
     The structural inverse of
-    :func:`~repro.experiments.engine.summarize_result`: feeding the
+    :func:`~repro.experiments.runner.summarize_result`: feeding the
     rebuilt result back through ``summarize_result`` reproduces the
     summary exactly (JSON round-trips floats losslessly and
     ``mean_per_bucket`` is recomputed from the identical series).
@@ -366,10 +389,10 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1,
     """Run one scenario and evaluate its expectations.
 
     ``executor`` is any :class:`~repro.experiments.executors.
-    CellExecutor`; by default ``workers`` picks the inline
-    (``workers <= 1``) or process-pool executor, reproducing the
-    pre-executor behaviour exactly.  A passed-in executor is not
-    closed (the caller owns its lifecycle).  ``snapshot`` asks every
+    CellExecutor`; by default ``workers`` picks the inline executor
+    (``workers <= 1``) or a stream executor that spawns ``workers``
+    local worker processes.  A passed-in executor is not closed (the
+    caller owns its lifecycle).  ``snapshot`` asks every
     experiment cell to capture an end-of-run DMV snapshot into its
     result summary.  ``capture`` is a directory: every experiment cell
     writes a replayable JSONL admission trace there (execution
@@ -390,10 +413,9 @@ def run_scenarios(specs: List[ScenarioSpec], workers: int = 1,
     """Run a whole selection through one executor submission.
 
     All cells of all specs go down in a single ``submit`` call, so a
-    pool executor can overlap cells of different scenarios and a
-    stream executor's remote workers drain one queue — exactly the
-    scheduling freedom the determinism contract allows, since results
-    are re-grouped by spec afterwards.
+    stream executor's workers overlap cells of different scenarios and
+    drain one queue — exactly the scheduling freedom the determinism
+    contract allows, since results are re-grouped by spec afterwards.
 
     ``order`` picks the queue order (``spec`` = selection order,
     ``cost`` = expected-slowest first via the optional
@@ -517,10 +539,7 @@ def scenario_result_from_cells(spec: ScenarioSpec,
                                    scenario_metrics)
     rebuilt = {name: result_from_summary(summary)
                for name, summary in summaries.items()}
-    batch = BatchResult(results=rebuilt, errors=errors,
-                        ordered=[rebuilt.get(name)
-                                 for name in spec.variant_names()],
-                        wall_seconds=sum(c.wall_seconds for c in cells))
+    batch = BatchResult(results=rebuilt, errors=errors)
     return ScenarioResult(
         spec=spec, batch=batch,
         variant_metrics=variant_metrics,
@@ -543,7 +562,8 @@ def run_cell_scenario(spec: ScenarioSpec) -> ScenarioResult:
         return _run_trace(spec)
     raise ConfigurationError(
         f"scenario {spec.scenario_id!r} is an experiment scenario; "
-        f"its cells run through the engine, not the figure renderers")
+        f"its cells run through run_experiment, not the figure "
+        f"renderers")
 
 
 def _run_monitors(spec: ScenarioSpec) -> ScenarioResult:
@@ -713,8 +733,6 @@ def write_scenario_artifact(out_dir: str,
     delivered them (``variant_summaries``), so the written bytes never
     depend on which executor ran the cells.
     """
-    from repro.experiments.engine import summarize_result
-
     errors = results = None
     if result.batch is not None:
         errors = result.batch.errors

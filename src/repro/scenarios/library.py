@@ -175,8 +175,8 @@ def best_plan_ablation_scenario(clients: int = 40, preset: str = "smoke",
                     "explored plan instead of failing out of memory.")
 
 
-#: legacy ablation name -> (flat-suite prefix, builder) — the single
-#: source for ablate_* shims and the engine's flat ablation suite
+#: legacy ablation name -> (short name, builder) — the single source
+#: for the ablate_* shims
 ABLATION_SCENARIOS = (
     ("gateway_count", "gates", gateway_ablation_scenario),
     ("dynamic_thresholds", "dyn", dynamic_ablation_scenario),

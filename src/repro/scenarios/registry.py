@@ -1,8 +1,9 @@
 """The scenario registry.
 
 Built-in scenarios (``repro.scenarios.library``) and user code register
-:class:`~repro.scenarios.spec.ScenarioSpec` values here; the CLI, the
-engine suite builders and the test suite enumerate them.  Ids are
+:class:`~repro.scenarios.spec.ScenarioSpec` values here; the CLI
+(``repro experiments`` suites included) and the test suite enumerate
+them.  Ids are
 unique — re-registering an id is a hard error so two harnesses can
 never silently disagree about what a scenario means.
 """

@@ -2,9 +2,9 @@
 
 A :class:`ScenarioSpec` is the one currency every experiment surface
 consumes: the CLI (``repro scenarios …`` and the legacy ``figure`` /
-``sweep`` / ``ablation`` commands), the parallel experiment engine, the
-benchmark suite and user-authored JSON files all describe a run as one
-frozen, validated, round-trippable value.  Adding a scenario is a data
+``sweep`` / ``ablation`` / ``experiments`` commands), the cell
+executors, the benchmark suite and user-authored JSON files all
+describe a run as one frozen, validated, round-trippable value.  Adding a scenario is a data
 change, not a code change.
 """
 
@@ -56,7 +56,7 @@ EXPECTATION_OPS = {
     "!=": operator.ne,
 }
 
-#: what a scenario *is*: an engine batch, a configuration rendering
+#: what a scenario *is*: a batch of runs, a configuration rendering
 #: (Figure 1's monitor ladder) or a compilation-memory trace (Figure 2)
 SCENARIO_KINDS = ("experiment", "monitors", "trace")
 

@@ -36,12 +36,12 @@ from repro.admission import (
 )
 from repro.config import paper_server_config
 from repro.errors import ConfigurationError
-from repro.experiments.engine import summarize_result
 from repro.experiments.executors import CellTask, tasks_for_specs
 from repro.experiments.runner import (
     ExperimentConfig,
     make_workload,
     run_experiment,
+    summarize_result,
 )
 from repro.experiments.shards import ShardCell, canonical_document
 from repro.scenarios import (

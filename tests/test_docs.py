@@ -129,7 +129,7 @@ def test_results_doc_version_claims_match_code():
     code exports, and the schema-history appendix must cover every
     artifact schema that ever existed.  A bumped constant without a
     matching doc edit fails here."""
-    from repro.experiments.engine import ARTIFACT_SCHEMA
+    from repro.experiments.runner import ARTIFACT_SCHEMA
     from repro.results.radar import DEFAULT_REGRESSION_THRESHOLD
     from repro.results.warehouse import WAREHOUSE_SCHEMA
     from repro.scenarios.spec import SPEC_FORMAT_VERSION

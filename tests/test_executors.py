@@ -4,8 +4,8 @@ The fast tests exercise task/result documents, the factory, the wire
 framing and — with cheap monitors cells — the stream coordinator's
 pull scheduling and its kill-one-worker re-queue recovery.  The slow
 tests pin the executor-equivalence contract: the same scenario through
-Inline, Pool and Stream executors produces canonically byte-identical
-artifacts.
+the Inline executor, the default multi-worker path and a Stream
+executor produces canonically byte-identical artifacts.
 """
 
 import io
@@ -17,12 +17,11 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import ARTIFACT_SCHEMA
+from repro.experiments.runner import ARTIFACT_SCHEMA
 from repro.experiments.executors import (
     CellResult,
     CellTask,
     InlineExecutor,
-    PoolExecutor,
     StreamExecutor,
     execute_cell,
     make_executor,
@@ -91,19 +90,23 @@ def test_tasks_for_specs_enumerates_cells_in_selection_order():
 def test_make_executor_resolution():
     assert isinstance(make_executor(), InlineExecutor)
     assert isinstance(make_executor(workers=1), InlineExecutor)
-    assert isinstance(make_executor(workers=4), PoolExecutor)
+    spawning = make_executor(workers=4)
+    assert isinstance(spawning, StreamExecutor)
+    assert spawning.spawn_workers == 4
+    spawning.close()
     assert isinstance(make_executor("inline", workers=8), InlineExecutor)
-    stream = make_executor("stream", bind="127.0.0.1:0",
-                           stream_workers=0)
+    stream = make_executor("stream", bind="127.0.0.1:0", workers=0)
     assert isinstance(stream, StreamExecutor)
     stream.close()
     with pytest.raises(ConfigurationError, match="valid executors"):
         make_executor("quantum")
+    with pytest.raises(ConfigurationError, match="valid executors"):
+        make_executor("pool")
 
 
 def test_execute_cell_error_accounting():
     """A failing cell becomes an error result, never an exception —
-    the same error-accounting contract the engine's workers keep."""
+    the same error-accounting contract every executor keeps."""
     spec = tiny_spec("ex-broken", variants=(VariantSpec("run"),))
     # sabotage after validation: the unknown preset fails in the runner
     object.__setattr__(spec, "preset", "warp-speed")
@@ -457,19 +460,19 @@ def test_stream_timeout_names_outstanding_cells():
 # ------------------------------------------------- pinned equivalence
 @pytest.mark.slow
 def test_executor_equivalence_is_byte_identical(tmp_path):
-    """The acceptance pin: one scenario through Inline, Pool and a
-    2-worker Stream executor (work-stealing pull scheduling) writes
-    canonically byte-identical artifacts."""
+    """The acceptance pin: one scenario through the Inline executor,
+    the default multi-worker path (``workers=2``: two spawned worker
+    processes) and a 2-worker Stream executor (work-stealing pull
+    scheduling) writes canonically byte-identical artifacts."""
     spec = tiny_spec("ex-equiv", expect=())
 
     inline_dir = tmp_path / "inline"
     write_scenario_artifact(
         str(inline_dir), run_scenario(spec, executor=InlineExecutor()))
 
-    pool_dir = tmp_path / "pool"
-    with PoolExecutor(workers=2) as pool:
-        write_scenario_artifact(
-            str(pool_dir), run_scenario(spec, executor=pool))
+    spawned_dir = tmp_path / "spawned"
+    write_scenario_artifact(str(spawned_dir),
+                            run_scenario(spec, workers=2))
 
     stream_dir = tmp_path / "stream"
     stream = StreamExecutor(timeout=300)
@@ -488,14 +491,14 @@ def test_executor_equivalence_is_byte_identical(tmp_path):
 
     name = "BENCH_scenario_ex-equiv.json"
     inline_text = canonical_text(inline_dir / name)
-    assert inline_text == canonical_text(pool_dir / name), "pool"
+    assert inline_text == canonical_text(spawned_dir / name), "workers=2"
     assert inline_text == canonical_text(stream_dir / name), "stream"
     # canonical documents zero search_replays; the raw count agrees too,
     # because no recorded search outlives the cell that made it
     replays = {label: _raw_replays(out / name) for label, out in
-               (("inline", inline_dir), ("pool", pool_dir),
+               (("inline", inline_dir), ("workers=2", spawned_dir),
                 ("stream", stream_dir))}
-    assert replays["pool"] == replays["inline"], "pool"
+    assert replays["workers=2"] == replays["inline"], "workers=2"
     assert replays["stream"] == replays["inline"], "stream"
 
 
@@ -552,7 +555,7 @@ def test_snapshot_flag_embeds_dmv_state(tmp_path):
 
 @pytest.mark.slow
 def test_cli_stream_executor_with_spawned_workers(tmp_path, capsys):
-    """`repro scenarios run --executor stream --stream-workers 2` —
+    """`repro scenarios run --executor stream --workers 2` —
     the CI stream-smoke lane's exact shape — matches an inline run
     canonically."""
     from repro import cli
@@ -565,7 +568,7 @@ def test_cli_stream_executor_with_spawned_workers(tmp_path, capsys):
     register_scenario(tiny_spec("ex-user", expect=()))
     try:
         assert cli.main(["scenarios", "run", "ex-user",
-                         "--executor", "stream", "--stream-workers", "2",
+                         "--executor", "stream", "--workers", "2",
                          "--out", str(stream_dir)]) == 0
         assert cli.main(["scenarios", "run", "ex-user",
                          "--out", str(inline_dir)]) == 0

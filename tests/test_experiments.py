@@ -1,11 +1,9 @@
-"""Tests for the experiment harness (runner, figures, ablations).
+"""Tests for the experiment harness (runner, figures, ablations, the
+``repro experiments`` suites).
 
 These run miniature configurations — the full reproductions live in
 ``benchmarks/``.
 """
-
-import json
-import os
 
 import pytest
 
@@ -18,26 +16,10 @@ from repro.experiments import (
     run_experiment,
 )
 from repro.experiments.ablations import (
-    ablation_suite_jobs,
     config_with_gateways,
     gateway_ladder,
 )
-from repro.experiments.engine import (
-    ExperimentEngine,
-    ExperimentJob,
-    figure_suite_jobs,
-    run_jobs,
-    write_artifact,
-)
 from repro.experiments.runner import make_workload
-
-
-def tiny_config(**overrides) -> ExperimentConfig:
-    """The cheapest meaningful run for engine tests."""
-    defaults = dict(workload="oltp", clients=2, throttling=True,
-                    preset="smoke", seed=1, think_time=5.0)
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
 
 
 def test_presets_sane():
@@ -93,67 +75,39 @@ def test_gateway_ladder_slicing():
     assert config_with_gateways(2).throttle.enabled
 
 
-def test_engine_duplicate_job_names_rejected():
-    jobs = [ExperimentJob("a", tiny_config()),
-            ExperimentJob("a", tiny_config(seed=2))]
-    with pytest.raises(ValueError):
-        ExperimentEngine().run(jobs)
+def test_experiments_alias_resolves_suites_to_registered_scenarios():
+    """`repro experiments --suite` is an alias over registered
+    scenarios: each suite names fixed ids, customized to the preset
+    and seed, and `all` is the three suites in order — 18 cells."""
+    from repro.cli import experiment_suite_specs
+    from repro.experiments.executors import tasks_for_specs
 
-
-def test_suite_builders_produce_unique_jobs():
-    for jobs in (figure_suite_jobs(), ablation_suite_jobs()):
-        names = [j.name for j in jobs]
-        assert len(set(names)) == len(names)
-        assert all(j.config.preset == "smoke" for j in jobs)
-    assert len(figure_suite_jobs()) == 6
-
-
-@pytest.mark.slow
-def test_engine_serial_batch_and_error_accounting():
-    """A failing job is accounted, the rest of the batch completes, and
-    aggregation order matches submission order."""
-    jobs = [
-        ExperimentJob("ok_1", tiny_config(seed=1)),
-        ExperimentJob("broken", tiny_config(workload="nope")),
-        ExperimentJob("ok_2", tiny_config(seed=2)),
-    ]
-    batch = run_jobs(jobs, workers=1)
-    assert not batch.ok
-    assert set(batch.results) == {"ok_1", "ok_2"}
-    assert "ConfigurationError" in batch.errors["broken"]
-    # ordered keeps one slot per job, with a hole for the failure
-    assert len(batch.ordered) == 3
-    assert batch.ordered[0] is batch.results["ok_1"]
-    assert batch.ordered[1] is None
-    assert batch.ordered[2] is batch.results["ok_2"]
-    assert batch.results["ok_1"].completed > 0
-
-
-@pytest.mark.slow
-def test_engine_parallel_matches_serial(tmp_path):
-    """Workers must not change results: same configs, same numbers —
-    and the artifact round-trips through JSON."""
-    jobs = [ExperimentJob("a", tiny_config(seed=5)),
-            ExperimentJob("b", tiny_config(seed=6))]
-    serial = run_jobs(jobs, workers=1)
-    parallel = run_jobs(jobs, workers=2)
-    assert parallel.ok and serial.ok
-    for name in ("a", "b"):
-        assert (parallel.results[name].completed
-                == serial.results[name].completed)
-        assert (parallel.results[name].error_counts
-                == serial.results[name].error_counts)
-
-    path = write_artifact(str(tmp_path), "unit", parallel)
-    assert os.path.basename(path) == "BENCH_unit.json"
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    from repro.experiments.engine import ARTIFACT_SCHEMA
-
-    assert doc["schema"] == ARTIFACT_SCHEMA
-    assert set(doc["results"]) == {"a", "b"}
-    assert doc["results"]["a"]["completed"] == serial.results["a"].completed
-    assert doc["errors"] == {}
+    suites = {
+        "figures": ["fig3", "fig4", "fig5"],
+        "ablations": ["abl-gates", "abl-dyn", "abl-bpsf"],
+        "saturation": ["saturation"],
+    }
+    cells = {
+        "figures": [f"fig{n}/{variant}#3" for n in (3, 4, 5)
+                    for variant in ("throttled", "unthrottled")],
+        "ablations": [
+            "abl-gates/0_monitors#3", "abl-gates/1_monitors#3",
+            "abl-gates/2_monitors#3", "abl-gates/3_monitors#3",
+            "abl-dyn/static#3", "abl-dyn/dynamic#3",
+            "abl-bpsf/hard_oom#3", "abl-bpsf/best_plan#3"],
+        "saturation": [f"saturation/sat_{n}c#3" for n in (5, 15, 30, 40)],
+    }
+    for suite, ids in suites.items():
+        specs = experiment_suite_specs(suite, preset="paper", seed=3)
+        assert [spec.scenario_id for spec in specs] == ids
+        assert all(spec.preset == "paper" and spec.seed == 3
+                   for spec in specs)
+        assert [task.key() for task in tasks_for_specs(specs)] \
+            == cells[suite]
+    every = tasks_for_specs(experiment_suite_specs("all", "smoke", 3))
+    assert [task.key() for task in every] == \
+        cells["figures"] + cells["ablations"] + cells["saturation"]
+    assert len(every) == 18
 
 
 @pytest.mark.slow

@@ -359,7 +359,7 @@ def test_cli_serve_killed_and_resumed_matches_inline(tmp_path):
     serve = [sys.executable, "-m", "repro", "workers", "serve",
              "abl-dyn", "abl-gates", "--clients", "2",
              "--preset", "smoke", "--journal", str(journal),
-             "--stream-workers", "1", "--bind", "127.0.0.1:0",
+             "--workers", "1", "--bind", "127.0.0.1:0",
              "--out", str(out_dir)]
 
     def journaled_results() -> int:

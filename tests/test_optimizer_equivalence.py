@@ -128,8 +128,7 @@ def test_default_pipeline_matches_golden_through_stream_executor(tmp_path):
     against its golden.
     """
     spec = representative_specs()[0]
-    executor = make_executor("stream", bind="127.0.0.1:0",
-                             stream_workers=2)
+    executor = make_executor("stream", bind="127.0.0.1:0", workers=2)
     try:
         path = artifact_for(spec, tmp_path, executor=executor)
     finally:

@@ -15,7 +15,7 @@ import pytest
 
 from repro import cli
 from repro.errors import ConfigurationError
-from repro.experiments.engine import ARTIFACT_SCHEMA
+from repro.experiments.runner import ARTIFACT_SCHEMA
 from repro.experiments.executors import InlineExecutor, StreamExecutor
 from repro.experiments.journal import journaled_executor
 from repro.experiments.scheduler import (

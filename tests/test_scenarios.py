@@ -321,8 +321,8 @@ def test_unknown_scenario_lists_registered_ids():
 
 # ------------------------------------------------------------ lowering
 def test_jobs_for_scenario_lowering():
-    jobs = jobs_for_scenario(tiny_spec(), prefix="t_")
-    assert [j.name for j in jobs] == ["t_throttled", "t_unthrottled"]
+    jobs = jobs_for_scenario(tiny_spec())
+    assert [j.name for j in jobs] == ["throttled", "unthrottled"]
     assert jobs[0].config.throttling and not jobs[1].config.throttling
     # throttling-only variants need no ServerConfig override object
     assert jobs[0].config.server_overrides is None
@@ -569,7 +569,7 @@ def test_run_scenario_from_json_file(tmp_path):
 def test_scenario_artifact_roundtrips(tmp_path):
     from repro.scenarios import write_scenario_artifact
 
-    from repro.experiments.engine import ARTIFACT_SCHEMA
+    from repro.experiments.runner import ARTIFACT_SCHEMA
 
     result = run_scenario(tiny_spec())
     path = write_scenario_artifact(str(tmp_path), result)

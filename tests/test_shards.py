@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.engine import ARTIFACT_SCHEMA
+from repro.experiments.runner import ARTIFACT_SCHEMA
 from repro.experiments.shards import (
     ShardCell,
     ShardPlan,
