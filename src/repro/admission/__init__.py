@@ -10,7 +10,7 @@ declarative axis of an experiment:
 * :mod:`repro.admission.policies` — the pluggable
   ``would_drop`` / ``request`` / ``cancel`` / ``release`` arbiters:
   ``fifo`` (pinned byte-identical to the pre-policy inline code),
-  ``weighted_fair``, ``tenant_quota``, ``token_bucket``
+  and ``weighted_fair``
 * :mod:`repro.admission.slo` — objective evaluation over the
   ``open_loop`` fact block into pinned ``slo.*`` facts
 * :mod:`repro.admission.capture` — replayable JSONL trace capture of
@@ -30,8 +30,6 @@ from repro.admission.capture import (
 from repro.admission.policies import (
     Claim,
     FifoPolicy,
-    TenantQuotaPolicy,
-    TokenBucketPolicy,
     WeightedFairPolicy,
     make_policy,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "SLO_PERCENTILES",
     "SloSpec",
     "SloTarget",
-    "TenantQuotaPolicy",
-    "TokenBucketPolicy",
     "WeightedFairPolicy",
     "capture_event",
     "evaluate_slo",

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ConfigurationError
 
 #: every registered admission policy (see ``repro.admission.policies``)
-POLICY_NAMES = ("fifo", "weighted_fair", "tenant_quota", "token_bucket")
+POLICY_NAMES = ("fifo", "weighted_fair")
 
 #: SLO metrics evaluable against the ``open_loop`` fact block
 SLO_METRICS = ("queue_wait", "sojourn")
@@ -33,15 +33,16 @@ SLO_METRICS = ("queue_wait", "sojourn")
 SLO_PERCENTILES = ("p50", "p90", "p99", "max")
 
 
-def _pairs(value, caster, what: str) -> Tuple[Tuple[str, object], ...]:
-    """Canonicalize a mapping (or pair sequence) to sorted tuples."""
+def _weight_pairs(value) -> Tuple[Tuple[str, float], ...]:
+    """Canonicalize a weight mapping (or pair sequence) to sorted
+    tuples."""
     if isinstance(value, dict):
         value = value.items()
     try:
-        return tuple(sorted((str(key), caster(item))
+        return tuple(sorted((str(key), float(item))
                             for key, item in value))
     except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"admission {what} must map tenant "
+        raise ConfigurationError(f"admission weights must map tenant "
                                  f"names to numbers: {exc}") from exc
 
 
@@ -49,40 +50,19 @@ def _pairs(value, caster, what: str) -> Tuple[Tuple[str, object], ...]:
 class AdmissionSpec:
     """One fully-described admission policy.
 
-    ``policy`` names the arbiter; the remaining fields parameterize it
-    and are rejected on policies they do not apply to, the same way
-    trace-only transforms are rejected on synthetic traffic:
-
-    * ``weights`` — per-tenant slot share weights (``weighted_fair``
-      only; unlisted tenants weigh 1.0).  All-unit weights carry no
-      differentiation and are pinned byte-identical to ``fifo``.
-    * ``queue_limits`` / ``max_in_flight`` — per-tenant admission
-      queue caps and concurrent-session caps (``tenant_quota`` only).
-    * ``rate`` / ``burst`` — token refill rate (tokens per paper
-      second, required) and bucket depth (default 1.0)
-      (``token_bucket`` only).
+    ``policy`` names the arbiter; ``weights`` gives per-tenant slot
+    share weights and is rejected on any policy but ``weighted_fair``,
+    the same way trace-only transforms are rejected on synthetic
+    traffic (unlisted tenants weigh 1.0).  All-unit weights carry no
+    differentiation and are pinned byte-identical to ``fifo``.
     """
 
     policy: str = "fifo"
     #: tenant -> weight, deep-frozen to sorted pairs (weighted_fair)
     weights: Tuple[Tuple[str, float], ...] = ()
-    #: tenant -> max queued sessions, sorted pairs (tenant_quota)
-    queue_limits: Tuple[Tuple[str, int], ...] = ()
-    #: tenant -> max concurrently admitted sessions (tenant_quota)
-    max_in_flight: Tuple[Tuple[str, int], ...] = ()
-    #: admission tokens per paper second (token_bucket)
-    rate: Optional[float] = None
-    #: bucket depth in tokens; bursts up to this size pass (token_bucket)
-    burst: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           _pairs(self.weights, float, "weights"))
-        object.__setattr__(self, "queue_limits",
-                           _pairs(self.queue_limits, int, "queue_limits"))
-        object.__setattr__(self, "max_in_flight",
-                           _pairs(self.max_in_flight, int,
-                                  "max_in_flight"))
+        object.__setattr__(self, "weights", _weight_pairs(self.weights))
         self._validate()
 
     def _validate(self) -> None:
@@ -90,68 +70,26 @@ class AdmissionSpec:
             raise ConfigurationError(
                 f"unknown admission policy {self.policy!r}; valid "
                 f"policies: {', '.join(POLICY_NAMES)}")
-        restricted = {
-            "weights": ("weighted_fair",),
-            "queue_limits": ("tenant_quota",),
-            "max_in_flight": ("tenant_quota",),
-            "rate": ("token_bucket",),
-            "burst": ("token_bucket",),
-        }
-        for name, policies in restricted.items():
-            value = getattr(self, name)
-            if value not in (None, ()) and self.policy not in policies:
-                raise ConfigurationError(
-                    f"admission field {name!r} parameterizes the "
-                    f"{policies[0]!r} policy; it does not apply to "
-                    f"{self.policy!r}")
+        if self.weights and self.policy != "weighted_fair":
+            raise ConfigurationError(
+                f"admission field 'weights' parameterizes the "
+                f"'weighted_fair' policy; it does not apply to "
+                f"{self.policy!r}")
         for tenant, weight in self.weights:
             if not tenant or weight <= 0:
                 raise ConfigurationError(
                     f"admission weight for tenant {tenant!r} must be "
                     f"positive, got {weight!r}")
-        for tenant, limit in self.queue_limits:
-            if not tenant or limit < 0:
-                raise ConfigurationError(
-                    f"admission queue_limit for tenant {tenant!r} must "
-                    f"be >= 0, got {limit!r}")
-        for tenant, cap in self.max_in_flight:
-            if not tenant or cap < 1:
-                raise ConfigurationError(
-                    f"admission max_in_flight for tenant {tenant!r} "
-                    f"must be >= 1, got {cap!r}")
-        if self.policy == "token_bucket":
-            if self.rate is None or self.rate <= 0:
-                raise ConfigurationError(
-                    "token_bucket admission requires a positive 'rate' "
-                    "(tokens per paper second)")
-            if self.burst is not None and self.burst < 1:
-                raise ConfigurationError(
-                    f"admission burst must be >= 1 token, got "
-                    f"{self.burst!r}")
 
     # ------------------------------------------------------------ API
     def weights_dict(self) -> Dict[str, float]:
         return dict(self.weights)
-
-    def queue_limits_dict(self) -> Dict[str, int]:
-        return dict(self.queue_limits)
-
-    def max_in_flight_dict(self) -> Dict[str, int]:
-        return dict(self.max_in_flight)
 
     def to_dict(self) -> dict:
         """The JSON-ready document form (defaults omitted)."""
         doc: dict = {"policy": self.policy}
         if self.weights:
             doc["weights"] = {t: w for t, w in self.weights}
-        if self.queue_limits:
-            doc["queue_limits"] = {t: n for t, n in self.queue_limits}
-        if self.max_in_flight:
-            doc["max_in_flight"] = {t: n for t, n in self.max_in_flight}
-        if self.rate is not None:
-            doc["rate"] = self.rate
-        if self.burst is not None:
-            doc["burst"] = self.burst
         return doc
 
     @classmethod

@@ -211,9 +211,9 @@ class ServerConfig:
     #: multiplier=k preserves the full-effort compile-memory profile
     #: while doing 1/k of the Python work (used by the benchmarks)
     optimizer_memory_multiplier: float = 1.0
-    #: optimizer pipeline stage strategies; None selects the default
-    #: pipeline (basic/memo/cost/estimates), byte-identical to the
-    #: pre-pipeline optimizer
+    #: optimizer pipeline; None selects the default pipeline
+    #: (basic/memo/cost/estimates), byte-identical to the pre-pipeline
+    #: optimizer; only the enumerator has a second choice (``ues``)
     optimizer: Optional["OptimizerSpec"] = None
 
     def fast(self, factor: float = 4.0) -> "ServerConfig":

@@ -99,9 +99,9 @@ class ExperimentConfig:
     #: latency objectives evaluated against the ``open_loop`` facts
     #: (only meaningful with a ``traffic`` spec)
     slo: Optional[SloSpec] = None
-    #: optimizer pipeline stage strategies (``None`` = the default
+    #: optimizer pipeline (``None`` = the default
     #: basic/memo/cost/estimates pipeline, pinned byte-identical to
-    #: the pre-pipeline optimizer)
+    #: the pre-pipeline optimizer; only the enumerator can be ``ues``)
     optimizer: Optional[OptimizerSpec] = None
     #: overrides applied to the ServerConfig after preset handling
     server_overrides: Optional[ServerConfig] = None

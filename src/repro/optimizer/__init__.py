@@ -12,8 +12,9 @@ throttling gateways observe.
 Search runs through an explicit four-stage
 :class:`~repro.optimizer.pipeline.OptimizerPipeline` (support
 pre-check → join enumeration → physical operator selection → plan
-parameterization) with interchangeable strategies per stage, selected
-by an :class:`~repro.optimizer.spec.OptimizerSpec`.  The default
+parameterization) with one strategy per stage; the join enumerator
+is the one interchangeable stage, selected by an
+:class:`~repro.optimizer.spec.OptimizerSpec`.  The default
 pipeline is the paper's dynamic optimization (§5.1): a cheap heuristic
 plan first (always available as the best-plan-so-far fallback), then
 exploration rounds whose budget scales with the estimated cost of the

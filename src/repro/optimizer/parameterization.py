@@ -7,16 +7,12 @@ memory gateways — it shapes the *plan* the executor receives, not the
 optimization-time footprint.
 
 ``EstimatesParameterization`` (``estimates``) passes the winner
-through untouched — the pre-pipeline behaviour.
-``PaddedParameterization`` (``padded``) inflates each operator's
-memory estimate by a fixed safety margin, modelling the conservative
-grant padding production servers apply to survive under-estimates.
+through untouched — the pre-pipeline behaviour and the one strategy.
 """
 
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.plans import physical as ph
 
 
 class EstimatesParameterization:
@@ -30,25 +26,3 @@ class EstimatesParameterization:
         if task._best is None:
             raise SimulationError("optimization finished without a plan")
         return task._best
-
-
-class PaddedParameterization:
-    """Inflate per-operator memory estimates by a safety margin."""
-
-    __slots__ = ()
-
-    name = "padded"
-
-    #: multiplier applied to every operator's memory estimate
-    MARGIN = 1.25
-
-    def finalize(self, task):
-        if task._best is None:
-            raise SimulationError("optimization finished without a plan")
-        best = task._best
-        for node in best.plan.walk():
-            old = node.estimates
-            node.estimates = ph.Estimates(
-                rows=old.rows, bytes=old.bytes,
-                memory=old.memory * self.MARGIN, cost=old.cost)
-        return best

@@ -19,18 +19,16 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.optimizer.enumeration import MemoEnumerator, UesEnumerator
-from repro.optimizer.parameterization import (EstimatesParameterization,
-                                              PaddedParameterization)
-from repro.optimizer.precheck import BasicPreCheck, NoPreCheck
-from repro.optimizer.selection import CostBasedSelection, HeuristicSelection
+from repro.optimizer.parameterization import EstimatesParameterization
+from repro.optimizer.precheck import BasicPreCheck
+from repro.optimizer.selection import CostBasedSelection
 from repro.optimizer.spec import OptimizerSpec
 
 #: stage registries, keyed by the names ``OptimizerSpec`` validates
-PRECHECKS = {"basic": BasicPreCheck, "none": NoPreCheck}
+PRECHECKS = {"basic": BasicPreCheck}
 ENUMERATORS = {"memo": MemoEnumerator, "ues": UesEnumerator}
-SELECTIONS = {"cost": CostBasedSelection, "heuristic": HeuristicSelection}
-PARAMETERIZATIONS = {"estimates": EstimatesParameterization,
-                     "padded": PaddedParameterization}
+SELECTIONS = {"cost": CostBasedSelection}
+PARAMETERIZATIONS = {"estimates": EstimatesParameterization}
 
 #: the byte-identical-to-the-monolith default
 DEFAULT_SPEC = OptimizerSpec()

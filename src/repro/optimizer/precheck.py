@@ -4,7 +4,7 @@ A pre-check inspects the bound query *before* any memo memory is
 charged and rejects shapes the later stages cannot handle.  It is the
 pipeline's cheap guard: pure tree walk, no steps emitted, no simulated
 allocation — which is what keeps the default pre-check byte-invisible
-in artifacts.
+in artifacts.  ``BasicPreCheck`` (``basic``) is the one strategy.
 """
 
 from __future__ import annotations
@@ -36,14 +36,3 @@ class BasicPreCheck:
                     f"optimizer pre-check: unsupported logical "
                     f"operator {type(node).__name__}")
             stack.extend(node.children)
-
-
-class NoPreCheck:
-    """Skip the walk; unsupported operators fail during the search."""
-
-    __slots__ = ()
-
-    name = "none"
-
-    def check(self, bound: BoundQuery) -> None:
-        pass

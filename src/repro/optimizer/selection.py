@@ -13,10 +13,9 @@ scalars its node needs.  Physical nodes are built afterwards, for the
 root's winning tree only, and only when the pass does not lose to the
 plan the task already holds.
 
-``CostBasedSelection`` (``cost``) compares every candidate.
-``HeuristicSelection`` (``heuristic``) skips the comparisons and fixes
-the classic choices — hash-build on the smaller input, hash
-aggregation — the way a syntax-driven optimizer would.
+``CostBasedSelection`` (``cost``) compares every candidate: a hash
+join building on either input, and for a grouped aggregate both hash
+and sort + stream.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ class CostBasedSelection:
         horizon = task.expression_count
         cm = task.opt.cost_model
         hash_join_cost, nl_join_cost = cm.hash_join_cost, cm.nl_join_cost
-        both_builds = self.both_builds
         inf = math.inf
         costs = [inf] * visible
         winners: List[Optional[tuple]] = [None] * visible
@@ -113,29 +111,22 @@ class CostBasedSelection:
                         inputs = lcost + rcost
                         lrows, rrows = rows[left], rows[right]
                         if gexpr.split[0]:
-                            # hash join; the memory term biases the
-                            # choice toward building on the smaller input
-                            if both_builds:
-                                build_left = build_right = True
-                            else:
-                                build_left = sizes[left] <= sizes[right]
-                                build_right = not build_left
-                            if build_left:
-                                cost = (inputs
-                                        + hash_join_cost(lrows, rrows, grows)
-                                        + pressures[left])
-                                if cost < best_cost:
-                                    best_cost = cost
-                                    winner = (ph.HashJoin, gexpr,
-                                              memories[left], True)
-                            if build_right:
-                                cost = (inputs
-                                        + hash_join_cost(rrows, lrows, grows)
-                                        + pressures[right])
-                                if cost < best_cost:
-                                    best_cost = cost
-                                    winner = (ph.HashJoin, gexpr,
-                                              memories[right], False)
+                            # hash join, built on either input; the memory
+                            # term biases the choice toward the smaller one
+                            cost = (inputs
+                                    + hash_join_cost(lrows, rrows, grows)
+                                    + pressures[left])
+                            if cost < best_cost:
+                                best_cost = cost
+                                winner = (ph.HashJoin, gexpr,
+                                          memories[left], True)
+                            cost = (inputs
+                                    + hash_join_cost(rrows, lrows, grows)
+                                    + pressures[right])
+                            if cost < best_cost:
+                                best_cost = cost
+                                winner = (ph.HashJoin, gexpr,
+                                          memories[right], False)
                         else:
                             cost = inputs + nl_join_cost(lrows, rrows, grows)
                             if cost < best_cost:
@@ -188,7 +179,7 @@ class CostBasedSelection:
         if isinstance(node, lg.LogicalAggregate):
             out = [(ccost + cm.hash_agg_cost(crows, rows),
                     (ph.HashAggregate, gexpr))]
-            if node.keys and self._consider_stream_aggregate():
+            if node.keys:
                 sort_cost = cm.sort_cost(crows)
                 out.append((ccost + sort_cost + cm.stream_agg_cost(crows),
                             (ph.StreamAggregate, gexpr, sort_cost)))
@@ -249,35 +240,6 @@ class CostBasedSelection:
         plan.estimates = ph.Estimates(rows=rows[gid], bytes=sizes[gid],
                                       memory=memory, cost=costs[gid])
         return plan
-
-    # --------------------------------------------------- strategy points
-    #: whether a hash join is costed building on either input; if not,
-    #: only on the smaller one (rows times width; the left one on a tie)
-    both_builds = True
-
-    def _consider_stream_aggregate(self) -> bool:
-        """Whether sort+stream competes with the hash aggregate."""
-        return True
-
-
-class HeuristicSelection(CostBasedSelection):
-    """Fix the classic physical choices without comparing candidates.
-
-    Hash joins always build on the smaller (fewer estimated bytes)
-    input and aggregation is always hash-based — one candidate per
-    expression, so implementation passes cost less and never flip a
-    plan on a marginal estimate.  The cost model still prices the one
-    chosen candidate: estimates and memory grants stay meaningful.
-    """
-
-    __slots__ = ()
-
-    name = "heuristic"
-
-    both_builds = False
-
-    def _consider_stream_aggregate(self) -> bool:
-        return False
 
 
 # -------------------------------------------------------------- tree helpers

@@ -30,17 +30,17 @@ from typing import Tuple
 from repro.errors import ConfigurationError
 
 #: support pre-check strategies (see ``repro.optimizer.precheck``)
-PRECHECK_NAMES: Tuple[str, ...] = ("basic", "none")
+PRECHECK_NAMES: Tuple[str, ...] = ("basic",)
 
 #: join-enumeration strategies (see ``repro.optimizer.enumeration``)
 ENUMERATOR_NAMES: Tuple[str, ...] = ("memo", "ues")
 
 #: operator-selection strategies (see ``repro.optimizer.selection``)
-SELECTION_NAMES: Tuple[str, ...] = ("cost", "heuristic")
+SELECTION_NAMES: Tuple[str, ...] = ("cost",)
 
 #: plan-parameterization strategies
 #: (see ``repro.optimizer.parameterization``)
-PARAMETERIZATION_NAMES: Tuple[str, ...] = ("estimates", "padded")
+PARAMETERIZATION_NAMES: Tuple[str, ...] = ("estimates",)
 
 #: stage field -> valid strategy names, in pipeline order
 STAGE_CHOICES = {
@@ -59,19 +59,18 @@ class OptimizerSpec:
     reproduce the pre-pipeline monolithic optimizer byte for byte:
 
     * ``precheck`` — ``basic`` walks the bound tree and rejects
-      unsupported operators before any memory is charged; ``none``
-      skips the walk (unsupported operators then fail mid-search).
+      unsupported operators before any memory is charged.
     * ``enumerator`` — ``memo`` is the staged Cascades-style search
       (stage-0 syntactic plan, budgeted exploration rounds); ``ues``
       is a greedy upper-bound-driven left-deep reorder with no
       exploration (far less work, far smaller memo).
     * ``selection`` — ``cost`` costs every candidate implementation
-      and keeps the cheapest; ``heuristic`` fixes the classic choices
-      (hash-build on the smaller input, hash aggregation) without
-      comparing alternatives.
+      and keeps the cheapest.
     * ``parameterization`` — ``estimates`` passes the winning plan's
-      estimates through unchanged; ``padded`` inflates per-operator
-      memory estimates by 25% as a grant-safety margin.
+      estimates through unchanged.
+
+    Only ``enumerator`` has a choice; the three one-name stages stay
+    fields because spec documents and artifacts name all four stages.
     """
 
     precheck: str = "basic"

@@ -4,8 +4,8 @@ The traffic subsystem decouples *when sessions arrive* from the
 workload's *what they run*:
 
 * :mod:`repro.traffic.arrivals` — seeded, deterministic arrival
-  processes (Poisson, heavy-tailed Pareto, diurnal cycles, flash-crowd
-  spikes, multi-tenant noisy-neighbor mixes)
+  processes (Poisson, flash-crowd spikes, multi-tenant noisy-neighbor
+  mixes)
 * :mod:`repro.traffic.trace` — streaming CSV/JSONL query-log replay
   through composable transforms (window / tenant filter / rate rescale
   / template remap), with strict line-numbered validation
@@ -24,9 +24,7 @@ from repro.traffic.arrivals import (
     ARRIVAL_FACTORIES,
     Arrival,
     ArrivalProcess,
-    DiurnalArrivals,
     FlashCrowdArrivals,
-    ParetoArrivals,
     PoissonArrivals,
     TenantMixArrivals,
     make_arrival_process,
@@ -55,12 +53,10 @@ __all__ = [
     "ARRIVAL_FACTORIES",
     "Arrival",
     "ArrivalProcess",
-    "DiurnalArrivals",
     "FlashCrowdArrivals",
     "OpenLoopGenerator",
     "OpenLoopStats",
     "OpenLoopStatsView",
-    "ParetoArrivals",
     "PoissonArrivals",
     "TRACE_FIELDS",
     "TRACE_OUTCOMES",

@@ -87,71 +87,6 @@ class PoissonArrivals(ArrivalProcess):
             at += rng.expovariate(self.rate)
 
 
-class ParetoArrivals(ArrivalProcess):
-    """Heavy-tailed inter-arrival gaps (Pareto with shape ``alpha``).
-
-    The mean gap is ``1/rate`` — matched to a Poisson process of the
-    same rate — but mass moves into long quiet stretches punctuated by
-    tight bursts, the classic self-similar traffic shape.  ``alpha``
-    must exceed 1 for the mean to exist; values near 1 are the
-    burstiest.
-    """
-
-    name = "pareto"
-
-    def __init__(self, rate: float = 0.01, alpha: float = 1.5):
-        self.rate = _positive(rate, "pareto rate")
-        self.alpha = _positive(alpha, "pareto alpha")
-        if self.alpha <= 1.0:
-            raise ConfigurationError(
-                f"pareto alpha must be > 1 for a finite mean gap, "
-                f"got {self.alpha!r}")
-        #: scale chosen so the mean gap is exactly 1/rate
-        self._scale = (self.alpha - 1.0) / (self.alpha * self.rate)
-
-    def arrivals(self, rng, duration):
-        at = self._scale * rng.paretovariate(self.alpha)
-        while at < duration:
-            yield Arrival(at=at)
-            at += self._scale * rng.paretovariate(self.alpha)
-
-
-class DiurnalArrivals(ArrivalProcess):
-    """A day/night cycle: the rate swings between ``base_rate`` (the
-    trough) and ``peak_rate`` over each ``period`` paper seconds.
-
-    Implemented by thinning a ``peak_rate`` Poisson stream, which keeps
-    the process exact for the sinusoidal rate curve rather than
-    stair-stepping it.
-    """
-
-    name = "diurnal"
-
-    def __init__(self, base_rate: float = 0.002, peak_rate: float = 0.02,
-                 period: float = 3600.0):
-        self.base_rate = _positive(base_rate, "diurnal base_rate")
-        self.peak_rate = _positive(peak_rate, "diurnal peak_rate")
-        self.period = _positive(period, "diurnal period")
-        if self.peak_rate < self.base_rate:
-            raise ConfigurationError(
-                f"diurnal peak_rate ({self.peak_rate!r}) must be >= "
-                f"base_rate ({self.base_rate!r})")
-
-    def rate_at(self, at: float) -> float:
-        swing = (self.peak_rate - self.base_rate) / 2.0
-        midpoint = self.base_rate + swing
-        return midpoint - swing * math.cos(2.0 * math.pi * at / self.period)
-
-    def arrivals(self, rng, duration):
-        at = 0.0
-        while True:
-            at += rng.expovariate(self.peak_rate)
-            if at >= duration:
-                return
-            if rng.random() * self.peak_rate <= self.rate_at(at):
-                yield Arrival(at=at)
-
-
 class FlashCrowdArrivals(ArrivalProcess):
     """A steady trickle with one sudden spike (the flash crowd).
 
@@ -246,8 +181,6 @@ class TenantMixArrivals(ArrivalProcess):
 #: `repro traces synth` CLI use the key set as the list of valid names)
 ARRIVAL_FACTORIES = {
     "poisson": PoissonArrivals,
-    "pareto": ParetoArrivals,
-    "diurnal": DiurnalArrivals,
     "flash_crowd": FlashCrowdArrivals,
     "tenant_mix": TenantMixArrivals,
 }

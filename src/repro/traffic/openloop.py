@@ -185,8 +185,7 @@ class OpenLoopGenerator:
         self.stats = OpenLoopStatsView(self.table)
         self._policy = make_policy(
             admission, server.env, capacity=self.max_sessions,
-            queue_limit=traffic.queue_limit,
-            time_scale=server.config.time_scale)
+            queue_limit=traffic.queue_limit)
         #: offered arrivals on record for trace capture (index, arrival)
         self._capture: Optional[list] = [] if capture else None
 

@@ -28,8 +28,6 @@ from repro.admission import (
     OUTCOME_NAMES,
     SloSpec,
     SloTarget,
-    TenantQuotaPolicy,
-    TokenBucketPolicy,
     WeightedFairPolicy,
     evaluate_slo,
     make_policy,
@@ -78,29 +76,29 @@ def test_admission_spec_canonicalizes_and_roundtrips():
     assert hash(rebuilt) == hash(spec)
     # defaults are omitted from the document form
     assert AdmissionSpec().to_dict() == {"policy": "fifo"}
-    bucket = AdmissionSpec(policy="token_bucket", rate=0.5, burst=3.0)
-    assert bucket.to_dict() == {"policy": "token_bucket", "rate": 0.5,
-                                "burst": 3.0}
-    assert AdmissionSpec.from_dict(bucket.to_dict()) == bucket
 
 
 def test_admission_spec_rejects_misapplied_fields():
     with pytest.raises(ConfigurationError, match="weights"):
         AdmissionSpec(policy="fifo", weights={"a": 2.0})
-    with pytest.raises(ConfigurationError, match="queue_limits"):
-        AdmissionSpec(policy="weighted_fair", queue_limits={"a": 1})
-    with pytest.raises(ConfigurationError, match="rate"):
-        AdmissionSpec(policy="fifo", rate=1.0)
+    # the keyword constructor has no such fields (TypeError); a spec
+    # document naming them is rejected as a ConfigurationError
+    with pytest.raises(ConfigurationError, match="unknown admission field"):
+        AdmissionSpec.from_dict({"policy": "weighted_fair",
+                                 "queue_limits": {"a": 1}})
+    with pytest.raises(ConfigurationError, match="unknown admission field"):
+        AdmissionSpec.from_dict({"policy": "fifo", "rate": 1.0})
     with pytest.raises(ConfigurationError, match="valid policies"):
         AdmissionSpec(policy="lifo")
-    with pytest.raises(ConfigurationError, match="requires a positive"):
-        AdmissionSpec(policy="token_bucket")
-    with pytest.raises(ConfigurationError, match="burst"):
-        AdmissionSpec(policy="token_bucket", rate=1.0, burst=0.5)
+    for retired in ("token_bucket", "tenant_quota"):
+        with pytest.raises(ConfigurationError,
+                           match="valid policies: fifo, weighted_fair$"):
+            AdmissionSpec(policy=retired)
     with pytest.raises(ConfigurationError, match="positive"):
         AdmissionSpec(policy="weighted_fair", weights={"a": 0.0})
-    with pytest.raises(ConfigurationError, match="max_in_flight"):
-        AdmissionSpec(policy="tenant_quota", max_in_flight={"a": 0})
+    with pytest.raises(ConfigurationError, match="unknown admission field"):
+        AdmissionSpec.from_dict({"policy": "tenant_quota",
+                                 "max_in_flight": {"a": 0}})
     with pytest.raises(ConfigurationError, match="unknown admission field"):
         AdmissionSpec.from_dict({"policy": "fifo", "shares": {}})
     with pytest.raises(ConfigurationError, match="JSON object"):
@@ -187,14 +185,6 @@ def test_make_policy_dispatch_and_unit_weight_degeneration():
         AdmissionSpec(policy="weighted_fair", weights={"a": 4.0}),
         env, 2, 4)
     assert isinstance(skewed, WeightedFairPolicy)
-    quota = make_policy(
-        AdmissionSpec(policy="tenant_quota", max_in_flight={"a": 1}),
-        env, 2, 4)
-    assert isinstance(quota, TenantQuotaPolicy)
-    bucket = make_policy(
-        AdmissionSpec(policy="token_bucket", rate=0.5), env, 2, 4)
-    assert isinstance(bucket, TokenBucketPolicy)
-    assert bucket.burst == 1.0
 
 
 def test_weighted_fair_grants_by_start_tags():
@@ -217,38 +207,6 @@ def test_weighted_fair_grants_by_start_tags():
         order.append(queued.index(claim))
         policy.release(claim)
     assert order == [0, 1, 3, 2]
-
-
-def test_tenant_quota_skips_capped_tenants():
-    env = Environment()
-    policy = TenantQuotaPolicy(env, capacity=2, queue_limit=8,
-                               queue_limits={"a": 1},
-                               max_in_flight={"a": 1})
-    first = policy.request("a")
-    assert first.granted
-    # a is at its in-flight cap: its next claim queues, b's sails past
-    second = policy.request("a")
-    assert not second.granted
-    third = policy.request("b")
-    assert third.granted
-    # one queued claim for a is its queue_limits cap; b is uncapped
-    assert policy.would_drop("a")
-    assert not policy.would_drop("b")
-    policy.release(first)
-    assert second.granted
-
-
-def test_token_bucket_drops_without_tokens():
-    env = Environment()
-    policy = TokenBucketPolicy(env, capacity=4, queue_limit=4,
-                               rate=0.0, burst=2.0)
-    assert not policy.would_drop("a")
-    policy.request("a")
-    policy.request("a")
-    # bucket drained and refill rate is zero: drop on arrival even
-    # though slots remain free
-    assert policy.tokens == 0.0
-    assert policy.would_drop("a")
 
 
 def test_trace_outcome_vocabulary_matches_capture():

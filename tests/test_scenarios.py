@@ -83,7 +83,7 @@ def test_spec_format_versioning():
     assert tiny_spec(traffic=traffic).document_version() == 3
     assert tiny_spec(
         traffic=traffic,
-        admission=AdmissionSpec(policy="token_bucket", rate=1.0, burst=4.0),
+        admission=AdmissionSpec(policy="weighted_fair", weights={"a": 2.0}),
     ).document_version() == 5
     assert tiny_spec(optimizer=OptimizerSpec()).document_version() == 6
     assert tiny_spec(variants=(
@@ -258,11 +258,11 @@ def test_spec_customized_optimizer_override():
     assert all(v.optimizer is None for v in custom.variants)
     for job in jobs_for_scenario(custom):
         assert job.config.optimizer.enumerator == "ues"
-    # the override composes with a scenario-level spec, keeping its
-    # other stages
-    heur = tiny_spec(optimizer=OptimizerSpec(selection="heuristic"))
-    assert heur.customized(optimizer="ues").optimizer \
-        == OptimizerSpec(enumerator="ues", selection="heuristic")
+    # the override composes with a scenario-level spec, replacing only
+    # its enumerator
+    ues = tiny_spec(optimizer=OptimizerSpec(enumerator="ues"))
+    assert ues.customized(optimizer="ues").optimizer == ues.optimizer
+    assert ues.customized(optimizer="memo").optimizer == OptimizerSpec()
 
 
 def test_overrides_match_legacy_ablation_configs():

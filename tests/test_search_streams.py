@@ -6,8 +6,8 @@ how the optimizer holds its memo may move a single step.
 ``tests/data/optimizer/streams/search_streams.json`` holds, for SALES
 and OLTP templates at seeded literals (at the smoke and paper presets'
 effort) and for the seeded random join graphs of
-``test_optimizer_pipeline``, under both enumerators and both selection
-strategies:
+``test_optimizer_pipeline``, under both enumerators and cost-based
+selection:
 
 * per yield, the step and the task's group count, expression count and
   simulated bytes right after it;

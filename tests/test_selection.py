@@ -5,16 +5,16 @@ every implementation pass; it now keeps winners as data and builds only
 the root's tree.  ``tests/data/optimizer/selection/passes.json`` holds,
 for seeded random join graphs and a few hand-written shapes (grouping,
 a stream-aggregate winner, a nested-loops join, a hash-join residual)
-under both strategies, the plan a task held after *every* pass as the
-eager implementation produced it: ``describe()``-style lines carrying
+under cost-based selection, the plan a task held after *every* pass as
+the eager implementation produced it: ``describe()``-style lines carrying
 each node's full-precision estimates.  The goldens were written by
 running this module against the parent commit's ``src/``
 (``PYTHONPATH=<parent>/src:tests python -c "import test_selection as t;
 t.write_goldens()"``).
 
 The rest pins what the rewrite must not change around the edges: a
-losing pass builds nothing, padding touches each returned node once,
-and a join over an infeasible input still costs both inputs.
+losing pass builds nothing, and a join over an infeasible input still
+costs both inputs.
 """
 
 import json
@@ -179,22 +179,6 @@ def test_a_losing_pass_builds_no_physical_node(monkeypatch, selection):
     assert task._best.work_units == task._work_units \
         > incumbent.work_units
     steps.close()
-
-
-def test_padding_touches_each_returned_node_once():
-    plain = star_task()
-    padded = star_task(spec=OptimizerSpec(parameterization="padded"))
-    for task in (plain, padded):
-        for _ in task.steps():
-            pass
-    plain_nodes = list(plain.result.plan.walk())
-    padded_nodes = list(padded.result.plan.walk())
-    assert len({id(node) for node in padded_nodes}) == len(plain_nodes)
-    assert any(node.estimates.memory for node in plain_nodes)
-    for before, after in zip(plain_nodes, padded_nodes):
-        assert type(before) is type(after)
-        assert after.estimates == replace(
-            before.estimates, memory=before.estimates.memory * 1.25)
 
 
 class RecordingCostModel(CostModel):

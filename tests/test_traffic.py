@@ -31,10 +31,8 @@ from repro.server import DatabaseServer
 from repro.traffic import (
     ARRIVAL_FACTORIES,
     Arrival,
-    DiurnalArrivals,
     FlashCrowdArrivals,
     OpenLoopGenerator,
-    ParetoArrivals,
     PoissonArrivals,
     TenantMixArrivals,
     TraceEvent,
@@ -77,25 +75,6 @@ def test_poisson_rate_controls_density():
     assert 350 <= fast <= 650          # ~500 expected
     with pytest.raises(ConfigurationError, match="poisson rate"):
         PoissonArrivals(rate=0)
-
-
-def test_pareto_matches_poisson_mean_rate_but_burstier():
-    arrivals = schedule(ParetoArrivals(rate=0.05, alpha=1.5),
-                        duration=200_000.0)
-    mean_gap = arrivals[-1] / len(arrivals)
-    assert 10.0 <= mean_gap <= 40.0    # 1/rate = 20, heavy-tail noise
-    with pytest.raises(ConfigurationError, match="alpha must be > 1"):
-        ParetoArrivals(alpha=1.0)
-
-
-def test_diurnal_rate_curve_and_validation():
-    process = DiurnalArrivals(base_rate=0.002, peak_rate=0.02,
-                              period=3600.0)
-    assert process.rate_at(0.0) == pytest.approx(0.002)
-    assert process.rate_at(1800.0) == pytest.approx(0.02)
-    assert process.rate_at(3600.0) == pytest.approx(0.002)
-    with pytest.raises(ConfigurationError, match="peak_rate"):
-        DiurnalArrivals(base_rate=0.02, peak_rate=0.002)
 
 
 def test_flash_crowd_concentrates_arrivals_in_spike():
@@ -141,8 +120,13 @@ def test_tenant_mix_rejects_bad_documents():
 
 
 def test_make_arrival_process_errors_name_the_choices():
-    with pytest.raises(ConfigurationError, match="valid processes"):
-        make_arrival_process("bogus")
+    valid = "valid processes: flash_crowd, poisson, tenant_mix$"
+    for name in ("bogus", "pareto", "diurnal"):
+        with pytest.raises(ConfigurationError, match=valid):
+            make_arrival_process(name)
+    with pytest.raises(ConfigurationError, match=valid):
+        make_arrival_process("tenant_mix",
+                             tenants={"a": {"process": "pareto"}})
     with pytest.raises(ConfigurationError, match="bad parameters"):
         make_arrival_process("poisson", rat=0.1)
 
@@ -297,8 +281,9 @@ def test_traffic_spec_needs_exactly_one_source():
 def test_traffic_spec_validates_at_definition_time():
     with pytest.raises(ConfigurationError, match="valid processes"):
         TrafficSpec(arrivals="bogus")
-    with pytest.raises(ConfigurationError, match="alpha must be > 1"):
-        TrafficSpec(arrivals="pareto", params={"alpha": 0.5})
+    with pytest.raises(ConfigurationError, match="must be >= base_rate"):
+        TrafficSpec(arrivals="flash_crowd",
+                    params={"base_rate": 0.1, "spike_rate": 0.05})
     with pytest.raises(ConfigurationError, match="transforms a trace"):
         TrafficSpec(arrivals="poisson", window=(0.0, 10.0))
     with pytest.raises(ConfigurationError, match="rate_scale"):
