@@ -6,13 +6,7 @@ Commands
                  ``list`` / ``describe <id>`` / ``run <id>…``
 ``shards``       distribute a scenario selection across processes or
                  machines: ``plan`` / ``run --shard k/N`` / ``merge``
-``workers``      stream cells to a worker pool over TCP:
-                 ``serve`` a selection / ``join`` a coordinator
-``figure``       reproduce one of the paper's figures (1, 2, 3, 4, 5)
-``sweep``        client sweep (the CLAIM-SAT saturation experiment)
-``ablation``     run one of the design ablations
-``experiments``  run a named suite of registered scenarios (figures,
-                 ablations, saturation) and write their artifacts
+``workers``      ``join`` a stream coordinator's TCP cell queue
 ``results``      the cross-run results warehouse: ``load`` BENCH
                  artifact dirs / journals, then ``query`` / ``diff`` /
                  ``trend`` / ``radar`` across runs
@@ -21,23 +15,21 @@ Commands
                  process, ``capture`` a replayable admission trace
                  from a scenario run
 ``query``        compile + execute one ad-hoc query and print the report
-``monitors``     print the memory-monitor ladder
 
-``figure``/``sweep``/``ablation``/``experiments`` are shims over the
-scenario registry: ``repro figure 3`` and ``repro scenarios run fig3``
-execute the same spec through the same facade and print identical
-output.
+``scenarios run`` is the one command that runs a selection: the paper's
+figures (``fig1``…``fig5``), ablations and saturation sweep are
+registered scenarios, and a coordinator serving external workers is
+``scenarios run --workers 0 --bind HOST:PORT``.
 
 Every run surface submits its cells through one
 :class:`~repro.experiments.executors.CellExecutor`; ``--executor
 {inline,stream}`` picks the implementation (default: inline for
 ``--workers 1``, otherwise a stream executor that spawns ``--workers``
-local worker processes) and results are canonically byte-identical
-whichever one runs the cells.  ``--journal PATH`` makes the queue
-durable (kill the coordinator, restart with ``--resume``: completed
-cells replay from the journal) and ``--order {spec,cost}`` picks the
-queue order — both are scheduling/durability concerns only and never
-change artifact bytes.
+local worker processes, none for ``--workers 0``) and results are
+canonically byte-identical whichever one runs the cells.  ``--journal
+PATH`` makes the queue durable (kill the coordinator, restart with
+``--resume``: completed cells replay from the journal) — a durability
+concern only, never visible in artifact bytes.
 
 See ``docs/cli.md`` for the full command reference,
 ``docs/sharding.md`` for the shard execution model,
@@ -54,12 +46,13 @@ Examples
     python -m repro scenarios run abl-dyn --executor stream --workers 2
     python -m repro shards run --shard 2/4 --all --out shard-artifacts
     python -m repro shards merge shard-artifacts --out bench-artifacts
-    python -m repro workers serve --all --bind 127.0.0.1:7731 --out bench
-    python -m repro workers serve --all --journal run.journal --order cost --out bench
-    python -m repro workers serve --all --journal run.journal --resume --out bench
+    python -m repro scenarios run --all --workers 0 --bind 127.0.0.1:7731 --out bench
+    python -m repro scenarios run --all --journal run.journal --workers 2 --out bench
+    python -m repro scenarios run --all --journal run.journal --workers 2 --resume --out bench
     python -m repro workers join --connect 127.0.0.1:7731
-    python -m repro figure 3 --preset smoke
-    python -m repro experiments --suite figures --workers 4 --out bench
+    python -m repro scenarios run fig1
+    python -m repro scenarios run fig3 fig4 fig5 --preset smoke --out bench
+    python -m repro scenarios run abl-gates --clients 30
     python -m repro results load bench --db results.sqlite
     python -m repro results diff prev latest --db results.sqlite
     python -m repro results radar prev latest --db results.sqlite
@@ -69,7 +62,6 @@ Examples
     python -m repro scenarios run burst-flash --capture-trace traces
     python -m repro scenarios run burst-flash --clients 4
     python -m repro query --workload mixed --seed 7
-    python -m repro ablation gateways --clients 30
 """
 
 from __future__ import annotations
@@ -86,15 +78,6 @@ from repro.experiments.runner import PRESETS, make_workload
 from repro.metrics.report import render_table
 from repro.server.server import DatabaseServer
 from repro.units import format_bytes, format_duration
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", default="smoke", choices=sorted(PRESETS),
-                        help="fidelity/runtime preset")
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="local worker processes to spawn "
-                             "(1 = run inline)")
 
 
 def _add_selection_args(parser: argparse.ArgumentParser) -> None:
@@ -133,7 +116,8 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
                         choices=EXECUTOR_NAMES,
                         help="cell executor: inline (serial, default "
                              "for --workers 1) or stream (TCP worker "
-                             "pool, default for --workers N > 1)")
+                             "pool, default for --workers 0 and "
+                             "N > 1)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="local worker processes a stream executor "
                              "spawns (0 = external workers only)")
@@ -152,13 +136,7 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_queue_args(parser: argparse.ArgumentParser) -> None:
-    """Queue durability and ordering, shared by every run surface."""
-    parser.add_argument("--order", default="spec",
-                        choices=("spec", "cost"),
-                        help="queue order: spec (selection order) or "
-                             "cost (expected-slowest cells first, from "
-                             "prior journals/artifacts or workload-"
-                             "size heuristics)")
+    """Queue durability, shared by every run surface."""
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="record every dispatched/completed cell "
                              "to this append-only newline-JSON file; "
@@ -166,10 +144,6 @@ def _add_queue_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="replay completed cells from --journal "
                              "and run only the outstanding ones")
-    parser.add_argument("--warehouse", default=None, metavar="PATH",
-                        help="results-warehouse sqlite file (see "
-                             "`repro results`) whose observed per-cell "
-                             "wall seconds feed --order cost")
 
 
 def _executor_from_args(args):
@@ -204,30 +178,6 @@ def _wrap_journal(executor, args):
     from repro.experiments.journal import journaled_executor
 
     return journaled_executor(executor, args.journal, resume=args.resume)
-
-
-def _scheduler_from_args(args, executor=None):
-    """A cost scheduler fed from whatever history this machine has:
-    the run's own journal (already parsed by the --resume wrapper, so
-    its state is reused rather than re-read), any artifacts already
-    in --out, and the --warehouse trajectory when given.  Only built
-    when --order cost asks for one."""
-    if args.order != "cost":
-        return None
-    from repro.experiments.scheduler import (
-        CellScheduler,
-        history_from_state,
-    )
-
-    out_dir = getattr(args, "out", None)
-    warehouse = getattr(args, "warehouse", None)
-    scheduler = CellScheduler.from_sources(
-        artifact_dirs=[out_dir] if out_dir else [],
-        warehouses=[warehouse] if warehouse else [])
-    state = getattr(executor, "resume_state", None)
-    if state is not None:
-        scheduler.history.update(history_from_state(state))
-    return scheduler
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,67 +248,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     workers = sub.add_parser(
         "workers",
-        help="stream cells to a TCP worker pool (serve / join)")
+        help="execute a stream coordinator's cells (join)")
     workers_sub = workers.add_subparsers(dest="workers_command",
                                          required=True)
-
-    w_serve = workers_sub.add_parser(
-        "serve", help="serve a selection's cell queue to joining "
-                      "workers and write BENCH_scenario_*.json")
-    _add_selection_args(w_serve)
-    w_serve.add_argument("--bind", default="127.0.0.1:7731",
-                         metavar="HOST:PORT",
-                         help="address to serve the cell queue on")
-    w_serve.add_argument("--workers", type=int, default=0,
-                         metavar="N",
-                         help="local worker processes to spawn in "
-                              "addition to external joiners")
-    w_serve.add_argument("--snapshot", action="store_true",
-                         help="embed the end-of-run DMV snapshot in "
-                              "result artifacts")
-    w_serve.add_argument("--capture-trace", default=None, metavar="DIR",
-                         help="write each cell's replayable JSONL "
-                              "admission trace into this directory")
-    _add_queue_args(w_serve)
-    w_serve.add_argument("--out", default=None,
-                         help="directory for BENCH_scenario_*.json "
-                              "artifacts")
 
     w_join = workers_sub.add_parser(
         "join", help="join a coordinator and execute streamed cells "
                      "until the queue drains")
     w_join.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address (from `repro workers "
-                             "serve`)")
+                        help="coordinator address (announced by a "
+                             "stream run, e.g. `repro scenarios run "
+                             "--workers 0`)")
     w_join.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress output")
-
-    fig = sub.add_parser("figure", help="reproduce a paper figure")
-    fig.add_argument("number", type=int, choices=(1, 2, 3, 4, 5))
-    _add_common(fig)
-
-    sweep = sub.add_parser("sweep", help="client-count saturation sweep")
-    sweep.add_argument("--clients", type=int, nargs="+",
-                       default=[5, 15, 30, 40])
-    _add_common(sweep)
-
-    abl = sub.add_parser("ablation", help="run a design ablation")
-    abl.add_argument("which", choices=("gateways", "dynamic", "best-plan"))
-    abl.add_argument("--clients", type=int, default=None)
-    _add_common(abl)
-
-    exp = sub.add_parser(
-        "experiments",
-        help="run a suite of registered scenarios and write "
-             "BENCH_scenario_*.json artifacts")
-    exp.add_argument("--suite", default="figures",
-                     choices=("figures", "ablations", "saturation", "all"))
-    exp.add_argument("--out", default="bench-artifacts",
-                     help="directory for BENCH_scenario_*.json artifacts")
-    exp.add_argument("--snapshot", action="store_true",
-                     help="embed the end-of-run DMV snapshot in each "
-                          "run's artifact summary")
-    _add_common(exp)
 
     from repro.results.radar import DEFAULT_REGRESSION_THRESHOLD
 
@@ -513,16 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload name (sales, tpch, oltp, mixed)")
     query.add_argument("--no-throttle", action="store_true")
     query.add_argument("--seed", type=int, default=7)
-
-    sub.add_parser("monitors", help="print the monitor ladder")
     return parser
 
 
 # ----------------------------------------------------------- scenarios
-def _run_specs(specs, workers: int = 1, out: Optional[str] = None,
-               executor=None, snapshot: bool = False,
-               capture: Optional[str] = None,
-               order: str = "spec", scheduler=None) -> int:
+def _run_specs(specs, executor, out: Optional[str] = None,
+               snapshot: bool = False,
+               capture: Optional[str] = None) -> int:
     """Run resolved specs; print each render; write artifacts.
 
     One executor, one submission: all specs' cells go down together
@@ -547,9 +446,8 @@ def _run_specs(specs, workers: int = 1, out: Optional[str] = None,
         if not result.ok:
             state["failed"] = True
 
-    run_scenarios(specs, workers=workers, executor=executor,
-                  snapshot=snapshot, capture=capture, on_result=emit,
-                  order=order, scheduler=scheduler)
+    run_scenarios(specs, executor=executor, snapshot=snapshot,
+                  capture=capture, on_result=emit)
     return 1 if state["failed"] else 0
 
 
@@ -630,10 +528,9 @@ def cmd_scenarios(args) -> int:
     specs = _resolve_run_specs(args)
     executor = _wrap_journal(_executor_from_args(args), args)
     try:
-        return _run_specs(specs, out=args.out, executor=executor,
+        return _run_specs(specs, executor, out=args.out,
                           snapshot=args.snapshot,
-                          capture=args.capture_trace, order=args.order,
-                          scheduler=_scheduler_from_args(args, executor))
+                          capture=args.capture_trace)
     finally:
         executor.close()
 
@@ -703,8 +600,7 @@ def cmd_shards(args) -> int:
     try:
         payload = run_shard(plan, index, executor=executor,
                             snapshot=args.snapshot,
-                            capture=args.capture_trace, order=args.order,
-                            scheduler=_scheduler_from_args(args, executor),
+                            capture=args.capture_trace,
                             progress=lambda line: print(f"   {line}"))
     finally:
         executor.close()
@@ -720,99 +616,14 @@ def cmd_shards(args) -> int:
 
 # ------------------------------------------------------- worker pools
 def cmd_workers(args) -> int:
-    """Handle the ``workers`` family (serve / join)."""
+    """Handle the ``workers`` family (join)."""
     from repro.experiments.wire import parse_address, run_worker
 
-    if args.workers_command == "join":
-        host, port = parse_address(args.connect)
-        progress = None if args.quiet else \
-            (lambda line: print(f"   {line}"))
-        executed = run_worker(host, port, progress=progress)
-        print(f"worker drained after {executed} cell(s)")
-        return 0
-
-    from repro.experiments.executors import StreamExecutor
-
-    specs = _resolve_run_specs(args)
-    host, port = parse_address(args.bind)
-    stream = StreamExecutor(host=host, port=port,
-                            spawn_workers=args.workers)
-    executor = _wrap_journal(stream, args)
-    try:
-        bound_host, bound_port = stream.start()
-        cells = sum(len(spec.variant_names()) for spec in specs)
-        print(f"== serving {cells} cells on {bound_host}:{bound_port} "
-              f"(join with: repro workers join "
-              f"--connect {bound_host}:{bound_port})")
-        return _run_specs(specs, out=args.out, executor=executor,
-                          snapshot=args.snapshot,
-                          capture=args.capture_trace, order=args.order,
-                          scheduler=_scheduler_from_args(args, executor))
-    finally:
-        executor.close()
-
-
-# -------------------------------------------------------- legacy shims
-def cmd_figure(args) -> int:
-    from repro.scenarios import get_scenario
-
-    spec = get_scenario(f"fig{args.number}")
-    if args.number in (1, 2):
-        # fig1 renders a configuration; fig2 traces compilations —
-        # neither takes a preset, but the seed still applies to fig2
-        spec = spec.customized(seed=args.seed)
-    else:
-        spec = spec.customized(preset=args.preset, seed=args.seed)
-    return _run_specs([spec], workers=args.workers, out=None)
-
-
-def cmd_sweep(args) -> int:
-    from repro.scenarios import saturation_scenario
-
-    # duplicate counts would be identical runs (same config, same
-    # seed) and would collide as variant names; keep first occurrences
-    spec = saturation_scenario(tuple(dict.fromkeys(args.clients)),
-                               preset=args.preset, seed=args.seed)
-    return _run_specs([spec], workers=args.workers, out=None)
-
-
-def cmd_ablation(args) -> int:
-    from repro.scenarios import get_scenario
-
-    scenario_ids = {
-        "gateways": "abl-gates",
-        "dynamic": "abl-dyn",
-        "best-plan": "abl-bpsf",
-    }
-    spec = get_scenario(scenario_ids[args.which]).customized(
-        preset=args.preset, seed=args.seed, clients=args.clients)
-    return _run_specs([spec], workers=args.workers, out=None)
-
-
-# ---------------------------------------------------- experiment suites
-#: ``repro experiments --suite`` name -> the registered scenarios it runs
-EXPERIMENT_SUITES = {
-    "figures": ("fig3", "fig4", "fig5"),
-    "ablations": ("abl-gates", "abl-dyn", "abl-bpsf"),
-    "saturation": ("saturation",),
-}
-
-
-def experiment_suite_specs(suite: str, preset: str, seed: int) -> list:
-    """The registered scenarios of one suite (``all`` = every suite),
-    customized to ``preset`` and ``seed``."""
-    from repro.scenarios import get_scenario
-
-    names = list(EXPERIMENT_SUITES) if suite == "all" else [suite]
-    return [get_scenario(scenario_id).customized(preset=preset, seed=seed)
-            for name in names for scenario_id in EXPERIMENT_SUITES[name]]
-
-
-def cmd_experiments(args) -> int:
-    """Run a suite's scenarios and write their BENCH artifacts."""
-    specs = experiment_suite_specs(args.suite, args.preset, args.seed)
-    return _run_specs(specs, workers=args.workers, out=args.out,
-                      snapshot=args.snapshot)
+    host, port = parse_address(args.connect)
+    progress = None if args.quiet else (lambda line: print(f"   {line}"))
+    executed = run_worker(host, port, progress=progress)
+    print(f"worker drained after {executed} cell(s)")
+    return 0
 
 
 # ------------------------------------------------------ results warehouse
@@ -1046,27 +857,15 @@ def cmd_query(args) -> int:
     return 0
 
 
-def cmd_monitors(_args) -> int:
-    from repro.experiments import figure1_monitors
-
-    print(figure1_monitors())
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "scenarios": cmd_scenarios,
         "shards": cmd_shards,
         "workers": cmd_workers,
-        "figure": cmd_figure,
-        "sweep": cmd_sweep,
-        "ablation": cmd_ablation,
-        "experiments": cmd_experiments,
         "results": cmd_results,
         "traces": cmd_traces,
         "query": cmd_query,
-        "monitors": cmd_monitors,
     }
     try:
         return handlers[args.command](args)

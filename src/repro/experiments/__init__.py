@@ -7,8 +7,7 @@ the design choices the paper reports tuning (monitor count, dynamic
 thresholds, best-plan-so-far); ``executors`` is the pluggable
 cell-execution protocol (inline, or a streamed TCP pool of worker
 processes) and ``wire`` its coordinator/worker transport; ``journal``
-makes any executor's queue durable (checkpoint/restart) and
-``scheduler`` orders it by expected cost (slowest cells first).
+makes any executor's queue durable (checkpoint/restart).
 """
 
 from repro.experiments.runner import (
@@ -34,10 +33,6 @@ from repro.experiments.journal import (
     journaled_executor,
     load_journal,
 )
-from repro.experiments.scheduler import (
-    CellScheduler,
-    order_tasks,
-)
 from repro.experiments.figures import (
     ThroughputComparison,
     figure1_monitors,
@@ -49,7 +44,6 @@ __all__ = [
     "CellExecutor",
     "CellJournal",
     "CellResult",
-    "CellScheduler",
     "CellTask",
     "ExperimentConfig",
     "ExperimentResult",
@@ -65,7 +59,6 @@ __all__ = [
     "journaled_executor",
     "load_journal",
     "make_executor",
-    "order_tasks",
     "run_experiment",
     "tasks_for_specs",
     "throughput_figure",

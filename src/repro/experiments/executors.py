@@ -6,10 +6,9 @@ module makes its *execution* pluggable.  A :class:`CellExecutor`
 accepts :class:`CellTask`\\ s (cell + spec, self-describing enough to
 run anywhere) and yields :class:`CellResult`\\ s (JSON-ready summaries,
 the same shapes shard documents carry).  Every surface — the
-``run_scenario`` facade, ``repro shards run``, and the ``repro
-workers`` pair — submits through this protocol, so single-machine,
-sharded and remote runs are one code path differing only in executor
-choice:
+``run_scenario`` facade, ``repro scenarios run`` and ``repro shards
+run`` — submits through this protocol, so single-machine, sharded and
+remote runs are one code path differing only in executor choice:
 
 * :class:`InlineExecutor` — serial, in-process.
 * :class:`StreamExecutor` — serves the cell queue to worker processes
@@ -25,11 +24,9 @@ builds and tears down its own server, so no cache outlives it), and
 both executors produce canonically byte-identical artifacts
 (pinned by tests; see :func:`repro.experiments.shards.canonical_document`).
 
-Two layers compose with any executor rather than being executors
-themselves: :mod:`repro.experiments.journal` wraps one in a durable
-run journal (checkpoint/restart — ``--journal``/``--resume``), and
-:mod:`repro.experiments.scheduler` reorders the submitted queue by
-expected cost (``--order cost``) before it reaches ``submit``.
+One layer composes with any executor rather than being an executor
+itself: :mod:`repro.experiments.journal` wraps one in a durable run
+journal (checkpoint/restart — ``--journal``/``--resume``).
 """
 
 from __future__ import annotations
@@ -394,14 +391,19 @@ def make_executor(name: Optional[str] = None, workers: int = 1,
                   timeout: Optional[float] = None) -> CellExecutor:
     """Build an executor from CLI-ish knobs.
 
-    ``name=None`` picks :class:`InlineExecutor` for ``workers <= 1``
+    ``name=None`` picks :class:`InlineExecutor` for ``workers == 1``
     and otherwise a :class:`StreamExecutor` that spawns ``workers``
-    local worker processes.  An explicit ``"stream"`` spawns
-    ``workers`` of them too, so ``workers=0`` serves external joiners
-    only.
+    local worker processes — none for ``workers=0``, which serves
+    external joiners only.  An explicit ``"stream"`` spawns
+    ``workers`` of them too.  A negative count is a configuration
+    error.
     """
+    if workers < 0:
+        raise ConfigurationError(
+            f"--workers takes a count >= 0 (0 = external workers "
+            f"only), got {workers}")
     if name is None:
-        name = "inline" if workers <= 1 else "stream"
+        name = "inline" if workers == 1 else "stream"
     if name == "inline":
         return InlineExecutor()
     if name == "stream":
@@ -409,8 +411,7 @@ def make_executor(name: Optional[str] = None, workers: int = 1,
 
         host, port = parse_address(bind)
         return StreamExecutor(host=host, port=port,
-                              spawn_workers=max(0, workers),
-                              timeout=timeout)
+                              spawn_workers=workers, timeout=timeout)
     raise ConfigurationError(
         f"unknown executor {name!r}; valid executors: "
         f"{', '.join(EXECUTOR_NAMES)}")

@@ -1,7 +1,7 @@
 """The run journal: checkpoint/restart for any cell-executing surface.
 
 A coordinator used to be a single point of loss — kill a ``repro
-workers serve`` (or a ``repro shards run``) halfway through its queue
+scenarios run`` (or a ``repro shards run``) halfway through its queue
 and the whole selection re-ran from zero.  This module makes the
 queue durable instead: a :class:`CellJournal` is an append-only
 newline-JSON file recording every **dispatched** and **completed**
@@ -30,10 +30,9 @@ warehouse (:mod:`repro.results`) interchangeably with the run's
 Crash tolerance: records are flushed line-by-line, and a process
 killed mid-append leaves at most one truncated trailing line, which
 :func:`load_journal` ignores.  A journal is bound to one selection:
-the fingerprint (cells + specs + snapshot flag, order-insensitive so
-``--order`` never invalidates a journal) must match on resume, and an
-existing journal is never silently overwritten — pass ``--resume`` or
-remove the file.
+the fingerprint (cells + specs + snapshot flag, order-insensitive)
+must match on resume, and an existing journal is never silently
+overwritten — pass ``--resume`` or remove the file.
 """
 
 from __future__ import annotations
@@ -69,11 +68,10 @@ JOURNAL_OPS = ("open", "resume", "dispatch", "result")
 def selection_fingerprint(tasks: Iterable[CellTask]) -> dict:
     """The order-insensitive identity of a submission.
 
-    Cells are sorted and specs keyed by scenario id, so re-ordering
-    the queue (``--order cost``) or re-resolving the same selection in
-    a different order never invalidates a journal — but any change to
-    what actually runs (cells, spec configuration, the ``--snapshot``
-    flag) does.
+    Cells are sorted and specs keyed by scenario id, so re-resolving
+    the same selection in a different order never invalidates a
+    journal — but any change to what actually runs (cells, spec
+    configuration, the ``--snapshot`` flag) does.
     """
     tasks = list(tasks)
     specs: Dict[str, dict] = {}
@@ -262,8 +260,7 @@ def split_tasks(tasks: Iterable[CellTask], state: JournalState
     unchanged), but a transient one — a worker OOM, a killed process —
     gets the second chance that is the whole point of restarting.
     Replayed results come back in task order; outstanding tasks keep
-    the submission's order (so a cost-ordered queue stays cost-ordered
-    across a restart).
+    the submission's order.
     """
     replayed: List[CellResult] = []
     outstanding: List[CellTask] = []

@@ -34,7 +34,6 @@ shard documents: each one is a complete scenario and merges as-is.
 
 from __future__ import annotations
 
-import glob
 import json
 import math
 import os
@@ -216,17 +215,13 @@ class ShardPlan:
 def run_shard(plan: ShardPlan, index: int, workers: int = 1,
               progress: Optional[Callable[[str], None]] = None,
               executor=None, snapshot: bool = False,
-              capture: Optional[str] = None,
-              order: str = "spec", scheduler=None) -> dict:
+              capture: Optional[str] = None) -> dict:
     """Execute one shard of ``plan``; returns the shard document payload.
 
     All owned cells go through one :class:`~repro.experiments.
     executors.CellExecutor` submission (``executor=None`` picks inline
     or the process pool from ``workers``, like every other surface),
     then re-group into per-scenario entries in selection order.
-    ``order``/``scheduler`` reorder the owned queue by expected cost
-    exactly as on :func:`~repro.scenarios.facade.run_scenarios` —
-    a scheduling decision only, never visible in the payload.
     ``capture`` is a directory each owned cell writes its replayable
     JSONL admission trace into (per-cell filenames, so shards of one
     plan can share a directory without collisions).  The
@@ -234,16 +229,14 @@ def run_shard(plan: ShardPlan, index: int, workers: int = 1,
     touched scenario's spec, per-variant result summaries and errors.
     """
     from repro.experiments.executors import CellTask, make_executor
-    from repro.experiments.scheduler import order_tasks
 
     owned = plan.cells_for(index)
     owns_executor = executor is None
     if executor is None:
         executor = make_executor(workers=workers)
-    tasks = order_tasks(
-        [CellTask(cell=cell, spec=plan.spec_for(cell.scenario_id),
-                  snapshot=snapshot, capture=capture)
-         for cell in owned], order=order, scheduler=scheduler)
+    tasks = [CellTask(cell=cell, spec=plan.spec_for(cell.scenario_id),
+                      snapshot=snapshot, capture=capture)
+             for cell in owned]
     try:
         cell_results = list(executor.submit(tasks, progress=progress))
     finally:
@@ -321,38 +314,14 @@ def load_bench_document(path: str) -> dict:
     return doc
 
 
-def iter_bench_documents(directory: str):
-    """Yield ``(path, doc)`` for every readable ``BENCH_*.json``.
-
-    Sorted by filename, so consumers are deterministic.  Unreadable,
-    non-JSON or non-object files are silently skipped — this is the
-    *advisory* reader (scheduler cost history and other best-effort
-    scans); strict consumers like the shard merge and the results
-    warehouse go through :func:`load_bench_document` per file so a
-    malformed artifact fails loudly.
-    """
-    if not os.path.isdir(directory):
-        return
-    for path in sorted(glob.glob(os.path.join(directory,
-                                              "BENCH_*.json"))):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(doc, dict):
-            yield path, doc
-
-
 def wall_seconds_percentiles(values: Iterable[float]) -> dict:
     """The per-cell wall-clock digest merge summaries carry.
 
     Nearest-rank percentiles (deterministic, no interpolation) of the
-    observed per-cell ``wall_seconds``.  This is the in-repo data
-    source cost-based ordering falls back on when no journal exists:
-    a prior merge's artifacts say which cells were slow.  Derived
-    entirely from wall clocks, so the whole digest is canonically
-    volatile (see :data:`VOLATILE_FIELDS`).
+    observed per-cell ``wall_seconds``; ``repro results trend`` and
+    the regression radar read the same digest.  Derived entirely from
+    wall clocks, so the whole digest is canonically volatile (see
+    :data:`VOLATILE_FIELDS`).
     """
     values = sorted(float(v) for v in values
                     if isinstance(v, (int, float)))
@@ -401,7 +370,7 @@ class MergeResult:
     ``shard_count``/``cells_total`` describe the merged plan (0 when
     only pre-shard standalone artifacts were merged);
     ``cell_wall_seconds`` are the observed per-cell wall clocks the
-    summary digests for cost-based ordering.
+    summary digests (see :func:`wall_seconds_percentiles`).
     """
 
     scenarios: Dict[str, dict]

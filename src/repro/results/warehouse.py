@@ -189,8 +189,7 @@ def _record_cell(extract_facts: dict, kinds: dict, cell: tuple,
 def _extract_entry(scenario_id: str, entry: dict, specs: dict,
                    facts: dict, kinds: dict, state: dict) -> None:
     """Fold one scenario entry (artifact or shard-doc shape) into the
-    extract's facts, mirroring the scheduler's history reader but
-    keeping the *whole* metric namespace, not just wall clocks."""
+    extract's facts, keeping the whole metric namespace."""
     from repro.scenarios.facade import metrics_from_summary
 
     spec_doc = entry.get("spec")
@@ -221,8 +220,8 @@ def _extract_entry(scenario_id: str, entry: dict, specs: dict,
                               int(spec_doc.get("seed", 0))), kind,
                              {ERROR_METRIC: 1.0})
         else:
-            # monitors/trace: one render cell, named like the
-            # scheduler/merge name it (first variant or "run")
+            # monitors/trace: one render cell, named like the merge
+            # names it (first variant or "run")
             variants = spec_doc.get("variants") or []
             name = variants[0].get("name", "run") \
                 if variants and isinstance(variants[0], dict) else "run"
@@ -255,11 +254,9 @@ def extract_artifact_dir(directory: str) -> RunExtract:
 
     Ingests scenario artifacts and shard documents (artifact schemas
     ``MIN_ARTIFACT_SCHEMA..ARTIFACT_SCHEMA``); merge summaries and
-    batch summaries (the benchmark session's, older ``repro
-    experiments`` suites) carry no per-cell facts and are skipped with
-    a note.  Malformed documents and future schemas are hard errors — a
-    warehouse load is strict where the scheduler's advisory history
-    reader is tolerant.
+    batch summaries (the benchmark session's, and the removed suite
+    command's) carry no per-cell facts and are skipped with a note.
+    Malformed documents and future schemas are hard errors.
     """
     paths = sorted(glob.glob(os.path.join(directory, "BENCH_*.json")))
     if not paths:

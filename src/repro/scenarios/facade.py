@@ -1,7 +1,7 @@
 """The programmatic scenario facade.
 
 ``run_scenario(spec, workers=N)`` is the one entry point the CLI, the
-legacy figure/ablation/experiments shims and the tests all route
+legacy figure/ablation Python helpers and the tests all route
 through: it lowers a :class:`ScenarioSpec` to **cell tasks**, submits
 them through a :class:`~repro.experiments.executors.CellExecutor`
 (inline, or a streamed pool of worker processes — the caller's choice,
@@ -408,19 +408,13 @@ def run_scenarios(specs: List[ScenarioSpec], workers: int = 1,
                   executor=None, snapshot: bool = False,
                   capture: Optional[str] = None,
                   on_result: Optional[Callable[["ScenarioResult"], None]]
-                  = None, order: str = "spec",
-                  scheduler=None) -> List[ScenarioResult]:
+                  = None) -> List[ScenarioResult]:
     """Run a whole selection through one executor submission.
 
     All cells of all specs go down in a single ``submit`` call, so a
     stream executor's workers overlap cells of different scenarios and
     drain one queue — exactly the scheduling freedom the determinism
     contract allows, since results are re-grouped by spec afterwards.
-
-    ``order`` picks the queue order (``spec`` = selection order,
-    ``cost`` = expected-slowest first via the optional
-    :class:`~repro.experiments.scheduler.CellScheduler`); because of
-    that re-grouping it affects wall clock only, never artifact bytes.
 
     ``on_result`` is invoked once per scenario, in selection order, as
     soon as that scenario's result can be finalized — so a long
@@ -429,15 +423,12 @@ def run_scenarios(specs: List[ScenarioSpec], workers: int = 1,
     dies.
     """
     from repro.experiments.executors import make_executor, tasks_for_specs
-    from repro.experiments.scheduler import order_tasks
 
     started = time.time()
     owns_executor = executor is None
     if executor is None:
         executor = make_executor(workers=workers)
-    tasks = order_tasks(tasks_for_specs(specs, snapshot=snapshot,
-                                        capture=capture),
-                        order=order, scheduler=scheduler)
+    tasks = tasks_for_specs(specs, snapshot=snapshot, capture=capture)
     outstanding = {spec.scenario_id: len(spec.variant_names())
                    for spec in specs}
     collected: Dict[str, list] = {spec.scenario_id: [] for spec in specs}

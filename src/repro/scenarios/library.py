@@ -1,7 +1,7 @@
 """Built-in scenarios: every paper artifact plus new scenario families.
 
 Each ``*_scenario`` builder returns a parameterized spec (the legacy
-Python APIs and CLI shims call these with their historical defaults);
+Python APIs call these with their historical defaults);
 module import registers the canonical instances, so ``repro scenarios
 list`` shows the whole catalogue.
 

@@ -1,11 +1,11 @@
 """The scenario registry.
 
 Built-in scenarios (``repro.scenarios.library``) and user code register
-:class:`~repro.scenarios.spec.ScenarioSpec` values here; the CLI
-(``repro experiments`` suites included) and the test suite enumerate
-them.  Ids are
-unique — re-registering an id is a hard error so two harnesses can
-never silently disagree about what a scenario means.
+:class:`~repro.scenarios.spec.ScenarioSpec` values here; ``repro
+scenarios run`` (the one CLI command that runs a selection) and the
+test suite enumerate them.  Ids are unique — re-registering an id is a
+hard error so two harnesses can never silently disagree about what a
+scenario means.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Shared builders for executor/journal/scheduler tests.
+"""Shared builders for executor/journal tests.
 
 Kept out of conftest so the helpers are explicit imports, and named
 (not ``test_*``) so pytest never collects it.

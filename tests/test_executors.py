@@ -102,6 +102,15 @@ def test_make_executor_resolution():
         make_executor("quantum")
     with pytest.raises(ConfigurationError, match="valid executors"):
         make_executor("pool")
+    # --workers 0 means "external workers only": a stream executor
+    # that spawns nobody, never a silent inline fallback
+    external = make_executor(workers=0)
+    assert isinstance(external, StreamExecutor)
+    assert external.spawn_workers == 0
+    external.close()
+    for name in (None, "inline", "stream"):
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            make_executor(name, workers=-3)
 
 
 def test_execute_cell_error_accounting():

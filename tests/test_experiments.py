@@ -1,5 +1,4 @@
-"""Tests for the experiment harness (runner, figures, ablations, the
-``repro experiments`` suites).
+"""Tests for the experiment harness (runner, figures, ablations).
 
 These run miniature configurations — the full reproductions live in
 ``benchmarks/``.
@@ -73,41 +72,6 @@ def test_gateway_ladder_slicing():
         gateway_ladder(4)
     assert not config_with_gateways(0).throttle.enabled
     assert config_with_gateways(2).throttle.enabled
-
-
-def test_experiments_alias_resolves_suites_to_registered_scenarios():
-    """`repro experiments --suite` is an alias over registered
-    scenarios: each suite names fixed ids, customized to the preset
-    and seed, and `all` is the three suites in order — 18 cells."""
-    from repro.cli import experiment_suite_specs
-    from repro.experiments.executors import tasks_for_specs
-
-    suites = {
-        "figures": ["fig3", "fig4", "fig5"],
-        "ablations": ["abl-gates", "abl-dyn", "abl-bpsf"],
-        "saturation": ["saturation"],
-    }
-    cells = {
-        "figures": [f"fig{n}/{variant}#3" for n in (3, 4, 5)
-                    for variant in ("throttled", "unthrottled")],
-        "ablations": [
-            "abl-gates/0_monitors#3", "abl-gates/1_monitors#3",
-            "abl-gates/2_monitors#3", "abl-gates/3_monitors#3",
-            "abl-dyn/static#3", "abl-dyn/dynamic#3",
-            "abl-bpsf/hard_oom#3", "abl-bpsf/best_plan#3"],
-        "saturation": [f"saturation/sat_{n}c#3" for n in (5, 15, 30, 40)],
-    }
-    for suite, ids in suites.items():
-        specs = experiment_suite_specs(suite, preset="paper", seed=3)
-        assert [spec.scenario_id for spec in specs] == ids
-        assert all(spec.preset == "paper" and spec.seed == 3
-                   for spec in specs)
-        assert [task.key() for task in tasks_for_specs(specs)] \
-            == cells[suite]
-    every = tasks_for_specs(experiment_suite_specs("all", "smoke", 3))
-    assert [task.key() for task in every] == \
-        cells["figures"] + cells["ablations"] + cells["saturation"]
-    assert len(every) == 18
 
 
 @pytest.mark.slow

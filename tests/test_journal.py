@@ -5,8 +5,8 @@ truncated-tail tolerance), the resume split and the operator guards;
 the acceptance pins are the kill tests: a coordinator killed mid-queue
 and restarted with ``--resume`` produces artifacts canonically
 byte-identical to an uninterrupted run — simulated in-process (fast)
-and as a real killed ``repro workers serve`` subprocess (slow, the
-``resume-smoke`` CI lane's shape).
+and as a real killed ``repro scenarios run --executor stream``
+subprocess (slow, the ``resume-smoke`` CI lane's shape).
 """
 
 import json
@@ -138,7 +138,7 @@ def test_journal_rejects_unknown_ops_and_second_open(tmp_path):
 
 
 def test_selection_fingerprint_is_order_insensitive():
-    """--order cost must never invalidate a journal, but a different
+    """Queue order must never invalidate a journal, but a different
     selection, spec config or snapshot flag must."""
     specs = [monitors_spec("jr-f1"), monitors_spec("jr-f2")]
     tasks = tasks_for_specs(specs)
@@ -345,7 +345,8 @@ def test_journaled_stream_executor_records_wire_dispatch(tmp_path):
 @pytest.mark.slow
 def test_cli_serve_killed_and_resumed_matches_inline(tmp_path):
     """The resume-smoke CI lane's exact shape, in-repo: a real
-    ``repro workers serve`` subprocess killed mid-queue, resumed with
+    ``repro scenarios run --executor stream`` subprocess killed
+    mid-queue, resumed with
     ``--resume``, its artifacts canonically identical to an
     uninterrupted inline run."""
     from repro import cli
@@ -356,11 +357,11 @@ def test_cli_serve_killed_and_resumed_matches_inline(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    serve = [sys.executable, "-m", "repro", "workers", "serve",
+    serve = [sys.executable, "-m", "repro", "scenarios", "run",
              "abl-dyn", "abl-gates", "--clients", "2",
              "--preset", "smoke", "--journal", str(journal),
-             "--workers", "1", "--bind", "127.0.0.1:0",
-             "--out", str(out_dir)]
+             "--executor", "stream", "--workers", "1",
+             "--bind", "127.0.0.1:0", "--out", str(out_dir)]
 
     def journaled_results() -> int:
         if not journal.exists():

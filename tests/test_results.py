@@ -18,10 +18,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import ARTIFACT_SCHEMA
 from repro.experiments.executors import InlineExecutor, StreamExecutor
 from repro.experiments.journal import journaled_executor
-from repro.experiments.scheduler import (
-    CellScheduler,
-    history_from_warehouse,
-)
 from repro.experiments.shards import VOLATILE_FIELDS
 from repro.experiments.wire import run_worker
 from repro.results import (
@@ -362,23 +358,3 @@ def test_cli_label_guards_and_defaults(inline_runs, tmp_path, capsys):
     with Warehouse(db) as warehouse:
         run = warehouse.resolve("nightly")
         assert run.git_sha == "cafe" and run.host == "runner-1"
-
-
-# ------------------------------------------------- scheduler integration
-def test_scheduler_reads_the_warehouse_trajectory(inline_runs, tmp_path):
-    """--warehouse feeds --order cost: the latest loaded observation
-    of each cell wins; missing or non-warehouse files are advisory."""
-    baseline = _pin_walls(inline_runs / "run-a", tmp_path / "base", 1.0)
-    slower = _pin_walls(inline_runs / "run-a", tmp_path / "slow", 2.0)
-    db = tmp_path / "w.sqlite"
-    _load(db, baseline, slower)
-    history = history_from_warehouse(str(db))
-    assert history["wh-exp/throttled#1"] == 2.0
-    assert history["wh-exp/unthrottled#1"] == 2.0
-    assert history["wh-mon/run#3"] == 2.0
-    scheduler = CellScheduler.from_sources(warehouses=[str(db)])
-    assert scheduler.history == history
-    assert history_from_warehouse(str(tmp_path / "missing.sqlite")) == {}
-    junk = tmp_path / "junk.sqlite"
-    junk.write_text("not a database", encoding="utf-8")
-    assert history_from_warehouse(str(junk)) == {}

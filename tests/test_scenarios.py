@@ -268,7 +268,7 @@ def test_spec_customized_optimizer_override():
 def test_overrides_match_legacy_ablation_configs():
     """ConfigOverrides.apply must produce exactly the ServerConfigs the
     legacy ablation helpers built — that is what keeps scenario runs
-    byte-identical to the legacy commands."""
+    byte-identical to the legacy helpers."""
     for count in (0, 1, 2, 3):
         assert ConfigOverrides(gateway_count=count).apply() \
             == config_with_gateways(count)
@@ -599,17 +599,3 @@ def test_every_registered_scenario_smoke_runs():
             assert result.batch.ok, \
                 f"{spec.scenario_id}: {result.batch.errors}"
             assert set(result.batch.results) == set(spec.variant_names())
-
-
-@pytest.mark.slow
-def test_legacy_cli_is_byte_identical_to_scenarios_run(capsys):
-    """`repro ablation dynamic` and `repro scenarios run abl-dyn` are
-    the same spec through the same facade — identical output bytes."""
-    assert cli.main(["ablation", "dynamic", "--clients", "2",
-                     "--preset", "smoke", "--seed", "3"]) == 0
-    legacy = capsys.readouterr().out
-    assert cli.main(["scenarios", "run", "abl-dyn", "--clients", "2",
-                     "--preset", "smoke", "--seed", "3"]) == 0
-    scenarios = capsys.readouterr().out
-    assert legacy == scenarios
-    assert "abl-dyn" in legacy

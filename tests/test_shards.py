@@ -369,8 +369,8 @@ def test_monitors_expectations_match_between_paths(tmp_path):
 
 
 def test_merge_summary_records_wall_seconds_percentiles():
-    """The merge summary digests per-cell wall clocks (the in-repo
-    data source `--order cost` falls back on), and the digest is
+    """The merge summary digests per-cell wall clocks (the series
+    `results trend` and the radar read), and the digest is
     canonically volatile — derived from wall clocks, zeroed with
     them."""
     spec = tiny_spec("ptile", expect=())
