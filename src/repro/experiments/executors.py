@@ -13,7 +13,7 @@ remote runs are one code path differing only in executor choice:
 * :class:`InlineExecutor` — serial, in-process.
 * :class:`StreamExecutor` — serves the cell queue to worker processes
   over the TCP wire protocol (:mod:`repro.experiments.wire`): local
-  ones it spawns itself (``--workers N``) and/or remote joiners.
+  ones it forks itself (``--workers N``) and/or remote joiners.
   Workers *pull* cells one at a time, so slow cells rebalance
   automatically (work stealing), and a cell claimed by a worker that
   dies is re-queued for the survivors.
@@ -34,9 +34,10 @@ from __future__ import annotations
 import abc
 import math
 import os
-import subprocess
+import signal
 import sys
 import time
+import traceback
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, List, Optional
 
@@ -270,16 +271,58 @@ class InlineExecutor(CellExecutor):
             yield result
 
 
+class _ForkedWorker:
+    """The parent's handle on one forked local worker, on ``os.waitpid``.
+
+    ``returncode`` is the exit status, or minus the signal that killed
+    the worker.
+    """
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def terminate(self) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, signal.SIGTERM)
+
+    def wait(self, timeout: float) -> int:
+        """Reap the worker, killing it if it outlives ``timeout``."""
+        deadline = time.monotonic() + timeout
+        while self.poll() is None:
+            if time.monotonic() >= deadline:  # pragma: no cover
+                os.kill(self.pid, signal.SIGKILL)
+                _pid, status = os.waitpid(self.pid, 0)
+                self.returncode = os.waitstatus_to_exitcode(status)
+                break
+            time.sleep(0.01)
+        return self.returncode
+
+
 class StreamExecutor(CellExecutor):
     """Serve the cell queue to workers over TCP (pull = work stealing).
 
     ``start()`` binds the listener (``port=0`` picks an ephemeral
     port); workers join with ``repro workers join --connect
-    host:port`` — or this executor spawns ``spawn_workers`` local
-    ones itself.  Each worker pulls one cell at a time, so a slow cell
+    host:port`` — or this executor forks ``spawn_workers`` local ones
+    itself.  Each worker pulls one cell at a time, so a slow cell
     never blocks the rest of the queue, and a cell claimed by a worker
     that disconnects is re-queued for the survivors (the recovery the
     kill-one-worker test pins).
+
+    A local worker is a fork of this process, which has already
+    imported everything a cell needs, so it starts in milliseconds
+    rather than paying for a fresh interpreter.  Nothing a cell reads
+    outlives its cell, so a fork inherits nothing that changes a
+    result.  ``start()`` forks before it starts the accept thread, so
+    a caller that runs no threads of its own forks single-threaded.
     """
 
     #: optional claim hook: ``on_dispatch(task)`` fires the moment a
@@ -295,15 +338,25 @@ class StreamExecutor(CellExecutor):
         self.spawn_workers = int(spawn_workers)
         self.timeout = timeout
         self._server = None
-        self._spawned: List[subprocess.Popen] = []
+        self._spawned: List[_ForkedWorker] = []
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> tuple:
-        """Bind the listener; returns the ``(host, port)`` address."""
+        """Bind the listener, fork the local workers, then start
+        accepting; returns the ``(host, port)`` address."""
         if self._server is None:
             from repro.experiments.wire import CellQueueServer
 
+            if self.spawn_workers and not hasattr(os, "fork"):
+                raise ConfigurationError(
+                    "local stream workers are forked, and this platform "
+                    "has no os.fork; run the coordinator with --workers 0 "
+                    "--bind HOST:PORT and start workers with `repro "
+                    "workers join --connect HOST:PORT`")
             self._server = CellQueueServer(self.host, self.port)
+            host, port = self._server.bind()
+            for _ in range(self.spawn_workers):
+                self._spawned.append(self._fork_worker(host, port))
             self._server.start()
         return self._server.address
 
@@ -315,14 +368,10 @@ class StreamExecutor(CellExecutor):
         if self._server is not None:
             self._server.close()
             self._server = None
-        for proc in self._spawned:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self._spawned:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
+        for worker in self._spawned:
+            worker.terminate()
+        for worker in self._spawned:
+            worker.wait(timeout=10)
         self._spawned = []
 
     def cancel(self) -> None:
@@ -332,9 +381,7 @@ class StreamExecutor(CellExecutor):
     # -- execution -------------------------------------------------------
     def submit(self, tasks: Iterable[CellTask],
                progress: Progress = None) -> Iterator[CellResult]:
-        host, port = self.start()
-        for _ in range(max(0, self.spawn_workers - len(self._spawned))):
-            self._spawned.append(self._spawn_worker(host, port))
+        self.start()
         for result in self._server.serve(tasks, timeout=self.timeout,
                                          liveness=self._check_spawned,
                                          on_dispatch=self.on_dispatch):
@@ -345,7 +392,7 @@ class StreamExecutor(CellExecutor):
         """Fail loudly when every worker we spawned has died.
 
         Without this, a queue whose only workers were our own
-        subprocesses would block forever after they crash.  External
+        forks would block forever after they crash.  External
         joiners keep the queue alive, so only the no-workers-left
         state aborts.
         """
@@ -353,7 +400,7 @@ class StreamExecutor(CellExecutor):
             return
         if self._server.active_workers > 0:
             return
-        codes = [proc.poll() for proc in self._spawned]
+        codes = [worker.poll() for worker in self._spawned]
         if all(code is not None for code in codes):
             from repro.experiments.wire import WireError
 
@@ -362,23 +409,33 @@ class StreamExecutor(CellExecutor):
                 f"(exit codes {codes}) with cells outstanding; see "
                 f"their stderr above")
 
-    @staticmethod
-    def _spawn_worker(host: str, port: int) -> subprocess.Popen:
-        # the worker imports the same repro as this process, even when
-        # that is a checkout on sys.path rather than an installed package
-        import repro
+    def _fork_worker(self, host: str, port: int) -> _ForkedWorker:
+        # pending output would otherwise be written once per process
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid:
+            return _ForkedWorker(pid)
+        # the child: never return into the caller's stack
+        code = 1
+        try:
+            from repro.experiments.wire import run_worker
 
-        root = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (root, env.get("PYTHONPATH"))))
-        # stdout is noise (per-cell progress is suppressed) but stderr
-        # is kept: a crashing worker must leave a diagnosable trace
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "workers", "join",
-             "--connect", f"{host}:{port}", "--quiet"],
-            stdout=subprocess.DEVNULL, env=env)
+            self._server.close_inherited()
+            # stdout is noise, but stderr is kept: a crashing worker
+            # must leave a diagnosable trace
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+            run_worker(host, port)
+            code = 0
+        except BaseException:  # noqa: BLE001 - report, then exit 1
+            traceback.print_exc()
+        finally:
+            try:
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
 
 
 # ------------------------------------------------------------- factory

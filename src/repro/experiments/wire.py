@@ -55,6 +55,9 @@ WIRE_PROTOCOL = 1
 #: produce is 2.3 KB (3.4 KB with a ``--snapshot`` DMV dump).
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
+#: name of the coordinator's accept thread (tests look for it)
+ACCEPT_THREAD_NAME = "cell-queue-accept"
+
 
 class WireError(ReproError):
     """A wire-protocol failure (handshake mismatch, malformed frame,
@@ -121,12 +124,17 @@ def recv_message(stream) -> Optional[dict]:
 class CellQueueServer:
     """The coordinator side: a served cell queue with re-queue on loss.
 
-    ``start()`` binds and begins accepting workers (who may connect
-    and block before any work exists); ``serve(tasks)`` enqueues the
-    tasks and yields results as workers deliver them, re-queuing the
-    cell of any worker that disconnects mid-flight.  ``serve`` may be
-    called again for further batches — workers idle between batches
-    and are only told to drain by ``close()``/``cancel()``.
+    ``bind()`` listens without accepting yet; ``start()`` binds if
+    needed and begins accepting workers (who may connect and block
+    before any work exists).  Workers that connect in between wait in
+    the listen backlog — the gap in which
+    :class:`~repro.experiments.executors.StreamExecutor` forks its
+    local workers from a still single-threaded process.
+    ``serve(tasks)`` enqueues the tasks and yields results as workers
+    deliver them, re-queuing the cell of any worker that disconnects
+    mid-flight.  ``serve`` may be called again for further batches —
+    workers idle between batches and are only told to drain by
+    ``close()``/``cancel()``.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
@@ -154,19 +162,33 @@ class CellQueueServer:
         self._on_dispatch: Optional[Callable] = None
 
     # -- lifecycle -------------------------------------------------------
-    def start(self) -> Tuple[str, int]:
-        if self._listener is not None:
-            return self.address
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(self._requested)
-        listener.listen(64)
-        self._listener = listener
-        self.address = listener.getsockname()[:2]
-        accept = threading.Thread(target=self._accept_loop, daemon=True)
-        accept.start()
-        self._accept_thread = accept
+    def bind(self) -> Tuple[str, int]:
+        """Listen on the requested address; starts no thread."""
+        if self._listener is None:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(self._requested)
+            listener.listen(64)
+            self._listener = listener
+            self.address = listener.getsockname()[:2]
         return self.address
+
+    def start(self) -> Tuple[str, int]:
+        """Bind if needed and start the accept thread."""
+        self.bind()
+        if self._accept_thread is None:
+            accept = threading.Thread(target=self._accept_loop,
+                                      name=ACCEPT_THREAD_NAME, daemon=True)
+            accept.start()
+            self._accept_thread = accept
+        return self.address
+
+    def close_inherited(self) -> None:
+        """Close a forked child's copy of the listener.  Only close: a
+        shutdown would act on the socket the parent still listens on."""
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
 
     def close(self) -> None:
         with self._lock:
@@ -184,11 +206,17 @@ class CellQueueServer:
                 break
             thread.join(timeout=remaining)
         if self._listener is not None:
+            # closing alone does not wake a thread blocked in accept()
+            # on Linux, which keeps the port listening; shutdown does
             try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already closed
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # a platform refusing it on a listener
                 pass
+            self._listener.close()
             self._listener = None
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
+            self._accept_thread = None
 
     def cancel(self) -> None:
         """Drop the pending queue; in-flight cells may still finish."""
@@ -245,7 +273,7 @@ class CellQueueServer:
                             cell.describe() for cell in expected
                             if cell not in self._done)
                         raise WireError(
-                            f"no worker progress within {timeout:.0f}s; "
+                            f"no worker progress within {timeout:g}s; "
                             f"outstanding cell(s): "
                             + ", ".join(outstanding))
                     slice_ = 2.0 if remaining is None \

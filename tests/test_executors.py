@@ -10,6 +10,8 @@ executor produces canonically byte-identical artifacts.
 
 import io
 import json
+import os
+import signal
 import socket
 import threading
 import time
@@ -29,8 +31,10 @@ from repro.experiments.executors import (
 )
 from repro.experiments.shards import ShardCell, canonical_document
 from repro.experiments.wire import (
+    ACCEPT_THREAD_NAME,
     MAX_FRAME_BYTES,
     WIRE_PROTOCOL,
+    CellQueueServer,
     WireError,
     parse_address,
     recv_message,
@@ -111,6 +115,20 @@ def test_make_executor_resolution():
     for name in (None, "inline", "stream"):
         with pytest.raises(ConfigurationError, match=">= 0"):
             make_executor(name, workers=-3)
+
+
+def test_local_workers_need_fork(monkeypatch):
+    """Without os.fork, local workers are a configuration error that
+    names the portable path; serving external joiners still works."""
+    monkeypatch.delattr(os, "fork")
+    forking = StreamExecutor(spawn_workers=2)
+    with pytest.raises(ConfigurationError,
+                       match="--workers 0 --bind HOST:PORT"):
+        forking.start()
+    assert forking._server is None
+    external = StreamExecutor()
+    external.start()
+    external.close()
 
 
 def test_execute_cell_error_accounting():
@@ -291,6 +309,25 @@ def test_stream_executor_supports_successive_submissions():
     assert all(r.ok for r in first + second)
 
 
+def test_closed_coordinator_stops_listening():
+    """close() wakes the thread blocked in accept(): it ends, and the
+    port is free to bind again at once, so successive coordinators in
+    one process never fork beside a stale accept thread."""
+    server = CellQueueServer()
+    address = server.start()
+    accept = server._accept_thread
+    time.sleep(0.1)  # let the accept thread block in accept()
+    server.close()
+    assert not accept.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address).close()
+    again = CellQueueServer(*address)
+    try:
+        assert again.bind() == address
+    finally:
+        again.close()
+
+
 # -------------------------------------------- stream scheduling (cheap)
 def _drain_worker(address) -> int:
     """A well-behaved worker thread target."""
@@ -327,6 +364,15 @@ def test_stream_work_stealing_recovers_from_a_killed_worker():
     _recover_from_doomed_worker("ex-kill", last_words=lambda task: b"")
 
 
+def test_stream_ignores_a_duplicate_result():
+    """A worker that sends its valid result twice and hangs up: the
+    copy is dropped, each cell yields exactly one result, and nothing
+    is re-queued, because the worker delivered before it left."""
+    _recover_from_doomed_worker(
+        "ex-dup", last_words=lambda task: _result_frame(task) * 2,
+        requeues=0)
+
+
 def _result_frame(task_doc, padding=0, newline=b"\n"):
     """The worker's real ``result`` frame for a claimed cell, with
     ``padding`` blanks inside the JSON object and the given ending."""
@@ -347,10 +393,25 @@ def test_stream_requeues_cell_of_worker_sending_bad_frame(last_words):
     _recover_from_doomed_worker("ex-frame", last_words)
 
 
-def _recover_from_doomed_worker(prefix, last_words):
+def _claim_raw(address):
+    """Connect as a bare protocol client and claim one cell; returns
+    the connection, its stream and the ``cell`` message."""
+    conn = socket.create_connection(address)
+    stream = conn.makefile("rwb")
+    send_message(stream, {"op": "hello", "protocol": WIRE_PROTOCOL,
+                          "schema": ARTIFACT_SCHEMA})
+    assert recv_message(stream)["op"] == "welcome"
+    send_message(stream, {"op": "next"})
+    message = recv_message(stream)
+    assert message["op"] == "cell"
+    return conn, stream, message
+
+
+def _recover_from_doomed_worker(prefix, last_words, requeues=1):
     """Run three cells; a worker claims one, sends
     ``last_words(task_doc)`` as its last bytes and hangs up; a healthy
-    worker joining later finishes the queue."""
+    worker joining later finishes the queue.  The coordinator must
+    re-queue exactly ``requeues`` cells on the way."""
     specs = [monitors_spec(f"{prefix}-{i}") for i in range(3)]
     executor = StreamExecutor(timeout=30)
     host, port = executor.start()
@@ -359,14 +420,7 @@ def _recover_from_doomed_worker(prefix, last_words):
     claimed = threading.Event()
 
     def doomed_worker():
-        conn = socket.create_connection((host, port))
-        stream = conn.makefile("rwb")
-        send_message(stream, {"op": "hello", "protocol": WIRE_PROTOCOL,
-                              "schema": ARTIFACT_SCHEMA})
-        assert recv_message(stream)["op"] == "welcome"
-        send_message(stream, {"op": "next"})
-        message = recv_message(stream)
-        assert message["op"] == "cell"
+        conn, stream, message = _claim_raw((host, port))
         claimed.set()
         try:
             stream.write(last_words(message["task"]))
@@ -407,7 +461,7 @@ def _recover_from_doomed_worker(prefix, last_words):
     assert sorted(r.cell.scenario_id for r in results) \
         == sorted(spec.scenario_id for spec in specs)
     assert all(r.ok for r in results)
-    assert server.requeues >= 1, "the dropped cell was never re-queued"
+    assert server.requeues == requeues
     assert server.workers_seen >= 2
 
 
@@ -435,23 +489,24 @@ def test_cancelled_executor_finalizes_partial_results():
 
 
 def test_stream_aborts_when_every_spawned_worker_died():
-    """A queue whose only workers were our own crashed subprocesses
-    fails loudly instead of blocking forever."""
-    import subprocess
-    import sys
-
-    executor = StreamExecutor()
+    """A queue whose only workers were our own forks fails loudly
+    instead of blocking forever: a SIGKILLed worker is reaped and its
+    exit code reported."""
+    executor = StreamExecutor(spawn_workers=1)
     executor.start()
-    dead = subprocess.Popen([sys.executable, "-c", "raise SystemExit(3)"])
-    dead.wait()
-    executor._spawned.append(dead)
+    [worker] = executor._spawned
+    deadline = time.monotonic() + 10
+    while executor._server.workers_seen < 1:
+        assert time.monotonic() < deadline, "the worker never joined"
+        time.sleep(0.01)
+    os.kill(worker.pid, signal.SIGKILL)
     try:
-        with pytest.raises(WireError, match="spawned worker"):
+        with pytest.raises(WireError, match=r"exit codes \[-9\]"):
             list(executor.submit(tasks_for_specs(
                 [monitors_spec("ex-dead")])))
     finally:
-        executor._spawned = []
         executor.close()
+    assert executor._spawned == []
 
 
 def test_stream_timeout_names_outstanding_cells():
@@ -466,13 +521,43 @@ def test_stream_timeout_names_outstanding_cells():
         executor.close()
 
 
+def test_stream_timeout_names_the_cell_of_a_stalled_worker():
+    """A worker that claims a cell and then stays silent, connection
+    open, cannot hold the queue: the timeout names its cell."""
+    executor = StreamExecutor(timeout=0.5)
+    address = executor.start()
+    release = threading.Event()
+    claimed = []
+
+    def stalled_worker():
+        conn, stream, message = _claim_raw(address)
+        claimed.append(message["task"]["cell"])
+        release.wait(timeout=30)
+        stream.close()
+        conn.close()
+
+    stalled = threading.Thread(target=stalled_worker, daemon=True)
+    stalled.start()
+    try:
+        with pytest.raises(WireError, match=r"within 0\.5s; outstanding "
+                           r"cell\(s\): ex-stall/run \(seed 3\)"):
+            list(executor.submit(tasks_for_specs(
+                [monitors_spec("ex-stall")])))
+    finally:
+        release.set()
+        stalled.join(timeout=10)
+        executor.close()
+    assert claimed == [["ex-stall", "run", 3]]
+
+
 # ------------------------------------------------- pinned equivalence
 @pytest.mark.slow
-def test_executor_equivalence_is_byte_identical(tmp_path):
+def test_executor_equivalence_is_byte_identical(tmp_path, monkeypatch):
     """The acceptance pin: one scenario through the Inline executor,
-    the default multi-worker path (``workers=2``: two spawned worker
+    the default multi-worker path (``workers=2``: two forked worker
     processes) and a 2-worker Stream executor (work-stealing pull
-    scheduling) writes canonically byte-identical artifacts."""
+    scheduling) writes canonically byte-identical artifacts.  Every
+    fork happens before the coordinator's accept thread exists."""
     spec = tiny_spec("ex-equiv", expect=())
 
     inline_dir = tmp_path / "inline"
@@ -480,8 +565,20 @@ def test_executor_equivalence_is_byte_identical(tmp_path):
         str(inline_dir), run_scenario(spec, executor=InlineExecutor()))
 
     spawned_dir = tmp_path / "spawned"
-    write_scenario_artifact(str(spawned_dir),
-                            run_scenario(spec, workers=2))
+    accepting_at_fork = []
+    fork = os.fork
+
+    def recording_fork():
+        accepting_at_fork.append(any(
+            thread.name == ACCEPT_THREAD_NAME
+            for thread in threading.enumerate()))
+        return fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", recording_fork)
+        write_scenario_artifact(str(spawned_dir),
+                                run_scenario(spec, workers=2))
+    assert accepting_at_fork == [False, False]
 
     stream_dir = tmp_path / "stream"
     stream = StreamExecutor(timeout=300)
