@@ -4,8 +4,6 @@ Commands
 --------
 ``scenarios``    the declarative scenario API:
                  ``list`` / ``describe <id>`` / ``run <id>…``
-``shards``       distribute a scenario selection across processes or
-                 machines: ``plan`` / ``run --shard k/N`` / ``merge``
 ``workers``      ``join`` a stream coordinator's TCP cell queue
 ``results``      the cross-run results warehouse: ``load`` BENCH
                  artifact dirs / journals, then ``query`` / ``diff`` /
@@ -18,8 +16,11 @@ Commands
 
 ``scenarios run`` is the one command that runs a selection: the paper's
 figures (``fig1``…``fig5``), ablations and saturation sweep are
-registered scenarios, and a coordinator serving external workers is
-``scenarios run --workers 0 --bind HOST:PORT``.
+registered scenarios, a coordinator serving external workers is
+``scenarios run --workers 0 --bind HOST:PORT``, and a static shard is
+``scenarios run --shard k/N --journal PATH``: it runs every N-th cell
+and writes only its journal; ``cat`` the shard journals and resume
+them with ``--out`` to write the artifacts.
 
 Every run surface submits its cells through one
 :class:`~repro.experiments.executors.CellExecutor`; ``--executor
@@ -44,8 +45,8 @@ Examples
     python -m repro scenarios run fig3 mixed-rush --workers 4
     python -m repro scenarios run --scenario my_scenario.json
     python -m repro scenarios run abl-dyn --executor stream --workers 2
-    python -m repro shards run --shard 2/4 --all --out shard-artifacts
-    python -m repro shards merge shard-artifacts --out bench-artifacts
+    python -m repro scenarios run --all --shard 2/4 --journal shard-2.journal
+    python -m repro scenarios run --all --journal run.journal --resume --out bench
     python -m repro scenarios run --all --workers 0 --bind 127.0.0.1:7731 --out bench
     python -m repro scenarios run --all --journal run.journal --workers 2 --out bench
     python -m repro scenarios run --all --journal run.journal --workers 2 --resume --out bench
@@ -81,9 +82,9 @@ from repro.units import format_bytes, format_duration
 
 
 def _add_selection_args(parser: argparse.ArgumentParser) -> None:
-    """Scenario-selection arguments shared by ``scenarios run`` and the
-    ``shards`` family — every shard invocation must resolve the exact
-    same selection, so they take the exact same flags."""
+    """Scenario-selection arguments of ``scenarios run`` — every shard
+    of a selection, and the resume that joins them, must resolve the
+    exact same selection."""
     parser.add_argument("ids", nargs="*",
                         help="registered scenario ids to select")
     parser.add_argument("--all", action="store_true",
@@ -136,7 +137,8 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_queue_args(parser: argparse.ArgumentParser) -> None:
-    """Queue durability, shared by every run surface."""
+    """Queue durability and static shards: both live in the run
+    journal."""
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="record every dispatched/completed cell "
                              "to this append-only newline-JSON file; "
@@ -144,6 +146,11 @@ def _add_queue_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="replay completed cells from --journal "
                              "and run only the outstanding ones")
+    parser.add_argument("--shard", default=None, metavar="K/N",
+                        help="run only every N-th cell from the K-th on "
+                             "(1-based) and record them in --journal; "
+                             "cat the shard journals and --resume them "
+                             "with --out to write artifacts")
 
 
 def _executor_from_args(args):
@@ -162,11 +169,12 @@ def _executor_from_args(args):
     return executor
 
 
-def _wrap_journal(executor, args):
+def _wrap_journal(executor, args, shard=None):
     """Wrap the surface's executor in a run journal when asked to.
 
     The wrapper owns the inner executor and the journal file; callers
     close the returned executor exactly as they would the bare one.
+    ``shard`` is a parsed ``(k, N)`` selector the journal filters by.
     """
     from repro.errors import ConfigurationError
 
@@ -177,7 +185,8 @@ def _wrap_journal(executor, args):
         return executor
     from repro.experiments.journal import journaled_executor
 
-    return journaled_executor(executor, args.journal, resume=args.resume)
+    return journaled_executor(executor, args.journal, resume=args.resume,
+                              shard=shard)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,39 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_queue_args(s_run)
     s_run.add_argument("--out", default=None,
                        help="directory for BENCH_scenario_*.json artifacts")
-
-    shards = sub.add_parser(
-        "shards",
-        help="sharded scenario execution (plan / run --shard k/N / merge)")
-    shards_sub = shards.add_subparsers(dest="shards_command", required=True)
-
-    sh_plan = shards_sub.add_parser(
-        "plan", help="show how a selection partitions into shards")
-    _add_selection_args(sh_plan)
-    sh_plan.add_argument("--shards", type=int, default=4, metavar="N",
-                         help="number of shards to partition into")
-
-    sh_run = shards_sub.add_parser(
-        "run", help="execute one shard of a selection and write its "
-                    "BENCH_shard_*.json artifact")
-    _add_selection_args(sh_run)
-    sh_run.add_argument("--shard", required=True, metavar="K/N",
-                        help="which shard this process executes "
-                             "(1-based), e.g. 2/4")
-    _add_executor_args(sh_run)
-    _add_queue_args(sh_run)
-    sh_run.add_argument("--out", default="shard-artifacts",
-                        help="directory for the BENCH_shard_*.json "
-                             "artifact")
-
-    sh_merge = shards_sub.add_parser(
-        "merge", help="merge shard artifacts (and/or pre-shard scenario "
-                      "artifacts) into BENCH_scenario_*.json")
-    sh_merge.add_argument("artifacts", nargs="+", metavar="PATH",
-                          help="BENCH_*.json files, or directories to "
-                               "scan for BENCH_shard_*.json")
-    sh_merge.add_argument("--out", default="bench-artifacts",
-                          help="directory for the merged artifacts")
 
     workers = sub.add_parser(
         "workers",
@@ -526,8 +502,11 @@ def cmd_scenarios(args) -> int:
         print(json.dumps(spec.to_dict(), indent=2))
         return 0
     specs = _resolve_run_specs(args)
-    executor = _wrap_journal(_executor_from_args(args), args)
+    shard = _shard_from_args(args)
+    executor = _wrap_journal(_executor_from_args(args), args, shard)
     try:
+        if shard is not None:
+            return _run_shard(specs, executor, shard, args)
         return _run_specs(specs, executor, out=args.out,
                           snapshot=args.snapshot,
                           capture=args.capture_trace)
@@ -535,82 +514,39 @@ def cmd_scenarios(args) -> int:
         executor.close()
 
 
-# ------------------------------------------------------------- sharding
-def _collect_merge_paths(arguments: List[str]) -> List[str]:
-    """Expand merge arguments: files stay, directories are scanned for
-    ``BENCH_shard_*.json`` (sorted, so runs are deterministic)."""
-    import glob
-    import os
-
+def _shard_from_args(args):
+    """The parsed ``--shard`` selector (``None`` without one), checked
+    against the flags it needs: a shard writes its journal and nothing
+    else."""
+    if args.shard is None:
+        return None
     from repro.errors import ConfigurationError
+    from repro.experiments.shards import parse_shard_selector
 
-    paths = []
-    for argument in arguments:
-        if os.path.isdir(argument):
-            found = sorted(glob.glob(
-                os.path.join(argument, "BENCH_shard_*of*.json")))
-            if not found:
-                raise ConfigurationError(
-                    f"no BENCH_shard_*.json artifacts in directory "
-                    f"{argument!r}")
-            paths.extend(found)
-        else:
-            paths.append(argument)
-    return paths
+    if args.journal is None:
+        raise ConfigurationError(
+            "--shard records its cells in a run journal; pass "
+            "--journal PATH")
+    if args.out is not None:
+        raise ConfigurationError(
+            "--shard writes no artifacts; cat the shard journals into "
+            "one and resume it with --journal PATH --resume --out DIR")
+    return parse_shard_selector(args.shard)
 
 
-def cmd_shards(args) -> int:
-    """Handle the ``shards`` family (plan / run / merge)."""
-    from repro.experiments.shards import (
-        ShardPlan,
-        merge_artifact_files,
-        parse_shard_selector,
-        run_shard,
-        write_merged_artifacts,
-        write_shard_artifact,
-    )
+def _run_shard(specs, executor, shard, args) -> int:
+    """Run one shard's cells into its journal; 1 if any cell errored."""
+    from repro.experiments.executors import tasks_for_specs
 
-    if args.shards_command == "merge":
-        paths = _collect_merge_paths(args.artifacts)
-        merge = merge_artifact_files(paths)
-        rows = [(scenario_id, "ok" if payload["ok"] else "FAILED")
-                for scenario_id, payload in merge.scenarios.items()]
-        print(f"== merged {merge.sources} artifacts "
-              f"({merge.shard_count} shards, {merge.cells_total} cells)")
-        print(render_table(("scenario", "status"), rows))
-        for path in write_merged_artifacts(args.out, merge):
-            print(f"   artifact -> {path}")
-        return 0 if merge.ok else 1
-
-    specs = _resolve_run_specs(args)
-    if args.shards_command == "plan":
-        plan = ShardPlan.partition(specs, args.shards)
-        rows = [(f"{index}/{plan.count}", len(cells),
-                 " ".join(f"{c.scenario_id}/{c.variant}" for c in cells))
-                for index, cells in enumerate(plan.assignments, start=1)]
-        print(render_table(("shard", "cells", "assignment"), rows))
-        print(f"{len(plan.all_cells())} cells over {plan.count} shards")
-        return 0
-
-    index, count = parse_shard_selector(args.shard)
-    plan = ShardPlan.partition(specs, count)
-    print(f"== shard {index}/{count}: {len(plan.cells_for(index))} of "
-          f"{len(plan.all_cells())} cells, workers={args.workers}")
-    executor = _wrap_journal(_executor_from_args(args), args)
-    try:
-        payload = run_shard(plan, index, executor=executor,
-                            snapshot=args.snapshot,
-                            capture=args.capture_trace,
-                            progress=lambda line: print(f"   {line}"))
-    finally:
-        executor.close()
-    path = write_shard_artifact(args.out, payload)
-    print(f"   artifact -> {path}")
+    tasks = tasks_for_specs(specs, snapshot=args.snapshot,
+                            capture=args.capture_trace)
+    index, count = shard
+    print(f"== shard {index}/{count}: {len(tasks[index - 1::count])} of "
+          f"{len(tasks)} cells, journal {args.journal}")
     failed = False
-    for scenario_id, entry in payload["scenarios"].items():
-        for variant, error in entry.get("errors", {}).items():
-            failed = True
-            print(f"   FAILED {scenario_id}/{variant}: {error}")
+    for result in executor.submit(tasks,
+                                  progress=lambda line: print(f"   {line}")):
+        failed = failed or not result.ok
     return 1 if failed else 0
 
 
@@ -861,7 +797,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "scenarios": cmd_scenarios,
-        "shards": cmd_shards,
         "workers": cmd_workers,
         "results": cmd_results,
         "traces": cmd_traces,

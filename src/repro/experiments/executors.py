@@ -5,10 +5,10 @@ atomic unit of experiment work everywhere in this codebase; this
 module makes its *execution* pluggable.  A :class:`CellExecutor`
 accepts :class:`CellTask`\\ s (cell + spec, self-describing enough to
 run anywhere) and yields :class:`CellResult`\\ s (JSON-ready summaries,
-the same shapes shard documents carry).  Every surface — the
-``run_scenario`` facade, ``repro scenarios run`` and ``repro shards
-run`` — submits through this protocol, so single-machine, sharded and
-remote runs are one code path differing only in executor choice:
+the same shapes journals record).  Every surface — the
+``run_scenario`` facade and ``repro scenarios run``, sharded or not —
+submits through this protocol, so single-machine, sharded and remote
+runs are one code path differing only in executor choice:
 
 * :class:`InlineExecutor` — serial, in-process.
 * :class:`StreamExecutor` — serves the cell queue to worker processes
@@ -43,6 +43,7 @@ from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import run_experiment, summarize_result
+from repro.experiments.shards import ShardCell
 
 Progress = Optional[Callable[[str], None]]
 
@@ -59,7 +60,7 @@ class CellTask:
     replayable JSONL admission trace).
     """
 
-    cell: "ShardCell"
+    cell: ShardCell
     spec: "ScenarioSpec"
     snapshot: bool = False
     capture: Optional[str] = None
@@ -80,7 +81,7 @@ class CellTask:
             f"TRACE_{scenario}_{cell.variant}_{cell.seed}.jsonl")
 
     def to_doc(self) -> dict:
-        """The JSON wire form (shard-document shapes throughout)."""
+        """The JSON wire form (the shapes journals record)."""
         doc = {
             "cell": self.cell.as_doc(),
             "spec": self.spec.to_dict(),
@@ -92,7 +93,6 @@ class CellTask:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CellTask":
-        from repro.experiments.shards import ShardCell
         from repro.scenarios.spec import ScenarioSpec
 
         if not isinstance(doc, dict) or "cell" not in doc \
@@ -113,11 +113,11 @@ class CellResult:
     Experiment cells carry a ``summary`` (the exact
     :func:`~repro.experiments.runner.summarize_result` document) or an
     ``error``; monitors/trace cells carry ``scenario_metrics`` (JSON-
-    safe, sorted — the shard-document form) plus the rendered ``body``.
+    safe, sorted — the artifact form) plus the rendered ``body``.
     ``wall_seconds`` is execution-dependent and canonically volatile.
     """
 
-    cell: "ShardCell"
+    cell: ShardCell
     wall_seconds: float = 0.0
     summary: Optional[dict] = None
     error: Optional[str] = None
@@ -139,8 +139,6 @@ class CellResult:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CellResult":
-        from repro.experiments.shards import ShardCell
-
         if not isinstance(doc, dict) or "cell" not in doc:
             raise ConfigurationError(
                 f"cell result must be an object with a cell, got {doc!r}")
@@ -156,12 +154,10 @@ def tasks_for_specs(specs, snapshot: bool = False,
                     capture: Optional[str] = None) -> List[CellTask]:
     """Lower a scenario selection to cell tasks, in selection order.
 
-    The same cell enumeration :class:`~repro.experiments.shards.
-    ShardPlan` uses, so an executor submission and a shard plan always
-    agree about what the unit of work is.
+    ``--shard k/N`` filters exactly this list (every ``N``-th task from
+    the ``k``-th on, see :class:`~repro.experiments.journal.
+    JournaledExecutor`), so the order is what fixes each cell's shard.
     """
-    from repro.experiments.shards import ShardCell
-
     ids = [spec.scenario_id for spec in specs]
     if len(set(ids)) != len(ids):
         raise ConfigurationError(

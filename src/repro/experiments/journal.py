@@ -1,11 +1,10 @@
-"""The run journal: checkpoint/restart for any cell-executing surface.
+"""The run journal: checkpoint/restart, and the only thing a shard writes.
 
 A coordinator used to be a single point of loss — kill a ``repro
-scenarios run`` (or a ``repro shards run``) halfway through its queue
-and the whole selection re-ran from zero.  This module makes the
-queue durable instead: a :class:`CellJournal` is an append-only
-newline-JSON file recording every **dispatched** and **completed**
-cell (the shard-document shapes again — the journal format is the
+scenarios run`` halfway through its queue and the whole selection
+re-ran from zero.  This module makes the queue durable instead: a
+:class:`CellJournal` is an append-only newline-JSON file recording
+every **dispatched** and **completed** cell (the journal format is the
 wire format is the artifact format), and a :class:`JournaledExecutor`
 wraps any :class:`~repro.experiments.executors.CellExecutor` so that
 
@@ -27,12 +26,24 @@ would, so ``repro results load`` ingests a journal into the results
 warehouse (:mod:`repro.results`) interchangeably with the run's
 ``BENCH_*.json`` directory.
 
+Shards: ``--shard k/N`` is a filter on the wrapped executor's side of
+a :class:`JournaledExecutor` — the ``open`` header still fingerprints
+the *full* selection, and only every ``N``-th cell from the ``k``-th
+on is executed and journaled.  The shard journals of one selection
+thus carry identical headers, :func:`load_journal` accepts a repeated
+``open`` record that equals the first, and the ``cat`` of all shard
+journals resumes like one interrupted run: every journaled cell
+replays, and a missing shard's cells are simply outstanding and run.
+
 Crash tolerance: records are flushed line-by-line, and a process
 killed mid-append leaves at most one truncated trailing line, which
-:func:`load_journal` ignores.  A journal is bound to one selection:
-the fingerprint (cells + specs + snapshot flag, order-insensitive)
-must match on resume, and an existing journal is never silently
-overwritten — pass ``--resume`` or remove the file.
+:func:`load_journal` ignores.  Joined with ``cat``, that torn tail
+fuses with the next journal's header into a malformed *middle* line,
+which fails loudly with its line number; resume the killed shard
+first (a resume repairs the tail).  A journal is bound to one
+selection: the fingerprint (cells + specs + snapshot flag,
+order-insensitive) must match on resume, and an existing journal is
+never silently overwritten — pass ``--resume`` or remove the file.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ import json
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ARTIFACT_SCHEMA
@@ -51,14 +62,11 @@ from repro.experiments.executors import (
     CellTask,
     Progress,
 )
-
-# deferred at runtime (the shards module pulls in the scenario facade,
-# which would re-enter this package's __init__ mid-import)
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.shards import ShardCell
+from repro.experiments.shards import ShardCell
 
 #: record ops a journal may contain (one JSON object per line):
-#: ``open`` (run header: schema + selection fingerprint), ``resume``
+#: ``open`` (run header: schema + selection fingerprint; repeated, and
+#: identical, where shard journals were joined), ``resume``
 #: (a restart appended onto an earlier run), ``dispatch`` (a cell was
 #: handed to a worker/executor) and ``result`` (a cell completed,
 #: carrying the full :class:`CellResult` document)
@@ -202,10 +210,9 @@ def load_journal(path: str) -> JournalState:
     kill can leave.  A malformed record anywhere else (including a
     newline-terminated final line) raises :class:`ConfigurationError`
     — a journal is evidence, and evidence that does not parse must
-    fail loudly, not merge silently.
+    fail loudly, not merge silently.  Repeated ``open`` records (shard
+    journals joined with ``cat``) must equal the first one.
     """
-    from repro.experiments.shards import ShardCell
-
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -215,6 +222,7 @@ def load_journal(path: str) -> JournalState:
     truncated_tail = bool(text) and not text.endswith("\n")
     lines = text.splitlines()
     state = JournalState()
+    header = None
     for number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -230,12 +238,15 @@ def load_journal(path: str) -> JournalState:
                 f"{exc}") from None
         op = doc["op"]
         if op == "open":
-            if state.selection is not None:
+            if header is None:
+                header = doc
+                state.selection = doc.get("selection")
+                state.schema = doc.get("schema")
+            elif doc != header:
                 raise ConfigurationError(
-                    f"journal {path!r} line {number} opens a second "
-                    f"run; one journal records one selection")
-            state.selection = doc.get("selection")
-            state.schema = doc.get("schema")
+                    f"journal {path!r} line {number} opens a different "
+                    f"run; one journal records one selection (join "
+                    f"only the shard journals of one command line)")
         elif op == "resume":
             state.resumes += 1
         elif op == "dispatch":
@@ -279,14 +290,19 @@ class JournaledExecutor(CellExecutor):
 
     Owns both the wrapped executor and the journal: ``close()``
     releases them in that order.  One submission per journal — the
-    journal is the durable record of *one* queue.
+    journal is the durable record of *one* queue.  ``shard=(k, N)``
+    keeps only every ``N``-th submitted task from the ``k``-th on
+    (1-based, round-robin in submission order); the journal header
+    still fingerprints the whole submission.
     """
 
     def __init__(self, inner: CellExecutor, journal: CellJournal,
-                 resume_state: Optional[JournalState] = None):
+                 resume_state: Optional[JournalState] = None,
+                 shard: Optional[Tuple[int, int]] = None):
         self.inner = inner
         self.journal = journal
         self.resume_state = resume_state
+        self.shard = shard
         self._submitted = False
 
     def close(self) -> None:
@@ -305,6 +321,9 @@ class JournaledExecutor(CellExecutor):
                 "fresh journal per run")
         self._submitted = True
         fingerprint = selection_fingerprint(tasks)
+        if self.shard is not None:
+            index, count = self.shard
+            tasks = tasks[index - 1::count]
         if self.resume_state is None:
             self.journal.open_run(fingerprint)
             outstanding = tasks
@@ -365,7 +384,9 @@ class JournaledExecutor(CellExecutor):
 
 
 def journaled_executor(inner: CellExecutor, path: str,
-                       resume: bool = False) -> JournaledExecutor:
+                       resume: bool = False,
+                       shard: Optional[Tuple[int, int]] = None
+                       ) -> JournaledExecutor:
     """The CLI entry point: wrap ``inner`` with a journal at ``path``.
 
     Without ``resume`` the journal must not already carry records (an
@@ -383,4 +404,5 @@ def journaled_executor(inner: CellExecutor, path: str,
                 f"journal {path!r} already exists; pass --resume to "
                 f"continue that run or remove the file first")
         state = None
-    return JournaledExecutor(inner, CellJournal(path), resume_state=state)
+    return JournaledExecutor(inner, CellJournal(path), resume_state=state,
+                             shard=shard)

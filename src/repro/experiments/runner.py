@@ -393,8 +393,8 @@ def summarize_result(result: ExperimentResult) -> dict:
 def write_bench_document(out_dir: str, name: str, payload: dict) -> str:
     """Write ``BENCH_<name>.json`` with the standard envelope.
 
-    Every artifact (scenario and shard documents, the benchmark
-    session summary) goes through here so the schema version, filename convention and
+    Every artifact (scenario documents, the benchmark session summary)
+    goes through here so the schema version, filename convention and
     serialization stay uniform for CI consumers.
     """
     os.makedirs(out_dir, exist_ok=True)

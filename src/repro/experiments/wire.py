@@ -9,7 +9,7 @@ again sooner, so runtime imbalance never strands cells the way a
 static ``k/N`` shard assignment can.
 
 Messages are newline-delimited JSON objects; every payload reuses the
-schema-3/4 shard-document shapes (cells as ``[scenario, variant,
+shapes journals and artifacts use (cells as ``[scenario, variant,
 seed]`` triples, specs as their ``to_dict`` documents, results as
 ``summarize_result`` summaries), so the wire format is the artifact
 format and nothing needs a second serializer.
@@ -40,7 +40,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.runner import ARTIFACT_SCHEMA
@@ -57,6 +57,10 @@ MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 #: name of the coordinator's accept thread (tests look for it)
 ACCEPT_THREAD_NAME = "cell-queue-accept"
+
+#: how long ``close()`` waits for idle workers to collect their drain
+#: frames before it severs every connection still open
+DRAIN_GRACE_SECONDS = 1.0
 
 
 class WireError(ReproError):
@@ -151,6 +155,8 @@ class CellQueueServer:
         self._results: "deque" = deque()
         self._delivered = threading.Condition(self._lock)
         self._threads: List[threading.Thread] = []
+        #: open worker connections -> whether the worker holds a cell
+        self._conns: Dict[socket.socket, bool] = {}
         self._accept_thread: Optional[threading.Thread] = None
         #: observability: how many cells were re-queued after a worker
         #: loss, how many workers ever said hello, and how many are
@@ -194,10 +200,15 @@ class CellQueueServer:
         with self._lock:
             self._draining = True
             self._work.notify_all()
-        # give handlers a moment to send their drain frames, so well-
-        # behaved workers exit cleanly on an explicit drain instead of
-        # seeing a severed socket and reporting a coordinator loss
-        deadline = time.monotonic() + 5.0
+            # a worker holding a cell has nothing left to deliver to a
+            # closed queue, and a stalled one would never answer
+            busy = [conn for conn, holds in self._conns.items() if holds]
+        for conn in busy:
+            _sever(conn)
+        # give idle handlers a moment to send their drain frames, so
+        # well-behaved workers exit cleanly on an explicit drain instead
+        # of seeing a severed socket and reporting a coordinator loss
+        deadline = time.monotonic() + DRAIN_GRACE_SECONDS
         for thread in list(self._threads):
             if thread is threading.current_thread():
                 continue
@@ -205,6 +216,10 @@ class CellQueueServer:
             if remaining <= 0:
                 break
             thread.join(timeout=remaining)
+        with self._lock:
+            silent = list(self._conns)
+        for conn in silent:
+            _sever(conn)
         if self._listener is not None:
             # closing alone does not wake a thread blocked in accept()
             # on Linux, which keeps the port listening; shutdown does
@@ -309,6 +324,8 @@ class CellQueueServer:
         stream = conn.makefile("rwb")
         assigned = None
         welcomed = False
+        with self._lock:
+            self._conns[conn] = False
         try:
             _no_delay(conn)
             hello = recv_message(stream)
@@ -346,6 +363,8 @@ class CellQueueServer:
                         send_message(stream, {"op": "drain"})
                         return
                     assigned = task
+                    with self._lock:
+                        self._conns[conn] = True
                     dispatch = self._on_dispatch
                     if dispatch is not None:
                         dispatch(task)
@@ -354,13 +373,16 @@ class CellQueueServer:
                 elif op == "result":
                     self._deliver(message.get("result"))
                     assigned = None
+                    with self._lock:
+                        self._conns[conn] = False
                 else:
                     raise WireError(f"unexpected worker op {op!r}")
         except (WireError, OSError):
             pass  # treated as a worker loss; the cell is re-queued
         finally:
-            if welcomed:
-                with self._lock:
+            with self._lock:
+                self._conns.pop(conn, None)
+                if welcomed:
                     self.active_workers -= 1
             if assigned is not None:
                 self._requeue(assigned)
@@ -406,6 +428,15 @@ class CellQueueServer:
             self._work.notify_all()
 
 
+def _sever(conn: socket.socket) -> None:
+    """Wake a handler blocked reading ``conn``: a shutdown makes its
+    read return, and the handler's ``finally`` closes the socket."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:  # already closed by its handler
+        pass
+
+
 # -------------------------------------------------------------- worker
 def run_worker(host: str, port: int,
                progress: Optional[Callable[[str], None]] = None) -> int:
@@ -413,9 +444,11 @@ def run_worker(host: str, port: int,
 
     Connects to a coordinator, pulls cells until it drains, and runs
     each through the shared :func:`~repro.experiments.executors.
-    execute_cell` primitive.  Returns how many cells this worker executed.  Exceptions inside a
-    cell become error results (shipped back, never crashing the
-    worker); protocol failures raise :class:`WireError`.
+    execute_cell` primitive.  Returns how many cells this worker
+    executed.  Exceptions inside a cell become error results (shipped
+    back, never crashing the worker); protocol failures, and socket
+    errors from a coordinator that went away, raise
+    :class:`WireError`.
     """
     from repro.experiments.executors import CellResult, CellTask, \
         execute_cell
@@ -464,6 +497,10 @@ def run_worker(host: str, port: int,
             send_message(stream, {"op": "result",
                                   "result": result.to_doc()})
             executed += 1
+    except OSError as exc:
+        raise WireError(
+            f"connection to coordinator lost after {executed} cell(s): "
+            f"{exc}") from None
     finally:
         try:
             stream.close()

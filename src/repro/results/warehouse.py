@@ -25,8 +25,7 @@ Each fact row carries a ``volatile`` flag taken from
 set :func:`~repro.experiments.shards.canonical_document` zeroes.
 ``diff`` compares two runs cell-by-cell and reports non-volatile
 deltas as regressions-in-waiting; ``trend`` digests per-scenario
-``wall_seconds`` into the nearest-rank percentiles the shard merge
-uses.  See ``docs/results.md`` for the full contract.
+``wall_seconds`` into nearest-rank percentiles.  See ``docs/results.md`` for the full contract.
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ class RunExtract:
     ``facts`` maps ``(scenario_id, variant, seed)`` to that cell's
     metric namespace; ``kinds`` records each cell's scenario kind for
     the dimension row; ``skipped`` names documents that carry no
-    per-cell facts (merge summaries, batch summaries) — they
+    per-cell facts (batch summaries and the like) — they
     are reported, never silently dropped *or* silently fatal.
     """
 
@@ -188,8 +187,8 @@ def _record_cell(extract_facts: dict, kinds: dict, cell: tuple,
 
 def _extract_entry(scenario_id: str, entry: dict, specs: dict,
                    facts: dict, kinds: dict, state: dict) -> None:
-    """Fold one scenario entry (artifact or shard-doc shape) into the
-    extract's facts, keeping the whole metric namespace."""
+    """Fold one scenario artifact into the extract's facts, keeping
+    the whole metric namespace."""
     from repro.scenarios.facade import metrics_from_summary
 
     spec_doc = entry.get("spec")
@@ -220,8 +219,8 @@ def _extract_entry(scenario_id: str, entry: dict, specs: dict,
                               int(spec_doc.get("seed", 0))), kind,
                              {ERROR_METRIC: 1.0})
         else:
-            # monitors/trace: one render cell, named like the merge
-            # names it (first variant or "run")
+            # monitors/trace: one render cell, named after the spec's
+            # first variant (or "run")
             variants = spec_doc.get("variants") or []
             name = variants[0].get("name", "run") \
                 if variants and isinstance(variants[0], dict) else "run"
@@ -252,10 +251,10 @@ def _selection_doc(specs: Dict[str, dict], facts: dict,
 def extract_artifact_dir(directory: str) -> RunExtract:
     """One run's facts from a ``BENCH_*.json`` artifact directory.
 
-    Ingests scenario artifacts and shard documents (artifact schemas
-    ``MIN_ARTIFACT_SCHEMA..ARTIFACT_SCHEMA``); merge summaries and
-    batch summaries (the benchmark session's, and the removed suite
-    command's) carry no per-cell facts and are skipped with a note.
+    Ingests scenario artifacts (artifact schemas
+    ``MIN_ARTIFACT_SCHEMA..ARTIFACT_SCHEMA``); any other document —
+    the benchmark session's batch summary, a summary of a removed
+    command — carries no per-cell facts and is skipped with a note.
     Malformed documents and future schemas are hard errors.
     """
     paths = sorted(glob.glob(os.path.join(directory, "BENCH_*.json")))
@@ -274,12 +273,7 @@ def extract_artifact_dir(directory: str) -> RunExtract:
         name = os.path.basename(path)
         schema = _check_artifact_schema(doc.get("schema"),
                                         f"artifact {name!r}")
-        if doc.get("kind") == "shard":
-            entries = doc.get("scenarios")
-            if not isinstance(entries, dict):
-                raise ConfigurationError(
-                    f"shard artifact {name!r} carries no scenarios")
-        elif isinstance(doc.get("spec"), dict):
+        if isinstance(doc.get("spec"), dict):
             entries = {doc["spec"].get("scenario_id"): doc}
         else:
             skipped.append(
@@ -696,7 +690,8 @@ class Warehouse:
                              metric: str = "wall_seconds"
                              ) -> Dict[str, dict]:
         """Per-scenario nearest-rank percentile digest of one run's
-        per-cell ``metric`` values (the shard-merge digest shape)."""
+        per-cell ``metric`` values (see
+        :func:`~repro.experiments.shards.wall_seconds_percentiles`)."""
         run = self.resolve(run_ref)
         values: Dict[str, List[float]] = {}
         for sid, value in self._conn.execute(

@@ -28,7 +28,6 @@ from repro.scenarios.facade import (
     jobs_for_scenario,
     load_scenario_file,
     metrics_from_summary,
-    rebuild_scenario_payload,
     result_from_summary,
     result_metrics,
     run_cell_scenario,
@@ -72,7 +71,6 @@ __all__ = [
     "list_scenarios",
     "load_scenario_file",
     "metrics_from_summary",
-    "rebuild_scenario_payload",
     "register_scenario",
     "result_from_summary",
     "result_metrics",

@@ -181,9 +181,9 @@ class ScenarioResult:
 def result_metrics(result: ExperimentResult) -> Dict[str, float]:
     """The per-variant metric namespace expectations can reference.
 
-    Defined as the summary round trip so the live path and the shard
-    merge can never drift: a metric exists here exactly when it can be
-    rebuilt from an artifact by :func:`metrics_from_summary`.
+    Defined as the summary round trip so a live result and one replayed
+    from a journal can never drift: a metric exists here exactly when
+    it can be rebuilt from an artifact by :func:`metrics_from_summary`.
     """
     return metrics_from_summary(summarize_result(result))
 
@@ -195,8 +195,8 @@ def metrics_from_summary(summary: Dict) -> Dict[str, float]:
     for expectation purposes: feeding a run's JSON summary through here
     yields exactly ``result_metrics(result)`` of the result it
     summarized (JSON round-trips floats losslessly), which is what lets
-    a shard merge re-evaluate expectations on the same numbers a
-    single-machine run saw.
+    a resumed run re-evaluate expectations on the same numbers the run
+    that journaled them saw.
     """
     metrics: Dict[str, float] = {
         "completed": float(summary["completed"]),
@@ -563,8 +563,8 @@ def _run_monitors(spec: ScenarioSpec) -> ScenarioResult:
     params = dict(spec.workload_params)
     body = figure1_monitors(bool(params.get("throttling", True)))
     # monitors scenarios have no metrics, but their expectations must
-    # still be evaluated (to failure) — the shard merge re-evaluates
-    # them the same way, keeping both paths byte-identical
+    # still be evaluated (to failure), as scenario_result_from_cells
+    # re-evaluates them for a cell replayed from a journal
     checks = evaluate_expectations(spec, {}, {})
     return ScenarioResult(spec=spec, batch=None, checks=checks, body=body)
 
@@ -634,12 +634,9 @@ def scenario_payload(spec: ScenarioSpec, *, ok: bool,
                      results: Optional[Dict[str, dict]] = None) -> dict:
     """The canonical ``BENCH_scenario_*`` payload (stable key order).
 
-    Both the single-machine path (:func:`write_scenario_artifact`) and
-    the shard merge (:mod:`repro.experiments.shards`) assemble their
-    artifacts through here, which is what keeps a merged artifact
-    byte-compatible with a single-machine one.  ``errors``/``results``
-    are only present for experiment scenarios (pass ``None`` to omit
-    them, matching a batch-less monitors/trace run).
+    ``errors``/``results`` are only present for experiment scenarios
+    (pass ``None`` to omit them, matching a batch-less monitors/trace
+    run).
     """
     check_docs = []
     for check in checks:
@@ -669,51 +666,6 @@ def scenario_payload(spec: ScenarioSpec, *, ok: bool,
 def scenario_artifact_name(spec: ScenarioSpec) -> str:
     """The document name of one scenario's artifact (no extension)."""
     return "scenario_" + spec.scenario_id.replace("/", "_")
-
-
-def rebuild_scenario_payload(spec: ScenarioSpec, *, wall_seconds: float,
-                             errors: Optional[Dict[str, str]] = None,
-                             results: Optional[Dict[str, dict]] = None,
-                             scenario_metrics: Optional[Dict] = None
-                             ) -> dict:
-    """Re-derive a scenario's artifact payload from summarized results.
-
-    This is the heart of the shard merge: given the per-variant
-    summaries an experiment scenario's shards produced (or, for
-    monitors/trace scenarios, the carried ``scenario_metrics``), it
-    recomputes variant metrics, scenario aggregates, expectation checks
-    and the ``ok`` flag exactly the way a single-machine
-    :func:`run_scenario` would, then assembles the canonical payload
-    via :func:`scenario_payload`.  Apart from execution-dependent
-    fields (wall clock, search replays) the result is byte-identical
-    to the single-machine artifact.
-    """
-    if spec.kind == "experiment":
-        errors = dict(errors or {})
-        merged = dict(results or {})
-        # spec variant order, not shard arrival order: aggregation sums
-        # floats in a fixed order so merged numbers match exactly
-        ordered = {name: merged[name] for name in spec.variant_names()
-                   if name in merged}
-        variant_metrics = {name: metrics_from_summary(summary)
-                           for name, summary in ordered.items()}
-        scenario_metrics = _aggregate_metrics(spec, variant_metrics)
-        checks = evaluate_expectations(spec, variant_metrics,
-                                       scenario_metrics)
-        ok = not errors and all(check.passed for check in checks)
-        return scenario_payload(
-            spec, ok=ok, wall_seconds=wall_seconds,
-            scenario_metrics=scenario_metrics, checks=checks,
-            errors=errors, results=ordered)
-    # monitors/trace scenarios run whole inside one shard; their
-    # metrics travel in the shard document (possibly stringified by
-    # _json_safe) and the checks are re-evaluated here
-    metrics = {name: float(value) if isinstance(value, str) else value
-               for name, value in (scenario_metrics or {}).items()}
-    checks = evaluate_expectations(spec, {}, metrics)
-    ok = all(check.passed for check in checks)
-    return scenario_payload(spec, ok=ok, wall_seconds=wall_seconds,
-                            scenario_metrics=metrics, checks=checks)
 
 
 def write_scenario_artifact(out_dir: str,

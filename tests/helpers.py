@@ -6,8 +6,40 @@ Kept out of conftest so the helpers are explicit imports, and named
 
 import json
 
+from repro.experiments.executors import InlineExecutor
 from repro.experiments.shards import canonical_document
 from repro.scenarios import ConfigOverrides, ScenarioSpec, VariantSpec
+
+
+class DiesAfter(InlineExecutor):
+    """An executor that simulates coordinator death after N results."""
+
+    def __init__(self, cells: int):
+        super().__init__()
+        self.cells = cells
+
+    def submit(self, tasks, progress=None):
+        for number, result in enumerate(
+                super().submit(tasks, progress=progress), start=1):
+            if number > self.cells:
+                raise RuntimeError("simulated coordinator death")
+            yield result
+
+
+class CountingExecutor(InlineExecutor):
+    """Counts how many cells it actually executed."""
+
+    def __init__(self):
+        super().__init__()
+        self.executed = []
+
+    def submit(self, tasks, progress=None):
+        def counting():
+            for task in tasks:
+                self.executed.append(task.cell)
+                yield task
+
+        return super().submit(counting(), progress=progress)
 
 
 def monitors_spec(scenario_id) -> ScenarioSpec:

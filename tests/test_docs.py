@@ -110,7 +110,7 @@ def test_documented_flags_exist(path):
 
 def parser_commands(parser=None) -> list:
     """Every command the parser offers: each top-level subcommand, and
-    for a command family (``scenarios``, ``shards`` …) each member."""
+    for a command family (``scenarios``, ``results`` …) each member."""
     parser = parser or build_parser()
     commands = []
     for action in parser._actions:

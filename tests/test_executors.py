@@ -13,6 +13,7 @@ import json
 import os
 import signal
 import socket
+import struct
 import threading
 import time
 
@@ -288,6 +289,44 @@ def test_worker_raises_on_coordinator_loss():
         listener.close()
 
 
+def test_worker_join_reports_a_reset_coordinator(capsys):
+    """A coordinator that resets the connection raises an OSError in
+    the worker; `repro workers join` reports it as one error line and
+    exits 2, with no traceback."""
+    from repro import cli
+
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    host, port = listener.getsockname()[:2]
+
+    def reset_after_handshake():
+        conn, _ = listener.accept()
+        stream = conn.makefile("rwb")
+        assert recv_message(stream)["op"] == "hello"
+        send_message(stream, {"op": "welcome", "protocol": WIRE_PROTOCOL,
+                              "schema": ARTIFACT_SCHEMA})
+        recv_message(stream)  # the worker's first "next"
+        # linger 0: close sends a RST instead of a FIN
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        stream.close()
+        conn.close()
+
+    fake = threading.Thread(target=reset_after_handshake, daemon=True)
+    fake.start()
+    try:
+        assert cli.main(["workers", "join", "--connect",
+                         f"{host}:{port}", "--quiet"]) == 2
+    finally:
+        fake.join(timeout=10)
+        listener.close()
+    err = capsys.readouterr().err
+    assert err.startswith("error: connection to coordinator lost after "
+                          "0 cell(s): ")
+    assert "reset" in err.lower() and "Traceback" not in err
+
+
 def test_stream_executor_supports_successive_submissions():
     """A caller-owned executor can be reused across submissions;
     workers idle between batches and drain only at close()."""
@@ -548,6 +587,38 @@ def test_stream_timeout_names_the_cell_of_a_stalled_worker():
         stalled.join(timeout=10)
         executor.close()
     assert claimed == [["ex-stall", "run", 3]]
+
+
+def test_close_severs_a_stalled_worker_at_once():
+    """After the timeout fires on a worker that holds a cell and stays
+    silent, close() severs its connection instead of waiting for it:
+    the worker reads EOF (no drain frame) and close() is prompt."""
+    executor = StreamExecutor(timeout=0.5)
+    address = executor.start()
+    claimed = threading.Event()
+    after_claim = []
+
+    def stalled_worker():
+        conn, stream, _message = _claim_raw(address)
+        claimed.set()
+        after_claim.append(stream.readline())  # silent until severed
+        stream.close()
+        conn.close()
+
+    stalled = threading.Thread(target=stalled_worker, daemon=True)
+    stalled.start()
+    try:
+        with pytest.raises(WireError, match="within 0.5s"):
+            list(executor.submit(tasks_for_specs(
+                [monitors_spec("ex-stall-close")])))
+        assert claimed.is_set()
+    finally:
+        started = time.monotonic()
+        executor.close()
+        elapsed = time.monotonic() - started
+        stalled.join(timeout=10)
+    assert elapsed < 1.0
+    assert after_claim == [b""]
 
 
 # ------------------------------------------------- pinned equivalence

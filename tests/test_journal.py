@@ -35,38 +35,8 @@ from repro.experiments.journal import (
 )
 from repro.scenarios import run_scenarios, write_scenario_artifact
 
-from helpers import canonical_text, monitors_spec
-
-
-class DiesAfter(InlineExecutor):
-    """An executor that simulates coordinator death after N results."""
-
-    def __init__(self, cells: int):
-        super().__init__()
-        self.cells = cells
-
-    def submit(self, tasks, progress=None):
-        for number, result in enumerate(
-                super().submit(tasks, progress=progress), start=1):
-            if number > self.cells:
-                raise RuntimeError("simulated coordinator death")
-            yield result
-
-
-class CountingExecutor(InlineExecutor):
-    """Counts how many cells it actually executed."""
-
-    def __init__(self):
-        super().__init__()
-        self.executed = []
-
-    def submit(self, tasks, progress=None):
-        def counting():
-            for task in tasks:
-                self.executed.append(task.cell)
-                yield task
-
-        return super().submit(counting(), progress=progress)
+from helpers import (CountingExecutor, DiesAfter, canonical_text,
+                     monitors_spec)
 
 
 # ------------------------------------------------------------ the file
@@ -128,12 +98,23 @@ def test_journal_rejects_unknown_ops_and_second_open(tmp_path):
         fh.write(json.dumps({"op": "teleport"}) + "\n\n")
     with pytest.raises(ConfigurationError, match="unknown op"):
         load_journal(path)
+    # a repeated open that equals the first is a joined shard journal
     tasks = tasks_for_specs([monitors_spec("jr-two")])
     journal = CellJournal(str(tmp_path / "two.journal"))
     journal.open_run(selection_fingerprint(tasks))
+    journal.record_result(CellResult(cell=tasks[0].cell, body="x"))
     journal.open_run(selection_fingerprint(tasks))
     journal.close()
-    with pytest.raises(ConfigurationError, match="second run"):
+    state = load_journal(str(tmp_path / "two.journal"))
+    assert state.selection == selection_fingerprint(tasks)
+    assert list(state.results) == [tasks[0].cell]
+    # ... and one of another selection is a second run: refused
+    journal = CellJournal(str(tmp_path / "two.journal"))
+    journal.open_run(selection_fingerprint(
+        tasks_for_specs([monitors_spec("jr-other")])))
+    journal.close()
+    with pytest.raises(ConfigurationError,
+                       match="line 4 opens a different run"):
         load_journal(str(tmp_path / "two.journal"))
 
 
@@ -249,6 +230,44 @@ def test_killed_run_resumes_byte_identical(tmp_path):
     final = load_journal(path)
     assert len(final.results) == 3
     assert final.resumes == 1
+
+
+def test_truncation_at_every_offset_of_the_last_record(tmp_path):
+    """A kill can cut the last record at any byte.  At every offset the
+    journal keeps every earlier record, drops only the partial one (a
+    cut that leaves the whole record but its newline keeps it), and a
+    resume writes canonically identical artifacts."""
+    specs = [monitors_spec(f"jr-cut-{i}") for i in range(2)]
+    path = tmp_path / "run.journal"
+    executor = journaled_executor(InlineExecutor(), str(path))
+    reference = tmp_path / "reference"
+    for result in run_scenarios(specs, executor=executor):
+        write_scenario_artifact(str(reference), result)
+    executor.close()
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    last = json.loads(data[start:])
+    assert last["op"] == "result"
+    earlier = load_journal(str(path))
+    del earlier.results[CellResult.from_doc(last["result"]).cell]
+    cut = tmp_path / "cut.journal"
+    for offset in range(start, len(data)):
+        cut.write_bytes(data[:offset])
+        state = load_journal(str(cut))
+        whole = offset == len(data) - 1  # all of it but the newline
+        assert len(state.results) == len(earlier.results) + whole, offset
+        assert all(state.results[cell].to_doc() == result.to_doc()
+                   for cell, result in earlier.results.items())
+        resumed = journaled_executor(InlineExecutor(), str(cut),
+                                     resume=True)
+        out_dir = tmp_path / f"resumed-{offset}"
+        for result in run_scenarios(specs, executor=resumed):
+            write_scenario_artifact(str(out_dir), result)
+        resumed.close()
+        for spec in specs:
+            name = f"BENCH_scenario_{spec.scenario_id}.json"
+            assert canonical_text(out_dir / name) \
+                == canonical_text(reference / name), (offset, name)
 
 
 def test_resume_repairs_truncated_tail(tmp_path):

@@ -401,9 +401,13 @@ def test_cross_variant_expectation_validation():
 
 
 def test_cross_variant_checks_survive_the_artifact_path(tmp_path):
-    """The shard-merge rebuild evaluates cross-variant checks on the
-    same numbers and records the reference in the artifact."""
-    from repro.scenarios import rebuild_scenario_payload
+    """Cells rebuilt from their summaries (as a resume replays them
+    from a journal) evaluate cross-variant checks on the same numbers,
+    and the artifact records the reference."""
+    from repro.experiments.executors import CellResult
+    from repro.experiments.shards import ShardCell
+    from repro.scenarios.facade import (scenario_result_from_cells,
+                                        write_scenario_artifact)
 
     spec = tiny_spec(expect=(
         Expectation("completed", "==", variant="throttled",
@@ -413,13 +417,21 @@ def test_cross_variant_checks_survive_the_artifact_path(tmp_path):
         "retries": 0, "search_replays": 0, "soft_denials": 0,
         "mean_per_bucket": 1.0, "mean_compile_time": 0.1,
         "mean_execution_time": 0.2, "memory_by_clerk": {},
-        "gateway_stats": [], "throughput": [], "wall_seconds": 0.5,
+        "gateway_stats": [], "throughput": [[0.0, 10]],
+        "wall_seconds": 0.5,
+        "config": {"workload": "oltp", "workload_params": {},
+                   "clients": 2, "throttling": True, "preset": "smoke",
+                   "seed": 1, "think_time": 5.0},
     }
-    payload = rebuild_scenario_payload(
-        spec, wall_seconds=1.0, errors={},
-        results={"throttled": dict(summary),
-                 "unthrottled": dict(summary)})
+    cells = [CellResult(cell=ShardCell("tiny", variant, 1),
+                        summary=dict(summary))
+             for variant in ("unthrottled", "throttled")]
+    path = write_scenario_artifact(
+        str(tmp_path), scenario_result_from_cells(spec, cells))
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
     assert payload["ok"]
+    assert list(payload["results"]) == ["throttled", "unthrottled"]
     check = payload["checks"][0]
     assert check["passed"] and check["reference"] == 10.0
     assert check["expectation"]["than_variant"] == "unthrottled"

@@ -1,29 +1,38 @@
-"""Tests for sharded scenario execution (plan, run, merge).
+"""Tests for sharded scenario execution: a shard is a cell filter, a
+merge is a resume.
 
-The fast tests exercise partitioning and the merge's safety checks on
-fabricated documents; the slow tests pin the correctness contract —
-a sharded run merged back together is canonically byte-identical to
-the single-machine run of the same selection.
+``--shard k/N`` runs every N-th cell of a selection from the k-th on
+and records them in a run journal whose header fingerprints the whole
+selection; the ``cat`` of the shard journals resumes like one
+interrupted run.  The fast tests pin the filter and what a joined
+journal accepts or refuses; the slow tests pin the correctness
+contract — resumed shard journals write artifacts canonically
+byte-identical to the single-machine run of the same selection.
 """
 
 import json
-import os
 
 import pytest
 
+from repro import cli
 from repro.errors import ConfigurationError
-from repro.experiments.runner import ARTIFACT_SCHEMA
+from repro.experiments.executors import (
+    CellResult,
+    InlineExecutor,
+    tasks_for_specs,
+)
+from repro.experiments.journal import (
+    CellJournal,
+    JournaledExecutor,
+    journaled_executor,
+    load_journal,
+    selection_fingerprint,
+)
 from repro.experiments.shards import (
     ShardCell,
-    ShardPlan,
     canonical_document,
-    merge_artifact_files,
-    merge_documents,
     parse_shard_selector,
-    run_shard,
     wall_seconds_percentiles,
-    write_merged_artifacts,
-    write_shard_artifact,
 )
 from repro.scenarios import (
     Expectation,
@@ -31,11 +40,11 @@ from repro.scenarios import (
     VariantSpec,
     list_scenarios,
     run_scenario,
+    run_scenarios,
     write_scenario_artifact,
 )
-from repro import cli
 
-from helpers import experiment_spec
+from helpers import CountingExecutor, DiesAfter, experiment_spec
 from helpers import canonical_text as canonical_file
 from helpers import monitors_spec as _monitors_spec
 
@@ -53,7 +62,66 @@ def monitors_spec(scenario_id="tiny-mon") -> ScenarioSpec:
     return _monitors_spec(scenario_id)
 
 
-# ---------------------------------------------------------------- plan
+class StubExecutor(InlineExecutor):
+    """Records the tasks it is handed and executes none of them."""
+
+    def __init__(self):
+        super().__init__()
+        self.executed = []
+
+    def submit(self, tasks, progress=None):
+        for task in tasks:
+            self.executed.append(task.cell)
+            yield CellResult(cell=task.cell, body="", scenario_metrics={})
+
+
+def run_shard(specs, path, shard, inner=None) -> list:
+    """Run one shard of ``specs`` into a fresh journal at ``path``;
+    returns the cells the wrapped executor was handed."""
+    inner = inner or CountingExecutor()
+    executor = journaled_executor(inner, str(path), shard=shard)
+    try:
+        list(executor.submit(tasks_for_specs(specs)))
+    finally:
+        executor.close()
+    return inner.executed
+
+
+def join(paths, target):
+    """``cat paths > target``."""
+    with open(target, "wb") as out:
+        for path in paths:
+            with open(path, "rb") as fh:
+                out.write(fh.read())
+    return target
+
+
+def resume_into(specs, journal, out_dir) -> list:
+    """Resume ``journal`` and write the artifacts; returns the cells
+    the wrapped executor had to run."""
+    inner = CountingExecutor()
+    executor = journaled_executor(inner, str(journal), resume=True)
+    try:
+        for result in run_scenarios(specs, executor=executor):
+            write_scenario_artifact(str(out_dir), result)
+    finally:
+        executor.close()
+    return inner.executed
+
+
+def single_machine(specs, out_dir) -> None:
+    for result in run_scenarios(specs, executor=InlineExecutor()):
+        write_scenario_artifact(str(out_dir), result)
+
+
+def assert_same_artifacts(specs, left, right) -> None:
+    for spec in specs:
+        name = f"BENCH_scenario_{spec.scenario_id}.json"
+        assert canonical_file(left / name) == canonical_file(right / name), \
+            name
+
+
+# ------------------------------------------------------------- filter
 def test_parse_shard_selector():
     assert parse_shard_selector("1/1") == (1, 1)
     assert parse_shard_selector("3/4") == (3, 4)
@@ -63,8 +131,6 @@ def test_parse_shard_selector():
     # a typo'd huge count fails instantly instead of allocating
     with pytest.raises(ConfigurationError, match="ceiling"):
         parse_shard_selector("1/2000000000")
-    with pytest.raises(ConfigurationError, match="ceiling"):
-        ShardPlan.partition([tiny_spec("huge")], 2_000_000_000)
 
 
 def test_shard_cell_from_doc_rejects_malformed_docs():
@@ -74,274 +140,209 @@ def test_shard_cell_from_doc_rejects_malformed_docs():
             ShardCell.from_doc(bad)
 
 
-def test_partition_covers_every_cell_exactly_once():
+def test_partition_covers_every_cell_exactly_once(tmp_path):
+    """Each shard hands its executor every other cell, round-robin in
+    selection order; both journals fingerprint the whole selection."""
     specs = [tiny_spec("a"), tiny_spec("b"), monitors_spec("m")]
-    plan = ShardPlan.partition(specs, 2)
-    owned = [cell for index in (1, 2) for cell in plan.cells_for(index)]
-    assert sorted(owned, key=lambda c: (c.scenario_id, c.variant)) \
-        == sorted(plan.all_cells(),
-                  key=lambda c: (c.scenario_id, c.variant))
-    assert len(owned) == len(set(owned)) == 5
-    # round-robin keeps shards balanced within one cell
-    sizes = [len(plan.cells_for(i)) for i in (1, 2)]
-    assert max(sizes) - min(sizes) <= 1
+    cells = [task.cell for task in tasks_for_specs(specs)]
+    owned = [run_shard(specs, tmp_path / f"s{index}.journal", (index, 2),
+                       StubExecutor())
+             for index in (1, 2)]
+    assert owned == [cells[0::2], cells[1::2]]
+    assert sorted(owned[0] + owned[1], key=cells.index) == cells
+    assert [len(shard) for shard in owned] == [3, 2]
+    headers = [load_journal(str(tmp_path / f"s{index}.journal")).selection
+               for index in (1, 2)]
+    assert headers[0] == headers[1] \
+        == selection_fingerprint(tasks_for_specs(specs))
+    assert [sorted(load_journal(str(tmp_path / f"s{index}.journal"))
+                   .results, key=cells.index)
+            for index in (1, 2)] == owned
 
 
-def test_partition_is_deterministic_and_allows_empty_shards():
-    specs = [tiny_spec("a")]
-    assert ShardPlan.partition(specs, 4) == ShardPlan.partition(specs, 4)
-    plan = ShardPlan.partition(specs, 4)  # 2 cells over 4 shards
-    assert [len(plan.cells_for(i)) for i in (1, 2, 3, 4)] == [1, 1, 0, 0]
-    with pytest.raises(ConfigurationError, match="shard count"):
-        ShardPlan.partition(specs, 0)
+def test_partition_is_deterministic_and_allows_empty_shards(tmp_path):
+    specs = [tiny_spec("a")]  # 2 cells over 4 shards
+    sizes = [len(run_shard(specs, tmp_path / f"s{index}.journal",
+                           (index, 4), StubExecutor()))
+             for index in (1, 2, 3, 4)]
+    assert sizes == [1, 1, 0, 0]
+    again = run_shard(specs, tmp_path / "again.journal", (2, 4),
+                      StubExecutor())
+    assert again == [ShardCell("a", "unthrottled", 1)]
+    # an empty shard still writes its header, so it joins like any other
+    empty = load_journal(str(tmp_path / "s4.journal"))
+    assert empty.selection is not None and not empty.results
     with pytest.raises(ConfigurationError, match="duplicate scenario"):
-        ShardPlan.partition([tiny_spec("a"), tiny_spec("a")], 2)
-    with pytest.raises(ConfigurationError, match="out of range"):
-        plan.cells_for(5)
+        tasks_for_specs([tiny_spec("a"), tiny_spec("a")])
 
 
-def test_partition_full_catalogue_round_robin():
+def test_partition_full_catalogue_round_robin(tmp_path):
     """The registered catalogue partitions cleanly at any width."""
     specs = list_scenarios()
     total = sum(len(spec.variants) for spec in specs)
     for count in (1, 3, 8):
-        plan = ShardPlan.partition(specs, count)
         owned = [cell for index in range(1, count + 1)
-                 for cell in plan.cells_for(index)]
+                 for cell in run_shard(
+                     specs, tmp_path / f"w{count}-{index}.journal",
+                     (index, count), StubExecutor())]
         assert len(owned) == len(set(owned)) == total
 
 
-# ----------------------------------------------- fabricated merge docs
-def fake_summary(completed=10, failed=0, error_counts=None):
-    """The summary fields the merge actually consumes."""
-    return {
-        "completed": completed, "failed": failed,
-        "error_counts": error_counts or {}, "degraded": 0, "retries": 0,
-        "search_replays": 0, "soft_denials": 0, "mean_per_bucket": 1.0,
-        "mean_compile_time": 0.1, "mean_execution_time": 0.2,
-        "memory_by_clerk": {}, "gateway_stats": [], "throughput": [],
-        "wall_seconds": 0.5,
-    }
-
-
-def shard_doc(index, count, selection_cells, cells, scenarios):
-    return {
-        "schema": ARTIFACT_SCHEMA, "name": f"shard_{index}of{count}",
-        "kind": "shard",
-        "shard": {"index": index, "count": count},
-        "selection": {"shard_count": count, "cells": selection_cells},
-        "cells": cells, "scenarios": scenarios,
-    }
-
-
-def two_shard_docs(spec):
-    """The spec's two variants split across two shards."""
-    selection = [[spec.scenario_id, "throttled", spec.seed],
-                 [spec.scenario_id, "unthrottled", spec.seed]]
-    docs = []
-    for index, variant in ((1, "throttled"), (2, "unthrottled")):
-        docs.append(shard_doc(
-            index, 2, selection, [selection[index - 1]],
-            {spec.scenario_id: {
-                "spec": spec.to_dict(), "wall_seconds": 0.5,
-                "errors": {},
-                "results": {variant: fake_summary(20 if index == 1
-                                                  else 10)}}}))
-    return docs
-
-
-def test_merge_combines_split_variants():
+# ------------------------------------------------ what a join accepts
+def test_merge_combines_split_variants(tmp_path):
+    """A scenario whose two variants ran on two shards aggregates and
+    checks exactly as a single-machine run does."""
     spec = tiny_spec("split", expect=(
         Expectation("completed", ">", 0, variant="throttled"),
-        Expectation("improvement", ">", 0.0),
+        Expectation("improvement", ">", -10.0),
     ))
-    merge = merge_documents(two_shard_docs(spec))
-    assert merge.ok and merge.shard_count == 2 and merge.cells_total == 2
-    payload = merge.scenarios["split"]
+    for index in (1, 2):
+        run_shard([spec], tmp_path / f"s{index}.journal", (index, 2))
+    joined = join([tmp_path / "s1.journal", tmp_path / "s2.journal"],
+                  tmp_path / "run.journal")
+    assert resume_into([spec], joined, tmp_path / "merged") == []
+    payload = json.loads(
+        (tmp_path / "merged" / "BENCH_scenario_split.json").read_text())
     assert list(payload["results"]) == ["throttled", "unthrottled"]
-    assert payload["scenario_metrics"]["total_completed"] == 30.0
-    assert payload["scenario_metrics"]["improvement"] == 1.0
-    assert [check["passed"] for check in payload["checks"]] == [True, True]
+    assert payload["ok"] and "improvement" in payload["scenario_metrics"]
+    single_machine([spec], tmp_path / "single")
+    assert_same_artifacts([spec], tmp_path / "single", tmp_path / "merged")
 
 
-def test_merge_empty_shard_is_fine():
+def test_merge_empty_shard_is_fine(tmp_path):
     spec = tiny_spec("lonely", variants=(VariantSpec("run"),), expect=())
-    selection = [["lonely", "run", 1]]
-    docs = [
-        shard_doc(1, 2, selection, selection,
-                  {"lonely": {"spec": spec.to_dict(), "wall_seconds": 0.1,
-                              "errors": {},
-                              "results": {"run": fake_summary()}}}),
-        shard_doc(2, 2, selection, [], {}),
-    ]
-    merge = merge_documents(docs)
-    assert merge.ok
-    assert set(merge.scenarios) == {"lonely"}
+    for index in (1, 2):
+        run_shard([spec], tmp_path / f"s{index}.journal", (index, 2))
+    joined = join([tmp_path / "s1.journal", tmp_path / "s2.journal"],
+                  tmp_path / "run.journal")
+    assert resume_into([spec], joined, tmp_path / "merged") == []
+    payload = json.loads(
+        (tmp_path / "merged" / "BENCH_scenario_lonely.json").read_text())
+    assert payload["ok"] and list(payload["results"]) == ["run"]
 
 
-def test_merge_rejects_overlapping_cells():
-    spec = tiny_spec("dup")
-    docs = two_shard_docs(spec)
-    # shard 2 also claims shard 1's cell
-    docs[1]["cells"].append(["dup", "throttled", 1])
-    with pytest.raises(ConfigurationError, match="overlapping"):
-        merge_documents(docs)
+def test_merge_runs_a_missing_shards_cells(tmp_path):
+    """A shard journal left out of the join is no error: its cells are
+    outstanding, and the resume runs exactly those."""
+    specs = [monitors_spec(f"gap-{index}") for index in range(5)]
+    run_shard(specs, tmp_path / "s1.journal", (1, 2))
+    executed = resume_into(specs, tmp_path / "s1.journal",
+                           tmp_path / "merged")
+    assert executed == [task.cell for task in tasks_for_specs(specs)][1::2]
+    single_machine(specs, tmp_path / "single")
+    assert_same_artifacts(specs, tmp_path / "single", tmp_path / "merged")
 
 
-def test_merge_rejects_missing_shard():
-    spec = tiny_spec("gap")
-    docs = two_shard_docs(spec)
-    with pytest.raises(ConfigurationError, match="missing"):
-        merge_documents(docs[:1])
+def test_merge_tolerates_overlapping_cells(tmp_path):
+    """A shard journal joined twice replays twice the same results:
+    cells are deterministic, so either copy is correct."""
+    specs = [monitors_spec(f"dup-{index}") for index in range(3)]
+    for index in (1, 2):
+        run_shard(specs, tmp_path / f"s{index}.journal", (index, 2))
+    joined = join([tmp_path / "s1.journal", tmp_path / "s2.journal",
+                   tmp_path / "s1.journal"], tmp_path / "run.journal")
+    assert resume_into(specs, joined, tmp_path / "merged") == []
+    single_machine(specs, tmp_path / "single")
+    assert_same_artifacts(specs, tmp_path / "single", tmp_path / "merged")
 
 
-def test_merge_reports_every_coverage_defect_at_once():
-    """One failed merge diagnoses the whole artifact set: every
-    missing and overlapping cell lands in a single error."""
-    spec_a, spec_b = tiny_spec("multi-a"), tiny_spec("multi-b", seed=2)
-    selection = [["multi-a", "throttled", 1], ["multi-a", "unthrottled", 1],
-                 ["multi-b", "throttled", 2], ["multi-b", "unthrottled", 2]]
-    docs = [
-        shard_doc(1, 2, selection,
-                  [selection[0], selection[1]],
-                  {"multi-a": {"spec": spec_a.to_dict(), "wall_seconds": 0.1,
-                               "errors": {},
-                               "results": {"throttled": fake_summary(),
-                                           "unthrottled": fake_summary()}}}),
-        # shard 2 re-claims both of shard 1's cells and omits its own
-        shard_doc(2, 2, selection,
-                  [selection[0], selection[1]],
-                  {"multi-a": {"spec": spec_a.to_dict(), "wall_seconds": 0.1,
-                               "errors": {},
-                               "results": {"throttled": fake_summary(),
-                                           "unthrottled": fake_summary()}}}),
-    ]
-    with pytest.raises(ConfigurationError) as excinfo:
-        merge_documents(docs)
-    message = str(excinfo.value)
-    # both overlapping cells and both missing cells, in one error
-    assert "overlapping" in message and "missing" in message
-    assert "multi-a/throttled" in message
-    assert "multi-a/unthrottled" in message
-    assert "multi-b/throttled" in message
-    assert "multi-b/unthrottled" in message
+# ------------------------------------------------ what a join refuses
+def refused_join(tmp_path, first, second, match) -> None:
+    """Shard 1 of selection ``first`` joined with shard 2 of ``second``
+    must not load, and so cannot resume."""
+    run_shard(first, tmp_path / "s1.journal", (1, 2), StubExecutor())
+    run_shard(second, tmp_path / "s2.journal", (2, 2), StubExecutor())
+    joined = join([tmp_path / "s1.journal", tmp_path / "s2.journal"],
+                  tmp_path / "run.journal")
+    with pytest.raises(ConfigurationError, match=match):
+        load_journal(str(joined))
+    with pytest.raises(ConfigurationError, match=match):
+        journaled_executor(InlineExecutor(), str(joined), resume=True)
 
 
-def test_merge_rejects_duplicate_shard_index():
-    spec = tiny_spec("twice")
-    docs = two_shard_docs(spec)
-    docs[1]["shard"]["index"] = 1
-    with pytest.raises(ConfigurationError, match="twice|overlapping"):
-        merge_documents(docs)
+def test_merge_rejects_mixed_plans(tmp_path):
+    refused_join(tmp_path, [monitors_spec("plan-a"), monitors_spec("x")],
+                 [monitors_spec("plan-b"), monitors_spec("x")],
+                 r"line 4 opens a different run")
 
 
-def test_merge_rejects_mixed_plans():
-    docs = two_shard_docs(tiny_spec("plan-a"))
-    other = two_shard_docs(tiny_spec("plan-b"))
-    with pytest.raises(ConfigurationError, match="different plans"):
-        merge_documents([docs[0], other[1]])
-
-
-def test_selection_fingerprint_catches_preset_mismatch():
-    """Shards run with different --preset must not merge, even when no
-    scenario spans two shards (the fingerprint embeds every spec)."""
-    smoke = ShardPlan.partition(
-        [tiny_spec("solo-a", variants=(VariantSpec("run"),), expect=()),
-         tiny_spec("solo-b", variants=(VariantSpec("run"),), expect=())],
-        2)
-    paper = ShardPlan.partition(
-        [tiny_spec("solo-a", variants=(VariantSpec("run"),), expect=(),
-                   preset="paper"),
-         tiny_spec("solo-b", variants=(VariantSpec("run"),), expect=(),
-                   preset="paper")],
-        2)
+def test_selection_fingerprint_catches_preset_mismatch(tmp_path):
+    """Shards run with different --preset must not join, even when no
+    scenario spans two shards (the header embeds every spec)."""
+    smoke = [tiny_spec("solo-a", variants=(VariantSpec("run"),), expect=()),
+             tiny_spec("solo-b", variants=(VariantSpec("run"),), expect=())]
+    paper = [spec.customized(preset="paper") for spec in smoke]
     # cells (id, variant, seed) are identical; only the specs differ
-    assert smoke.selection_doc()["cells"] == paper.selection_doc()["cells"]
-    assert smoke.selection_doc() != paper.selection_doc()
-    docs = [
-        shard_doc(1, 2, [], [["solo-a", "run", 1]],
-                  {"solo-a": {"spec": smoke.specs[0].to_dict(),
-                              "errors": {},
-                              "results": {"run": fake_summary()}}}),
-        shard_doc(2, 2, [], [["solo-b", "run", 1]],
-                  {"solo-b": {"spec": paper.specs[1].to_dict(),
-                              "errors": {},
-                              "results": {"run": fake_summary()}}}),
-    ]
-    docs[0]["selection"] = smoke.selection_doc()
-    docs[1]["selection"] = paper.selection_doc()
-    with pytest.raises(ConfigurationError, match="different plans"):
-        merge_documents(docs)
+    assert selection_fingerprint(tasks_for_specs(smoke))["cells"] \
+        == selection_fingerprint(tasks_for_specs(paper))["cells"]
+    refused_join(tmp_path, smoke, paper, "different run")
 
 
-def test_merge_rejects_claimed_cell_without_data():
-    """A shard that claims a cell but carries neither a result nor an
-    error for it (a partially written artifact) must not merge."""
-    docs = two_shard_docs(tiny_spec("partial"))
-    del docs[1]["scenarios"]["partial"]["results"]["unthrottled"]
-    with pytest.raises(ConfigurationError, match="neither a result"):
-        merge_documents(docs)
-    # a claimed cell of an entirely absent scenario is caught too
-    docs = two_shard_docs(tiny_spec("absent"))
-    del docs[1]["scenarios"]["absent"]
-    with pytest.raises(ConfigurationError, match="no data"):
-        merge_documents(docs)
+def test_merge_rejects_disagreeing_specs(tmp_path):
+    spec = monitors_spec("skew")
+    retitled = ScenarioSpec.from_dict({**spec.to_dict(),
+                                       "title": "something else"})
+    refused_join(tmp_path, [spec, monitors_spec("y")],
+                 [retitled, monitors_spec("y")], "different run")
 
 
-def test_merge_surfaces_malformed_artifacts_as_config_errors():
-    # a scenario entry without a spec
-    docs = two_shard_docs(tiny_spec("no-spec"))
-    del docs[0]["scenarios"]["no-spec"]["spec"]
-    with pytest.raises(ConfigurationError, match="no spec"):
-        merge_documents(docs)
-    # a result summary missing required fields
-    docs = two_shard_docs(tiny_spec("bad-summary"))
-    del docs[0]["scenarios"]["bad-summary"]["results"]["throttled"][
-        "completed"]
-    with pytest.raises(ConfigurationError, match="malformed"):
-        merge_documents(docs)
-
-
-def test_merge_rejects_disagreeing_specs():
-    docs = two_shard_docs(tiny_spec("skew"))
-    docs[1]["scenarios"]["skew"]["spec"]["title"] = "something else"
-    with pytest.raises(ConfigurationError, match="disagree"):
-        merge_documents(docs)
-
-
-def test_merge_rejects_unknown_documents_and_schemas():
-    with pytest.raises(ConfigurationError, match="nothing to merge"):
-        merge_documents([])
-    with pytest.raises(ConfigurationError, match="neither"):
-        merge_documents([{"schema": 3, "name": "mystery"}])
-    docs = two_shard_docs(tiny_spec("old"))
-    docs[0]["schema"] = 2
+def test_merge_rejects_unknown_documents_and_schemas(tmp_path):
+    specs = [monitors_spec("old-a"), monitors_spec("old-b")]
+    run_shard(specs, tmp_path / "s1.journal", (1, 2), StubExecutor())
+    # a record this build does not know is corruption, not a shard
+    with open(tmp_path / "odd.journal", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"op": "teleport"}) + "\n")
+    joined = join([tmp_path / "s1.journal", tmp_path / "odd.journal"],
+                  tmp_path / "run.journal")
+    with pytest.raises(ConfigurationError, match="line 4 has unknown op"):
+        load_journal(str(joined))
+    # shards recorded under another artifact schema join (their headers
+    # agree) but do not resume in this build
+    fingerprint = selection_fingerprint(tasks_for_specs(specs))
+    for index in (1, 2):
+        with open(tmp_path / f"old{index}.journal", "w",
+                  encoding="utf-8") as fh:
+            fh.write(json.dumps({"op": "open", "schema": 3,
+                                 "selection": fingerprint}) + "\n")
+    joined = join([tmp_path / "old1.journal", tmp_path / "old2.journal"],
+                  tmp_path / "old.journal")
+    executor = journaled_executor(InlineExecutor(), str(joined),
+                                  resume=True)
     with pytest.raises(ConfigurationError, match="schema"):
-        merge_documents(docs)
+        list(executor.submit(tasks_for_specs(specs)))
+    executor.close()
 
 
-def test_merge_accepts_schema2_scenario_artifacts():
-    """Pre-shard per-scenario artifacts merge as complete scenarios."""
-    spec = tiny_spec("legacy", expect=(
-        Expectation("completed", ">", 0, variant="throttled"),))
-    spec_doc = spec.to_dict()
-    del spec_doc["version"]  # schema-2 spec docs predate versioning
-    legacy = {
-        "schema": 2, "name": "scenario_legacy", "python": "3.12.0",
-        "spec": spec_doc, "ok": True, "wall_seconds": 1.0,
-        "scenario_metrics": {}, "checks": [],
-        "errors": {},
-        "results": {"throttled": fake_summary(5),
-                    "unthrottled": fake_summary(4)},
-    }
-    merge = merge_documents([legacy])
-    payload = merge.scenarios["legacy"]
-    assert payload["ok"]
-    assert payload["scenario_metrics"]["total_completed"] == 9.0
-    assert payload["checks"][0]["passed"]
-    # and a scenario id arriving twice is a conflict, not a guess
-    with pytest.raises(ConfigurationError, match="more than one"):
-        merge_documents([legacy, dict(legacy)])
+def test_merge_surfaces_malformed_artifacts_as_config_errors(tmp_path):
+    """A killed shard's torn tail fuses with the next journal's header
+    under ``cat``: the join fails loudly, naming the line, and the fix
+    is to resume that shard first (the resume repairs the tail)."""
+    specs = [monitors_spec(f"torn-{index}") for index in range(4)]
+    shard_1 = str(tmp_path / "s1.journal")
+    dying = JournaledExecutor(DiesAfter(1), CellJournal(shard_1),
+                              shard=(1, 2))
+    with pytest.raises(RuntimeError, match="simulated"):
+        list(dying.submit(tasks_for_specs(specs)))
+    dying.close()
+    with open(shard_1, "a", encoding="utf-8") as fh:
+        fh.write('{"op":"result","result":{"cell":["torn-2"')  # the kill
+    run_shard(specs, tmp_path / "s2.journal", (2, 2))
+    torn_line = len(open(shard_1, encoding="utf-8").read().splitlines())
+    joined = join([shard_1, tmp_path / "s2.journal"],
+                  tmp_path / "run.journal")
+    with pytest.raises(ConfigurationError,
+                       match=f"line {torn_line} is malformed"):
+        load_journal(str(joined))
+
+    resumed = journaled_executor(InlineExecutor(), shard_1, resume=True,
+                                 shard=(1, 2))
+    assert len(list(resumed.submit(tasks_for_specs(specs)))) == 2
+    resumed.close()
+    joined = join([shard_1, tmp_path / "s2.journal"],
+                  tmp_path / "run.journal")
+    assert resume_into(specs, joined, tmp_path / "merged") == []
+    single_machine(specs, tmp_path / "single")
+    assert_same_artifacts(specs, tmp_path / "single", tmp_path / "merged")
 
 
 def test_monitors_expectations_match_between_paths(tmp_path):
@@ -357,43 +358,11 @@ def test_monitors_expectations_match_between_paths(tmp_path):
     assert not single.ok and len(single.checks) == 1
     single_path = write_scenario_artifact(str(tmp_path / "a"), single)
 
-    plan = ShardPlan.partition([spec], 1)
-    merge = merge_documents([{
-        "schema": ARTIFACT_SCHEMA, "name": "shard_1of1",
-        **run_shard(plan, 1)}])
-    assert not merge.ok
-    merged_dir = tmp_path / "b"
-    write_merged_artifacts(str(merged_dir), merge)
+    run_shard([spec], tmp_path / "s1.journal", (1, 1))
+    assert resume_into([spec], tmp_path / "s1.journal",
+                       tmp_path / "b") == []
     assert canonical_file(single_path) \
-        == canonical_file(merged_dir / "BENCH_scenario_mon-exp.json")
-
-
-def test_merge_summary_records_wall_seconds_percentiles():
-    """The merge summary digests per-cell wall clocks (the series
-    `results trend` and the radar read), and the digest is
-    canonically volatile — derived from wall clocks, zeroed with
-    them."""
-    spec = tiny_spec("ptile", expect=())
-    docs = two_shard_docs(spec)
-    scenarios_1 = docs[0]["scenarios"]["ptile"]["results"]
-    scenarios_2 = docs[1]["scenarios"]["ptile"]["results"]
-    scenarios_1["throttled"]["wall_seconds"] = 4.0
-    scenarios_2["unthrottled"]["wall_seconds"] = 1.0
-    merge = merge_documents(docs)
-    assert sorted(merge.cell_wall_seconds) == [1.0, 4.0]
-    summary = merge.summary_payload()
-    assert summary["wall_seconds_percentiles"] \
-        == {"cells": 2, "p50": 1.0, "p90": 4.0, "max": 4.0}
-    assert canonical_document(summary)["wall_seconds_percentiles"] == 0
-
-    # a standalone (pre-shard) scenario artifact contributes its cells
-    single = {"schema": ARTIFACT_SCHEMA, "name": "scenario_solo",
-              "spec": tiny_spec("solo", expect=()).to_dict(),
-              "wall_seconds": 9.0, "errors": {},
-              "results": {"throttled": fake_summary(),
-                          "unthrottled": fake_summary()}}
-    walls = merge_documents([single]).cell_wall_seconds
-    assert walls == [0.5, 0.5]  # per-variant summaries, not the total
+        == canonical_file(tmp_path / "b" / "BENCH_scenario_mon-exp.json")
 
 
 def test_wall_seconds_percentiles_digest():
@@ -403,22 +372,6 @@ def test_wall_seconds_percentiles_digest():
     assert digest == {"cells": 5, "p50": 3.0, "p90": 5.0, "max": 5.0}
     # non-numeric junk from hand-edited artifacts is skipped
     assert wall_seconds_percentiles([1.0, "fast", None])["cells"] == 1
-
-
-def test_entry_cell_walls_skips_untimed_cells():
-    """Untimed cells (errored variants, zero/missing walls) never
-    pollute the digest with phantom zeros."""
-    from repro.experiments.shards import _entry_cell_walls
-
-    assert _entry_cell_walls({"results": {
-        "a": {"wall_seconds": 2.0}, "b": {"wall_seconds": 0.0}}}) == [2.0]
-    # an all-errored experiment entry contributes nothing — its
-    # scenario-level wall clock covers failed cells and must not
-    # masquerade as one timed render cell
-    assert _entry_cell_walls({"results": {}, "errors": {"a": "boom"},
-                              "wall_seconds": 12.5}) == []
-    # a monitors/trace entry contributes its single timed cell
-    assert _entry_cell_walls({"wall_seconds": 0.25}) == [0.25]
 
 
 def test_canonical_document_zeroes_volatile_fields_only():
@@ -435,29 +388,42 @@ def test_canonical_document_zeroes_volatile_fields_only():
     assert doc["wall_seconds"] == 1.5
 
 
+def test_cli_shard_needs_a_journal_and_writes_no_artifacts(tmp_path,
+                                                           capsys):
+    journal = str(tmp_path / "s.journal")
+    assert cli.main(["scenarios", "run", "fig1", "--shard", "1/2"]) == 2
+    assert "pass --journal" in capsys.readouterr().err
+    assert cli.main(["scenarios", "run", "fig1", "--shard", "1/2",
+                     "--journal", journal, "--out", str(tmp_path)]) == 2
+    assert "writes no artifacts" in capsys.readouterr().err
+    assert cli.main(["scenarios", "run", "fig1", "--shard", "3/2",
+                     "--journal", journal]) == 2
+    assert "out of range" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert "shards" not in capsys.readouterr().out
+
+
 # --------------------------------------------------- pinned equivalence
 @pytest.mark.slow
 def test_single_shard_merge_is_identity(tmp_path):
-    """N=1: one shard owns everything; the merge must reproduce the
-    single-machine artifact canonically byte-for-byte."""
+    """N=1: one shard owns everything; resuming its journal must
+    reproduce the single-machine artifact canonically byte-for-byte."""
     spec = tiny_spec("ident")
-    single, merged = tmp_path / "single", tmp_path / "merged"
-    write_scenario_artifact(str(single), run_scenario(spec))
-
-    plan = ShardPlan.partition([spec], 1)
-    path = write_shard_artifact(str(tmp_path), run_shard(plan, 1))
-    write_merged_artifacts(str(merged), merge_artifact_files([path]))
-
-    assert canonical_file(single / "BENCH_scenario_ident.json") \
-        == canonical_file(merged / "BENCH_scenario_ident.json")
+    single_machine([spec], tmp_path / "single")
+    run_shard([spec], tmp_path / "s1.journal", (1, 1))
+    assert resume_into([spec], tmp_path / "s1.journal",
+                       tmp_path / "merged") == []
+    assert_same_artifacts([spec], tmp_path / "single", tmp_path / "merged")
 
 
 @pytest.mark.slow
 def test_sharded_run_matches_single_machine(tmp_path):
     """The sharding correctness contract: 4 shards of a mixed selection
     (experiment variants split across shards, plus a monitors and a
-    trace scenario) merge into artifacts canonically identical to the
-    single-machine run."""
+    trace scenario), joined and resumed, write artifacts canonically
+    identical to the single-machine run — and the resume runs
+    nothing."""
     specs = [
         tiny_spec("sh-a", expect=(
             Expectation("completed", ">", 0, variant="throttled"),
@@ -465,61 +431,73 @@ def test_sharded_run_matches_single_machine(tmp_path):
         )),
         tiny_spec("sh-b", seed=2),
         monitors_spec("sh-mon"),
+        ScenarioSpec(scenario_id="sh-trace", title="Trace", family="test",
+                     kind="trace", workload="sales", clients=1,
+                     render="trace", workload_params=(("background", 2),)),
     ]
-    single, merged = tmp_path / "single", tmp_path / "merged"
-    for spec in specs:
-        write_scenario_artifact(str(single), run_scenario(spec))
-
-    plan = ShardPlan.partition(specs, 4)
-    paths = [write_shard_artifact(str(tmp_path), run_shard(plan, index))
-             for index in (1, 2, 3, 4)]
-    merge = merge_artifact_files(paths)
-    assert merge.shard_count == 4 and merge.cells_total == 5
-    write_merged_artifacts(str(merged), merge)
-
-    for spec in specs:
-        name = f"BENCH_scenario_{spec.scenario_id}.json"
-        assert canonical_file(single / name) \
-            == canonical_file(merged / name), name
+    single_machine(specs, tmp_path / "single")
+    paths = [tmp_path / f"s{index}.journal" for index in (1, 2, 3, 4)]
+    for index, path in enumerate(paths, start=1):
+        run_shard(specs, path, (index, 4))
+    joined = join(paths, tmp_path / "run.journal")
+    assert len(load_journal(str(joined)).results) == 6
+    assert resume_into(specs, joined, tmp_path / "merged") == []
+    assert_same_artifacts(specs, tmp_path / "single", tmp_path / "merged")
 
 
 @pytest.mark.slow
-def test_cli_shards_run_and_merge_match_scenarios_run(tmp_path, capsys):
-    """The acceptance pin at CLI level: `repro shards run --shard k/4`
-    four times plus `repro shards merge` equals one
-    `repro scenarios run` of the same selection, canonically."""
+def test_cli_shard_journals_resume_to_scenarios_run(tmp_path, capsys):
+    """The acceptance pin at CLI level: `scenarios run --shard k/2
+    --journal` twice, the journals joined with cat, and `--resume
+    --out` equals one `scenarios run --out` of the same selection —
+    with every journal, and with one left out."""
     selection = ["abl-dyn", "fig1", "--clients", "2",
                  "--preset", "smoke", "--seed", "3"]
     single = tmp_path / "single"
     assert cli.main(["scenarios", "run", *selection,
                      "--out", str(single)]) == 0
-    shard_dir = tmp_path / "shards"
-    for index in (1, 2, 3, 4):
-        assert cli.main(["shards", "run", "--shard", f"{index}/4",
-                         *selection, "--out", str(shard_dir)]) == 0
-    capsys.readouterr()
-    merged = tmp_path / "merged"
-    assert cli.main(["shards", "merge", str(shard_dir),
-                     "--out", str(merged)]) == 0
+    shards = [tmp_path / f"s{index}.journal" for index in (1, 2)]
+    for index, path in enumerate(shards, start=1):
+        assert cli.main(["scenarios", "run", *selection, "--shard",
+                         f"{index}/2", "--journal", str(path)]) == 0
+    names = sorted(p.name for p in single.iterdir())
+    assert names == ["BENCH_scenario_abl-dyn.json",
+                     "BENCH_scenario_fig1.json"]
+    # shard 1 owns abl-dyn/static and fig1, shard 2 abl-dyn/dynamic
+    for journals, replayed, outstanding in ((shards, 3, 0),
+                                            (shards[:1], 2, 1)):
+        merged = tmp_path / f"merged-{len(journals)}"
+        joined = join(journals, tmp_path / f"run-{len(journals)}.journal")
+        capsys.readouterr()
+        assert cli.main(["scenarios", "run", *selection, "--journal",
+                         str(joined), "--resume", "--out",
+                         str(merged)]) == 0
+        assert "abl-dyn" in capsys.readouterr().out
+        for name in names:
+            assert canonical_file(single / name) \
+                == canonical_file(merged / name), name
+        # the resume record counts what replayed and what had to run
+        records = [json.loads(line) for line
+                   in joined.read_text(encoding="utf-8").splitlines()]
+        assert [r for r in records if r["op"] == "resume"] \
+            == [{"op": "resume", "replayed": replayed,
+                 "outstanding": outstanding}]
+
+
+def test_shard_run_reports_job_errors(tmp_path, capsys, monkeypatch):
+    """A shard whose cell errored exits 1 and names the cell; the
+    journal keeps the error, which a resume retries."""
+    from repro.experiments import executors
+
+    monkeypatch.setattr(executors, "execute_cell", lambda task: CellResult(
+        cell=task.cell, error="RuntimeError: injected"))
+    journal = tmp_path / "s1.journal"
+    assert cli.main(["scenarios", "run", "abl-dyn", "--preset", "smoke",
+                     "--shard", "1/1", "--journal", str(journal)]) == 1
     out = capsys.readouterr().out
-    assert "abl-dyn" in out and "fig1" in out
-
-    for name in ("BENCH_scenario_abl-dyn.json", "BENCH_scenario_fig1.json"):
-        assert canonical_file(single / name) \
-            == canonical_file(merged / name), name
-    summary = json.loads((merged / "BENCH_shard_merge.json").read_text())
-    assert summary["ok"] and summary["shard_count"] == 4
-
-
-@pytest.mark.slow
-def test_shard_run_reports_job_errors(tmp_path, capsys):
-    """A failing cell is accounted in the shard artifact and the merge
-    carries it into the scenario artifact's errors."""
-    spec = tiny_spec("sh-broken", workload="mixed",
-                     workload_params={"tpch_fraction": 0.3},
-                     variants=(VariantSpec("run"),), expect=())
-    # sabotage after validation: an unknown preset fails in the worker
-    object.__setattr__(spec, "preset", "warp-speed")
-    plan = ShardPlan.partition([spec], 1)
-    payload = run_shard(plan, 1)
-    assert "run" in payload["scenarios"]["sh-broken"]["errors"]
+    assert "abl-dyn/static: FAILED (RuntimeError: injected)" in out
+    state = load_journal(str(journal))
+    assert {cell.variant: result.error
+            for cell, result in state.results.items()} \
+        == {"static": "RuntimeError: injected",
+            "dynamic": "RuntimeError: injected"}
