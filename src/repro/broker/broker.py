@@ -5,7 +5,9 @@ Every ``interval`` seconds (on the server's tick, which calls
 trends, and projects total usage ``horizon`` seconds ahead.  While the
 projection fits in physical memory (minus headroom) it does nothing —
 "the system behaves as if the Memory Broker was not there" — and a
-sweep that provably changes nothing skips even the sampling.  Under
+sweep whose projection provably fits skips the trend fits, or, when
+it sees the same usage snapshot as the quiet sweep before it, even
+the sampling.  Under
 projected pressure it computes per-component targets and notifies
 subscribers, which in this server are:
 
@@ -22,10 +24,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import BrokerConfig
-from repro.broker.trend import WindowTerms, project, window_terms
+from repro.broker.trend import (BOUND_SLACK, WindowTerms, project,
+                                spread_factor, window_terms)
 from repro.memory.manager import MemoryManager
 from repro.sim import Environment
 
@@ -59,6 +63,9 @@ class BrokerNotification:
 #: subscriber callback type
 NotificationHandler = Callable[[BrokerNotification], None]
 
+#: ``(offsets, terms, spread factor)`` of one window length's sample times
+XTerms = Tuple[Tuple[float, ...], WindowTerms, float]
+
 
 class MemoryBroker:
     """Central accounting and arbitration for all memory clerks."""
@@ -80,9 +87,12 @@ class MemoryBroker:
         self._times: Deque[float] = deque(maxlen=config.window)
         #: per-clerk usage windows, aligned with the tail of ``_times``
         self._values: Dict[str, Deque[float]] = {}
-        #: by window length: the sample offsets last fitted over and
-        #: their x terms (see :meth:`_x_terms`)
-        self._x_memo: Dict[int, Tuple[Tuple[float, ...], WindowTerms]] = {}
+        #: by window length: the sample offsets last fitted over, their
+        #: x terms and their spread factor (see :meth:`_x_terms`)
+        self._x_memo: Dict[int, XTerms] = {}
+        #: by window length: the sweep whose sample times its memo was
+        #: last checked against (times change only when a sweep starts)
+        self._x_checked: Dict[int, int] = {}
         self._handlers: Dict[str, List[NotificationHandler]] = {}
         #: most recent notifications by clerk (observability)
         self.last_notifications: Dict[str, BrokerNotification] = {}
@@ -94,10 +104,14 @@ class MemoryBroker:
         #: GROW, or who have none yet: at 0 the grow loop has nothing
         #: to send
         self._not_grow = 0
-        #: the usage the last sampling sweep read, and whether every
-        #: value window was full and flat after it (see :meth:`sweep`)
-        self._last_usage: Optional[Dict[str, int]] = None
-        self._settled = False
+        #: the snapshot of the last sweep that was quiet with every
+        #: window full, and the full window's x terms it was bounded
+        #: with; None once a sweep is not (see :meth:`sweep`)
+        self._quiet_usage: Optional[Dict[str, int]] = None
+        self._quiet_x: Optional[XTerms] = None
+        #: sweeps since then that saw the same snapshot: their samples
+        #: are not in the value windows yet (see :meth:`_catch_up`)
+        self._pending = 0
 
     # -- wiring ------------------------------------------------------------
     def subscribe(self, clerk_name: str,
@@ -166,32 +180,43 @@ class MemoryBroker:
         """One accounting pass: sample, predict, notify.  The server's
         tick calls it every ``interval`` seconds with the tick's usage
         snapshot (read from the manager when omitted; the broker keeps
-        it, so it must not be changed afterwards).  Returns True when a
-        notification went out, whose handlers may have changed usage.
+        it, so it must not be changed afterwards), and passes the
+        previous snapshot object again when usage has not changed.
+        Returns True when a notification went out, whose handlers may
+        have changed usage.
 
-        A sweep is *idle* when every clerk's last notification is GROW,
-        every value window is full and flat, usage equals the last
-        sweep's and its total is within the limit.  Sampling would then
-        append each clerk's value to a full window holding nothing but
-        that value, which changes nothing; every prediction would be
-        that value, so no pressure; and the grow loop would have nobody
-        to tell.  An idle sweep therefore only counts itself and
-        records its time.
+        A sweep is *quiet* when every clerk's last notification is
+        GROW and the projection provably fits: the sum of each clerk's
+        projection bound (see :meth:`_fits`) is within the limit.  The
+        fits would find no pressure, and the grow loop nobody to tell,
+        so a quiet sweep samples and returns without fitting.
+
+        A quiet sweep with every window full is followed by quiet
+        sweeps for as long as the same snapshot object comes back and
+        the full window's sample offsets repeat.  Appending a value
+        that is already the last in a window cannot widen the window's
+        range, and the bound's factor depends only on the offsets.
+        Such a sweep records its time and counts one pending repeat;
+        the value windows catch up before they are next read.
         """
         self.sweeps += 1
         now = self.env.now
         if usage is None:
             usage = self.manager.usage_by_clerk()
-        if (self._settled and not self._not_grow
-                and usage == self._last_usage
-                and sum(usage.values()) <= self.pressure_limit):
-            self._times.append(now)
+        times = self._times
+        times.append(now)
+        if usage is self._quiet_usage and (
+                self._x_terms(times.maxlen) is self._quiet_x):
+            self._pending += 1
+            return False
+        self._sample(usage)
+        self._quiet_usage = None
+        limit = self.pressure_limit
+        if not self._not_grow and self._fits(usage, limit):
             self.under_pressure = False
             return False
-        self._last_usage = usage
-        predicted = self._predict(now, usage)
+        predicted = self._predict(usage)
         total_predicted = sum(predicted.values())
-        limit = self.pressure_limit
         self.under_pressure = total_predicted > limit
         if not self.under_pressure:
             # no action: the system behaves as if the broker was absent,
@@ -209,25 +234,79 @@ class MemoryBroker:
                 name, signal, used, expected, target, now))
         return bool(usage)
 
-    def _predict(self, now: float,
-                 usage: Dict[str, int]) -> Dict[str, int]:
-        """Add this sweep's samples; project each clerk ``horizon``
-        seconds ahead from the least-squares line through its window."""
-        times = self._times
-        times.append(now)
-        window = times.maxlen
-        horizon = self.config.horizon
+    def _catch_up(self) -> None:
+        """Append the pending repeats of the last quiet snapshot to its
+        clerks' windows.  A window holds ``window`` samples, so more
+        copies than that change nothing further."""
+        if not self._pending:
+            return
+        copies = min(self._pending, self._times.maxlen)
+        self._pending = 0
         windows = self._values
-        terms: Dict[int, WindowTerms] = {}  # by window length
-        predicted: Dict[str, int] = {}
-        settled = True
+        for name in self._quiet_usage:
+            values = windows[name]
+            values.extend(repeat(values[-1], copies))
+
+    def _sample(self, usage: Dict[str, int]) -> None:
+        """Add this sweep's samples (its time is already in ``_times``),
+        opening a window for each clerk seen for the first time."""
+        self._catch_up()
+        window = self._times.maxlen
+        windows = self._values
         for name, used in usage.items():
             values = windows.get(name)
             if values is None:
                 values = windows[name] = deque(maxlen=window)
                 self._not_grow += 1  # not notified yet
-            value = float(used)
-            values.append(value)
+            values.append(float(used))
+
+    def _fits(self, usage: Dict[str, int], limit: int) -> bool:
+        """True when no projection can take the total past ``limit``.
+
+        A flat window projects its own value exactly (see
+        :meth:`_predict`).  Any other window with values in
+        ``[lo, hi]`` projects at most ``hi + K * (hi - lo)``, where
+        ``K`` is the :func:`spread_factor` of its length's x terms;
+        :data:`BOUND_SLACK` covers the float rounding of both, and the
+        bound is floored because a prediction is the truncated
+        projection.  Every term is then a whole number below the
+        limit, so the total is exact.  When every window is full, the
+        snapshot is remembered for the repeat rule of :meth:`sweep`.
+        """
+        window = self._times.maxlen
+        windows = self._values
+        total = 0.0
+        full = True
+        for name in usage:
+            values = windows[name]
+            hi = max(values)
+            lo = min(values)
+            n = len(values)
+            if hi != lo:
+                factor = self._x_terms(n)[2]
+                hi = (hi + factor * (hi - lo)) * BOUND_SLACK
+                if hi > limit:
+                    return False
+                hi = float(int(hi))
+            total += hi
+            if n < window:
+                full = False
+        if total > limit:
+            return False
+        if full:
+            self._quiet_usage = usage
+            self._quiet_x = self._x_terms(window)
+        return True
+
+    def _predict(self, usage: Dict[str, int]) -> Dict[str, int]:
+        """Project each clerk ``horizon`` seconds ahead from the
+        least-squares line through its window (sampled already)."""
+        horizon = self.config.horizon
+        windows = self._values
+        predicted: Dict[str, int] = {}
+        for name in usage:
+            values = windows[name]
+            value = values[-1]
             n = len(values)
             if values.count(value) == n:
                 # a flat window predicts its value without a fit, exactly:
@@ -235,29 +314,31 @@ class MemoryBroker:
                 # 2**53, so every partial sum is exact, mean_y == value,
                 # sxy == 0.0 and the fitted level is value itself
                 predicted[name] = int(value)
-                if n < window:
-                    settled = False
                 continue
-            settled = False
-            shared = terms.get(n)
-            if shared is None:
-                shared = terms[n] = self._x_terms(n)
-            predicted[name] = int(project(shared, values, horizon))
-        self._settled = settled
+            predicted[name] = int(project(self._x_terms(n)[1], values,
+                                          horizon))
         return predicted
 
-    def _x_terms(self, n: int) -> WindowTerms:
-        """The x terms of the last ``n`` sweep times.  They depend only
-        on each time's offset from the newest, and sweeps one interval
-        apart repeat the same offsets, so the terms last computed for
-        ``n`` are reused while the offsets match."""
-        times = list(self._times)[-n:]
+    def _x_terms(self, n: int) -> XTerms:
+        """The offsets, x terms and spread factor of the last ``n``
+        sweep times.  They depend only on each time's offset from the
+        newest, and sweeps one interval apart repeat the same offsets,
+        so the entry last computed for ``n`` is reused (the same
+        object) while the offsets match."""
+        memo = self._x_memo.get(n)
+        if memo is not None and self._x_checked[n] == self.sweeps:
+            return memo
+        self._x_checked[n] = self.sweeps
+        times = self._times
         t_last = times[-1]
         offsets = tuple([t - t_last for t in times])
-        memo = self._x_memo.get(n)
+        if n < len(offsets):
+            offsets = offsets[-n:]
         if memo is None or memo[0] != offsets:
-            memo = self._x_memo[n] = (offsets, window_terms(offsets))
-        return memo[1]
+            terms = window_terms(offsets)
+            memo = self._x_memo[n] = (
+                offsets, terms, spread_factor(terms, self.config.horizon))
+        return memo
 
     def _compute_targets(self, usage: Dict[str, int],
                          predicted: Dict[str, int],

@@ -9,7 +9,10 @@ The fit is split in two so the broker can share work across clerks:
 :func:`window_terms` holds everything that depends only on the sample
 times, :func:`least_squares` the part that depends on the values
 (:func:`project` is the same fit, returning only the projection).
-:class:`TrendEstimator` is the one-window wrapper around both.
+:func:`spread_factor` bounds a projection from the x terms alone, so the
+broker can tell a window that cannot reach its pressure limit without
+fitting it.  :class:`TrendEstimator` is the one-window wrapper around
+the fit.
 """
 
 from __future__ import annotations
@@ -76,6 +79,32 @@ def project(terms: WindowTerms, ys: Sequence[float], horizon: float) -> float:
     window is not flat at every sweep."""
     level, slope = _fit(terms, ys)
     return max(0.0, level + slope * horizon)
+
+
+#: relative slack that makes ``(hi + K * (hi - lo)) * BOUND_SLACK`` a
+#: bound on the *computed* projection.  The fit's float rounding is a
+#: few ``window * 2**-52`` of the magnitudes it adds (``hi`` and
+#: ``K * (hi - lo)``), far below this.
+BOUND_SLACK = 1.0 + 2.0 ** -20
+
+
+def spread_factor(terms: WindowTerms, horizon: float) -> float:
+    """``K`` such that ``project(terms, ys, horizon) <= hi + K * (hi - lo)``
+    for every window ``ys`` with values in ``[lo, hi]``, up to float
+    rounding.
+
+    The projection is ``mean_y + slope * (horizon - mean_x)``, with
+    ``mean_y <= hi`` and ``horizon - mean_x >= 0``.  The deviations sum
+    to zero, so ``sxy`` is also the sum of ``d * (y - (lo + hi) / 2)``,
+    and ``|slope| <= sum(|d|) * (hi - lo) / (2 * sxx)``.  Samples that
+    share one time are not fitted (the projection is the last value),
+    so their factor is 0.  Float rounding is covered by
+    :data:`BOUND_SLACK`.
+    """
+    mean_x, sxx, deviations = terms
+    if sxx <= 0:
+        return 0.0
+    return (horizon - mean_x) * sum(map(abs, deviations)) / (2.0 * sxx)
 
 
 class TrendEstimator:

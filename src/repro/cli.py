@@ -169,8 +169,10 @@ def _executor_from_args(args):
     return executor
 
 
-def _wrap_journal(executor, args, shard=None):
-    """Wrap the surface's executor in a run journal when asked to.
+def _journal_from_args(args, shard=None):
+    """Check the journal flags, and the journal they name, before any
+    executor starts; returns what wraps the surface's executor in that
+    journal (the executor itself without ``--journal``).
 
     The wrapper owns the inner executor and the journal file; callers
     close the returned executor exactly as they would the bare one.
@@ -182,11 +184,14 @@ def _wrap_journal(executor, args, shard=None):
         if args.resume:
             raise ConfigurationError(
                 "--resume replays a journal; pass --journal PATH too")
-        return executor
-    from repro.experiments.journal import journaled_executor
+        return lambda executor: executor
+    from repro.experiments.journal import (CellJournal, JournaledExecutor,
+                                           journal_resume_state)
 
-    return journaled_executor(executor, args.journal, resume=args.resume,
-                              shard=shard)
+    state = journal_resume_state(args.journal, resume=args.resume)
+    return lambda executor: JournaledExecutor(
+        executor, CellJournal(args.journal), resume_state=state,
+        shard=shard)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,8 +508,10 @@ def cmd_scenarios(args) -> int:
         return 0
     specs = _resolve_run_specs(args)
     shard = _shard_from_args(args)
-    executor = _wrap_journal(_executor_from_args(args), args, shard)
+    wrap = _journal_from_args(args, shard)
+    executor = _executor_from_args(args)
     try:
+        executor = wrap(executor)
         if shard is not None:
             return _run_shard(specs, executor, shard, args)
         return _run_specs(specs, executor, out=args.out,

@@ -383,11 +383,10 @@ class JournaledExecutor(CellExecutor):
                 f"the original run (or start a fresh journal)")
 
 
-def journaled_executor(inner: CellExecutor, path: str,
-                       resume: bool = False,
-                       shard: Optional[Tuple[int, int]] = None
-                       ) -> JournaledExecutor:
-    """The CLI entry point: wrap ``inner`` with a journal at ``path``.
+def journal_resume_state(path: str,
+                         resume: bool = False) -> Optional[JournalState]:
+    """Check the journal at ``path`` before a run uses it, and return
+    what the run resumes from (None for a fresh run).
 
     Without ``resume`` the journal must not already carry records (an
     operator pointing a fresh run at an old journal gets an error, not
@@ -397,12 +396,20 @@ def journaled_executor(inner: CellExecutor, path: str,
         if not os.path.exists(path):
             raise ConfigurationError(
                 f"cannot resume: journal {path!r} does not exist")
-        state = load_journal(path)
-    else:
-        if os.path.exists(path) and os.path.getsize(path) > 0:
-            raise ConfigurationError(
-                f"journal {path!r} already exists; pass --resume to "
-                f"continue that run or remove the file first")
-        state = None
+        return load_journal(path)
+    if os.path.exists(path) and os.path.getsize(path) > 0:
+        raise ConfigurationError(
+            f"journal {path!r} already exists; pass --resume to "
+            f"continue that run or remove the file first")
+    return None
+
+
+def journaled_executor(inner: CellExecutor, path: str,
+                       resume: bool = False,
+                       shard: Optional[Tuple[int, int]] = None
+                       ) -> JournaledExecutor:
+    """The CLI entry point: wrap ``inner`` with a journal at ``path``,
+    checked by :func:`journal_resume_state` before it is opened."""
+    state = journal_resume_state(path, resume)
     return JournaledExecutor(inner, CellJournal(path), resume_state=state,
                              shard=shard)

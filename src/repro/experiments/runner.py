@@ -276,8 +276,7 @@ def _run_cell(config: ExperimentConfig, preset: Preset,
                   for t, count in metrics.throughput_series(
                       warm_sim, duration_sim)]
         totals = generator.totals()
-        memory = {clerk: trace.mean(warm_sim, duration_sim)
-                  for clerk, trace in metrics.memory.items()}
+        memory = metrics.memory_means(warm_sim, duration_sim)
         gateways = [(g.name, g.stats.acquires, g.stats.timeouts,
                      g.stats.mean_wait() * scale)
                     for g in server.governor.gateways]

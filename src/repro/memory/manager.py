@@ -80,8 +80,9 @@ class MemoryManager:
         return self.physical_memory - self._used
 
     def usage_by_clerk(self) -> Dict[str, int]:
-        """Snapshot of per-clerk usage (what the broker samples)."""
-        return {name: clerk.used for name, clerk in self._clerks.items()}
+        """Snapshot of per-clerk usage (what the broker samples, every
+        tick: read without the ``used`` property)."""
+        return {name: clerk._used for name, clerk in self._clerks.items()}
 
     # -- allocation paths (called by MemoryClerk) ---------------------------
     def _allocate(self, clerk: MemoryClerk, nbytes: int) -> None:

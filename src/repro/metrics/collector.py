@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.timeseries import BucketSeries, GaugeSeries
 
@@ -41,9 +42,11 @@ class MetricsCollector:
         self.failures = BucketSeries(bucket_width)
         self.records: List[QueryRecord] = []
         self.error_counts: Dict[str, int] = {}
-        #: clerk name -> usage trace
-        self.memory: Dict[str, GaugeSeries] = {}
-        self.total_memory = GaugeSeries()
+        #: memory sample times, in order
+        self.memory_times: List[float] = []
+        #: the sampled usage snapshots as ``[snapshot, count]`` runs in
+        #: time order: ``count`` consecutive samples of one snapshot
+        self.memory_runs: List[list] = []
 
     # -- query outcomes ------------------------------------------------------
     def record_query(self, record: QueryRecord) -> None:
@@ -57,15 +60,74 @@ class MetricsCollector:
 
     # -- memory sampling --------------------------------------------------------
     def sample_memory(self, t: float, usage_by_clerk: Dict[str, int]) -> None:
-        total = 0
-        for clerk, used in usage_by_clerk.items():
-            series = self.memory.get(clerk)
-            if series is None:
-                series = GaugeSeries()
-                self.memory[clerk] = series
-            series.record(t, used)
-            total += used
-        self.total_memory.record(t, total)
+        """Record one usage snapshot (clerk name -> bytes).  The
+        collector keeps the snapshot, so it must not be changed
+        afterwards; passing the previous sample's object again extends
+        its run."""
+        times = self.memory_times
+        if times and t < times[-1]:
+            raise ValueError("samples must be recorded in time order")
+        times.append(t)
+        runs = self.memory_runs
+        if runs and runs[-1][0] is usage_by_clerk:
+            runs[-1][1] += 1
+        else:
+            runs.append([usage_by_clerk, 1])
+
+    def _traces(self) -> Tuple[Dict[str, GaugeSeries], GaugeSeries]:
+        """The per-clerk and total traces, built from the runs."""
+        times = self.memory_times
+        memory: Dict[str, GaugeSeries] = {}
+        total = GaugeSeries()
+        end = 0
+        for usage, count in self.memory_runs:
+            start, end = end, end + count
+            for clerk, used in usage.items():
+                series = memory.get(clerk)
+                if series is None:
+                    series = memory[clerk] = GaugeSeries()
+                for t in times[start:end]:
+                    series.record(t, used)
+            all_used = sum(usage.values())
+            for t in times[start:end]:
+                total.record(t, all_used)
+        return memory, total
+
+    @property
+    def memory(self) -> Dict[str, GaugeSeries]:
+        """Clerk name -> usage trace (a clerk's trace starts at the
+        first sample that saw it), built on each read."""
+        return self._traces()[0]
+
+    @property
+    def total_memory(self) -> GaugeSeries:
+        """Total usage trace, built on each read."""
+        return self._traces()[1]
+
+    def memory_means(self, t_from: float, t_to: float) -> Dict[str, float]:
+        """Each clerk's mean sampled usage over ``[t_from, t_to)``:
+        ``memory[clerk].mean(t_from, t_to)``, without building the
+        traces.  Each run adds ``bytes * samples`` to an integer sum.
+        The trace's float sum is the same number: usage is a whole
+        byte count and ``samples * bytes < 2**53``, so every partial
+        sum is exact, and both divisions round the same quotient."""
+        times = self.memory_times
+        first = bisect_left(times, t_from)
+        last = bisect_left(times, t_to)
+        sums: Dict[str, int] = {}
+        counts: Dict[str, int] = {}
+        end = 0
+        for usage, count in self.memory_runs:
+            start, end = end, end + count
+            inside = min(end, last) - max(start, first)
+            for clerk, used in usage.items():
+                if clerk not in sums:
+                    sums[clerk] = counts[clerk] = 0
+                if inside > 0:
+                    sums[clerk] += used * inside
+                    counts[clerk] += inside
+        return {clerk: total / counts[clerk] if counts[clerk] else 0.0
+                for clerk, total in sums.items()}
 
     # -- summaries ----------------------------------------------------------------
     def throughput_series(self, t_from: float, t_to: float):

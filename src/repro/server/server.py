@@ -159,18 +159,24 @@ class DatabaseServer:
         metrics.  Both read one usage snapshot; it is read again for the
         sample only when the sweep sent a notification, since only a
         notification's handlers can change usage in between (by
-        shrinking the caches)."""
+        shrinking the caches).  A snapshot equal to the previous tick's
+        is replaced by that previous object, so the broker and the
+        sampler can tell "nothing changed" by identity."""
         env = self.env
         interval = self.config.broker.interval / self.config.time_scale
         sweep = self.broker.sweep if self.config.broker.enabled else None
         usage_by_clerk = self.memory.usage_by_clerk
         sample = self.metrics.sample_memory
+        last = None
         while True:
             yield env.timeout(interval)
             usage = usage_by_clerk()
+            if usage == last:
+                usage = last
             if sweep is not None and sweep(usage):
                 usage = usage_by_clerk()
             sample(env.now, usage)
+            last = usage
 
     # -- introspection -----------------------------------------------------------
     def views(self):

@@ -1,8 +1,12 @@
 """Tests for the Memory Broker (paper §3)."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from repro.broker import BrokerSignal, MemoryBroker
+from repro.broker import (BrokerNotification, BrokerSignal, MemoryBroker,
+                          TrendEstimator)
 from repro.config import BrokerConfig
 from repro.memory import MemoryManager
 from repro.sim import Environment
@@ -168,3 +172,158 @@ def test_advise_compile_grant_disabled_broker_always_grants(env):
     clerk = manager.clerk("compilation")
     broker.under_pressure = True
     assert broker.advise_compile_grant(clerk, manager.physical_memory * 2)
+
+
+# -- the quiet rule against a refit-everything reference -------------------
+def _usage_sequence(rng, physical, sweeps):
+    """Seeded per-sweep usage targets for four clerks (``workspace``
+    appears mid-run).  Stretches hold usage still (repeated
+    snapshots), ramp the compilation clerk over the pressure limit
+    and back down at varying steepness, creep up far below it, or
+    wander just below it."""
+    low = {"buffer_pool": physical // 4, "plan_cache": physical // 32,
+           "compilation": physical // 64}
+    usages, current = [], dict(low)
+    arrival = rng.randint(10, sweeps // 2)
+    while len(usages) < sweeps:
+        kind = rng.choice(("hold", "hold", "ramp", "drop", "creep",
+                           "near"))
+        length = rng.randint(2, 14)
+        for step in range(length):
+            if len(usages) == arrival:
+                current["workspace"] = physical // 16
+            others = sum(v for k, v in current.items()
+                         if k != "compilation")
+            room = physical - others
+            current["compilation"] = min(current["compilation"], room)
+            if kind == "ramp":
+                rate = room // rng.choice((4, 8, 16, 64))
+                current["compilation"] = min(
+                    room, current["compilation"] + rate)
+            elif kind == "creep":
+                current["compilation"] = min(
+                    room, current["compilation"] + physical // 512)
+            elif kind == "drop":
+                current["compilation"] = low["compilation"]
+            elif kind == "near":
+                current["compilation"] = room - rng.randint(
+                    physical // 20, physical // 8)
+            usages.append(dict(current))
+    return usages[:sweeps]
+
+
+def _reference(config, physical, usages, times):
+    """Pressure flags and notifications of a sweep that refits every
+    clerk with its own :class:`TrendEstimator` and always walks the
+    grow loop.  The split of memory under pressure is the broker's
+    policy, borrowed from a broker that is never swept."""
+    policy = MemoryBroker(SimpleNamespace(now=0.0),
+                          MemoryManager(physical), config)
+    limit = policy.pressure_limit
+    trends, signals, flags, notes = {}, {}, [], []
+    for now, usage in zip(times, usages):
+        predicted = {}
+        for name, used in usage.items():
+            trend = trends.setdefault(name, TrendEstimator(config.window))
+            trend.add(now, used)
+            predicted[name] = int(trend.predict(config.horizon))
+        pressure = sum(predicted.values()) > limit
+        flags.append(pressure)
+        if pressure:
+            targets = policy._compute_targets(usage, predicted, limit)
+            sent = []
+            for name, used in usage.items():
+                target = targets.get(name, predicted[name])
+                sent.append(BrokerNotification(
+                    name, MemoryBroker._signal_for(
+                        used, predicted[name], target),
+                    used, predicted[name], target, now))
+        else:
+            sent = [BrokerNotification(name, BrokerSignal.GROW, used,
+                                       predicted[name], physical, now)
+                    for name, used in usage.items()
+                    if signals.get(name) is not BrokerSignal.GROW]
+        for note in sent:
+            signals[note.clerk] = note.signal
+        notes += sent
+    return flags, notes
+
+
+def _drive(config, physical, usages, times):
+    """The broker under test on a real memory manager, handed the
+    previous snapshot object whenever usage is unchanged (as the
+    server's tick does).  Returns its pressure flags, notifications
+    and how many sweeps fitted and sampled."""
+    env = SimpleNamespace(now=0.0)
+    manager = MemoryManager(physical)
+    broker = MemoryBroker(env, manager, config)
+    notes, counts = [], {"_predict": 0, "_sample": 0}
+    for name in usages[-1]:
+        broker.subscribe(name, notes.append)
+    for method in counts:
+        def counting(*args, _original=getattr(broker, method),
+                     _name=method):
+            counts[_name] += 1
+            return _original(*args)
+
+        setattr(broker, method, counting)
+    flags, last = [], None
+    for now, target in zip(times, usages):
+        env.now = now
+        for name, used in target.items():  # frees first, then growth
+            clerk = manager.clerk(name)
+            if used < clerk.used:
+                clerk.free(clerk.used - used)
+        for name, used in target.items():
+            clerk = manager.clerk(name)
+            if used > clerk.used:
+                clerk.allocate(used - clerk.used)
+        usage = manager.usage_by_clerk()
+        if usage == last:
+            usage = last
+        broker.sweep(usage)
+        last = usage
+        flags.append(broker.under_pressure)
+    return flags, notes, counts
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_quiet_rule_matches_refitting_every_clerk(seed):
+    rng = random.Random(seed)
+    config = BrokerConfig(window=rng.choice((3, 5, 10)),
+                          horizon=rng.choice((5.0, 2.0)))
+    physical = rng.choice((1 * GiB, 4 * GiB)) + rng.randint(0, MiB)
+    usages = _usage_sequence(rng, physical, 150)
+    times = [float(i + 1) for i in range(len(usages))]
+    expected_flags, expected_notes = _reference(config, physical, usages,
+                                                times)
+    flags, notes, counts = _drive(config, physical, usages, times)
+    assert flags == expected_flags
+    assert notes == expected_notes
+    # the sequence crosses the limit both ways and takes every path
+    crossings = set(zip(flags, flags[1:]))
+    assert (False, True) in crossings and (True, False) in crossings
+    assert counts["_predict"] < counts["_sample"] < len(times)
+
+
+def test_quiet_rule_sees_a_step_peak_inside_the_window():
+    """A step up in one clerk's usage peaks in the projection about
+    half a window later, at nearly ``hi + (hi - lo)`` for a window of
+    10 and a horizon of 5, well above what the step's last sample
+    alone suggests.  The limit here sits just below that peak: the
+    sweeps before it are quiet, and the peak must still be seen."""
+    config = BrokerConfig(window=10, horizon=5.0)
+    physical = 4 * GiB
+    limit = int(physical * (1.0 - config.headroom_fraction))
+    base = GiB
+    step = int((limit - base) / 1.96)
+    usages = [{"buffer_pool": base, "compilation": used}
+              for used in [0] * 12 + [step] * 12]
+    times = [float(i + 1) for i in range(len(usages))]
+    expected_flags, expected_notes = _reference(config, physical, usages,
+                                                times)
+    flags, notes, counts = _drive(config, physical, usages, times)
+    assert flags == expected_flags
+    assert notes == expected_notes
+    assert flags.index(True) == 12 + 5  # the sixth sample of the step
+    assert not any(flags[:17])

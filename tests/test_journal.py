@@ -168,6 +168,31 @@ def test_journaled_executor_guards(tmp_path):
     executor.close()
 
 
+@pytest.mark.parametrize("flags", [["--resume"], ["--journal", "EXISTING"]])
+def test_cli_refuses_journal_flags_before_forking_workers(tmp_path, flags):
+    """A bad journal flag is one ``error:`` line and exit 2: no stream
+    worker is forked first, so none is left to die on a closed
+    coordinator with a ``WireError`` traceback."""
+    existing = tmp_path / "run.journal"
+    existing.write_text('{"op": "run"}\n', encoding="utf-8")
+    flags = [str(existing) if flag == "EXISTING" else flag
+             for flag in flags]
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "scenarios", "run", "fig1",
+         "--workers", "2", *flags],
+        capture_output=True, text=True, env=env, timeout=60)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 2
+    assert [line for line in output.splitlines()
+            if line.startswith("error:")] == [proc.stderr.strip()]
+    assert "WireError" not in output
+    assert "Traceback" not in output
+
+
 def test_journaled_executor_accepts_one_submission(tmp_path):
     executor = journaled_executor(
         InlineExecutor(), str(tmp_path / "one.journal"))

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.broker.trend import LinearTrend, TrendEstimator
+from repro.broker.trend import (BOUND_SLACK, LinearTrend, TrendEstimator,
+                                project, spread_factor, window_terms)
 
 
 def test_empty_estimator_predicts_zero():
@@ -78,3 +79,34 @@ def test_prediction_never_negative(values):
     for t, v in enumerate(values):
         trend.add(float(t), v)
     assert trend.predict(5.0) >= 0.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_projection_never_exceeds_the_spread_bound(data):
+    """The broker's quiet rule: a window with values in ``[lo, hi]``
+    never predicts above ``(hi + K * (hi - lo)) * BOUND_SLACK``, over
+    integer usages, windows of 2..10 samples and jittered sample
+    times (ties included)."""
+    n = data.draw(st.integers(min_value=2, max_value=10))
+    top = 2 ** data.draw(st.integers(min_value=0, max_value=42))
+    ys = [float(y) for y in data.draw(st.lists(
+        st.integers(min_value=0, max_value=top), min_size=n, max_size=n))]
+    interval = data.draw(st.sampled_from((1.0, 0.5, 0.1, 1.0 / 3.0, 7.0)))
+    jitter = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
+    t = data.draw(st.floats(min_value=0.0, max_value=1e6))
+    times = []
+    for _ in range(n):
+        times.append(t)
+        gap = data.draw(st.one_of(
+            st.just(interval), st.just(0.0),
+            jitter.map(lambda j: interval * (1.0 + j))))
+        t = t + gap
+    horizon = data.draw(st.sampled_from((5.0, 0.75, 0.0, 60.0)))
+    terms = window_terms(times)
+    lo, hi = min(ys), max(ys)
+    bound = (hi + spread_factor(terms, horizon) * (hi - lo)) * BOUND_SLACK
+    assert int(project(terms, ys, horizon)) <= int(bound)
+    if lo == hi:
+        assert int(project(terms, ys, horizon)) == hi
+
