@@ -23,7 +23,6 @@ the capture→replay recipe.
 from repro.admission.capture import (
     ADMITTED_OUTCOMES,
     DROPPED_OUTCOMES,
-    OUTCOME_NAMES,
     capture_event,
     write_capture,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "Claim",
     "DROPPED_OUTCOMES",
     "FifoPolicy",
-    "OUTCOME_NAMES",
     "POLICY_NAMES",
     "SLO_METRICS",
     "SLO_PERCENTILES",

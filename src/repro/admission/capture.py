@@ -24,19 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, Optional
-
-from repro.sim import state as session_state
-
-#: outcome column code -> the ``outcome`` string a capture records
-OUTCOME_NAMES: Dict[int, str] = {
-    session_state.QUEUED: "queued",
-    session_state.ADMITTED: "admitted",
-    session_state.DROPPED_QUEUE: "dropped_queue",
-    session_state.DROPPED_TIMEOUT: "dropped_timeout",
-    session_state.SUCCEEDED: "succeeded",
-    session_state.FAILED: "failed",
-}
+from typing import Iterable, Optional
 
 #: the ``outcome`` strings meaning the session got a slot
 ADMITTED_OUTCOMES = frozenset(("admitted", "succeeded", "failed"))

@@ -22,7 +22,6 @@ from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.environment import Environment, KERNEL_NAMES
 from repro.sim.process import Process
 from repro.sim.resources import Request, Resource, Store
-from repro.sim.state import GatewayTable, SessionTable
 from repro.sim.wheel import EventWheel
 
 __all__ = [
@@ -31,13 +30,11 @@ __all__ = [
     "Environment",
     "Event",
     "EventWheel",
-    "GatewayTable",
     "Interrupt",
     "KERNEL_NAMES",
     "Process",
     "Request",
     "Resource",
-    "SessionTable",
     "Store",
     "Timeout",
 ]

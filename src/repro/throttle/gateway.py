@@ -10,14 +10,8 @@ from repro.sim import Environment, Request, Resource
 
 @dataclass
 class GatewayStats:
-    """Cumulative counters for one monitor.
-
-    A ladder owned by the :class:`~repro.throttle.governor.
-    CompilationGovernor` stores these column-wise in one
-    :class:`~repro.sim.state.GatewayTable` (a :class:`~repro.sim.state.
-    GatewayStatsView` has this exact attribute surface); this dataclass
-    remains the stand-alone form for gateways built directly.
-    """
+    """Cumulative counters for one monitor, updated in place by its
+    :class:`Gateway`."""
 
     acquires: int = 0
     timeouts: int = 0
@@ -32,19 +26,18 @@ class Gateway:
     """A counted monitor with FIFO admission and a wait timeout.
 
     ``capacity`` is the number of concurrent compilations admitted
-    (4/CPU for the small gateway, 1/CPU medium, 1 big).  ``stats``
-    accepts any object with the :class:`GatewayStats` attribute
-    surface (the governor passes array-backed table views).
+    (4/CPU for the small gateway, 1/CPU medium, 1 big).  Each gateway
+    keeps its own :class:`GatewayStats`.
     """
 
     def __init__(self, env: Environment, name: str, capacity: int,
-                 timeout: float, time_scale: float = 1.0, stats=None):
+                 timeout: float, time_scale: float = 1.0):
         self.env = env
         self.name = name
         self.timeout = timeout
         self._time_scale = time_scale
         self._resource = Resource(env, capacity=capacity)
-        self.stats = stats if stats is not None else GatewayStats()
+        self.stats = GatewayStats()
 
     @property
     def capacity(self) -> int:

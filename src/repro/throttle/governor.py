@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.config import ThrottleConfig
-from repro.sim import Environment, GatewayTable, Request
+from repro.sim import Environment, Request
 from repro.throttle.gateway import Gateway
 
 
@@ -36,21 +36,21 @@ class ThrottleTicket:
 
 
 class CompilationGovernor:
-    """Admission control for concurrent query compilations."""
+    """Admission control for concurrent query compilations.
+
+    One :class:`~repro.throttle.gateway.Gateway` per configured monitor,
+    smallest first; each counts its acquires, timeouts and waits in its
+    own :class:`~repro.throttle.gateway.GatewayStats`.
+    """
 
     def __init__(self, env: Environment, config: ThrottleConfig, cpus: int,
                  time_scale: float = 1.0):
         self.env = env
         self.config = config
         self.enabled = config.enabled
-        #: ladder counters, column-wise (one row per gateway); each
-        #: Gateway writes through its view, so the storage is shared
-        #: without the throttle hot path knowing about it
-        self.stats_table = GatewayTable(max(1, len(config.gateways)))
         self.gateways: List[Gateway] = [
-            Gateway(env, g.name, g.capacity(cpus), g.timeout, time_scale,
-                    stats=self.stats_table.view(i))
-            for i, g in enumerate(config.gateways)
+            Gateway(env, g.name, g.capacity(cpus), g.timeout, time_scale)
+            for g in config.gateways
         ]
         #: static thresholds from configuration (bytes, increasing)
         self.static_thresholds = [g.threshold for g in config.gateways]

@@ -32,7 +32,6 @@ from repro.traffic.arrivals import (
 from repro.traffic.openloop import (
     OpenLoopGenerator,
     OpenLoopStats,
-    OpenLoopStatsView,
 )
 from repro.traffic.spec import TrafficSpec
 from repro.traffic.trace import (
@@ -56,7 +55,6 @@ __all__ = [
     "FlashCrowdArrivals",
     "OpenLoopGenerator",
     "OpenLoopStats",
-    "OpenLoopStatsView",
     "PoissonArrivals",
     "TRACE_FIELDS",
     "TRACE_OUTCOMES",

@@ -33,25 +33,21 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.admission.capture import OUTCOME_NAMES, capture_event
+from repro.admission.capture import capture_event
 from repro.admission.policies import make_policy
 from repro.admission.spec import AdmissionSpec
 from repro.metrics.collector import MetricsCollector, QueryRecord
 from repro.server.server import DatabaseServer
-from repro.sim import state as session_state
-from repro.sim.state import SessionTable
 from repro.traffic.spec import TrafficSpec
 from repro.workload.base import Workload, WorkloadQuery
 
 
 @dataclass
 class OpenLoopStats:
-    """Offered/admitted/drop accounting, as a stand-alone record.
+    """Offered/admitted/drop accounting of one open-loop run.
 
-    The generator itself now keeps per-session facts in a
-    struct-of-arrays :class:`~repro.sim.state.SessionTable` and exposes
-    them through :class:`OpenLoopStatsView` (same attribute surface);
-    this dataclass remains for callers assembling stats by hand.
+    :class:`OpenLoopGenerator` counts into one of these in place as
+    arrivals flow through admission.
     """
 
     offered: int = 0
@@ -72,68 +68,6 @@ class OpenLoopStats:
     @property
     def dropped(self) -> int:
         return self.dropped_queue + self.dropped_timeout
-
-
-class OpenLoopStatsView:
-    """The :class:`OpenLoopStats` attribute surface over a
-    :class:`~repro.sim.state.SessionTable`.
-
-    Every value is derived from the table's outcome column on access,
-    so the hot admission path writes one array cell per transition
-    instead of bumping a handful of counters and growing a wait list.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: SessionTable):
-        self._table = table
-
-    @property
-    def offered(self) -> int:
-        return len(self._table)
-
-    @property
-    def admitted(self) -> int:
-        return self._table.count(session_state.ADMITTED,
-                                 session_state.SUCCEEDED,
-                                 session_state.FAILED)
-
-    @property
-    def succeeded(self) -> int:
-        return self._table.count(session_state.SUCCEEDED)
-
-    @property
-    def failed(self) -> int:
-        return self._table.count(session_state.FAILED)
-
-    @property
-    def dropped_queue(self) -> int:
-        return self._table.count(session_state.DROPPED_QUEUE)
-
-    @property
-    def dropped_timeout(self) -> int:
-        return self._table.count(session_state.DROPPED_TIMEOUT)
-
-    @property
-    def dropped(self) -> int:
-        return self._table.count(session_state.DROPPED_QUEUE,
-                                 session_state.DROPPED_TIMEOUT)
-
-    @property
-    def queue_waits(self) -> List[float]:
-        return self._table.admission_waits()
-
-    @property
-    def offered_by_tenant(self) -> Dict[str, int]:
-        return self._table.by_tenant(
-            session_state.QUEUED, session_state.ADMITTED,
-            session_state.DROPPED_QUEUE, session_state.DROPPED_TIMEOUT,
-            session_state.SUCCEEDED, session_state.FAILED)
-
-    @property
-    def dropped_by_tenant(self) -> Dict[str, int]:
-        return self._table.by_tenant(session_state.DROPPED_QUEUE,
-                                     session_state.DROPPED_TIMEOUT)
 
 
 def _percentile(values: List[float], fraction: float) -> float:
@@ -158,6 +92,11 @@ class OpenLoopGenerator:
     Determinism: the arrival schedule streams from one dedicated RNG
     and every session derives its own RNG from its arrival index, so
     results never depend on event interleaving.
+
+    Accounting: ``stats`` is an :class:`OpenLoopStats` counted in
+    place, ``outcomes`` holds one ``TRACE_OUTCOMES`` string per arrival
+    index (what trace capture records), and per-tenant admission waits
+    and per-session sojourns are plain lists read by :meth:`facts`.
     """
 
     def __init__(self, server: DatabaseServer, workload: Workload,
@@ -178,15 +117,17 @@ class OpenLoopGenerator:
         self.max_sessions = (traffic.max_sessions
                              if traffic.max_sessions is not None
                              else clients)
-        #: per-session admission ledger (struct-of-arrays; row = arrival
-        #: index) — at 10^5+ sessions this is the state that must not
-        #: be one Python object per session
-        self.table = SessionTable()
-        self.stats = OpenLoopStatsView(self.table)
+        self.stats = OpenLoopStats()
+        #: the ``TRACE_OUTCOMES`` string of each arrival, by index
+        self.outcomes: List[str] = []
+        #: tenant -> sim-seconds each admitted session waited
+        self._tenant_waits: Dict[str, List[float]] = {}
+        #: queued-to-finished sim-seconds of every completed session
+        self._sojourns: List[float] = []
         self._policy = make_policy(
             admission, server.env, capacity=self.max_sessions,
             queue_limit=traffic.queue_limit)
-        #: offered arrivals on record for trace capture (index, arrival)
+        #: offered arrivals on record for trace capture, by index
         self._capture: Optional[list] = [] if capture else None
 
     # ------------------------------------------------------- lifecycle
@@ -234,7 +175,7 @@ class OpenLoopGenerator:
         """
         env = self.server.env
         scale = self.server.config.time_scale
-        table = self.table
+        stats = self.stats
         policy = self._policy
         index = 0
         stream = iter(self._arrival_stream())
@@ -251,11 +192,16 @@ class OpenLoopGenerator:
             if at > env.now:
                 yield env.timeout(at - env.now)
             for arrival in cohort:
-                table.offered(index, env.now, arrival.tenant)
+                tenant = arrival.tenant
+                stats.offered += 1
+                stats.offered_by_tenant[tenant] = \
+                    stats.offered_by_tenant.get(tenant, 0) + 1
+                self.outcomes.append("queued")
                 if self._capture is not None:
-                    self._capture.append((index, arrival))
-                if policy.would_drop(arrival.tenant):
-                    table.resolve(index, session_state.DROPPED_QUEUE)
+                    self._capture.append(arrival)
+                if policy.would_drop(tenant):
+                    stats.dropped_queue += 1
+                    self._dropped(index, tenant, "dropped_queue")
                 else:
                     rng = random.Random(f"{self.seed}/open/{index}")
                     env.process(self._session(index, arrival, rng))
@@ -264,7 +210,7 @@ class OpenLoopGenerator:
     def _session(self, index: int, arrival, rng: random.Random):
         env = self.server.env
         scale = self.server.config.time_scale
-        table = self.table
+        stats = self.stats
         queued_at = env.now
         request = self._policy.request(arrival.tenant)
         timeout = env.timeout(self.traffic.queue_timeout / scale)
@@ -277,11 +223,14 @@ class OpenLoopGenerator:
             raise
         if not request.granted:
             self._policy.cancel(request)
-            table.resolve(index, session_state.DROPPED_TIMEOUT,
-                          finished=env.now)
+            stats.dropped_timeout += 1
+            self._dropped(index, arrival.tenant, "dropped_timeout")
             return
         wait = env.now - queued_at
-        table.resolve(index, session_state.ADMITTED, wait=wait)
+        stats.admitted += 1
+        stats.queue_waits.append(wait)
+        self._tenant_waits.setdefault(arrival.tenant, []).append(wait)
+        self.outcomes[index] = "admitted"
         try:
             query = self._query_for(arrival, rng)
             submitted = env.now
@@ -303,12 +252,20 @@ class OpenLoopGenerator:
                 compile_peak_bytes=outcome.compile_peak_bytes,
                 spilled=outcome.spilled,
             ))
-            table.resolve(index,
-                          session_state.SUCCEEDED if outcome.ok
-                          else session_state.FAILED, wait=wait,
-                          finished=env.now)
+            if outcome.ok:
+                stats.succeeded += 1
+                self.outcomes[index] = "succeeded"
+            else:
+                stats.failed += 1
+                self.outcomes[index] = "failed"
+            self._sojourns.append(env.now - queued_at)
         finally:
             self._policy.release(request)
+
+    def _dropped(self, index: int, tenant: str, outcome: str) -> None:
+        self.stats.dropped_by_tenant[tenant] = \
+            self.stats.dropped_by_tenant.get(tenant, 0) + 1
+        self.outcomes[index] = outcome
 
     def _query_for(self, arrival, rng: random.Random) -> WorkloadQuery:
         if arrival.template is not None:
@@ -335,7 +292,7 @@ class OpenLoopGenerator:
         """
         stats = self.stats
         waits = sorted(stats.queue_waits)
-        sojourns = sorted(self.table.sojourns())
+        sojourns = sorted(self._sojourns)
         facts: Dict[str, float] = {
             "offered": float(stats.offered),
             "admitted": float(stats.admitted),
@@ -353,7 +310,7 @@ class OpenLoopGenerator:
             "sojourn_max": (sojourns[-1] if sojourns else 0.0) * scale,
         }
         if len(stats.offered_by_tenant) > 1:
-            tenant_waits = self.table.admission_waits_by_tenant()
+            tenant_waits = self._tenant_waits
             for tenant in sorted(stats.offered_by_tenant):
                 facts[f"tenant.{tenant}.offered"] = \
                     float(stats.offered_by_tenant[tenant])
@@ -368,13 +325,12 @@ class OpenLoopGenerator:
 
     def captured_events(self):
         """The capture-trace documents of every offered arrival, in
-        offered order, with admission outcomes merged from the ledger
-        (requires ``capture=True`` at construction)."""
+        offered order, with their admission outcomes (requires
+        ``capture=True`` at construction)."""
         if self._capture is None:
             raise RuntimeError("trace capture was not enabled on this "
                                "generator")
-        for index, arrival in self._capture:
-            outcome = OUTCOME_NAMES[self.table.outcome_of(index)]
+        for arrival, outcome in zip(self._capture, self.outcomes):
             yield capture_event(arrival.at, tenant=arrival.tenant,
                                 template=arrival.template,
                                 outcome=outcome)

@@ -9,8 +9,8 @@ remap), never slurped.
 
 The format contract is strict and errors name their line:
 
-* every event needs a non-negative numeric ``t`` (paper seconds);
-  ``template`` and ``tenant`` are optional strings
+* every event needs a finite, non-negative numeric ``t`` (paper
+  seconds); ``template`` and ``tenant`` are optional strings
 * unknown fields are a :class:`ConfigurationError` naming the line
 * timestamps must be non-decreasing (a sorted log is what makes
   streaming replay possible)
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
@@ -66,6 +67,8 @@ def _checked_time(raw, path: str, line: int,
         raise _bad_line(path, line,
                         f"'t' must be a number, got {raw!r}")
     at = float(raw)
+    if not math.isfinite(at):
+        raise _bad_line(path, line, f"'t' must be finite, got {at!r}")
     if at < 0:
         raise _bad_line(path, line, f"'t' must be >= 0, got {at!r}")
     if at < previous:

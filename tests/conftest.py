@@ -12,10 +12,9 @@ DEC = ColumnType.DECIMAL
 DATE = ColumnType.DATE
 
 
-@pytest.fixture(params=["legacy", "wheel"])
+@pytest.fixture(params=["legacy"])
 def env(request) -> Environment:
-    """Every kernel-level test runs on both scheduler cores — the
-    unit-sized half of the differential harness."""
+    """A fresh simulation on the binary heap, the one core runs use."""
     return Environment(kernel=request.param)
 
 

@@ -30,6 +30,12 @@ from repro.storage.disk import DiskModel
 from repro.units import KiB, MiB
 
 
+@pytest.fixture(params=["legacy", "wheel"])
+def env(request) -> Environment:
+    """Both scheduler cores, until the wheel is deleted."""
+    return Environment(kernel=request.param)
+
+
 class ReferenceCpu(CpuScheduler):
     """``consume`` as a grant, then a timeout per quantum."""
 

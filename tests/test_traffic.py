@@ -13,9 +13,12 @@ open-loop scenario through inline and stream executors.
 import json
 import random
 import threading
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from repro.admission import ADMITTED_OUTCOMES
 from repro.config import paper_server_config
 from repro.errors import ConfigurationError
 from repro.experiments.runner import make_workload
@@ -24,8 +27,13 @@ from repro.scenarios import (
     ScenarioSpec,
     TrafficSpec,
     VariantSpec,
+    jobs_for_scenario,
     run_scenario,
     write_scenario_artifact,
+)
+from repro.scenarios.library import (
+    noisy_neighbor_scenario,
+    scale_flood_scenario,
 )
 from repro.server import DatabaseServer
 from repro.traffic import (
@@ -206,6 +214,21 @@ def test_csv_torn_tail(tmp_path):
                        match="line 3: .*tolerate_tail"):
         list(read_trace(path))
     assert [e.at for e in read_trace(path, tolerate_tail=True)] == [1.5]
+
+
+@pytest.mark.parametrize("name,lines,line", [
+    ("nan.jsonl", ['{"t": 1.0}', '{"t": NaN}', '{"t": 0.5}'], 2),
+    ("inf.jsonl", ['{"t": 1.0}', '{"t": Infinity}'], 2),
+    ("nan.csv", ["t", "1.0", "nan", "0.5"], 3),
+    ("inf.csv", ["t", "1.0", "inf"], 3),
+], ids=["nan-jsonl", "inf-jsonl", "nan-csv", "inf-csv"])
+def test_trace_rejects_non_finite_timestamps(tmp_path, name, lines, line):
+    # a NaN compares false both ways, so it would also slip past the
+    # sort check and let the 0.5 after it through
+    path = write_lines(tmp_path / name, *lines)
+    with pytest.raises(ConfigurationError,
+                       match=f"line {line}: 't' must be finite"):
+        list(read_trace(path))
 
 
 def test_read_trace_extension_and_missing_file(tmp_path):
@@ -413,6 +436,54 @@ def test_trace_replay_runs_named_templates(tmp_path):
     facts = generator.facts()
     assert facts["tenant.a.offered"] == 1.0
     assert facts["tenant.b.offered"] == 1.0
+
+
+@pytest.mark.parametrize("spec,admission,duration", [
+    # burst-noisy's tenant mix on two slots and a short queue
+    (noisy_neighbor_scenario(),
+     {"max_sessions": 2, "queue_limit": 2, "queue_timeout": 60.0},
+     3000.0),
+    # a 400-session flood offered to 16 slots
+    (scale_flood_scenario(sessions=400),
+     {"max_sessions": 16, "queue_limit": 2}, 1200.0),
+], ids=["burst-noisy", "flood"])
+def test_open_loop_accounting_is_conserved(spec, admission, duration):
+    spec = replace(spec, traffic=replace(spec.traffic, **admission))
+    config = jobs_for_scenario(spec)[0].config
+    workload = config.build_workload()
+    with DatabaseServer(config.build_server_config(),
+                        workload.build_catalog()) as server:
+        generator = OpenLoopGenerator(
+            server, workload, traffic=config.traffic, duration=duration,
+            seed=config.seed, clients=config.clients, capture=True)
+        generator.run()
+    stats = generator.stats
+    assert stats.dropped_queue > 0 and stats.dropped_timeout > 0
+    outcomes = Counter(generator.outcomes)
+    assert stats.offered == (stats.admitted + stats.dropped_queue
+                             + stats.dropped_timeout + outcomes["queued"])
+    assert stats.admitted == (stats.succeeded + stats.failed
+                              + outcomes["admitted"])
+    assert sum(stats.offered_by_tenant.values()) == stats.offered
+    assert len(stats.queue_waits) == stats.admitted
+    # the captured outcomes, recounted, say what facts() says
+    events = list(generator.captured_events())
+    captured = Counter(event["outcome"] for event in events)
+    facts = generator.facts()
+    assert facts["offered"] == len(events)
+    assert facts["admitted"] == sum(captured[o] for o in ADMITTED_OUTCOMES)
+    assert facts["dropped_queue"] == captured["dropped_queue"]
+    assert facts["dropped_timeout"] == captured["dropped_timeout"]
+    assert facts["dropped"] == stats.dropped
+    if len(stats.offered_by_tenant) > 1:
+        by_tenant = Counter(
+            (event.get("tenant", "default"), event["outcome"].startswith(
+                "dropped")) for event in events)
+        for tenant in stats.offered_by_tenant:
+            assert facts[f"tenant.{tenant}.offered"] == (
+                by_tenant[tenant, True] + by_tenant[tenant, False])
+            assert facts[f"tenant.{tenant}.dropped"] == \
+                by_tenant[tenant, True]
 
 
 @pytest.mark.slow
