@@ -6,8 +6,8 @@ Commands
                  ``list`` / ``describe <id>`` / ``run <id>…``
 ``workers``      ``join`` a stream coordinator's TCP cell queue
 ``results``      the cross-run results warehouse: ``load`` BENCH
-                 artifact dirs / journals, then ``query`` / ``diff`` /
-                 ``trend`` / ``radar`` across runs
+                 artifact dirs / journals, then ``query`` / ``diff``
+                 across runs
 ``traces``       open-loop trace tooling: ``validate`` / ``summarize``
                  a CSV/JSONL query log, ``synth`` one from an arrival
                  process, ``capture`` a replayable admission trace
@@ -56,7 +56,6 @@ Examples
     python -m repro scenarios run abl-gates --clients 30
     python -m repro results load bench --db results.sqlite
     python -m repro results diff prev latest --db results.sqlite
-    python -m repro results radar prev latest --db results.sqlite
     python -m repro traces validate examples/sample_trace.jsonl
     python -m repro traces synth --out burst.jsonl --arrivals flash_crowd
     python -m repro traces capture fairness-noisy --out traces
@@ -243,12 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     w_join.add_argument("--quiet", action="store_true",
                         help="suppress per-cell progress output")
 
-    from repro.results.radar import DEFAULT_REGRESSION_THRESHOLD
-
     res = sub.add_parser(
         "results",
-        help="cross-run results warehouse (load / query / diff / "
-             "trend / radar)")
+        help="cross-run results warehouse (load / query / diff)")
     res_sub = res.add_subparsers(dest="results_command", required=True)
 
     def _add_db(sub_parser) -> None:
@@ -296,34 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_diff.add_argument("--include-volatile", action="store_true",
                         help="also list wall-clock/cache-locality "
                              "deltas (informational, never failing)")
-
-    r_trend = res_sub.add_parser(
-        "trend", help="wall_seconds_percentiles series per scenario "
-                      "across all loaded runs")
-    _add_db(r_trend)
-    r_trend.add_argument("--scenario", default=None,
-                         help="restrict the series to one scenario id")
-
-    r_radar = res_sub.add_parser(
-        "radar", help="fail (exit 1) when p50/p90 wall-seconds of any "
-                      "pinned scenario regress beyond the threshold")
-    r_radar.add_argument("runs", nargs=2, metavar="RUN",
-                         help="baseline and candidate run refs "
-                              "(e.g. prev latest)")
-    _add_db(r_radar)
-    r_radar.add_argument(
-        "--threshold", type=float, default=None, metavar="FRACTION",
-        help=f"regression tolerance as a fraction of the baseline "
-             f"(default {DEFAULT_REGRESSION_THRESHOLD:g}, from "
-             f"repro.results.radar)")
-    r_radar.add_argument(
-        "--min-seconds", type=float, default=None, metavar="SECONDS",
-        help="skip percentiles where both runs are under this floor "
-             "(near-free cells measure scheduler noise)")
-    r_radar.add_argument(
-        "--pin", action="append", default=[], metavar="SCENARIO",
-        help="pinned scenario that must exist in both runs "
-             "(repeatable; default: every scenario the runs share)")
 
     from repro.traffic.arrivals import ARRIVAL_FACTORIES
 
@@ -575,10 +543,9 @@ def _format_value(value) -> str:
 
 
 def cmd_results(args) -> int:
-    """Handle the ``results`` family (load / query / diff / trend /
-    radar) — a thin shell over :mod:`repro.results`."""
+    """Handle the ``results`` family (load / query / diff) — a thin
+    shell over :mod:`repro.results`."""
     from repro.errors import ConfigurationError
-    from repro.results import radar as radar_module
     from repro.results.warehouse import Warehouse
 
     if args.results_command == "load":
@@ -615,67 +582,26 @@ def cmd_results(args) -> int:
             print(f"{len(rows)} fact(s)")
             return 0
 
-        if args.results_command == "diff":
-            report = warehouse.diff(*args.runs)
-            print(f"== diff {report.baseline.describe()} -> "
-                  f"{report.candidate.describe()}: "
-                  f"{report.shared_cells} shared cell(s)")
-            shown = report.pinned_deltas + (
-                report.volatile_deltas if args.include_volatile else [])
-            if shown:
-                print(render_table(
-                    ("cell", "metric", "baseline", "candidate",
-                     "volatile"),
-                    [(delta.cell, delta.metric,
-                      _format_value(delta.baseline),
-                      _format_value(delta.candidate),
-                      "yes" if delta.volatile else "")
-                     for delta in shown]))
-            for note in report.missing:
-                print(f"   MISSING {note}")
-            print(f"{len(report.pinned_deltas)} non-volatile delta(s), "
-                  f"{len(report.volatile_deltas)} volatile"
-                  + ("" if args.include_volatile
-                     else " (show with --include-volatile)"))
-            return 0 if report.ok else 1
-
-        if args.results_command == "trend":
-            series = warehouse.trend(scenario=args.scenario)
-            rows = [(scenario_id, run.run_id, run.label,
-                     digest["cells"], _format_value(digest["p50"]),
-                     _format_value(digest["p90"]),
-                     _format_value(digest["max"]))
-                    for scenario_id, points in series.items()
-                    for run, digest in points]
+        report = warehouse.diff(*args.runs)
+        print(f"== diff {report.baseline.describe()} -> "
+              f"{report.candidate.describe()}: "
+              f"{report.shared_cells} shared cell(s)")
+        shown = report.pinned_deltas + (
+            report.volatile_deltas if args.include_volatile else [])
+        if shown:
             print(render_table(
-                ("scenario", "run", "label", "cells", "p50", "p90",
-                 "max"), rows))
-            print(f"{len(series)} scenario(s) over "
-                  f"{len(warehouse.runs())} run(s)")
-            return 0
-
-        # radar: the CI lane runs `radar prev latest` on every build —
-        # the very first build has nothing to compare, and that is a
-        # seeded baseline, not a failure
-        if "prev" in args.runs and len(warehouse.runs()) < 2:
-            print("== regression radar: baseline seeded (one run in "
-                  "the warehouse); nothing to compare yet")
-            return 0
-        report = radar_module.scan(
-            warehouse, args.runs[0], args.runs[1],
-            threshold=args.threshold, min_seconds=args.min_seconds,
-            scenarios=args.pin or None)
-        print(f"== regression radar: {report.baseline.describe()} -> "
-              f"{report.candidate.describe()}, threshold "
-              f"{report.threshold * 100:g}%")
-        for label, why in sorted(report.skipped.items()):
-            print(f"   skipped {label}: {why}")
-        print(f"   compared {len(report.compared)} scenario "
-              f"percentile(s)")
-        for finding in report.findings:
-            print(f"   REGRESSION {finding.describe()}")
-        if report.ok:
-            print("   ok: no regressions beyond the threshold")
+                ("cell", "metric", "baseline", "candidate", "volatile"),
+                [(delta.cell, delta.metric,
+                  _format_value(delta.baseline),
+                  _format_value(delta.candidate),
+                  "yes" if delta.volatile else "")
+                 for delta in shown]))
+        for note in report.missing:
+            print(f"   MISSING {note}")
+        print(f"{len(report.pinned_deltas)} non-volatile delta(s), "
+              f"{len(report.volatile_deltas)} volatile"
+              + ("" if args.include_volatile
+                 else " (show with --include-volatile)"))
         return 0 if report.ok else 1
 
 

@@ -25,9 +25,8 @@ those fields; tests pin byte-equality of the canonical forms.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -40,9 +39,9 @@ from repro.errors import ConfigurationError
 #: Corollary: an *expectation* referencing ``wall_seconds`` asserts on
 #: the executing host and is outside the determinism contract (see
 #: docs/sharding.md).
-#: ``wall_seconds_percentiles`` (the per-cell timing digest of
-#: ``repro results trend``) is derived purely from wall clocks and
-#: volatile with them.
+#: ``wall_seconds_percentiles`` is a wall-clock digest that older
+#: artifacts carry; it stays here so that they keep their canonical
+#: bytes.
 VOLATILE_FIELDS = frozenset({"wall_seconds", "search_replays", "python",
                              "snapshot", "wall_seconds_percentiles"})
 
@@ -130,28 +129,6 @@ def load_bench_document(path: str) -> dict:
         raise ConfigurationError(
             f"artifact {path!r} is not a JSON object")
     return doc
-
-
-def wall_seconds_percentiles(values: Iterable[float]) -> dict:
-    """The per-cell wall-clock digest of ``repro results trend``.
-
-    Nearest-rank percentiles (deterministic, no interpolation) of the
-    observed per-cell ``wall_seconds``; ``repro results trend`` and
-    the regression radar read the same digest.  Derived entirely from
-    wall clocks, so the whole digest is canonically volatile (see
-    :data:`VOLATILE_FIELDS`).
-    """
-    values = sorted(float(v) for v in values
-                    if isinstance(v, (int, float)))
-    if not values:
-        return {"cells": 0, "p50": 0.0, "p90": 0.0, "max": 0.0}
-
-    def rank(quantile: float) -> float:
-        position = math.ceil(quantile * len(values)) - 1
-        return values[min(len(values) - 1, max(0, position))]
-
-    return {"cells": len(values), "p50": rank(0.5), "p90": rank(0.9),
-            "max": values[-1]}
 
 
 # ------------------------------------------------------ canonical form

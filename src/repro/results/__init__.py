@@ -1,25 +1,12 @@
-"""repro.results: the cross-run results warehouse + regression radar.
+"""repro.results: the cross-run results warehouse.
 
-Two modules:
-
-* :mod:`repro.results.warehouse` — the sqlite star schema (``runs`` /
-  ``cells`` dimensions, ``metrics`` facts) and the load / query /
-  diff / trend verbs over it;
-* :mod:`repro.results.radar` — the p50/p90 wall-seconds regression
-  scan the ``regression-radar`` CI lane runs (and the single home of
-  its default threshold).
-
-``repro results …`` in :mod:`repro.cli` is a thin shell over these;
-``docs/results.md`` documents the schema and the metrics contract.
+:mod:`repro.results.warehouse` is the sqlite star schema (``runs`` /
+``cells`` dimensions, ``metrics`` facts) and the load / query / diff
+verbs over it.  ``repro results …`` in :mod:`repro.cli` is a thin
+shell over it; ``docs/results.md`` documents the schema and the
+metrics contract.
 """
 
-from repro.results.radar import (
-    DEFAULT_MIN_SECONDS,
-    DEFAULT_REGRESSION_THRESHOLD,
-    RadarFinding,
-    RadarReport,
-    scan,
-)
 from repro.results.warehouse import (
     ERROR_METRIC,
     MIN_ARTIFACT_SCHEMA,
@@ -33,18 +20,13 @@ from repro.results.warehouse import (
 )
 
 __all__ = [
-    "DEFAULT_MIN_SECONDS",
-    "DEFAULT_REGRESSION_THRESHOLD",
     "DiffDelta",
     "DiffReport",
     "ERROR_METRIC",
     "LoadReport",
     "MIN_ARTIFACT_SCHEMA",
-    "RadarFinding",
-    "RadarReport",
     "RunRow",
     "WAREHOUSE_SCHEMA",
     "Warehouse",
     "detect_git_sha",
-    "scan",
 ]

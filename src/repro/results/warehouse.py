@@ -24,8 +24,8 @@ Each fact row carries a ``volatile`` flag taken from
 :data:`~repro.experiments.shards.VOLATILE_FIELDS` — the same frozen
 set :func:`~repro.experiments.shards.canonical_document` zeroes.
 ``diff`` compares two runs cell-by-cell and reports non-volatile
-deltas as regressions-in-waiting; ``trend`` digests per-scenario
-``wall_seconds`` into nearest-rank percentiles.  See ``docs/results.md`` for the full contract.
+deltas as regressions-in-waiting.  See ``docs/results.md`` for the
+full contract.
 """
 
 from __future__ import annotations
@@ -39,15 +39,11 @@ import sqlite3
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ARTIFACT_SCHEMA
-from repro.experiments.shards import (
-    VOLATILE_FIELDS,
-    load_bench_document,
-    wall_seconds_percentiles,
-)
+from repro.experiments.shards import VOLATILE_FIELDS, load_bench_document
 
 #: version of the warehouse's own sqlite schema, recorded in ``meta``;
 #: a warehouse file of another version refuses to open (re-``load``
@@ -437,7 +433,7 @@ class DiffReport:
 
 # ------------------------------------------------------------ warehouse
 class Warehouse:
-    """The sqlite star schema, with the load/query/diff/trend verbs.
+    """The sqlite star schema, with the load/query/diff verbs.
 
     ``create=True`` (the ``load`` path) initialises a missing file;
     read verbs refuse to conjure an empty warehouse out of a typo'd
@@ -684,40 +680,3 @@ class Warehouse:
         return DiffReport(baseline=baseline, candidate=candidate,
                           shared_cells=len(shared), deltas=deltas,
                           missing=missing)
-
-    # ----------------------------------------------------------- trend
-    def scenario_percentiles(self, run_ref,
-                             metric: str = "wall_seconds"
-                             ) -> Dict[str, dict]:
-        """Per-scenario nearest-rank percentile digest of one run's
-        per-cell ``metric`` values (see
-        :func:`~repro.experiments.shards.wall_seconds_percentiles`)."""
-        run = self.resolve(run_ref)
-        values: Dict[str, List[float]] = {}
-        for sid, value in self._conn.execute(
-                "SELECT c.scenario_id, m.value FROM metrics m"
-                " JOIN cells c ON c.cell_id = m.cell_id"
-                " WHERE m.run_id = ? AND m.metric = ? AND m.value > 0",
-                (run.run_id, metric)):
-            values.setdefault(sid, []).append(value)
-        return {sid: wall_seconds_percentiles(walls)
-                for sid, walls in sorted(values.items())}
-
-    def trend(self, metric: str = "wall_seconds",
-              scenario: Optional[str] = None
-              ) -> Dict[str, List[Tuple[RunRow, dict]]]:
-        """The ``wall_seconds_percentiles`` series per scenario, run by
-        run (oldest first) — the trajectory the regression radar
-        watches.  ``scenario`` restricts the series to one id."""
-        series: Dict[str, List[Tuple[RunRow, dict]]] = {}
-        for run in self.runs():
-            for sid, digest in self.scenario_percentiles(
-                    run.run_id, metric=metric).items():
-                if scenario is not None and sid != scenario:
-                    continue
-                series.setdefault(sid, []).append((run, digest))
-        if scenario is not None and not series:
-            raise ConfigurationError(
-                f"no {metric!r} facts for scenario {scenario!r} in "
-                f"warehouse {self.path!r}")
-        return series

@@ -538,9 +538,9 @@ def scale_flood_scenario(sessions: int = 100_000, preset: str = "smoke",
     """SCALE-FLOOD: 10^5 concurrent session slots in one run.
 
     The scale-smoke CI lane runs this scenario under a wall-clock
-    budget; its artifact is radar-pinned so a regression in kernel
-    throughput or admission accounting blocks.  The description keeps
-    its original words: artifacts and frozen benchmark cells carry it.
+    budget, so a kernel throughput regression that blows it blocks.
+    The description keeps its original words: artifacts and frozen
+    benchmark cells carry it.
     """
     return ScenarioSpec(
         scenario_id="scale-flood",

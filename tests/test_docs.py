@@ -11,6 +11,7 @@ exists.  Documentation that drifts from the CLI fails CI.
 """
 
 import argparse
+import json
 import re
 import shlex
 from pathlib import Path
@@ -138,9 +139,9 @@ def test_results_doc_version_claims_match_code():
     """Every version number docs/results.md claims must be the one the
     code exports, and the schema-history appendix must cover every
     artifact schema that ever existed.  A bumped constant without a
-    matching doc edit fails here."""
+    matching doc edit fails here.  The same holds for the wall-clock
+    gate's bound, whose one source is ``BENCHMARK.json``."""
     from repro.experiments.runner import ARTIFACT_SCHEMA
-    from repro.results.radar import DEFAULT_REGRESSION_THRESHOLD
     from repro.results.warehouse import WAREHOUSE_SCHEMA
     from repro.scenarios.spec import SPEC_FORMAT_VERSION
 
@@ -154,10 +155,15 @@ def test_results_doc_version_claims_match_code():
         assert all(int(claim) == current for claim in claims), (
             f"results.md claims the current {name} is "
             f"{claims}, code says {current}")
-    threshold = int(round(DEFAULT_REGRESSION_THRESHOLD * 100))
-    assert f"default regression threshold is **{threshold}%**" in text, (
-        "results.md's threshold claim does not match "
-        "DEFAULT_REGRESSION_THRESHOLD")
+    contract = json.loads(
+        (REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    bounds = {round(metric["bound"] * 100)
+              for metric in contract["end_to_end"]}
+    assert len(bounds) == 1, (
+        f"end-to-end bounds differ ({sorted(bounds)}); results.md "
+        f"states one")
+    assert f"the gate's bound is **{bounds.pop()}%**" in text, (
+        "results.md's bound claim does not match BENCHMARK.json")
     for schema in range(1, ARTIFACT_SCHEMA + 1):
         assert f"### Schema {schema}" in text, (
             f"results.md appendix misses artifact schema {schema}")

@@ -1,10 +1,10 @@
-"""Tests for the results warehouse (repro.results) + regression radar.
+"""Tests for the results warehouse (repro.results).
 
 The fast tests exercise extraction, idempotent loads, run resolution,
-diff/trend/query and the radar's threshold maths on real inline runs
-plus synthetic wall-clock edits.  The slow test pins the cross-executor
-contract at the warehouse level: an inline run and a stream run of the
-same selection diff to *only* volatile-field differences.
+diff and query on real inline runs.  The slow test pins the
+cross-executor contract at the warehouse level: an inline run and a
+stream run of the same selection diff to *only* volatile-field
+differences.
 """
 
 import json
@@ -20,13 +20,7 @@ from repro.experiments.executors import InlineExecutor, StreamExecutor
 from repro.experiments.journal import journaled_executor
 from repro.experiments.shards import VOLATILE_FIELDS
 from repro.experiments.wire import run_worker
-from repro.results import (
-    DEFAULT_REGRESSION_THRESHOLD,
-    ERROR_METRIC,
-    WAREHOUSE_SCHEMA,
-    Warehouse,
-    scan,
-)
+from repro.results import ERROR_METRIC, WAREHOUSE_SCHEMA, Warehouse
 from repro.scenarios import run_scenarios, write_scenario_artifact
 
 from helpers import experiment_spec, monitors_spec
@@ -52,22 +46,6 @@ def _load(db, *sources, **kwargs):
     with Warehouse(str(db), create=True) as warehouse:
         return [warehouse.load(str(source), **kwargs)
                 for source in sources]
-
-
-def _pin_walls(src, dst, value):
-    """Copy an artifact dir with every wall clock set to ``value`` —
-    a synthetic run whose only difference is how slow it was."""
-    shutil.copytree(src, dst)
-    for path in dst.glob("BENCH_*.json"):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if isinstance(doc.get("results"), dict):
-            for summary in doc["results"].values():
-                summary["wall_seconds"] = value
-            doc["wall_seconds"] = value * max(len(doc["results"]), 1)
-        else:
-            doc["wall_seconds"] = value
-        path.write_text(json.dumps(doc), encoding="utf-8")
-    return dst
 
 
 # ---------------------------------------------------------------- load
@@ -216,78 +194,6 @@ def test_inline_vs_stream_diff_is_volatile_only(inline_runs, tmp_path):
         report = warehouse.diff(1, 2)
     assert report.ok and report.pinned_deltas == []
     assert {d.metric for d in report.deltas} <= VOLATILE_FIELDS
-
-
-# ------------------------------------------------------- trend + radar
-def test_trend_digests_the_wall_clock_trajectory(inline_runs, tmp_path):
-    baseline = _pin_walls(inline_runs / "run-a", tmp_path / "base", 1.0)
-    slower = _pin_walls(inline_runs / "run-a", tmp_path / "slow", 2.0)
-    db = tmp_path / "w.sqlite"
-    _load(db, baseline, slower)
-    with Warehouse(str(db)) as warehouse:
-        series = warehouse.trend(scenario="wh-exp")["wh-exp"]
-        assert [digest["p50"] for _run, digest in series] == [1.0, 2.0]
-        assert [digest["cells"] for _run, digest in series] == [2, 2]
-        with pytest.raises(ConfigurationError, match="no 'wall_seconds'"):
-            warehouse.trend(scenario="wh-nope")
-
-
-def test_radar_flags_a_synthetic_2x_regression(inline_runs, tmp_path,
-                                               capsys):
-    """The acceptance pin: a run with doubled wall clocks fails the
-    radar; a 10% drift stays inside the default 20% threshold."""
-    baseline = _pin_walls(inline_runs / "run-a", tmp_path / "base", 1.0)
-    doubled = _pin_walls(inline_runs / "run-a", tmp_path / "2x", 2.0)
-    mild = _pin_walls(inline_runs / "run-a", tmp_path / "mild", 1.1)
-    db = tmp_path / "w.sqlite"
-    _load(db, baseline, doubled, mild)
-    with Warehouse(str(db)) as warehouse:
-        report = scan(warehouse, 1, 2)
-        assert not report.ok
-        flagged = {(f.scenario_id, f.percentile)
-                   for f in report.findings}
-        assert {("wh-exp", "p50"), ("wh-exp", "p90")} <= flagged
-        assert all(abs(f.regression - 1.0) < 1e-9
-                   for f in report.findings)
-        assert scan(warehouse, 1, 3).ok  # +10% < default 20%
-        assert not scan(warehouse, 1, 3, threshold=0.05).ok
-        # pinning an absent scenario is a hard error, not a skip
-        pinned = scan(warehouse, 1, 2, scenarios=["wh-exp"])
-        assert {f.scenario_id for f in pinned.findings} == {"wh-exp"}
-        with pytest.raises(ConfigurationError, match="wh-ghost"):
-            scan(warehouse, 1, 2, scenarios=["wh-ghost"])
-    assert cli.main(["results", "radar", "1", "2", "--db", str(db)]) == 1
-    out = capsys.readouterr().out
-    assert "REGRESSION wh-exp p50: 1.000s -> 2.000s (+100%)" in out
-    assert cli.main(["results", "radar", "1", "3", "--db", str(db)]) == 0
-
-
-def test_radar_min_seconds_floor_skips_noise(inline_runs, tmp_path):
-    """Near-free percentiles (both runs under the floor) are skipped:
-    their ratios measure the OS scheduler, not the code."""
-    fast = _pin_walls(inline_runs / "run-a", tmp_path / "fast", 0.001)
-    jitter = _pin_walls(inline_runs / "run-a", tmp_path / "jit", 0.004)
-    db = tmp_path / "w.sqlite"
-    _load(db, fast, jitter)
-    with Warehouse(str(db)) as warehouse:
-        report = scan(warehouse, "prev", "latest")
-        assert report.ok and report.compared == []
-        assert all("floor" in why for why in report.skipped.values())
-        # lowering the floor re-arms the radar on the same data
-        assert not scan(warehouse, "prev", "latest",
-                        min_seconds=0.0005).ok
-
-
-def test_radar_seeds_its_baseline_on_first_run(inline_runs, tmp_path,
-                                               capsys):
-    """The CI lane's first ever build has one run and nothing to
-    compare — that seeds the trajectory and exits 0."""
-    db = str(tmp_path / "w.sqlite")
-    assert cli.main(["results", "load", str(inline_runs / "run-a"),
-                     "--db", db]) == 0
-    assert cli.main(["results", "radar", "prev", "latest",
-                     "--db", db]) == 0
-    assert "baseline seeded" in capsys.readouterr().out
 
 
 # -------------------------------------------------- query + resolution

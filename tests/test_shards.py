@@ -32,7 +32,6 @@ from repro.experiments.shards import (
     ShardCell,
     canonical_document,
     parse_shard_selector,
-    wall_seconds_percentiles,
 )
 from repro.scenarios import (
     Expectation,
@@ -363,15 +362,6 @@ def test_monitors_expectations_match_between_paths(tmp_path):
                        tmp_path / "b") == []
     assert canonical_file(single_path) \
         == canonical_file(tmp_path / "b" / "BENCH_scenario_mon-exp.json")
-
-
-def test_wall_seconds_percentiles_digest():
-    assert wall_seconds_percentiles([]) \
-        == {"cells": 0, "p50": 0.0, "p90": 0.0, "max": 0.0}
-    digest = wall_seconds_percentiles([5.0, 1.0, 3.0, 2.0, 4.0])
-    assert digest == {"cells": 5, "p50": 3.0, "p90": 5.0, "max": 5.0}
-    # non-numeric junk from hand-edited artifacts is skipped
-    assert wall_seconds_percentiles([1.0, "fast", None])["cells"] == 1
 
 
 def test_canonical_document_zeroes_volatile_fields_only():

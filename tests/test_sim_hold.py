@@ -30,12 +30,6 @@ from repro.storage.disk import DiskModel
 from repro.units import KiB, MiB
 
 
-@pytest.fixture(params=["legacy", "wheel"])
-def env(request) -> Environment:
-    """Both scheduler cores, until the wheel is deleted."""
-    return Environment(kernel=request.param)
-
-
 class ReferenceCpu(CpuScheduler):
     """``consume`` as a grant, then a timeout per quantum."""
 
