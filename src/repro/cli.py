@@ -4,7 +4,6 @@ Commands
 --------
 ``scenarios``    the declarative scenario API:
                  ``list`` / ``describe <id>`` / ``run <id>…``
-``workers``      ``join`` a stream coordinator's TCP cell queue
 ``results``      the cross-run results warehouse: ``load`` BENCH
                  artifact dirs / journals, then ``query`` / ``diff``
                  across runs
@@ -16,26 +15,25 @@ Commands
 
 ``scenarios run`` is the one command that runs a selection: the paper's
 figures (``fig1``…``fig5``), ablations and saturation sweep are
-registered scenarios, a coordinator serving external workers is
-``scenarios run --workers 0 --bind HOST:PORT``, and a static shard is
-``scenarios run --shard k/N --journal PATH``: it runs every N-th cell
-and writes only its journal; ``cat`` the shard journals and resume
-them with ``--out`` to write the artifacts.
+registered scenarios, and a static shard is ``scenarios run --shard
+k/N --journal PATH``: it runs every N-th cell and writes only its
+journal; ``cat`` the shard journals (from one machine or several) and
+resume them with ``--out`` to write the artifacts.
 
 Every run surface submits its cells through one
 :class:`~repro.experiments.executors.CellExecutor`; ``--executor
 {inline,stream}`` picks the implementation (default: inline for
-``--workers 1``, otherwise a stream executor that spawns ``--workers``
-local worker processes, none for ``--workers 0``) and results are
-canonically byte-identical whichever one runs the cells.  ``--journal
-PATH`` makes the queue durable (kill the coordinator, restart with
-``--resume``: completed cells replay from the journal) — a durability
-concern only, never visible in artifact bytes.
+``--workers 1``, otherwise a stream executor that forks ``--workers``
+worker processes) and results are canonically byte-identical
+whichever one runs the cells.  ``--journal PATH`` makes the queue
+durable (kill the coordinator, restart with ``--resume``: completed
+cells replay from the journal) — a durability concern only, never
+visible in artifact bytes.
 
 See ``docs/cli.md`` for the full command reference,
 ``docs/sharding.md`` for the shard execution model,
 ``docs/executors.md`` for the executor protocol and wire format and
-``docs/operations.md`` for the worker-pool/journal runbook.
+``docs/operations.md`` for the journal/shard runbook.
 
 Examples
 --------
@@ -47,10 +45,8 @@ Examples
     python -m repro scenarios run abl-dyn --executor stream --workers 2
     python -m repro scenarios run --all --shard 2/4 --journal shard-2.journal
     python -m repro scenarios run --all --journal run.journal --resume --out bench
-    python -m repro scenarios run --all --workers 0 --bind 127.0.0.1:7731 --out bench
     python -m repro scenarios run --all --journal run.journal --workers 2 --out bench
     python -m repro scenarios run --all --journal run.journal --workers 2 --resume --out bench
-    python -m repro workers join --connect 127.0.0.1:7731
     python -m repro scenarios run fig1
     python -m repro scenarios run fig3 fig4 fig5 --preset smoke --out bench
     python -m repro scenarios run abl-gates --clients 30
@@ -115,16 +111,11 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--executor", default=None,
                         choices=EXECUTOR_NAMES,
                         help="cell executor: inline (serial, default "
-                             "for --workers 1) or stream (TCP worker "
-                             "pool, default for --workers 0 and "
-                             "N > 1)")
+                             "for --workers 1) or stream (forked worker "
+                             "pool, default for N > 1)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="local worker processes a stream executor "
-                             "spawns (0 = external workers only)")
-    parser.add_argument("--bind", default="127.0.0.1:0",
-                        metavar="HOST:PORT",
-                        help="address a stream executor serves on "
-                             "(port 0 picks an ephemeral port)")
+                        help="worker processes a stream executor forks "
+                             "(N >= 1)")
     parser.add_argument("--snapshot", action="store_true",
                         help="embed the end-of-run DMV snapshot "
                              "(ServerViews.snapshot) in result "
@@ -150,22 +141,6 @@ def _add_queue_args(parser: argparse.ArgumentParser) -> None:
                              "(1-based) and record them in --journal; "
                              "cat the shard journals and --resume them "
                              "with --out to write artifacts")
-
-
-def _executor_from_args(args):
-    from repro.experiments.executors import StreamExecutor, make_executor
-
-    executor = make_executor(args.executor, workers=args.workers,
-                             bind=args.bind)
-    if isinstance(executor, StreamExecutor):
-        # announce the bound address up front: with --workers 0
-        # the queue waits for external joiners, who need somewhere to
-        # point `repro workers join --connect`
-        host, port = executor.start()
-        print(f"== stream executor on {host}:{port} "
-              f"({executor.spawn_workers} local worker(s); join with: "
-              f"repro workers join --connect {host}:{port})")
-    return executor
 
 
 def _journal_from_args(args, shard=None):
@@ -225,22 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_queue_args(s_run)
     s_run.add_argument("--out", default=None,
                        help="directory for BENCH_scenario_*.json artifacts")
-
-    workers = sub.add_parser(
-        "workers",
-        help="execute a stream coordinator's cells (join)")
-    workers_sub = workers.add_subparsers(dest="workers_command",
-                                         required=True)
-
-    w_join = workers_sub.add_parser(
-        "join", help="join a coordinator and execute streamed cells "
-                     "until the queue drains")
-    w_join.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="coordinator address (announced by a "
-                             "stream run, e.g. `repro scenarios run "
-                             "--workers 0`)")
-    w_join.add_argument("--quiet", action="store_true",
-                        help="suppress per-cell progress output")
 
     res = sub.add_parser(
         "results",
@@ -450,6 +409,7 @@ def _resolve_run_specs(args) -> list:
 
 def cmd_scenarios(args) -> int:
     from repro.errors import ConfigurationError
+    from repro.experiments.executors import make_executor
     from repro.scenarios import get_scenario, list_scenarios, \
         load_scenario_file
 
@@ -477,7 +437,7 @@ def cmd_scenarios(args) -> int:
     specs = _resolve_run_specs(args)
     shard = _shard_from_args(args)
     wrap = _journal_from_args(args, shard)
-    executor = _executor_from_args(args)
+    executor = make_executor(args.executor, workers=args.workers)
     try:
         executor = wrap(executor)
         if shard is not None:
@@ -523,18 +483,6 @@ def _run_shard(specs, executor, shard, args) -> int:
                                   progress=lambda line: print(f"   {line}")):
         failed = failed or not result.ok
     return 1 if failed else 0
-
-
-# ------------------------------------------------------- worker pools
-def cmd_workers(args) -> int:
-    """Handle the ``workers`` family (join)."""
-    from repro.experiments.wire import parse_address, run_worker
-
-    host, port = parse_address(args.connect)
-    progress = None if args.quiet else (lambda line: print(f"   {line}"))
-    executed = run_worker(host, port, progress=progress)
-    print(f"worker drained after {executed} cell(s)")
-    return 0
 
 
 # ------------------------------------------------------ results warehouse
@@ -730,7 +678,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "scenarios": cmd_scenarios,
-        "workers": cmd_workers,
         "results": cmd_results,
         "traces": cmd_traces,
         "query": cmd_query,

@@ -5,11 +5,11 @@ into an :class:`~repro.experiments.runner.ExperimentResult`;
 ``figures`` reproduces each figure of the paper; ``ablations`` covers
 the design choices the paper reports tuning (monitor count, dynamic
 thresholds, best-plan-so-far); ``executors`` is the pluggable
-cell-execution protocol (inline, or a streamed TCP pool of worker
-processes) and ``wire`` its coordinator/worker transport; ``journal``
-makes any executor's queue durable (checkpoint/restart) and is what a
-``--shard k/N`` run writes; ``shards`` holds the cell identity, the
-shard selector and the canonical artifact form.
+cell-execution protocol (inline, or a pool of forked worker processes
+fed over socketpairs) and ``wire`` its coordinator/worker transport;
+``journal`` makes any executor's queue durable (checkpoint/restart)
+and is what a ``--shard k/N`` run writes; ``shards`` holds the cell
+identity, the shard selector and the canonical artifact form.
 """
 
 from repro.experiments.runner import (

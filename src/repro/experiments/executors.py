@@ -7,16 +7,19 @@ accepts :class:`CellTask`\\ s (cell + spec, self-describing enough to
 run anywhere) and yields :class:`CellResult`\\ s (JSON-ready summaries,
 the same shapes journals record).  Every surface — the
 ``run_scenario`` facade and ``repro scenarios run``, sharded or not —
-submits through this protocol, so single-machine, sharded and remote
+submits through this protocol, so serial, multi-process and sharded
 runs are one code path differing only in executor choice:
 
 * :class:`InlineExecutor` — serial, in-process.
-* :class:`StreamExecutor` — serves the cell queue to worker processes
-  over the TCP wire protocol (:mod:`repro.experiments.wire`): local
-  ones it forks itself (``--workers N``) and/or remote joiners.
-  Workers *pull* cells one at a time, so slow cells rebalance
-  automatically (work stealing), and a cell claimed by a worker that
-  dies is re-queued for the survivors.
+* :class:`StreamExecutor` — serves the cell queue to ``--workers N``
+  forks of this process, each over its own socketpair and the wire
+  protocol (:mod:`repro.experiments.wire`).  Workers *pull* cells one
+  at a time, so slow cells rebalance automatically (work stealing),
+  and a cell claimed by a worker that dies is re-queued for the
+  survivors.
+
+Several machines split a run with ``--shard k/N --journal`` instead
+(see :mod:`repro.experiments.journal`); no process listens.
 
 Determinism contract: every number in a result summary but its wall
 clock is a pure function of the cell's config and seed (each cell
@@ -35,6 +38,7 @@ import abc
 import math
 import os
 import signal
+import socket
 import sys
 import time
 import traceback
@@ -53,8 +57,8 @@ Progress = Optional[Callable[[str], None]]
 class CellTask:
     """One self-describing unit of work an executor can run anywhere.
 
-    Carries the cell identity plus the full spec (so a remote worker
-    needs nothing but the task document), the ``snapshot`` flag
+    Carries the cell identity plus the full spec (so a worker needs
+    nothing but the task document), the ``snapshot`` flag
     (whether the run should capture an end-of-run DMV snapshot) and
     the optional ``capture`` directory (where the run writes its
     replayable JSONL admission trace).
@@ -302,23 +306,30 @@ class _ForkedWorker:
         return self.returncode
 
 
+#: the one answer for a run that cannot fork its stream workers
+NO_FORKED_WORKERS = (
+    "run serially with --workers 1, or split the run across processes "
+    "or machines with --shard k/N --journal PATH (docs/sharding.md)")
+
+
 class StreamExecutor(CellExecutor):
-    """Serve the cell queue to workers over TCP (pull = work stealing).
+    """Serve the cell queue to forked workers (pull = work stealing).
 
-    ``start()`` binds the listener (``port=0`` picks an ephemeral
-    port); workers join with ``repro workers join --connect
-    host:port`` — or this executor forks ``spawn_workers`` local ones
-    itself.  Each worker pulls one cell at a time, so a slow cell
-    never blocks the rest of the queue, and a cell claimed by a worker
-    that disconnects is re-queued for the survivors (the recovery the
-    kill-one-worker test pins).
+    ``start()`` forks ``spawn_workers`` workers, each talking to this
+    coordinator over its own ``socket.socketpair()``.  Each worker
+    pulls one cell at a time, so a slow cell never blocks the rest of
+    the queue, and a cell claimed by a worker that disconnects is
+    re-queued for the survivors (the recovery the kill-one-worker test
+    pins).  ``spawn_workers=0`` forks none; tests then :meth:`attach`
+    thread or fake workers themselves.
 
-    A local worker is a fork of this process, which has already
-    imported everything a cell needs, so it starts in milliseconds
-    rather than paying for a fresh interpreter.  Nothing a cell reads
-    outlives its cell, so a fork inherits nothing that changes a
-    result.  ``start()`` forks before it starts the accept thread, so
-    a caller that runs no threads of its own forks single-threaded.
+    A worker is a fork of this process, which has already imported
+    everything a cell needs, so it starts in milliseconds rather than
+    paying for a fresh interpreter.  Nothing a cell reads outlives its
+    cell, so a fork inherits nothing that changes a result.
+    ``start()`` forks every worker before it starts any handler
+    thread, so a caller that runs no threads of its own forks
+    single-threaded.
     """
 
     #: optional claim hook: ``on_dispatch(task)`` fires the moment a
@@ -326,39 +337,36 @@ class StreamExecutor(CellExecutor):
     #: records; see :mod:`repro.experiments.journal`)
     on_dispatch: Optional[Callable[[CellTask], None]] = None
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 spawn_workers: int = 0,
+    def __init__(self, spawn_workers: int = 0,
                  timeout: Optional[float] = None):
-        self.host = host
-        self.port = port
         self.spawn_workers = int(spawn_workers)
         self.timeout = timeout
         self._server = None
         self._spawned: List[_ForkedWorker] = []
 
     # -- lifecycle -------------------------------------------------------
-    def start(self) -> tuple:
-        """Bind the listener, fork the local workers, then start
-        accepting; returns the ``(host, port)`` address."""
-        if self._server is None:
-            from repro.experiments.wire import CellQueueServer
+    def start(self) -> None:
+        """Fork the workers, then serve each one's socketpair end."""
+        if self._server is not None:
+            return
+        from repro.experiments.wire import CellQueueServer
 
-            if self.spawn_workers and not hasattr(os, "fork"):
-                raise ConfigurationError(
-                    "local stream workers are forked, and this platform "
-                    "has no os.fork; run the coordinator with --workers 0 "
-                    "--bind HOST:PORT and start workers with `repro "
-                    "workers join --connect HOST:PORT`")
-            self._server = CellQueueServer(self.host, self.port)
-            host, port = self._server.bind()
-            for _ in range(self.spawn_workers):
-                self._spawned.append(self._fork_worker(host, port))
-            self._server.start()
-        return self._server.address
+        if self.spawn_workers and not hasattr(os, "fork"):
+            raise ConfigurationError(
+                "stream workers are forks, and this platform has no "
+                "os.fork; " + NO_FORKED_WORKERS)
+        self._server = CellQueueServer()
+        pairs = [socket.socketpair() for _ in range(self.spawn_workers)]
+        for index in range(len(pairs)):
+            self._spawned.append(self._fork_worker(pairs, index))
+        for coordinator_end, worker_end in pairs:
+            worker_end.close()
+            self._server.attach(coordinator_end)
 
-    @property
-    def address(self) -> tuple:
-        return self.start()
+    def attach(self, conn: socket.socket) -> None:
+        """Serve one more worker, on the far end of ``conn``."""
+        self.start()
+        self._server.attach(conn)
 
     def close(self) -> None:
         if self._server is not None:
@@ -388,8 +396,8 @@ class StreamExecutor(CellExecutor):
         """Fail loudly when every worker we spawned has died.
 
         Without this, a queue whose only workers were our own
-        forks would block forever after they crash.  External
-        joiners keep the queue alive, so only the no-workers-left
+        forks would block forever after they crash.  Attached
+        workers keep the queue alive, so only the no-workers-left
         state aborts.
         """
         if not self._spawned or self._server is None:
@@ -405,7 +413,7 @@ class StreamExecutor(CellExecutor):
                 f"(exit codes {codes}) with cells outstanding; see "
                 f"their stderr above")
 
-    def _fork_worker(self, host: str, port: int) -> _ForkedWorker:
+    def _fork_worker(self, pairs, index: int) -> _ForkedWorker:
         # pending output would otherwise be written once per process
         sys.stdout.flush()
         sys.stderr.flush()
@@ -417,13 +425,19 @@ class StreamExecutor(CellExecutor):
         try:
             from repro.experiments.wire import run_worker
 
-            self._server.close_inherited()
+            # keep only this worker's end: an inherited coordinator end
+            # would hide the coordinator's death from this worker, and
+            # another worker's end would hide that worker's from it
+            for number, (coordinator_end, worker_end) in enumerate(pairs):
+                coordinator_end.close()
+                if number != index:
+                    worker_end.close()
             # stdout is noise, but stderr is kept: a crashing worker
             # must leave a diagnosable trace
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, 1)
             os.close(devnull)
-            run_worker(host, port)
+            run_worker(pairs[index][1])
             code = 0
         except BaseException:  # noqa: BLE001 - report, then exit 1
             traceback.print_exc()
@@ -440,31 +454,24 @@ EXECUTOR_NAMES = ("inline", "stream")
 
 
 def make_executor(name: Optional[str] = None, workers: int = 1,
-                  bind: str = "127.0.0.1:0",
                   timeout: Optional[float] = None) -> CellExecutor:
     """Build an executor from CLI-ish knobs.
 
     ``name=None`` picks :class:`InlineExecutor` for ``workers == 1``
-    and otherwise a :class:`StreamExecutor` that spawns ``workers``
-    local worker processes — none for ``workers=0``, which serves
-    external joiners only.  An explicit ``"stream"`` spawns
-    ``workers`` of them too.  A negative count is a configuration
-    error.
+    and otherwise a :class:`StreamExecutor` that forks ``workers``
+    local worker processes; an explicit ``"stream"`` forks ``workers``
+    of them too.  A count below 1 is a configuration error.
     """
-    if workers < 0:
+    if workers < 1:
         raise ConfigurationError(
-            f"--workers takes a count >= 0 (0 = external workers "
-            f"only), got {workers}")
+            f"--workers takes a count >= 1, got {workers}; "
+            + NO_FORKED_WORKERS)
     if name is None:
         name = "inline" if workers == 1 else "stream"
     if name == "inline":
         return InlineExecutor()
     if name == "stream":
-        from repro.experiments.wire import parse_address
-
-        host, port = parse_address(bind)
-        return StreamExecutor(host=host, port=port,
-                              spawn_workers=workers, timeout=timeout)
+        return StreamExecutor(spawn_workers=workers, timeout=timeout)
     raise ConfigurationError(
         f"unknown executor {name!r}; valid executors: "
         f"{', '.join(EXECUTOR_NAMES)}")

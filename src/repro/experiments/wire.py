@@ -1,12 +1,14 @@
-"""The cell wire protocol: stream cells to a worker pool over TCP.
+"""The cell wire protocol: stream cells to forked workers over socketpairs.
 
 One coordinator (:class:`CellQueueServer`, usually wrapped by
 :class:`~repro.experiments.executors.StreamExecutor`) owns the cell
-queue; any number of workers (:func:`run_worker`, the loop behind
-``repro workers join``) connect and *pull* cells one at a time —
-pull-based scheduling is the work stealing: a fast worker simply asks
-again sooner, so runtime imbalance never strands cells the way a
-static ``k/N`` shard assignment can.
+queue; each worker (:func:`run_worker`) holds one end of a
+``socket.socketpair()`` and the coordinator serves the other
+(:meth:`CellQueueServer.attach`), so a connection can only come from
+this process's own fork (or, in tests, a thread).  Workers *pull*
+cells one at a time — pull-based scheduling is the work stealing: a
+fast worker simply asks again sooner, so runtime imbalance never
+strands cells the way a static ``k/N`` shard assignment can.
 
 Messages are newline-delimited JSON objects; every payload reuses the
 shapes journals and artifacts use (cells as ``[scenario, variant,
@@ -18,19 +20,18 @@ The conversation::
 
     worker                        coordinator
     ------                        -----------
-    {"op": "hello", ...}     ->
-                             <-   {"op": "welcome", "protocol": 1, ...}
     {"op": "next"}           ->
                              <-   {"op": "cell", "task": {...}}
     {"op": "result", ...}    ->
     {"op": "next"}           ->
                              <-   {"op": "drain"}        (queue is done)
 
-Fault model: a worker that disconnects mid-cell, or sends a frame
-that is oversized, torn or malformed, gets its cell re-queued for the
-survivors; a duplicate result for an already-merged cell is ignored
-(results are deterministic, so either copy is correct).  Workers may
-join at any time, including before the queue has work.
+Fault model: a worker that disconnects mid-cell, sends a frame that
+is oversized, torn or malformed, or sends a result for any cell but
+the one its connection holds, is dropped like a dead one: its cell is
+re-queued for the survivors and the offending frame is never merged.
+A result for a cell that is already done is ignored (results are
+deterministic, so either copy is correct).
 """
 
 from __future__ import annotations
@@ -40,14 +41,9 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.runner import ARTIFACT_SCHEMA
-
-#: version of the wire conversation itself (bump on incompatible
-#: message-flow changes; payload evolution rides ARTIFACT_SCHEMA)
-WIRE_PROTOCOL = 1
 
 #: longest frame (JSON plus newline) either side reads, so a peer that
 #: never sends a newline cannot make the other buffer without limit.
@@ -55,44 +51,18 @@ WIRE_PROTOCOL = 1
 #: produce is 2.3 KB (3.4 KB with a ``--snapshot`` DMV dump).
 MAX_FRAME_BYTES = 4 * 1024 * 1024
 
-#: name of the coordinator's accept thread (tests look for it)
-ACCEPT_THREAD_NAME = "cell-queue-accept"
-
 #: how long ``close()`` waits for idle workers to collect their drain
 #: frames before it severs every connection still open
 DRAIN_GRACE_SECONDS = 1.0
 
 
 class WireError(ReproError):
-    """A wire-protocol failure (handshake mismatch, malformed frame,
-    or a queue served to completion-impossible state)."""
-
-
-def parse_address(text: str) -> Tuple[str, int]:
-    """Parse a ``host:port`` address (port 0 = pick an ephemeral one)."""
-    host, sep, port_text = text.rpartition(":")
-    try:
-        if not sep or not host:
-            raise ValueError
-        port = int(port_text)
-        if not 0 <= port <= 65535:
-            raise ValueError
-    except ValueError:
-        raise ConfigurationError(
-            f"address must look like host:port (e.g. 127.0.0.1:7731), "
-            f"got {text!r}") from None
-    return host, port
+    """A wire-protocol failure (a malformed frame, a result for a cell
+    the connection does not hold, or a queue served to
+    completion-impossible state)."""
 
 
 # ------------------------------------------------------------- framing
-def _no_delay(conn: socket.socket) -> None:
-    """Send each frame as soon as it is flushed.  A worker writes
-    ``result`` then ``next`` back to back; under Nagle the second
-    frame waits for the ACK of the first, which the coordinator delays
-    by about 40 ms because it has nothing to answer ``result`` with."""
-    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
 def send_message(stream, doc: dict) -> None:
     """Write one newline-delimited JSON message."""
     stream.write(json.dumps(doc, separators=(",", ":")).encode("utf-8")
@@ -128,23 +98,16 @@ def recv_message(stream) -> Optional[dict]:
 class CellQueueServer:
     """The coordinator side: a served cell queue with re-queue on loss.
 
-    ``bind()`` listens without accepting yet; ``start()`` binds if
-    needed and begins accepting workers (who may connect and block
-    before any work exists).  Workers that connect in between wait in
-    the listen backlog — the gap in which
-    :class:`~repro.experiments.executors.StreamExecutor` forks its
-    local workers from a still single-threaded process.
-    ``serve(tasks)`` enqueues the tasks and yields results as workers
-    deliver them, re-queuing the cell of any worker that disconnects
-    mid-flight.  ``serve`` may be called again for further batches —
-    workers idle between batches and are only told to drain by
-    ``close()``/``cancel()``.
+    ``attach(conn)`` serves one connected worker socket on its own
+    handler thread (workers may block asking for a cell before any
+    work exists).  ``serve(tasks)`` enqueues the tasks and yields
+    results as workers deliver them, re-queuing the cell of any worker
+    that disconnects mid-flight.  ``serve`` may be called again for
+    further batches — workers idle between batches and are only told
+    to drain by ``close()``/``cancel()``.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._requested = (host, port)
-        self.address: Optional[Tuple[str, int]] = None
-        self._listener: Optional[socket.socket] = None
+    def __init__(self):
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._pending: deque = deque()
@@ -157,44 +120,27 @@ class CellQueueServer:
         self._threads: List[threading.Thread] = []
         #: open worker connections -> whether the worker holds a cell
         self._conns: Dict[socket.socket, bool] = {}
-        self._accept_thread: Optional[threading.Thread] = None
         #: observability: how many cells were re-queued after a worker
-        #: loss, how many workers ever said hello, and how many are
-        #: connected right now
+        #: loss, and how many workers are connected right now
         self.requeues = 0
-        self.workers_seen = 0
         self.active_workers = 0
         #: per-batch claim callback (see :meth:`serve`)
         self._on_dispatch: Optional[Callable] = None
 
     # -- lifecycle -------------------------------------------------------
-    def bind(self) -> Tuple[str, int]:
-        """Listen on the requested address; starts no thread."""
-        if self._listener is None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(self._requested)
-            listener.listen(64)
-            self._listener = listener
-            self.address = listener.getsockname()[:2]
-        return self.address
-
-    def start(self) -> Tuple[str, int]:
-        """Bind if needed and start the accept thread."""
-        self.bind()
-        if self._accept_thread is None:
-            accept = threading.Thread(target=self._accept_loop,
-                                      name=ACCEPT_THREAD_NAME, daemon=True)
-            accept.start()
-            self._accept_thread = accept
-        return self.address
-
-    def close_inherited(self) -> None:
-        """Close a forked child's copy of the listener.  Only close: a
-        shutdown would act on the socket the parent still listens on."""
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+    def attach(self, conn: socket.socket) -> None:
+        """Serve a connected worker socket on a new handler thread."""
+        handler = threading.Thread(target=self._handle, args=(conn,),
+                                   daemon=True)
+        with self._lock:
+            # prune finished handlers so a long-lived coordinator
+            # doesn't accumulate one dead Thread per connection
+            self._threads = [thread for thread in self._threads
+                             if thread.is_alive()]
+            self._threads.append(handler)
+            self._conns[conn] = False
+            self.active_workers += 1
+        handler.start()
 
     def close(self) -> None:
         with self._lock:
@@ -220,18 +166,6 @@ class CellQueueServer:
             silent = list(self._conns)
         for conn in silent:
             _sever(conn)
-        if self._listener is not None:
-            # closing alone does not wake a thread blocked in accept()
-            # on Linux, which keeps the port listening; shutdown does
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:  # a platform refusing it on a listener
-                pass
-            self._listener.close()
-            self._listener = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
 
     def cancel(self) -> None:
         """Drop the pending queue; in-flight cells may still finish."""
@@ -256,7 +190,6 @@ class CellQueueServer:
         is invoked from the handling thread each time a worker claims
         a cell — the wire-level dispatch moment a run journal records.
         """
-        self.start()
         self._on_dispatch = on_dispatch
         tasks = list(tasks)
         expected = {task.cell for task in tasks}
@@ -303,61 +236,16 @@ class CellQueueServer:
             yield result
 
     # -- connection handling ---------------------------------------------
-    def _accept_loop(self) -> None:
-        listener = self._listener  # close() nulls the attribute
-        while True:
-            try:
-                conn, _addr = listener.accept()
-            except OSError:  # listener closed
-                return
-            handler = threading.Thread(target=self._handle,
-                                       args=(conn,), daemon=True)
-            handler.start()
-            with self._lock:
-                # prune finished handlers so a long-lived coordinator
-                # doesn't accumulate one dead Thread per connection
-                self._threads = [thread for thread in self._threads
-                                 if thread.is_alive()]
-                self._threads.append(handler)
-
     def _handle(self, conn: socket.socket) -> None:
         stream = conn.makefile("rwb")
         assigned = None
-        welcomed = False
-        with self._lock:
-            self._conns[conn] = False
         try:
-            _no_delay(conn)
-            hello = recv_message(stream)
-            if hello is None or hello.get("op") != "hello":
-                return
-            if hello.get("protocol") != WIRE_PROTOCOL:
-                send_message(stream, {
-                    "op": "reject",
-                    "reason": f"wire protocol {hello.get('protocol')!r} "
-                              f"!= {WIRE_PROTOCOL}"})
-                return
-            if hello.get("schema") != ARTIFACT_SCHEMA:
-                # a stale worker's summaries would silently corrupt a
-                # merged artifact; refuse at the handshake instead
-                send_message(stream, {
-                    "op": "reject",
-                    "reason": f"artifact schema {hello.get('schema')!r} "
-                              f"!= {ARTIFACT_SCHEMA}"})
-                return
-            with self._lock:
-                self.workers_seen += 1
-                self.active_workers += 1
-                welcomed = True
-            send_message(stream, {"op": "welcome",
-                                  "protocol": WIRE_PROTOCOL,
-                                  "schema": ARTIFACT_SCHEMA})
             while True:
                 message = recv_message(stream)
                 if message is None:
                     return
                 op = message.get("op")
-                if op == "next":
+                if op == "next" and assigned is None:
                     task = self._claim()
                     if task is None:
                         send_message(stream, {"op": "drain"})
@@ -370,8 +258,8 @@ class CellQueueServer:
                         dispatch(task)
                     send_message(stream, {"op": "cell",
                                           "task": task.to_doc()})
-                elif op == "result":
-                    self._deliver(message.get("result"))
+                elif op == "result" and assigned is not None:
+                    self._deliver(message.get("result"), assigned.cell)
                     assigned = None
                     with self._lock:
                         self._conns[conn] = False
@@ -382,8 +270,7 @@ class CellQueueServer:
         finally:
             with self._lock:
                 self._conns.pop(conn, None)
-                if welcomed:
-                    self.active_workers -= 1
+                self.active_workers -= 1
             if assigned is not None:
                 self._requeue(assigned)
             try:
@@ -401,20 +288,26 @@ class CellQueueServer:
                 self._work.wait()
             return self._pending.popleft()
 
-    def _deliver(self, doc) -> None:
+    def _deliver(self, doc, held) -> None:
+        """Merge a result for ``held``, the cell its connection holds.
+
+        A malformed payload, or a result for any other cell, is a
+        worker loss: the handler's except clause closes the connection
+        and re-queues ``held``, and nothing of the result is merged."""
         from repro.experiments.executors import CellResult
 
         try:
             result = CellResult.from_doc(doc)
         except ConfigurationError as exc:
-            # malformed payload = worker loss: the handler's except
-            # clause severs the connection and re-queues the cell
             raise WireError(f"malformed result payload: {exc}") from None
+        if result.cell != held:
+            raise WireError(f"result for {result.cell.describe()} on the "
+                            f"connection holding {held.describe()}")
         with self._lock:
             if result.cell not in self._expected:
                 return  # stale delivery from an aborted earlier batch
             if result.cell in self._done:
-                return  # duplicate of a re-queued cell; either copy is fine
+                return  # a duplicate; either copy is fine
             self._done.add(result.cell)
             self._results.append(result)
             self._delivered.notify_all()
@@ -438,40 +331,23 @@ def _sever(conn: socket.socket) -> None:
 
 
 # -------------------------------------------------------------- worker
-def run_worker(host: str, port: int,
-               progress: Optional[Callable[[str], None]] = None) -> int:
-    """The ``repro workers join`` loop: pull, execute, push, repeat.
+def run_worker(conn: socket.socket) -> int:
+    """The worker loop: pull, execute, push, repeat.
 
-    Connects to a coordinator, pulls cells until it drains, and runs
-    each through the shared :func:`~repro.experiments.executors.
-    execute_cell` primitive.  Returns how many cells this worker
-    executed.  Exceptions inside a cell become error results (shipped
-    back, never crashing the worker); protocol failures, and socket
-    errors from a coordinator that went away, raise
-    :class:`WireError`.
+    Pulls cells over ``conn`` (a worker's end of a socketpair) until
+    the coordinator drains, and runs each through the shared
+    :func:`~repro.experiments.executors.execute_cell` primitive.
+    Returns how many cells this worker executed, and closes ``conn``.
+    Exceptions inside a cell become error results (shipped back, never
+    crashing the worker); protocol failures, and socket errors from a
+    coordinator that went away, raise :class:`WireError`.
     """
     from repro.experiments.executors import CellResult, CellTask, \
         execute_cell
 
-    try:
-        conn = socket.create_connection((host, port))
-    except OSError as exc:
-        raise WireError(
-            f"cannot reach coordinator at {host}:{port}: {exc}") from None
     stream = conn.makefile("rwb")
     executed = 0
     try:
-        _no_delay(conn)
-        send_message(stream, {"op": "hello", "protocol": WIRE_PROTOCOL,
-                              "schema": ARTIFACT_SCHEMA})
-        welcome = recv_message(stream)
-        if welcome is None or welcome.get("op") == "reject":
-            reason = (welcome or {}).get("reason", "connection closed")
-            raise WireError(f"coordinator rejected worker: {reason}")
-        if welcome.get("op") != "welcome" \
-                or welcome.get("protocol") != WIRE_PROTOCOL \
-                or welcome.get("schema") != ARTIFACT_SCHEMA:
-            raise WireError(f"unexpected handshake reply: {welcome!r}")
         while True:
             send_message(stream, {"op": "next"})
             message = recv_message(stream)
@@ -487,8 +363,6 @@ def run_worker(host: str, port: int,
                 raise WireError(
                     f"unexpected coordinator op {message.get('op')!r}")
             task = CellTask.from_doc(message.get("task"))
-            if progress is not None:
-                progress(f"cell {task.cell.describe()}")
             try:
                 result = execute_cell(task)
             except Exception as exc:  # noqa: BLE001 - ship, don't die

@@ -390,8 +390,8 @@ def run_scenario(spec: ScenarioSpec, workers: int = 1,
 
     ``executor`` is any :class:`~repro.experiments.executors.
     CellExecutor`; by default ``workers`` picks the inline executor
-    (``workers <= 1``) or a stream executor that spawns ``workers``
-    local worker processes.  A passed-in executor is not closed (the
+    (``workers == 1``) or a stream executor that forks ``workers``
+    worker processes.  A passed-in executor is not closed (the
     caller owns its lifecycle).  ``snapshot`` asks every
     experiment cell to capture an end-of-run DMV snapshot into its
     result summary.  ``capture`` is a directory: every experiment cell

@@ -5,10 +5,32 @@ Kept out of conftest so the helpers are explicit imports, and named
 """
 
 import json
+import socket
+import threading
 
 from repro.experiments.executors import InlineExecutor
 from repro.experiments.shards import canonical_document
 from repro.scenarios import ConfigOverrides, ScenarioSpec, VariantSpec
+
+
+def attach_socketpair(executor):
+    """Attach a new worker connection to a stream executor; returns
+    the worker's end of the socketpair."""
+    coordinator_end, worker_end = socket.socketpair()
+    executor.attach(coordinator_end)
+    return worker_end
+
+
+def attach_thread_worker(executor) -> threading.Thread:
+    """Start a well-behaved worker thread on a stream executor; it
+    runs until the executor drains it at ``close()``."""
+    from repro.experiments.wire import run_worker
+
+    thread = threading.Thread(target=run_worker,
+                              args=(attach_socketpair(executor),),
+                              daemon=True)
+    thread.start()
+    return thread
 
 
 class DiesAfter(InlineExecutor):

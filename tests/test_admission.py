@@ -15,7 +15,6 @@ demonstrates the victim tenant's p90 recovering under
 """
 
 import json
-import threading
 from dataclasses import replace
 
 import pytest
@@ -60,7 +59,7 @@ from repro.traffic import (
     summarize_trace,
 )
 
-from helpers import canonical_text
+from helpers import attach_thread_worker, canonical_text
 
 
 # ------------------------------------------------------ admission spec
@@ -394,7 +393,6 @@ def test_equal_weights_scenario_identical_across_executors(tmp_path):
     artifact through inline and stream executors is byte-identical to
     the ``fifo`` artifact once the policy stamp is stripped."""
     from repro.experiments.executors import InlineExecutor, StreamExecutor
-    from repro.experiments.wire import run_worker
 
     equal = AdmissionSpec(policy="weighted_fair",
                           weights={"a": 1.0, "b": 1.0})
@@ -406,9 +404,7 @@ def test_equal_weights_scenario_identical_across_executors(tmp_path):
 
     stream_dir = tmp_path / "stream"
     stream = StreamExecutor(timeout=300)
-    address = stream.start()
-    thread = threading.Thread(target=run_worker, args=address, daemon=True)
-    thread.start()
+    thread = attach_thread_worker(stream)
     try:
         result = run_scenario(spec, executor=stream)
         write_scenario_artifact(str(stream_dir), result)

@@ -13,14 +13,12 @@ import json
 import os
 import signal
 import socket
-import struct
 import threading
 import time
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import ARTIFACT_SCHEMA
 from repro.experiments.executors import (
     CellResult,
     CellTask,
@@ -32,12 +30,8 @@ from repro.experiments.executors import (
 )
 from repro.experiments.shards import ShardCell, canonical_document
 from repro.experiments.wire import (
-    ACCEPT_THREAD_NAME,
     MAX_FRAME_BYTES,
-    WIRE_PROTOCOL,
-    CellQueueServer,
     WireError,
-    parse_address,
     recv_message,
     run_worker,
     send_message,
@@ -50,7 +44,8 @@ from repro.scenarios import (
     write_scenario_artifact,
 )
 
-from helpers import canonical_text, experiment_spec, monitors_spec
+from helpers import (attach_socketpair, attach_thread_worker,
+                     canonical_text, experiment_spec, monitors_spec)
 
 
 def tiny_spec(scenario_id="ex-tiny", **overrides) -> ScenarioSpec:
@@ -100,36 +95,35 @@ def test_make_executor_resolution():
     assert spawning.spawn_workers == 4
     spawning.close()
     assert isinstance(make_executor("inline", workers=8), InlineExecutor)
-    stream = make_executor("stream", bind="127.0.0.1:0", workers=0)
+    stream = make_executor("stream", workers=2)
     assert isinstance(stream, StreamExecutor)
+    assert stream.spawn_workers == 2
     stream.close()
     with pytest.raises(ConfigurationError, match="valid executors"):
         make_executor("quantum")
     with pytest.raises(ConfigurationError, match="valid executors"):
         make_executor("pool")
-    # --workers 0 means "external workers only": a stream executor
-    # that spawns nobody, never a silent inline fallback
-    external = make_executor(workers=0)
-    assert isinstance(external, StreamExecutor)
-    assert external.spawn_workers == 0
-    external.close()
+    # no worker count below 1: a run that forks nobody has nobody to
+    # run its cells, so the error names the serial and sharded paths
     for name in (None, "inline", "stream"):
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            make_executor(name, workers=-3)
+        for workers in (0, -3):
+            with pytest.raises(ConfigurationError,
+                               match=r">= 1.*--workers 1.*--shard k/N"):
+                make_executor(name, workers=workers)
 
 
 def test_local_workers_need_fork(monkeypatch):
-    """Without os.fork, local workers are a configuration error that
-    names the portable path; serving external joiners still works."""
+    """Without os.fork, stream workers are a configuration error that
+    names the portable paths; attaching workers by hand still works."""
     monkeypatch.delattr(os, "fork")
     forking = StreamExecutor(spawn_workers=2)
     with pytest.raises(ConfigurationError,
-                       match="--workers 0 --bind HOST:PORT"):
+                       match=r"no os\.fork.*--workers 1.*--shard k/N"):
         forking.start()
     assert forking._server is None
-    external = StreamExecutor()
-    external.start()
-    external.close()
+    attached = StreamExecutor()
+    attached.start()
+    attached.close()
 
 
 def test_execute_cell_error_accounting():
@@ -156,19 +150,12 @@ def test_execute_cell_runs_monitors_cells():
 
 
 # ----------------------------------------------------------------- wire
-def test_parse_address():
-    assert parse_address("127.0.0.1:7731") == ("127.0.0.1", 7731)
-    assert parse_address("localhost:0") == ("localhost", 0)
-    for bad in ("7731", "host:", ":7731", "host:notaport", "host:99999"):
-        with pytest.raises(ConfigurationError, match="host:port"):
-            parse_address(bad)
-
-
 def test_wire_framing_roundtrip():
     a, b = socket.socketpair()
     fa, fb = a.makefile("rwb"), b.makefile("rwb")
-    send_message(fa, {"op": "hello", "protocol": WIRE_PROTOCOL})
-    assert recv_message(fb) == {"op": "hello", "protocol": WIRE_PROTOCOL}
+    send_message(fa, {"op": "cell", "task": {"cell": ["a", "run", 1]}})
+    assert recv_message(fb) == {"op": "cell",
+                                "task": {"cell": ["a", "run", 1]}}
     fb.write(b"this is not json\n")
     fb.flush()
     with pytest.raises(WireError, match="malformed"):
@@ -198,143 +185,50 @@ def test_wire_framing_bounds_frames():
         recv_message(io.BytesIO(b" " + fits))
 
 
-def test_stream_wire_sends_without_delayed_ack_stall(monkeypatch):
-    """Both ends of a stream connection set TCP_NODELAY: a worker
-    writes ``result`` then ``next``, and under Nagle the second frame
-    waits about 40 ms for the coordinator's delayed ACK.  Thirty cheap
-    cells would then need at least 1.2 s; they must take under 0.6."""
-    sockets = []
-    accept, connect = socket.socket.accept, socket.create_connection
-
-    def spy_accept(listener):
-        conn, address = accept(listener)
-        sockets.append(conn)
-        return conn, address
-
-    def spy_connect(*args, **kwargs):
-        sockets.append(connect(*args, **kwargs))
-        return sockets[-1]
-
-    monkeypatch.setattr(socket.socket, "accept", spy_accept)
-    monkeypatch.setattr(socket, "create_connection", spy_connect)
+def test_stream_wire_sends_without_delayed_ack_stall():
+    """A worker writes ``result`` then ``next`` back to back, and the
+    second frame must not wait on the first: a 40 ms stall per cell
+    (a delayed ACK under Nagle, say) would make thirty cheap cells
+    take at least 1.2 s; they must take under 0.6."""
     tasks = tasks_for_specs([monitors_spec(f"ex-fast-{i}")
                              for i in range(30)])
     executor = StreamExecutor(timeout=30)
-    address = executor.start()
-    worker = threading.Thread(target=_drain_worker, args=(address,),
-                              daemon=True)
-    worker.start()
+    worker = attach_thread_worker(executor)
     try:
         started = time.perf_counter()
         results = list(executor.submit(tasks))
         elapsed = time.perf_counter() - started
-        # still connected: the worker is waiting for its next cell
-        no_delay = [conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-                    for conn in sockets]
     finally:
         executor.close()
     worker.join(timeout=10)
-    assert len(no_delay) == 2 and all(no_delay), no_delay
     assert len(results) == 30 and all(r.ok for r in results)
     assert elapsed < 0.6, f"30 cells took {elapsed:.2f}s"
 
 
-def test_worker_rejected_on_protocol_or_schema_mismatch():
-    """Version skew is refused at the handshake: a stale worker must
-    never feed summaries of another schema into an artifact."""
-    executor = StreamExecutor()
-    host, port = executor.start()
-    try:
-        for hello, expected in (
-                ({"op": "hello", "protocol": WIRE_PROTOCOL + 1,
-                  "schema": ARTIFACT_SCHEMA}, "protocol"),
-                ({"op": "hello", "protocol": WIRE_PROTOCOL,
-                  "schema": ARTIFACT_SCHEMA - 1}, "schema"),
-        ):
-            conn = socket.create_connection((host, port))
-            stream = conn.makefile("rwb")
-            send_message(stream, hello)
-            reply = recv_message(stream)
-            assert reply["op"] == "reject"
-            assert expected in reply["reason"]
-            stream.close()
-            conn.close()
-    finally:
-        executor.close()
-
-
 def test_worker_raises_on_coordinator_loss():
     """A severed connection is a failure, never a clean drain."""
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    host, port = listener.getsockname()[:2]
+    coordinator_end, worker_end = socket.socketpair()
 
-    def sever_after_handshake():
-        conn, _ = listener.accept()
-        stream = conn.makefile("rwb")
-        assert recv_message(stream)["op"] == "hello"
-        send_message(stream, {"op": "welcome", "protocol": WIRE_PROTOCOL,
-                              "schema": ARTIFACT_SCHEMA})
-        recv_message(stream)  # the worker's first "next"
-        conn.close()  # coordinator "crashes"
-
-    fake = threading.Thread(target=sever_after_handshake, daemon=True)
-    fake.start()
-    try:
-        with pytest.raises(WireError, match="lost"):
-            run_worker(host, port)
-    finally:
-        fake.join(timeout=10)
-        listener.close()
-
-
-def test_worker_join_reports_a_reset_coordinator(capsys):
-    """A coordinator that resets the connection raises an OSError in
-    the worker; `repro workers join` reports it as one error line and
-    exits 2, with no traceback."""
-    from repro import cli
-
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    host, port = listener.getsockname()[:2]
-
-    def reset_after_handshake():
-        conn, _ = listener.accept()
-        stream = conn.makefile("rwb")
-        assert recv_message(stream)["op"] == "hello"
-        send_message(stream, {"op": "welcome", "protocol": WIRE_PROTOCOL,
-                              "schema": ARTIFACT_SCHEMA})
-        recv_message(stream)  # the worker's first "next"
-        # linger 0: close sends a RST instead of a FIN
-        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                        struct.pack("ii", 1, 0))
+    def sever_after_first_request():
+        stream = coordinator_end.makefile("rwb")
+        assert recv_message(stream)["op"] == "next"
         stream.close()
-        conn.close()
+        coordinator_end.close()  # coordinator "crashes"
 
-    fake = threading.Thread(target=reset_after_handshake, daemon=True)
+    fake = threading.Thread(target=sever_after_first_request, daemon=True)
     fake.start()
     try:
-        assert cli.main(["workers", "join", "--connect",
-                         f"{host}:{port}", "--quiet"]) == 2
+        with pytest.raises(WireError, match="lost after 0 cell"):
+            run_worker(worker_end)
     finally:
         fake.join(timeout=10)
-        listener.close()
-    err = capsys.readouterr().err
-    assert err.startswith("error: connection to coordinator lost after "
-                          "0 cell(s): ")
-    assert "reset" in err.lower() and "Traceback" not in err
 
 
 def test_stream_executor_supports_successive_submissions():
     """A caller-owned executor can be reused across submissions;
     workers idle between batches and drain only at close()."""
     executor = StreamExecutor(timeout=30)
-    address = executor.start()
-    worker = threading.Thread(target=_drain_worker, args=(address,),
-                              daemon=True)
-    worker.start()
+    worker = attach_thread_worker(executor)
     try:
         first = list(executor.submit(
             tasks_for_specs([monitors_spec("ex-twice-a")])))
@@ -348,42 +242,14 @@ def test_stream_executor_supports_successive_submissions():
     assert all(r.ok for r in first + second)
 
 
-def test_closed_coordinator_stops_listening():
-    """close() wakes the thread blocked in accept(): it ends, and the
-    port is free to bind again at once, so successive coordinators in
-    one process never fork beside a stale accept thread."""
-    server = CellQueueServer()
-    address = server.start()
-    accept = server._accept_thread
-    time.sleep(0.1)  # let the accept thread block in accept()
-    server.close()
-    assert not accept.is_alive()
-    with pytest.raises(ConnectionRefusedError):
-        socket.create_connection(address).close()
-    again = CellQueueServer(*address)
-    try:
-        assert again.bind() == address
-    finally:
-        again.close()
-
-
 # -------------------------------------------- stream scheduling (cheap)
-def _drain_worker(address) -> int:
-    """A well-behaved worker thread target."""
-    return run_worker(*address)
-
-
 def test_stream_executor_runs_monitor_cells_with_thread_workers():
     """Two protocol-speaking workers drain a three-cell queue; every
     cell is executed exactly once and results carry the rendered
     bodies back over the wire."""
     specs = [monitors_spec(f"ex-mon-{i}") for i in range(3)]
     executor = StreamExecutor(timeout=30)
-    address = executor.start()
-    threads = [threading.Thread(target=_drain_worker, args=(address,),
-                                daemon=True) for _ in range(2)]
-    for thread in threads:
-        thread.start()
+    threads = [attach_thread_worker(executor) for _ in range(2)]
     try:
         results = list(executor.submit(tasks_for_specs(specs)))
     finally:
@@ -405,8 +271,9 @@ def test_stream_work_stealing_recovers_from_a_killed_worker():
 
 def test_stream_ignores_a_duplicate_result():
     """A worker that sends its valid result twice and hangs up: the
-    copy is dropped, each cell yields exactly one result, and nothing
-    is re-queued, because the worker delivered before it left."""
+    copy arrives on a connection that holds no cell and is dropped,
+    each cell yields exactly one result, and nothing is re-queued,
+    because the worker delivered before it left."""
     _recover_from_doomed_worker(
         "ex-dup", last_words=lambda task: _result_frame(task) * 2,
         requeues=0)
@@ -432,14 +299,64 @@ def test_stream_requeues_cell_of_worker_sending_bad_frame(last_words):
     _recover_from_doomed_worker("ex-frame", last_words)
 
 
-def _claim_raw(address):
-    """Connect as a bare protocol client and claim one cell; returns
-    the connection, its stream and the ``cell`` message."""
-    conn = socket.create_connection(address)
+def test_stream_requeues_cell_of_worker_asking_twice():
+    """A worker that asks for a second cell while it holds one is
+    dropped like a dead one: its held cell is re-queued, not lost."""
+    _recover_from_doomed_worker("ex-twice",
+                                last_words=lambda task: b'{"op":"next"}\n')
+
+
+def test_stream_drops_a_result_for_a_cell_the_connection_does_not_hold(
+        tmp_path):
+    """A worker claims one cell, then returns a forged result for the
+    other, still undone cell.  Nothing of it is merged: the connection
+    is handled as a lost worker, its own cell is re-queued and finishes
+    on a thread worker, and the artifact equals the inline run's."""
+    spec = tiny_spec("ex-foreign", expect=())
+    name = "BENCH_scenario_ex-foreign.json"
+    inline_dir, stream_dir = tmp_path / "inline", tmp_path / "stream"
+    write_scenario_artifact(
+        str(inline_dir), run_scenario(spec, executor=InlineExecutor()))
+
+    executor = StreamExecutor(timeout=30)
+    executor.start()
+    server = executor._server
+    survivors = []
+
+    def forger():
+        conn, stream, message = _claim_raw(executor)
+        held = ShardCell.from_doc(message["task"]["cell"])
+        [other] = [task.cell for task in tasks_for_specs([spec])
+                   if task.cell != held]
+        send_message(stream, {"op": "result", "result": CellResult(
+            cell=other, error="forged").to_doc()})
+        stream.close()
+        conn.close()
+        deadline = time.monotonic() + 10
+        while server.requeues < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        survivors.append(attach_thread_worker(executor))
+
+    thread = threading.Thread(target=forger, daemon=True)
+    thread.start()
+    try:
+        result = run_scenario(spec, executor=executor)
+    finally:
+        executor.close()
+    thread.join(timeout=10)
+    survivors[0].join(timeout=10)
+    assert result.ok, result.render()
+    assert server.requeues == 1
+    write_scenario_artifact(str(stream_dir), result)
+    assert canonical_text(stream_dir / name) \
+        == canonical_text(inline_dir / name)
+
+
+def _claim_raw(executor):
+    """Attach a bare protocol client and claim one cell; returns the
+    connection, its stream and the ``cell`` message."""
+    conn = attach_socketpair(executor)
     stream = conn.makefile("rwb")
-    send_message(stream, {"op": "hello", "protocol": WIRE_PROTOCOL,
-                          "schema": ARTIFACT_SCHEMA})
-    assert recv_message(stream)["op"] == "welcome"
     send_message(stream, {"op": "next"})
     message = recv_message(stream)
     assert message["op"] == "cell"
@@ -453,13 +370,13 @@ def _recover_from_doomed_worker(prefix, last_words, requeues=1):
     re-queue exactly ``requeues`` cells on the way."""
     specs = [monitors_spec(f"{prefix}-{i}") for i in range(3)]
     executor = StreamExecutor(timeout=30)
-    host, port = executor.start()
+    executor.start()
     server = executor._server
 
     claimed = threading.Event()
 
     def doomed_worker():
-        conn, stream, message = _claim_raw((host, port))
+        conn, stream, message = _claim_raw(executor)
         claimed.set()
         try:
             stream.write(last_words(message["task"]))
@@ -489,9 +406,7 @@ def _recover_from_doomed_worker(prefix, last_words, requeues=1):
     victim.join(timeout=10)
     assert claimed.wait(timeout=10), "doomed worker never claimed a cell"
 
-    survivor = threading.Thread(target=_drain_worker,
-                                args=((host, port),), daemon=True)
-    survivor.start()
+    survivor = attach_thread_worker(executor)
     consumer.join(timeout=30)
     executor.close()
     survivor.join(timeout=10)
@@ -501,7 +416,6 @@ def _recover_from_doomed_worker(prefix, last_words, requeues=1):
         == sorted(spec.scenario_id for spec in specs)
     assert all(r.ok for r in results)
     assert server.requeues == requeues
-    assert server.workers_seen >= 2
 
 
 def test_cancelled_executor_finalizes_partial_results():
@@ -534,10 +448,6 @@ def test_stream_aborts_when_every_spawned_worker_died():
     executor = StreamExecutor(spawn_workers=1)
     executor.start()
     [worker] = executor._spawned
-    deadline = time.monotonic() + 10
-    while executor._server.workers_seen < 1:
-        assert time.monotonic() < deadline, "the worker never joined"
-        time.sleep(0.01)
     os.kill(worker.pid, signal.SIGKILL)
     try:
         with pytest.raises(WireError, match=r"exit codes \[-9\]"):
@@ -564,12 +474,11 @@ def test_stream_timeout_names_the_cell_of_a_stalled_worker():
     """A worker that claims a cell and then stays silent, connection
     open, cannot hold the queue: the timeout names its cell."""
     executor = StreamExecutor(timeout=0.5)
-    address = executor.start()
     release = threading.Event()
     claimed = []
 
     def stalled_worker():
-        conn, stream, message = _claim_raw(address)
+        conn, stream, message = _claim_raw(executor)
         claimed.append(message["task"]["cell"])
         release.wait(timeout=30)
         stream.close()
@@ -594,12 +503,11 @@ def test_close_severs_a_stalled_worker_at_once():
     silent, close() severs its connection instead of waiting for it:
     the worker reads EOF (no drain frame) and close() is prompt."""
     executor = StreamExecutor(timeout=0.5)
-    address = executor.start()
     claimed = threading.Event()
     after_claim = []
 
     def stalled_worker():
-        conn, stream, _message = _claim_raw(address)
+        conn, stream, _message = _claim_raw(executor)
         claimed.set()
         after_claim.append(stream.readline())  # silent until severed
         stream.close()
@@ -628,7 +536,7 @@ def test_executor_equivalence_is_byte_identical(tmp_path, monkeypatch):
     the default multi-worker path (``workers=2``: two forked worker
     processes) and a 2-worker Stream executor (work-stealing pull
     scheduling) writes canonically byte-identical artifacts.  Every
-    fork happens before the coordinator's accept thread exists."""
+    fork happens before the coordinator starts a thread."""
     spec = tiny_spec("ex-equiv", expect=())
 
     inline_dir = tmp_path / "inline"
@@ -636,28 +544,23 @@ def test_executor_equivalence_is_byte_identical(tmp_path, monkeypatch):
         str(inline_dir), run_scenario(spec, executor=InlineExecutor()))
 
     spawned_dir = tmp_path / "spawned"
-    accepting_at_fork = []
+    before = set(threading.enumerate())
+    started_at_fork = []
     fork = os.fork
 
     def recording_fork():
-        accepting_at_fork.append(any(
-            thread.name == ACCEPT_THREAD_NAME
-            for thread in threading.enumerate()))
+        started_at_fork.append(set(threading.enumerate()) - before)
         return fork()
 
     with monkeypatch.context() as patch:
         patch.setattr(os, "fork", recording_fork)
         write_scenario_artifact(str(spawned_dir),
                                 run_scenario(spec, workers=2))
-    assert accepting_at_fork == [False, False]
+    assert started_at_fork == [set(), set()]
 
     stream_dir = tmp_path / "stream"
     stream = StreamExecutor(timeout=300)
-    address = stream.start()
-    threads = [threading.Thread(target=_drain_worker, args=(address,),
-                                daemon=True) for _ in range(2)]
-    for thread in threads:
-        thread.start()
+    threads = [attach_thread_worker(stream) for _ in range(2)]
     try:
         write_scenario_artifact(
             str(stream_dir), run_scenario(spec, executor=stream))

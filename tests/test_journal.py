@@ -14,6 +14,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -21,8 +22,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.executors import (
     CellResult,
+    CellTask,
     InlineExecutor,
     StreamExecutor,
+    execute_cell,
     tasks_for_specs,
 )
 from repro.experiments.journal import (
@@ -33,9 +36,11 @@ from repro.experiments.journal import (
     selection_fingerprint,
     split_tasks,
 )
+from repro.experiments.wire import recv_message, send_message
 from repro.scenarios import run_scenarios, write_scenario_artifact
 
-from helpers import (CountingExecutor, DiesAfter, canonical_text,
+from helpers import (CountingExecutor, DiesAfter, attach_socketpair,
+                     attach_thread_worker, canonical_text, experiment_spec,
                      monitors_spec)
 
 
@@ -364,18 +369,11 @@ def test_journaled_stream_executor_records_wire_dispatch(tmp_path):
     """Through a stream executor the journal records the wire-level
     claim: dispatch rows appear even though the wrapped executor
     listifies its task iterable up front."""
-    import threading
-
-    from repro.experiments.wire import run_worker
-
     specs = [monitors_spec(f"jr-wire-{i}") for i in range(2)]
     path = str(tmp_path / "wire.journal")
     stream = StreamExecutor(timeout=30)
-    address = stream.start()
     executor = JournaledExecutor(stream, CellJournal(path))
-    worker = threading.Thread(target=run_worker, args=address,
-                              daemon=True)
-    worker.start()
+    worker = attach_thread_worker(stream)
     results = list(executor.submit(tasks_for_specs(specs)))
     executor.close()
     worker.join(timeout=10)
@@ -384,6 +382,65 @@ def test_journaled_stream_executor_records_wire_dispatch(tmp_path):
     assert len(state.results) == 2
     assert sorted(c.scenario_id for c in state.dispatched) \
         == ["jr-wire-0", "jr-wire-1"]
+
+
+def test_reordered_results_journal_and_resume_byte_identical(tmp_path):
+    """Results may come back in any order: a worker holds the first
+    dispatched cell until every other cell is delivered, then returns
+    it.  The journaled stream run writes the inline run's artifacts,
+    and a resume from its journal writes them again."""
+    specs = [experiment_spec(f"jr-late-{i}", expect=()) for i in range(2)]
+    cells = len(tasks_for_specs(specs))
+    path = str(tmp_path / "late.journal")
+    stream = StreamExecutor(timeout=30)
+    stream.start()
+    late, survivors = [], []
+
+    def late_worker():
+        conn = attach_socketpair(stream)
+        frames = conn.makefile("rwb")
+        send_message(frames, {"op": "next"})
+        task = CellTask.from_doc(recv_message(frames)["task"])
+        late.append(task.cell)
+        survivors.append(attach_thread_worker(stream))
+        deadline = time.monotonic() + 30
+        while len(load_journal(path).results) < cells - 1 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        send_message(frames, {"op": "result",
+                              "result": execute_cell(task).to_doc()})
+        frames.close()
+        conn.close()
+
+    worker = threading.Thread(target=late_worker, daemon=True)
+    worker.start()
+    executor = JournaledExecutor(stream, CellJournal(path))
+    try:
+        streamed = run_scenarios(specs, executor=executor)
+    finally:
+        executor.close()
+    worker.join(timeout=10)
+    survivors[0].join(timeout=10)
+    state = load_journal(path)
+    assert state.dispatched[0] == late[0]
+    assert list(state.results)[-1] == late[0]
+
+    counting = CountingExecutor()
+    resumed = journaled_executor(counting, path, resume=True)
+    replayed = run_scenarios(specs, executor=resumed)
+    resumed.close()
+    assert counting.executed == []
+    runs = {"stream": streamed, "resumed": replayed,
+            "inline": run_scenarios(specs, executor=InlineExecutor())}
+    for label, results in runs.items():
+        for result in results:
+            assert result.ok, result.render()
+            write_scenario_artifact(str(tmp_path / label), result)
+    for spec in specs:
+        name = f"BENCH_scenario_{spec.scenario_id}.json"
+        inline = canonical_text(tmp_path / "inline" / name)
+        assert canonical_text(tmp_path / "stream" / name) == inline, name
+        assert canonical_text(tmp_path / "resumed" / name) == inline, name
 
 
 @pytest.mark.slow
@@ -405,7 +462,7 @@ def test_cli_serve_killed_and_resumed_matches_inline(tmp_path):
              "abl-dyn", "abl-gates", "--clients", "2",
              "--preset", "smoke", "--journal", str(journal),
              "--executor", "stream", "--workers", "1",
-             "--bind", "127.0.0.1:0", "--out", str(out_dir)]
+             "--out", str(out_dir)]
 
     def journaled_results() -> int:
         if not journal.exists():

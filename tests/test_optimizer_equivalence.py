@@ -5,7 +5,7 @@ family, generated by the pre-refactor single-class optimizer.  Every
 family re-runs here (at test-sized N) through the staged pipeline with
 its default ``memo`` configuration, and the canonical bytes must match
 those goldens exactly, through the inline executor and through a
-streamed remote-worker pool.
+streamed pool of forked workers.
 
 An *explicit* default :class:`~repro.optimizer.spec.OptimizerSpec`
 must behave the same way: it may only add the declared ``optimizer``
@@ -128,7 +128,7 @@ def test_default_pipeline_matches_golden_through_stream_executor(tmp_path):
     against its golden.
     """
     spec = representative_specs()[0]
-    executor = make_executor("stream", bind="127.0.0.1:0", workers=2)
+    executor = make_executor("stream", workers=2)
     try:
         path = artifact_for(spec, tmp_path, executor=executor)
     finally:

@@ -9,7 +9,6 @@ differences.
 
 import json
 import shutil
-import threading
 
 import pytest
 
@@ -19,11 +18,10 @@ from repro.experiments.runner import ARTIFACT_SCHEMA
 from repro.experiments.executors import InlineExecutor, StreamExecutor
 from repro.experiments.journal import journaled_executor
 from repro.experiments.shards import VOLATILE_FIELDS
-from repro.experiments.wire import run_worker
 from repro.results import ERROR_METRIC, WAREHOUSE_SCHEMA, Warehouse
 from repro.scenarios import run_scenarios, write_scenario_artifact
 
-from helpers import experiment_spec, monitors_spec
+from helpers import attach_thread_worker, experiment_spec, monitors_spec
 
 
 def _specs():
@@ -175,11 +173,7 @@ def test_inline_vs_stream_diff_is_volatile_only(inline_runs, tmp_path):
     inline run only in volatile fields."""
     stream_dir = tmp_path / "stream"
     stream = StreamExecutor(timeout=300)
-    address = stream.start()
-    threads = [threading.Thread(target=run_worker, args=address,
-                                daemon=True) for _ in range(2)]
-    for thread in threads:
-        thread.start()
+    threads = [attach_thread_worker(stream) for _ in range(2)]
     try:
         for result in run_scenarios(_specs(), executor=stream):
             write_scenario_artifact(str(stream_dir), result)

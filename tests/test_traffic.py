@@ -12,7 +12,6 @@ open-loop scenario through inline and stream executors.
 
 import json
 import random
-import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -55,7 +54,7 @@ from repro.traffic import (
     trace_arrivals,
 )
 
-from helpers import canonical_text
+from helpers import attach_thread_worker, canonical_text
 
 
 def schedule(process, seed="s", duration=10_000.0):
@@ -515,7 +514,6 @@ def test_open_loop_scenario_byte_identical_across_executors(tmp_path):
     the arrival schedule is seed-deterministic, never wall-clock or
     worker driven."""
     from repro.experiments.executors import InlineExecutor, StreamExecutor
-    from repro.experiments.wire import run_worker
 
     spec = burst_spec(
         "traffic-equiv",
@@ -530,11 +528,7 @@ def test_open_loop_scenario_byte_identical_across_executors(tmp_path):
 
     stream_dir = tmp_path / "stream"
     stream = StreamExecutor(timeout=300)
-    address = stream.start()
-    threads = [threading.Thread(target=run_worker, args=address,
-                                daemon=True) for _ in range(2)]
-    for thread in threads:
-        thread.start()
+    threads = [attach_thread_worker(stream) for _ in range(2)]
     try:
         result = run_scenario(spec, executor=stream)
         write_scenario_artifact(str(stream_dir), result)
