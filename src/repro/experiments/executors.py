@@ -439,8 +439,14 @@ class StreamExecutor(CellExecutor):
             os.close(devnull)
             run_worker(pairs[index][1])
             code = 0
-        except BaseException:  # noqa: BLE001 - report, then exit 1
-            traceback.print_exc()
+        except BaseException as exc:  # noqa: BLE001 - report, then exit 1
+            from repro.experiments.wire import WireError
+
+            if isinstance(exc, WireError):
+                # how a worker ends when its coordinator goes away
+                print(f"error: {exc}", file=sys.stderr)
+            else:
+                traceback.print_exc()
         finally:
             try:
                 sys.stderr.flush()

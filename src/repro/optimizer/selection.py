@@ -10,8 +10,7 @@ order its memo keeps), costing every candidate as a scalar and keeping
 each group's cost and winner in lists indexed by group id.  A winner is
 plain data — the physical operator, the group expression and the few
 scalars its node needs.  Physical nodes are built afterwards, for the
-root's winning tree only, and only when the pass does not lose to the
-plan the task already holds.
+root's winning tree only.
 
 ``CostBasedSelection`` (``cost``) compares every candidate: a hash
 join building on either input, and for a grouped aggregate both hash
@@ -45,15 +44,13 @@ class CostBasedSelection:
         costs, winners, sizes = self._cost_groups(task)
         if winners[root_gid] is None:
             raise SimulationError("no physical plan produced")
-        cost = costs[root_gid]
-        previous = task._best
-        if previous is None or cost <= previous.cost:
-            plan = self._build(task, root_gid, costs, winners, sizes)
-        else:
-            # keep the better previous plan but refresh bookkeeping
-            plan, cost = previous.plan, previous.cost
+        # a later pass sees a superset of expressions over groups whose
+        # row counts stay put, and every candidate cost is a sum that
+        # rounding keeps monotone in its inputs: the root cost never
+        # rises, so a pass's plan always replaces the one before it
         task._best = OptimizationResult(
-            plan=plan, cost=cost, memo_bytes=task.bytes_used,
+            plan=self._build(task, root_gid, costs, winners, sizes),
+            cost=costs[root_gid], memo_bytes=task.bytes_used,
             work_units=task._work_units, stage=stage)
 
     def _cost_groups(self, task) -> tuple:

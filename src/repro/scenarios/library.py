@@ -16,14 +16,14 @@ Families
 ``burst``       open-loop adversarial arrivals (flash crowds, noisy
                 multi-tenant mixes) through the admission path
 ``scale``       FIG-3-style curves at 100x-1000x the paper population,
-                plus the 100 000-session flood the scale-smoke CI
+                plus the 100 000-session flood the scale smoke CI
                 lane runs
 ``fairness``    the burst-noisy tenant mix re-run under ``fifo`` vs
                 ``weighted_fair`` admission with an SLO on the victim
-                tenant's queue wait (the fairness-smoke CI lane)
+                tenant's queue wait (the fairness smoke CI lane)
 ``optimizer``   the memory-pressure workload re-run under the staged
                 ``memo`` enumerator vs the greedy ``ues`` upper-bound
-                enumerator (the optimizer-smoke CI lane)
+                enumerator (the optimizer smoke CI lane)
 """
 
 from __future__ import annotations
@@ -449,7 +449,7 @@ def optimizer_scenario(clients: int = 24, preset: str = "smoke",
     The ``memo`` variant carries an *explicit* default
     :class:`~repro.optimizer.spec.OptimizerSpec`, so the artifact is
     stamped with the optimizer axis while the simulated behaviour
-    stays byte-identical to an optimizer-free run (the optimizer-smoke
+    stays byte-identical to an optimizer-free run (the optimizer smoke
     CI lane asserts exactly that); the ``ues`` variant swaps in the
     greedy upper-bound enumerator, which skips the staged search and
     must therefore never compile slower on average.
@@ -537,7 +537,7 @@ def scale_flood_scenario(sessions: int = 100_000, preset: str = "smoke",
                          seed: int = 3) -> ScenarioSpec:
     """SCALE-FLOOD: 10^5 concurrent session slots in one run.
 
-    The scale-smoke CI lane runs this scenario under a wall-clock
+    The scale smoke CI lane runs this scenario under a wall-clock
     budget, so a kernel throughput regression that blows it blocks.
     The description keeps its original words: artifacts and frozen
     benchmark cells carry it.

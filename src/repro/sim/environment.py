@@ -5,16 +5,9 @@ triggered event on the schedule; ``step`` pops the earliest event and
 runs its callbacks; ``run`` steps until a deadline or until no events
 remain.
 
-Two interchangeable scheduler cores back the same facade — the
-``kernel`` constructor knob picks one (see ``docs/kernel.md``):
-
-* ``legacy`` (default) — one binary heap ordered by ``(time, eid)``.
-  Every run uses it: no spec, config or CLI flag selects another.
-* ``wheel`` — the calendar-queue :class:`~repro.sim.wheel.EventWheel`:
-  O(1) bucket inserts for near-horizon timers with a heap spillover
-  for far-future events.  Pops in exactly the legacy order (same
-  timestamps, same FIFO tie-breaking); the kernel tests play it
-  against the heap until it is removed.
+The schedule is one binary heap ordered by ``(time, eid)``: the
+earliest deadline pops first, and events due at the same instant pop
+in the order they were scheduled (see ``docs/kernel.md``).
 """
 
 from __future__ import annotations
@@ -24,9 +17,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
-
-#: the selectable scheduler cores
-KERNEL_NAMES = ("legacy", "wheel")
 
 
 class Environment:
@@ -44,36 +34,20 @@ class Environment:
     10.0
     """
 
-    __slots__ = ("now", "_queue", "_eid", "_wheel", "_processes",
+    __slots__ = ("now", "_queue", "_eid", "_processes",
                  "active_process", "__weakref__")
 
-    def __init__(self, initial_time: float = 0.0, kernel: str = "legacy"):
-        if kernel not in KERNEL_NAMES:
-            raise SimulationError(
-                f"unknown kernel {kernel!r}; valid kernels: "
-                f"{', '.join(KERNEL_NAMES)}")
+    def __init__(self, initial_time: float = 0.0):
         #: current simulated time in seconds; only the kernel advances
         #: it (a plain attribute: every process reads it, often)
         self.now = float(initial_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
-        if kernel == "wheel":
-            from repro.sim.wheel import EventWheel
-
-            self._wheel: Optional["EventWheel"] = \
-                EventWheel(start=self.now)
-        else:
-            self._wheel = None
         #: every still-live process, in creation order (a dict, not a
         #: set: close() unwinds them in this order on every run)
         self._processes: Dict["Process", None] = {}
         #: the process currently being resumed (kernel internal)
         self.active_process = None
-
-    @property
-    def kernel(self) -> str:
-        """Which scheduler core backs this environment."""
-        return "legacy" if self._wheel is None else "wheel"
 
     # -- event factories --------------------------------------------------
     def event(self) -> Event:
@@ -102,27 +76,17 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Place a triggered event on the schedule, ``delay`` s from now."""
         eid = self._eid = self._eid + 1
-        if self._wheel is None:
-            heappush(self._queue, (self.now + delay, eid, event))
-        else:
-            self._wheel.push(self.now + delay, eid, event)
+        heappush(self._queue, (self.now + delay, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._wheel is not None:
-            return self._wheel.peek()
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single earliest event."""
-        if self._wheel is None:
-            if not self._queue:
-                raise SimulationError("step() on an empty schedule")
-            when, _, event = heappop(self._queue)
-        else:
-            if not self._wheel:
-                raise SimulationError("step() on an empty schedule")
-            when, _, event = self._wheel.pop()
+        if not self._queue:
+            raise SimulationError("step() on an empty schedule")
+        when, _, event = heappop(self._queue)
         if when < self.now:
             raise SimulationError("event scheduled in the past")
         self.now = when
@@ -147,23 +111,20 @@ class Environment:
             limit = float(until)
         else:
             limit = float("inf")
-        if self._wheel is not None:
-            self._run_wheel(limit)
-        else:
-            # inlined step(): this loop dispatches every event of a run,
-            # so the attribute lookups are hoisted out
-            queue = self._queue
-            pop = heappop
-            while queue and queue[0][0] <= limit:
-                when, _, event = pop(queue)
-                if when < self.now:
-                    raise SimulationError("event scheduled in the past")
-                self.now = when
-                callbacks, event.callbacks = event.callbacks, None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
+        # inlined step(): this loop dispatches every event of a run, so
+        # the attribute lookups are hoisted out
+        queue = self._queue
+        pop = heappop
+        while queue and queue[0][0] <= limit:
+            when, _, event = pop(queue)
+            if when < self.now:
+                raise SimulationError("event scheduled in the past")
+            self.now = when
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                raise event._value
         if until is not None:
             self.now = limit
 
@@ -190,28 +151,8 @@ class Environment:
                 process._close()
             except RuntimeError as exc:  # generator ignored GeneratorExit
                 stubborn = stubborn or (process, exc)
-        if self._wheel is None:
-            self._queue.clear()
-        else:
-            self._wheel.clear()
+        self._queue.clear()
         if stubborn is not None:
             process, exc = stubborn
             raise SimulationError(
                 f"{process!r} yielded while being closed: {exc}") from exc
-
-    def _run_wheel(self, limit: float) -> None:
-        """The dispatch loop over the calendar-queue core."""
-        pop_due = self._wheel.pop_due
-        while True:
-            entry = pop_due(limit)
-            if entry is None:
-                break
-            when, event = entry[0], entry[2]
-            if when < self.now:
-                raise SimulationError("event scheduled in the past")
-            self.now = when
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value

@@ -11,7 +11,8 @@ The format contract is strict and errors name their line:
 
 * every event needs a finite, non-negative numeric ``t`` (paper
   seconds); ``template`` and ``tenant`` are optional strings
-* unknown fields are a :class:`ConfigurationError` naming the line
+* unknown and duplicated fields are a :class:`ConfigurationError`
+  naming the line
 * timestamps must be non-decreasing (a sorted log is what makes
   streaming replay possible)
 * a malformed line raises — except that a *truncated trailing line*
@@ -108,6 +109,20 @@ def _event_from_doc(doc: dict, path: str, line: int,
                       outcome=outcome, line=line)
 
 
+class _DuplicateField(Exception):
+    """A JSON object names one field twice (not a ``ValueError``, so it
+    is never mistaken for a torn line)."""
+
+
+def _unique_fields(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise _DuplicateField(key)
+        doc[key] = value
+    return doc
+
+
 def _read_jsonl(path: str, tolerate_tail: bool) -> Iterator[TraceEvent]:
     previous = 0.0
     pending: Optional[Tuple[int, str]] = None
@@ -120,7 +135,10 @@ def _read_jsonl(path: str, tolerate_tail: bool) -> Iterator[TraceEvent]:
                 # the malformed line was not the tail after all
                 raise _bad_line(path, pending[0], pending[1])
             try:
-                doc = json.loads(text)
+                doc = json.loads(text, object_pairs_hook=_unique_fields)
+            except _DuplicateField as exc:
+                raise _bad_line(path, number,
+                                f"duplicate field {exc.args[0]!r}") from None
             except ValueError:
                 # hold the error: a torn *final* line may be tolerated
                 pending = (number, "not valid JSON (truncated line?)")
@@ -150,6 +168,10 @@ def _read_csv(path: str, tolerate_tail: bool) -> Iterator[TraceEvent]:
                 continue
             if header is None:
                 header = [cell.strip() for cell in row]
+                for index, key in enumerate(header):
+                    if key in header[:index]:
+                        raise _bad_line(path, number,
+                                        f"duplicate column {key!r}")
                 unknown = sorted(set(header) - set(TRACE_FIELDS))
                 if unknown:
                     raise _bad_line(

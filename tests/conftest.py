@@ -12,10 +12,11 @@ DEC = ColumnType.DECIMAL
 DATE = ColumnType.DATE
 
 
+# the one "legacy" param id keeps the ids of every test using ``env`` stable
 @pytest.fixture(params=["legacy"])
-def env(request) -> Environment:
-    """A fresh simulation on the binary heap, the one core runs use."""
-    return Environment(kernel=request.param)
+def env() -> Environment:
+    """A fresh simulation environment."""
+    return Environment()
 
 
 def build_star_catalog() -> Catalog:

@@ -104,7 +104,7 @@ def shrunk_spec(spec: ScenarioSpec, clients: int = 2,
     Client counts are clamped the way the catalogue sweep always has;
     traffic-bearing scenarios additionally get their population capped
     (the ``scale`` family registers 10^4-10^5-session runs, which only
-    the scale-smoke CI lane executes at full size).  Arrival-rate
+    the scale smoke CI lane executes at full size).  Arrival-rate
     params scale down with the population so the shrunken run keeps
     the original's contention shape.
     """

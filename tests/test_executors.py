@@ -224,6 +224,20 @@ def test_worker_raises_on_coordinator_loss():
         fake.join(timeout=10)
 
 
+def test_forked_worker_reports_coordinator_loss_in_one_line(capfd):
+    """The expected end of a worker whose coordinator is gone is one
+    ``error:`` line and exit code 1, not a traceback."""
+    pairs = [socket.socketpair()]
+    worker = StreamExecutor()._fork_worker(pairs, 0)
+    for coordinator_end, worker_end in pairs:
+        coordinator_end.close()
+        worker_end.close()
+    assert worker.wait(timeout=30) == 1
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_stream_executor_supports_successive_submissions():
     """A caller-owned executor can be reused across submissions;
     workers idle between batches and drain only at close()."""

@@ -17,8 +17,8 @@ the outside:
   afterwards finds next to nothing.  No module-level cache may hold
   an expression past ``close()``.
 
-The kernel half (``Environment.close`` on both scheduler cores) is
-tested directly on toy processes.
+The kernel half (``Environment.close``) is tested directly on toy
+processes.
 """
 
 import gc
@@ -84,7 +84,7 @@ def test_close_drops_the_schedule_and_is_idempotent(env):
         fired.append(env.now)
 
     env.process(sleeper())
-    env.timeout(2000.0)          # far future: the wheel's overflow heap
+    env.timeout(2000.0)          # far future: still pending at close
     env.run(until=1.0)
     assert env.peek() == 5.0
     env.close()

@@ -599,7 +599,7 @@ def test_every_registered_scenario_smoke_runs():
 
     Client counts (and, for the scale family, traffic populations) are
     clamped so the sweep stays test-sized; the registered counts run
-    nightly at paper fidelity and in the scale-smoke lane.
+    nightly at paper fidelity and in the scale smoke lane.
     """
     from helpers import shrunk_spec
 

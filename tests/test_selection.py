@@ -13,13 +13,12 @@ running this module against the parent commit's ``src/``
 t.write_goldens()"``).
 
 The rest pins what the rewrite must not change around the edges: a
-losing pass builds nothing, and a join over an infeasible input still
-costs both inputs.
+pass builds only the root's tree, no pass raises the root cost, and a
+join over an infeasible input still costs both inputs.
 """
 
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -27,6 +26,7 @@ from test_optimizer_pipeline import random_join_graph
 from tests.conftest import STAR_QUERY, build_star_catalog
 
 from repro.optimizer import CostModel, Optimizer
+from repro.optimizer.pipeline import SELECTIONS
 from repro.optimizer.spec import SELECTION_NAMES, OptimizerSpec
 from repro.plans import logical as lg
 from repro.plans import physical as ph
@@ -163,22 +163,26 @@ def test_a_pass_builds_only_the_root_tree(monkeypatch, selection):
 
 
 @pytest.mark.parametrize("selection", SELECTION_NAMES)
-def test_a_losing_pass_builds_no_physical_node(monkeypatch, selection):
-    task = star_task(spec=OptimizerSpec(selection=selection))
-    steps = task.steps()
-    next(steps), next(steps)        # stage 0 and its pass
-    root_gid = task.group_count - 1
-    # an incumbent no pass can beat
-    incumbent = task._best = replace(task._best, cost=0.0)
-    built = count_node_constructions(monkeypatch)
-    task._implement(root_gid, stage=2)
-    assert built == []
-    assert task._best.plan is incumbent.plan and task._best.cost == 0.0
-    # ... but the bookkeeping is the losing pass's
-    assert task._best.stage == 2
-    assert task._best.work_units == task._work_units \
-        > incumbent.work_units
-    steps.close()
+def test_no_pass_raises_the_root_cost(monkeypatch, selection):
+    """A later pass sees more expressions over the same row counts, so
+    its root cost is never above the pass before it: every pass's plan
+    replaces the previous one, and none needs keeping."""
+    strategy = SELECTIONS[selection]
+    original = strategy.implement
+    seen = []
+
+    def recording(self, task, root_gid, stage):
+        seen.append(self._cost_groups(task)[0][root_gid])
+        original(self, task, root_gid, stage)
+
+    monkeypatch.setattr(strategy, "implement", recording)
+    for name, catalog, sql in cases():
+        del seen[:]
+        held = [entry["cost"] for entry in passes(catalog, sql, selection)]
+        assert len(seen) > 1, name
+        assert all(later <= earlier
+                   for earlier, later in zip(seen, seen[1:])), (name, seen)
+        assert held == seen, name
 
 
 class RecordingCostModel(CostModel):

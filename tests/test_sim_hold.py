@@ -172,7 +172,7 @@ def _drive(env, cpu_class, disk_class, case):
 @pytest.mark.parametrize("seed", range(30))
 def test_hold_requests_match_grant_then_timeout(env, seed, dyadic):
     case = _case(seed, dyadic)
-    reference = Environment(kernel=env.kernel)
+    reference = Environment()
     want, ref_cpu, _ = _drive(reference, ReferenceCpu, ReferenceDisk, case)
     got, cpu, resources = _drive(env, CpuScheduler, DiskModel, case)
     assert got == want
@@ -217,7 +217,7 @@ class CountingEnvironment(Environment):
 
 
 def test_uncontended_consume_schedules_one_event_per_quantum(env):
-    counting = CountingEnvironment(kernel=env.kernel)
+    counting = CountingEnvironment()
     cpu = CpuScheduler(counting, HardwareConfig(cpus=1))
     events = []
 
@@ -233,7 +233,7 @@ def test_uncontended_consume_schedules_one_event_per_quantum(env):
 
 
 def test_disk_read_schedules_one_event(env):
-    counting = CountingEnvironment(kernel=env.kernel)
+    counting = CountingEnvironment()
     disk = DiskModel(counting, HardwareConfig(disks=1))
     events = []
 

@@ -1,4 +1,4 @@
-"""Every process resume pinned, in order, on both kernels.
+"""Every process resume pinned, in order.
 
 Seeded random process mixes exercise what the kernel's hot path does:
 timeouts on a coarse time grid (so many events share an instant and
@@ -15,8 +15,8 @@ test.
 ``tests/data/sim/resume_order.json`` was written by running this
 module against the source of the commit before the kernel's hot path
 was reworked (``PYTHONPATH=<parent>/src:tests python -c "import
-test_sim_resume_order as t; t.write_goldens()"``); both kernels gave
-the same document there.
+test_sim_resume_order as t; t.write_goldens()"``); the calendar-queue
+core the kernel had then gave the same document.
 """
 
 import json
@@ -98,10 +98,10 @@ def _describe(value, names):
     return value
 
 
-def play(kernel, seed):
+def play(seed):
     """Run one case; returns the resume log and the event count."""
     capacities, starts, close_at = _case(seed)
-    env = CountingEnvironment(kernel=kernel)
+    env = CountingEnvironment()
     resources = [Resource(env, capacity) for capacity in capacities]
     names = {res: f"r{i}" for i, res in enumerate(resources)}
     log = []
@@ -210,11 +210,7 @@ def play(kernel, seed):
 
 
 def write_goldens():
-    doc = {}
-    for seed in SEEDS:
-        legacy, wheel = play("legacy", seed), play("wheel", seed)
-        assert legacy == wheel, f"kernels disagree on seed {seed}"
-        doc[str(seed)] = legacy
+    doc = {str(seed): play(seed) for seed in SEEDS}
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=None, separators=(",", ":"),
@@ -228,11 +224,12 @@ def golden():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("kernel", ["legacy", "wheel"])
+# the one "legacy" param id keeps the test ids stable
+@pytest.mark.parametrize("core", ["legacy"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_resume_order_matches_golden(golden, kernel, seed):
+def test_resume_order_matches_golden(golden, core, seed):
     # a JSON round trip turns the tuples a process may return into lists
-    got = json.loads(json.dumps(play(kernel, seed)))
+    got = json.loads(json.dumps(play(seed)))
     assert got == golden[str(seed)]
 
 

@@ -166,6 +166,9 @@ def test_jsonl_trace_parses_fields_and_line_numbers(tmp_path):
     ('{"t": 0.5}', "line 2: out-of-order timestamp"),
     ('[1, 2]', "line 2: event must be a JSON object"),
     ('{"t": 2, "tenant": ""}', "line 2: 'tenant' must be a non-empty"),
+    ('{"t": 5, "t": 1}', "line 2: duplicate field 't'"),
+    ('{"t": 2, "tenant": "a", "tenant": "b"}',
+     "line 2: duplicate field 'tenant'"),
 ])
 def test_jsonl_trace_errors_name_the_line(tmp_path, line, why):
     path = write_lines(tmp_path / "t.jsonl", '{"t": 1.0}', line)
@@ -204,6 +207,12 @@ def test_csv_trace_parses_and_validates(tmp_path):
         list(read_trace(bad_header))
     with pytest.raises(ConfigurationError, match="empty trace"):
         list(read_trace(write_lines(tmp_path / "e.csv")))
+    for header, row, key in (("t,t", "1,7", "t"),
+                             ("t,tenant,tenant", "1,a,b", "tenant")):
+        twice = write_lines(tmp_path / "d.csv", header, row)
+        with pytest.raises(ConfigurationError,
+                           match=f"line 1: duplicate column '{key}'"):
+            list(read_trace(twice))
 
 
 def test_csv_torn_tail(tmp_path):
