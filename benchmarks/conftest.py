@@ -23,25 +23,29 @@ BENCH_DIR = os.environ.get("REPRO_BENCH_DIR", "")
 
 
 @pytest.fixture(scope="session")
-def preset() -> str:
-    return PRESET
+def scenario():
+    """``scenario(spec)`` runs ``spec`` at the session's preset, seed
+    and worker count and returns its
+    :class:`~repro.scenarios.ScenarioResult`.  Each scenario runs once
+    per session, however many benchmarks read it."""
+    from repro.scenarios import run_scenario
 
+    runs = {}
 
-@pytest.fixture(scope="session")
-def seed() -> int:
-    return SEED
+    def run(spec):
+        spec = spec.customized(preset=PRESET, seed=SEED)
+        if spec not in runs:
+            result = run_scenario(spec, workers=WORKERS)
+            if result.batch.errors:
+                failures = ", ".join(f"{k}: {v}" for k, v
+                                     in result.batch.errors.items())
+                raise RuntimeError(
+                    f"scenario {spec.scenario_id!r} had failing runs: "
+                    f"{failures}")
+            runs[spec] = result
+        return runs[spec]
 
-
-@pytest.fixture(scope="session")
-def workers() -> int:
-    return WORKERS
-
-
-@pytest.fixture(scope="session")
-def sales_workload():
-    from repro.experiments.runner import make_workload
-
-    return make_workload("sales")
+    return run
 
 
 def print_banner(title: str) -> None:

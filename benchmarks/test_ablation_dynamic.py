@@ -5,29 +5,28 @@ more aggressively when other subcomponents are heavily using memory".
 
 import pytest
 
-from repro.experiments.ablations import ablate_dynamic_thresholds
 from repro.metrics.report import render_table
+from repro.scenarios import dynamic_ablation_scenario
 from repro.units import MiB
 from benchmarks.conftest import print_banner
 
 
 @pytest.fixture(scope="module")
-def ablation(preset, seed, workers):
-    return ablate_dynamic_thresholds(clients=35, preset=preset, seed=seed,
-                                     workers=workers)
+def results(scenario):
+    return scenario(dynamic_ablation_scenario(clients=35)).batch.results
 
 
-def test_ablation_dynamic_thresholds(benchmark, ablation):
-    benchmark.pedantic(lambda: ablation, rounds=1, iterations=1)
+def test_ablation_dynamic_thresholds(benchmark, results):
+    benchmark.pedantic(lambda: results, rounds=1, iterations=1)
     print_banner("ABL-DYN: static vs dynamic thresholds (35 clients)")
     rows = [(label, r.completed, r.failed,
              r.memory_by_clerk.get("compilation", 0) / MiB)
-            for label, r in ablation.results.items()]
+            for label, r in results.items()]
     print(render_table(
         ("variant", "completed", "errors", "compile MiB (mean)"), rows))
 
-    static = ablation.results["static"]
-    dynamic = ablation.results["dynamic"]
+    static = results["static"]
+    dynamic = results["dynamic"]
     # dynamic thresholds bound compilation memory at least as tightly
     assert (dynamic.memory_by_clerk["compilation"]
             <= static.memory_by_clerk["compilation"] * 1.15)

@@ -7,26 +7,25 @@ ladder) and prints completions and errors per variant.
 
 import pytest
 
-from repro.experiments.ablations import ablate_gateway_count
 from repro.metrics.report import render_table
+from repro.scenarios import gateway_ablation_scenario
 from benchmarks.conftest import print_banner
 
 
 @pytest.fixture(scope="module")
-def ablation(preset, seed, workers):
-    return ablate_gateway_count(clients=30, preset=preset, seed=seed,
-                                workers=workers)
+def results(scenario):
+    return scenario(gateway_ablation_scenario(clients=30)).batch.results
 
 
-def test_ablation_gateway_count(benchmark, ablation):
-    benchmark.pedantic(lambda: ablation, rounds=1, iterations=1)
+def test_ablation_gateway_count(benchmark, results):
+    benchmark.pedantic(lambda: results, rounds=1, iterations=1)
     print_banner("ABL-GATES: monitor-count ablation (30 clients)")
     rows = [(label, r.completed, r.failed)
-            for label, r in ablation.results.items()]
+            for label, r in results.items()]
     print(render_table(("variant", "completed", "errors"), rows))
 
-    completions = ablation.completions()
-    errors = ablation.errors()
+    completions = {label: r.completed for label, r in results.items()}
+    errors = {label: r.failed for label, r in results.items()}
     # any throttling beats none
     best_throttled = max(completions[k] for k in completions
                          if k != "0_monitors")

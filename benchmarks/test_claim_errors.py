@@ -8,19 +8,16 @@ and "reduces resource errors returned to clients".
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.metrics.report import render_table
+from repro.scenarios import throughput_scenario
 from benchmarks.conftest import print_banner
 
 
 @pytest.fixture(scope="module")
-def results(preset, seed, sales_workload):
-    out = {}
-    for throttling in (True, False):
-        out[throttling] = run_experiment(ExperimentConfig(
-            workload="sales", clients=40, throttling=throttling,
-            preset=preset, seed=seed), workload=sales_workload)
-    return out
+def results(scenario):
+    # the FIG-5 pair: its cells are the 40-client runs this claim reads
+    runs = scenario(throughput_scenario(40)).batch.results
+    return {True: runs["throttled"], False: runs["unthrottled"]}
 
 
 def test_claim_error_taxonomy(benchmark, results):

@@ -8,20 +8,17 @@ runs at the saturation point.
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.metrics.report import render_table
+from repro.scenarios import throughput_scenario
 from repro.units import MiB
 from benchmarks.conftest import print_banner
 
 
 @pytest.fixture(scope="module")
-def results(preset, seed, sales_workload):
-    out = {}
-    for throttling in (True, False):
-        out[throttling] = run_experiment(ExperimentConfig(
-            workload="sales", clients=30, throttling=throttling,
-            preset=preset, seed=seed), workload=sales_workload)
-    return out
+def results(scenario):
+    # the FIG-3 pair: its cells are the 30-client runs this claim reads
+    runs = scenario(throughput_scenario(30)).batch.results
+    return {True: runs["throttled"], False: runs["unthrottled"]}
 
 
 def test_claim_memory_breakdown(benchmark, results):

@@ -7,21 +7,17 @@ saturation region and not keep rising linearly past it.
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_experiment
 from repro.metrics.report import render_table
+from repro.scenarios import saturation_scenario
 from benchmarks.conftest import print_banner
 
 CLIENT_SWEEP = (5, 15, 30, 40)
 
 
 @pytest.fixture(scope="module")
-def sweep(preset, seed, sales_workload):
-    results = {}
-    for clients in CLIENT_SWEEP:
-        results[clients] = run_experiment(ExperimentConfig(
-            workload="sales", clients=clients, throttling=True,
-            preset=preset, seed=seed), workload=sales_workload)
-    return results
+def sweep(scenario):
+    runs = scenario(saturation_scenario(CLIENT_SWEEP)).batch.results
+    return {clients: runs[f"sat_{clients}c"] for clients in CLIENT_SWEEP}
 
 
 def test_claim_saturation_knee(benchmark, sweep):

@@ -9,25 +9,25 @@ and the throttled series is sustained (no collapse over time).
 
 import pytest
 
-from repro.experiments import throughput_figure
+from repro.scenarios import throughput_scenario
 from benchmarks.conftest import print_banner
 
 
 @pytest.fixture(scope="module")
-def comparison(preset, seed):
-    return throughput_figure(30, preset=preset, seed=seed)
+def figure(scenario):
+    return scenario(throughput_scenario(30))
 
 
-def test_fig3_throughput_30_clients(benchmark, comparison):
-    benchmark.pedantic(lambda: comparison, rounds=1, iterations=1)
+def test_fig3_throughput_30_clients(benchmark, figure):
+    benchmark.pedantic(lambda: figure, rounds=1, iterations=1)
     print_banner("Figure 3: Successful Queries/Time (30 clients)")
-    print(comparison.render())
+    print(figure.body)
 
-    throttled = comparison.throttled
-    unthrottled = comparison.unthrottled
+    throttled = figure.batch.results["throttled"]
+    unthrottled = figure.batch.results["unthrottled"]
+    improvement = figure.scenario_metrics["improvement"]
     # who wins: throttling, by a clearly positive factor (paper: ~+35%)
-    assert comparison.improvement > 0.10, (
-        f"improvement {comparison.improvement:+.1%}")
+    assert improvement > 0.10, f"improvement {improvement:+.1%}"
     # reliability: the throttled server returns far fewer errors
     assert throttled.failed < unthrottled.failed / 2
     # sustained throughput: later buckets do not collapse vs earlier ones

@@ -6,19 +6,20 @@ a given number of clients" (paper §5.2.1).
 
 import pytest
 
-from repro.experiments import throughput_figure
+from repro.scenarios import throughput_scenario
 from benchmarks.conftest import print_banner
 
 
 @pytest.fixture(scope="module")
-def comparison(preset, seed):
-    return throughput_figure(40, preset=preset, seed=seed)
+def figure(scenario):
+    return scenario(throughput_scenario(40))
 
 
-def test_fig5_throughput_40_clients(benchmark, comparison):
-    benchmark.pedantic(lambda: comparison, rounds=1, iterations=1)
+def test_fig5_throughput_40_clients(benchmark, figure):
+    benchmark.pedantic(lambda: figure, rounds=1, iterations=1)
     print_banner("Figure 5: Successful Queries/Time (40 clients)")
-    print(comparison.render())
+    print(figure.body)
 
-    assert comparison.improvement > 0.05
-    assert comparison.throttled.failed < comparison.unthrottled.failed
+    results = figure.batch.results
+    assert figure.scenario_metrics["improvement"] > 0.05
+    assert results["throttled"].failed < results["unthrottled"].failed

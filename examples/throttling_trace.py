@@ -5,31 +5,29 @@ Three traced compilations (Q1, Q2, Q3) start close together while a
 crowd of background compilations keeps the memory monitors occupied.
 The printed curves show the paper's signature shape: memory ramps,
 flat *blocking plateaus* where a query waits at a monitor, and the
-release to zero when compilation completes.
+release to zero when compilation completes.  The run is the
+registry's ``fig2`` scenario, so it is what ``repro scenarios run
+fig2`` prints.
 
 Run:  python examples/throttling_trace.py
 """
 
 from __future__ import annotations
 
-from repro.experiments import figure2_trace
-from repro.units import format_bytes
+from repro.scenarios import get_scenario, run_scenario
 
 
 def main() -> None:
     print("simulating three traced compilations under memory pressure …")
-    trace = figure2_trace(seed=11)
+    result = run_scenario(get_scenario("fig2"))
     print()
-    print(trace.chart())
+    print(result.body)
     print()
-    for label, curve in trace.curves.items():
-        peak = max(v for _, v in curve)
-        active = [(t, v) for t, v in curve if v > 0]
-        start = active[0][0] if active else 0.0
-        end = active[-1][0] if active else 0.0
-        print(f"  {label}: peak {format_bytes(peak):>10}, "
-              f"compiling {start:.0f}s → {end:.0f}s, "
-              f"{trace.plateau_count(label)} blocking plateau(s)")
+    metrics = result.scenario_metrics
+    print(f"  {metrics['traced_queries']:.0f} traced queries, "
+          f"{metrics['plateau_total']:.0f} blocking plateau(s) in all")
+    for check in result.checks:
+        print(f"  {check.describe()}")
 
 
 if __name__ == "__main__":

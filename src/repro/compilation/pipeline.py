@@ -153,8 +153,7 @@ class CompilationPipeline:
     def __init__(self, env: Environment, scheduler: CpuScheduler,
                  governor: CompilationGovernor, optimizer: Optimizer,
                  binder: Binder, clerk: MemoryClerk,
-                 broker=None, best_plan_so_far: bool = True,
-                 time_scale: float = 1.0):
+                 broker=None, best_plan_so_far: bool = True):
         self.env = env
         self.scheduler = scheduler
         self.governor = governor
@@ -163,7 +162,6 @@ class CompilationPipeline:
         self.clerk = clerk
         self.broker = broker
         self.best_plan_so_far = best_plan_so_far
-        self._time_scale = time_scale
         #: compilations currently in flight (used for fair-share cutoffs)
         self.active = 0
         #: label -> MemoryAccount of in-flight compilations (tracing:
@@ -392,7 +390,7 @@ class CompilationPipeline:
                 ) from cause
             waits += 1
             self.oom_waits += 1
-            yield self.env.timeout(self.OOM_RETRY_DELAY / self._time_scale)
+            yield self.env.timeout(self.OOM_RETRY_DELAY)
 
     def _fallback(self, task):
         if not self.best_plan_so_far:

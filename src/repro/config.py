@@ -200,10 +200,6 @@ class ServerConfig:
     plan_cache: PlanCacheConfig = field(default_factory=PlanCacheConfig)
     #: master random seed for the server's internal randomness
     seed: int = 20070107  # CIDR'07 opening day
-    #: global time-scale divisor: 1.0 = paper scale; 10.0 runs every
-    #: duration (compiles, executions, timeouts) 10x faster, keeping
-    #: every ratio intact.  Benchmarks use scaled configs.
-    time_scale: float = 1.0
     #: optimizer search-effort multiplier (scales exploration budgets);
     #: CPU-per-unit scales inversely so simulated compile *times* hold
     optimizer_effort: float = 1.0
@@ -228,12 +224,6 @@ class ServerConfig:
             optimizer_memory_multiplier=(
                 self.optimizer_memory_multiplier * factor),
         )
-
-    def scaled(self, factor: float) -> "ServerConfig":
-        """A copy of this config with time compressed by ``factor``."""
-        if factor <= 0:
-            raise ConfigurationError("time scale factor must be positive")
-        return replace(self, time_scale=self.time_scale * factor)
 
     def with_throttling(self, enabled: bool) -> "ServerConfig":
         """A copy with compilation throttling switched on or off."""

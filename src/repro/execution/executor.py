@@ -52,13 +52,12 @@ class QueryExecutor:
 
     def __init__(self, env: Environment, scheduler: CpuScheduler,
                  bufferpool: BufferPool, semaphore: ResourceSemaphore,
-                 config: ExecutionConfig, time_scale: float = 1.0):
+                 config: ExecutionConfig):
         self.env = env
         self.scheduler = scheduler
         self.bufferpool = bufferpool
         self.semaphore = semaphore
         self.config = config
-        self._time_scale = time_scale
 
     def desired_grant(self, profile: ExecutionProfile) -> int:
         """Clamp the plan's ideal workspace to the per-query maximum."""
@@ -80,8 +79,7 @@ class QueryExecutor:
         # -- memory grant ------------------------------------------------
         started = self.env.now
         grant = self.semaphore.request(ask)
-        timeout = self.env.timeout(
-            self.config.grant_timeout / self._time_scale)
+        timeout = self.env.timeout(self.config.grant_timeout)
         try:
             yield self.env.any_of([grant, timeout])
         except OutOfMemoryError as exc:
@@ -114,7 +112,6 @@ class QueryExecutor:
             outcome.io_time = self.env.now - io_started
 
             # -- CPU work ---------------------------------------------------
-            # (the scheduler applies the simulation time scale itself)
             cpu_started = self.env.now
             yield from self.scheduler.consume(profile.cpu_seconds)
             outcome.cpu_time = self.env.now - cpu_started

@@ -2,9 +2,10 @@
 
 ``runner`` turns an :class:`~repro.experiments.runner.ExperimentConfig`
 into an :class:`~repro.experiments.runner.ExperimentResult`;
-``figures`` reproduces each figure of the paper; ``ablations`` covers
-the design choices the paper reports tuning (monitor count, dynamic
-thresholds, best-plan-so-far); ``executors`` is the pluggable
+``figures`` renders the paper's figures (the monitor ladder, the
+throttling trace and the throttled/un-throttled comparison that the
+scenario registry's ``monitors``, ``trace`` and ``comparison`` kinds
+print); ``executors`` is the pluggable
 cell-execution protocol (inline, or a pool of forked worker processes
 fed over socketpairs) and ``wire`` its coordinator/worker transport;
 ``journal`` makes any executor's queue durable (checkpoint/restart)
@@ -39,7 +40,6 @@ from repro.experiments.figures import (
     ThroughputComparison,
     figure1_monitors,
     figure2_trace,
-    throughput_figure,
 )
 
 __all__ = [
@@ -63,5 +63,4 @@ __all__ = [
     "make_executor",
     "run_experiment",
     "tasks_for_specs",
-    "throughput_figure",
 ]

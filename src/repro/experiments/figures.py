@@ -164,27 +164,3 @@ class ThroughputComparison:
             f"unthrottled={self.unthrottled.error_counts}")
         return "\n".join((chart, "", table, "", summary))
 
-
-def throughput_figure(clients: int, preset: str = "scaled",
-                      seed: int = 1,
-                      workload_name: str = "sales",
-                      workers: int = 1) -> ThroughputComparison:
-    """Reproduce one of Figures 3/4/5 (clients = 30/35/40).
-
-    Deprecated shim: the run is now described by a declarative
-    :class:`~repro.scenarios.ScenarioSpec` and executed through
-    :func:`~repro.scenarios.run_scenario` (``workers=2`` still runs the
-    throttled/un-throttled pair concurrently).
-    """
-    from repro.scenarios import run_scenario, throughput_scenario
-
-    spec = throughput_scenario(clients, preset=preset, seed=seed,
-                               workload=workload_name)
-    scenario = run_scenario(spec, workers=workers)
-    batch = scenario.batch
-    if batch.errors:
-        failures = ", ".join(f"{k}: {v}" for k, v in batch.errors.items())
-        raise RuntimeError(f"throughput figure runs failed: {failures}")
-    return ThroughputComparison(clients=clients,
-                                throttled=batch.results["throttled"],
-                                unthrottled=batch.results["unthrottled"])

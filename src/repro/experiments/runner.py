@@ -1,9 +1,8 @@
 """Generic experiment runner and the artifact envelope.
 
-All durations in :class:`ExperimentConfig` are expressed in *paper
-seconds* (the testbed's wall clock); ``time_scale`` compresses them for
-simulation and results are reported back in paper seconds, so every
-harness prints series directly comparable to the figures.
+All durations are expressed in *paper seconds* (the testbed's wall
+clock): one simulated second is one second of the paper's runs, so
+every series is directly comparable to the figures.
 
 :func:`summarize_result` turns a result into its JSON summary, and
 :func:`write_bench_document` writes every ``BENCH_*.json`` under one
@@ -48,21 +47,19 @@ class Preset:
     measure: float
     #: figure bucket width (one point = completions per bucket)
     bucket: float
-    #: simulation time compression
-    time_scale: float
     #: optimizer effort/memory trade (ServerConfig.fast factor)
     fast_factor: float
 
 
-#: fidelity presets: "paper" replays the full experiment; "scaled" keeps
-#: every ratio but compresses the run for benchmarks; "smoke" is for tests
+#: fidelity presets: "paper" replays the full experiment; "scaled"
+#: shortens warm-up and measurement for benchmarks; "smoke" is for tests
 PRESETS: Dict[str, Preset] = {
     "paper": Preset("paper", warmup=10800.0, measure=18000.0,
-                    bucket=600.0, time_scale=1.0, fast_factor=1.0),
+                    bucket=600.0, fast_factor=1.0),
     "scaled": Preset("scaled", warmup=2400.0, measure=4800.0,
-                     bucket=600.0, time_scale=1.0, fast_factor=4.0),
+                     bucket=600.0, fast_factor=4.0),
     "smoke": Preset("smoke", warmup=1200.0, measure=1800.0,
-                    bucket=600.0, time_scale=1.0, fast_factor=8.0),
+                    bucket=600.0, fast_factor=8.0),
 }
 
 
@@ -118,7 +115,6 @@ class ExperimentConfig:
         preset = get_preset(self.preset)
         base = self.server_overrides or paper_server_config()
         cfg = base.with_throttling(self.throttling)
-        cfg = cfg.scaled(preset.time_scale)
         if preset.fast_factor != 1.0:
             cfg = cfg.fast(preset.fast_factor)
         if self.optimizer is not None:
@@ -230,28 +226,27 @@ def run_experiment(config: ExperimentConfig,
 def _run_cell(config: ExperimentConfig, preset: Preset,
               workload: Optional[Workload]) -> ExperimentResult:
     """Build, run, measure and tear down one cell's server."""
-    scale = preset.time_scale
     server_config = config.build_server_config()
     workload = workload or config.build_workload()
     catalog = workload.build_catalog()
 
-    metrics = MetricsCollector(bucket_width=preset.bucket / scale)
+    metrics = MetricsCollector(bucket_width=preset.bucket)
     env = Environment()
     with DatabaseServer(server_config, catalog, env=env,
                         metrics=metrics) as server:
-        duration_sim = (preset.warmup + preset.measure) / scale
+        duration = preset.warmup + preset.measure
         if config.traffic is not None:
             from repro.traffic.openloop import OpenLoopGenerator
 
             generator = OpenLoopGenerator(
                 server, workload, traffic=config.traffic,
-                duration=duration_sim, metrics=metrics, seed=config.seed,
+                duration=duration, metrics=metrics, seed=config.seed,
                 clients=config.clients, admission=config.admission,
                 capture=config.capture_trace is not None)
         else:
             generator = LoadGenerator(
                 server, workload, clients=config.clients,
-                duration=duration_sim, metrics=metrics, seed=config.seed,
+                duration=duration, metrics=metrics, seed=config.seed,
                 think_time=config.think_time,
                 capture=config.capture_trace is not None)
 
@@ -271,16 +266,13 @@ def _run_cell(config: ExperimentConfig, preset: Preset,
             write_capture(config.capture_trace,
                           generator.captured_events())
 
-        warm_sim = preset.warmup / scale
-        series = [(t * scale, count)
-                  for t, count in metrics.throughput_series(
-                      warm_sim, duration_sim)]
+        series = metrics.throughput_series(preset.warmup, duration)
         totals = generator.totals()
-        memory = metrics.memory_means(warm_sim, duration_sim)
+        memory = metrics.memory_means(preset.warmup, duration)
         gateways = [(g.name, g.stats.acquires, g.stats.timeouts,
-                     g.stats.mean_wait() * scale)
+                     g.stats.mean_wait())
                     for g in server.governor.gateways]
-        open_loop = (generator.facts(scale)
+        open_loop = (generator.facts()
                      if config.traffic is not None else None)
         slo = None
         if config.slo is not None and open_loop is not None:
@@ -290,13 +282,13 @@ def _run_cell(config: ExperimentConfig, preset: Preset,
         return ExperimentResult(
             config=config,
             throughput=series,
-            completed=metrics.successes(warm_sim, duration_sim),
+            completed=metrics.successes(preset.warmup, duration),
             failed=metrics.failure_total(),
             error_counts=dict(metrics.error_counts),
             degraded=metrics.degraded_count(),
             retries=totals.retries,
-            mean_compile_time=metrics.mean_compile_time() * scale,
-            mean_execution_time=metrics.mean_execution_time() * scale,
+            mean_compile_time=metrics.mean_compile_time(),
+            mean_execution_time=metrics.mean_execution_time(),
             memory_by_clerk=memory,
             gateway_stats=gateways,
             wall_seconds=wall,

@@ -39,7 +39,6 @@ from repro.scenarios.facade import (
     write_scenario_artifact,
 )
 from repro.scenarios.library import (
-    ABLATION_SCENARIOS,
     best_plan_ablation_scenario,
     dynamic_ablation_scenario,
     flash_crowd_scenario,
@@ -51,7 +50,6 @@ from repro.scenarios.library import (
 from repro.traffic.spec import TrafficSpec
 
 __all__ = [
-    "ABLATION_SCENARIOS",
     "CheckOutcome",
     "ConfigOverrides",
     "Expectation",

@@ -1,13 +1,12 @@
 """The programmatic scenario facade.
 
 ``run_scenario(spec, workers=N)`` is the one entry point the CLI, the
-legacy figure/ablation Python helpers and the tests all route
-through: it lowers a :class:`ScenarioSpec` to **cell tasks**, submits
-them through a :class:`~repro.experiments.executors.CellExecutor`
-(inline, or a streamed pool of worker processes — the caller's choice,
-results identical by contract), extracts a uniform metric namespace,
-evaluates the spec's expectations and renders the scenario's artifact
-text.
+benchmarks, the examples and the tests all route through: it lowers a
+:class:`ScenarioSpec` to **cell tasks**, submits them through a
+:class:`~repro.experiments.executors.CellExecutor` (inline, or a
+streamed pool of worker processes — the caller's choice, results
+identical by contract), extracts a uniform metric namespace, evaluates
+the spec's expectations and renders the scenario's artifact text.
 """
 
 from __future__ import annotations
@@ -40,26 +39,15 @@ class ExperimentJob:
 
 
 def jobs_for_scenario(spec: ScenarioSpec) -> List[ExperimentJob]:
-    """One job per variant of an experiment scenario.
-
-    Variants whose overrides only toggle throttling lower to plain
-    ``ExperimentConfig`` flags (exactly the configs the legacy
-    harnesses built); anything richer carries a ServerConfig override.
-    """
+    """One job per variant of an experiment scenario, each carrying
+    its overrides applied to the paper's server config."""
     if spec.kind != "experiment":
         raise ConfigurationError(
             f"scenario {spec.scenario_id!r} is a {spec.kind!r} scenario; "
             f"only experiment scenarios lower to jobs")
     jobs = []
     for variant in spec.variants:
-        overrides = variant.overrides
-        if overrides.only_toggles_throttling():
-            server = None
-            throttling = (overrides.throttling
-                          if overrides.throttling is not None else True)
-        else:
-            server = overrides.apply(paper_server_config())
-            throttling = server.throttle.enabled
+        server = variant.overrides.apply(paper_server_config())
         jobs.append(ExperimentJob(
             name=variant.name,
             config=ExperimentConfig(
@@ -75,7 +63,7 @@ def jobs_for_scenario(spec: ScenarioSpec) -> List[ExperimentJob]:
                            else spec.optimizer),
                 clients=(variant.clients if variant.clients is not None
                          else spec.clients),
-                throttling=throttling,
+                throttling=server.throttle.enabled,
                 preset=spec.preset,
                 seed=spec.seed,
                 think_time=(variant.think_time

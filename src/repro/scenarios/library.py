@@ -1,9 +1,9 @@
 """Built-in scenarios: every paper artifact plus new scenario families.
 
-Each ``*_scenario`` builder returns a parameterized spec (the legacy
-Python APIs call these with their historical defaults);
-module import registers the canonical instances, so ``repro scenarios
-list`` shows the whole catalogue.
+Each ``*_scenario`` builder returns a parameterized spec (the
+benchmarks and examples call them and run the result through
+``run_scenario``); module import registers the canonical instances, so
+``repro scenarios list`` shows the whole catalogue.
 
 Families
 --------
@@ -175,15 +175,8 @@ def best_plan_ablation_scenario(clients: int = 40, preset: str = "smoke",
                     "explored plan instead of failing out of memory.")
 
 
-#: legacy ablation name -> (short name, builder) — the single source
-#: for the ablate_* shims
-ABLATION_SCENARIOS = (
-    ("gateway_count", "gates", gateway_ablation_scenario),
-    ("dynamic_thresholds", "dyn", dynamic_ablation_scenario),
-    ("best_plan_so_far", "bpsf", best_plan_ablation_scenario),
-)
-
-for _, _, _builder in ABLATION_SCENARIOS:
+for _builder in (gateway_ablation_scenario, dynamic_ablation_scenario,
+                 best_plan_ablation_scenario):
     register_scenario(_builder())
 
 

@@ -1,11 +1,10 @@
 """The declarative scenario specification.
 
 A :class:`ScenarioSpec` is the one currency every experiment surface
-consumes: the CLI (``repro scenarios …`` and the legacy ``figure`` /
-``sweep`` / ``ablation`` / ``experiments`` commands), the cell
-executors, the benchmark suite and user-authored JSON files all
-describe a run as one frozen, validated, round-trippable value.  Adding a scenario is a data
-change, not a code change.
+consumes: the CLI (``repro scenarios …``), the cell executors, the
+benchmark suite, the examples and user-authored JSON files all
+describe a run as one frozen, validated, round-trippable value.
+Adding a scenario is a data change, not a code change.
 """
 
 from __future__ import annotations
@@ -209,15 +208,6 @@ class ConfigOverrides:
             raise ConfigurationError("physical_memory must be positive")
         if self.cpus is not None and self.cpus <= 0:
             raise ConfigurationError("cpus must be positive")
-
-    def is_noop(self) -> bool:
-        return all(getattr(self, f.name) is None for f in fields(self))
-
-    def only_toggles_throttling(self) -> bool:
-        """True when the delta is expressible by the ``throttling`` flag
-        alone (such variants need no ServerConfig override object)."""
-        return all(getattr(self, f.name) is None for f in fields(self)
-                   if f.name != "throttling")
 
     def apply(self, base: Optional[ServerConfig] = None) -> ServerConfig:
         cfg = base if base is not None else paper_server_config()

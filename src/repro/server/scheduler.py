@@ -32,11 +32,9 @@ class CpuScheduler:
     #: seconds of CPU work per scheduling quantum (simulated)
     QUANTUM = 1.0
 
-    def __init__(self, env: Environment, hardware: HardwareConfig,
-                 time_scale: float = 1.0):
+    def __init__(self, env: Environment, hardware: HardwareConfig):
         self.env = env
         self.hardware = hardware
-        self._time_scale = time_scale
         self._cpus = Resource(env, capacity=hardware.cpus)
         self.stats = CpuStats()
 
@@ -54,14 +52,14 @@ class CpuScheduler:
         """
         # every quantum of every task runs this loop: look up once
         env, cpus, stats = self.env, self._cpus, self.stats
-        full, scale = self.QUANTUM, self._time_scale
+        full = self.QUANTUM
         remaining = cpu_seconds / self.hardware.cpu_speed
         while remaining > 1e-12:
             quantum = remaining if remaining < full else full
             started = env.now
             # one event per quantum: it fires when the quantum ends,
             # still holding the CPU (see Resource._grant)
-            req = cpus.request(quantum / scale)
+            req = cpus.request(quantum)
             try:
                 yield req
             finally:

@@ -48,23 +48,21 @@ class DatabaseServer:
         self.catalog = catalog
         self.env = env or Environment()
         self.metrics = metrics or MetricsCollector()
-        scale = config.time_scale
         hw = config.hardware
 
         # -- substrates -----------------------------------------------------
         self.memory = MemoryManager(hw.physical_memory)
-        self.disk = DiskModel(self.env, hw, time_scale=scale)
+        self.disk = DiskModel(self.env, hw)
         floor = int(hw.physical_memory
                     * config.broker.buffer_pool_floor_fraction)
         self.buffer_pool = BufferPool(self.env, self.memory, self.disk,
                                       floor_bytes=floor)
         self.plan_cache = PlanCache(self.memory, config.plan_cache)
-        self.scheduler = CpuScheduler(self.env, hw, time_scale=scale)
+        self.scheduler = CpuScheduler(self.env, hw)
 
         # -- compilation side --------------------------------------------------
         self.compile_clerk = self.memory.clerk("compilation")
-        self.governor = CompilationGovernor(
-            self.env, config.throttle, hw.cpus, time_scale=scale)
+        self.governor = CompilationGovernor(self.env, config.throttle, hw.cpus)
         self.optimizer = Optimizer(
             catalog,
             effort_multiplier=config.optimizer_effort,
@@ -82,7 +80,7 @@ class DatabaseServer:
             self.env, self.scheduler, self.governor, self.optimizer,
             self.binder, self.compile_clerk,
             broker=self.broker if config.broker.enabled else None,
-            best_plan_so_far=best_plan, time_scale=scale)
+            best_plan_so_far=best_plan)
 
         # -- execution side -----------------------------------------------------
         workspace_clerk = self.memory.clerk("workspace")
@@ -92,7 +90,7 @@ class DatabaseServer:
             self.env, workspace_clerk, workspace_bytes)
         self.executor = QueryExecutor(
             self.env, self.scheduler, self.buffer_pool,
-            self.grant_semaphore, config.execution, time_scale=scale)
+            self.grant_semaphore, config.execution)
 
         self._wire_broker()
         self._started = False
@@ -163,7 +161,7 @@ class DatabaseServer:
         is replaced by that previous object, so the broker and the
         sampler can tell "nothing changed" by identity."""
         env = self.env
-        interval = self.config.broker.interval / self.config.time_scale
+        interval = self.config.broker.interval
         sweep = self.broker.sweep if self.config.broker.enabled else None
         usage_by_clerk = self.memory.usage_by_clerk
         sample = self.metrics.sample_memory

@@ -32,11 +32,9 @@ class IoStats:
 class DiskModel:
     """The RAID-0 array of the paper's testbed (8x SCSI, 2 channels)."""
 
-    def __init__(self, env: Environment, hardware: HardwareConfig,
-                 time_scale: float = 1.0):
+    def __init__(self, env: Environment, hardware: HardwareConfig):
         self.env = env
         self.hardware = hardware
-        self._time_scale = time_scale
         self._channels = Resource(env, capacity=hardware.disks)
         self.stats = IoStats()
 
@@ -47,9 +45,8 @@ class DiskModel:
 
     def service_time(self, nbytes: int) -> float:
         """Seconds one channel needs to transfer ``nbytes``."""
-        seconds = (self.hardware.disk_seek_time
-                   + nbytes / self.hardware.disk_bandwidth)
-        return seconds / self._time_scale
+        return (self.hardware.disk_seek_time
+                + nbytes / self.hardware.disk_bandwidth)
 
     def read(self, nbytes: int):
         """Process generator: perform a physical read of ``nbytes``.

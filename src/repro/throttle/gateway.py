@@ -31,11 +31,10 @@ class Gateway:
     """
 
     def __init__(self, env: Environment, name: str, capacity: int,
-                 timeout: float, time_scale: float = 1.0):
+                 timeout: float):
         self.env = env
         self.name = name
         self.timeout = timeout
-        self._time_scale = time_scale
         self._resource = Resource(env, capacity=capacity)
         self.stats = GatewayStats()
 
@@ -62,7 +61,7 @@ class Gateway:
         req = self._resource.request()
         self.stats.peak_queue = max(self.stats.peak_queue,
                                     self._resource.queued)
-        timeout = self.env.timeout(self.timeout / self._time_scale)
+        timeout = self.env.timeout(self.timeout)
         try:
             yield self.env.any_of([req, timeout])
         except BaseException:

@@ -43,13 +43,12 @@ class CompilationGovernor:
     own :class:`~repro.throttle.gateway.GatewayStats`.
     """
 
-    def __init__(self, env: Environment, config: ThrottleConfig, cpus: int,
-                 time_scale: float = 1.0):
+    def __init__(self, env: Environment, config: ThrottleConfig, cpus: int):
         self.env = env
         self.config = config
         self.enabled = config.enabled
         self.gateways: List[Gateway] = [
-            Gateway(env, g.name, g.capacity(cpus), g.timeout, time_scale)
+            Gateway(env, g.name, g.capacity(cpus), g.timeout)
             for g in config.gateways
         ]
         #: static thresholds from configuration (bytes, increasing)

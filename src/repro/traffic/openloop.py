@@ -138,10 +138,9 @@ class OpenLoopGenerator:
             return trace_arrivals(self.traffic, base=self.trace_base)
         process = self.traffic.build_arrivals()
         rng = random.Random(f"{self.seed}/arrivals")
-        scale = self.server.config.time_scale
-        # the schedule is authored in paper seconds; generate up to the
-        # raw horizon whose rescaled times still land inside the run
-        horizon = self.duration * scale * self.traffic.rate_scale
+        # generate up to the raw horizon whose rescaled times still
+        # land inside the run
+        horizon = self.duration * self.traffic.rate_scale
         arrivals = process.arrivals(rng, horizon)
         if self.traffic.rate_scale != 1.0:
             factor = self.traffic.rate_scale
@@ -174,19 +173,18 @@ class OpenLoopGenerator:
         batching cannot reorder a single event.
         """
         env = self.server.env
-        scale = self.server.config.time_scale
         stats = self.stats
         policy = self._policy
         index = 0
         stream = iter(self._arrival_stream())
         pending = next(stream, None)
         while pending is not None:
-            at = pending.at / scale  # paper seconds -> sim clock
+            at = pending.at
             if at >= self.duration:
                 break
             cohort = [pending]
             pending = next(stream, None)
-            while pending is not None and pending.at / scale == at:
+            while pending is not None and pending.at == at:
                 cohort.append(pending)
                 pending = next(stream, None)
             if at > env.now:
@@ -209,11 +207,10 @@ class OpenLoopGenerator:
 
     def _session(self, index: int, arrival, rng: random.Random):
         env = self.server.env
-        scale = self.server.config.time_scale
         stats = self.stats
         queued_at = env.now
         request = self._policy.request(arrival.tenant)
-        timeout = env.timeout(self.traffic.queue_timeout / scale)
+        timeout = env.timeout(self.traffic.queue_timeout)
         try:
             yield env.any_of([request, timeout])
         except BaseException:
@@ -284,7 +281,7 @@ class OpenLoopGenerator:
                            succeeded=self.stats.succeeded,
                            failed=self.stats.failed, retries=0)
 
-    def facts(self, scale: float = 1.0) -> Dict[str, float]:
+    def facts(self) -> Dict[str, float]:
         """The ``open_loop`` fact block (waits in paper seconds).
 
         Every value is a deterministic function of (spec, seed) —
@@ -300,14 +297,14 @@ class OpenLoopGenerator:
             "dropped_queue": float(stats.dropped_queue),
             "dropped_timeout": float(stats.dropped_timeout),
             "max_sessions": float(self.max_sessions),
-            "queue_wait_p50": _percentile(waits, 0.50) * scale,
-            "queue_wait_p90": _percentile(waits, 0.90) * scale,
-            "queue_wait_p99": _percentile(waits, 0.99) * scale,
-            "queue_wait_max": (waits[-1] if waits else 0.0) * scale,
-            "sojourn_p50": _percentile(sojourns, 0.50) * scale,
-            "sojourn_p90": _percentile(sojourns, 0.90) * scale,
-            "sojourn_p99": _percentile(sojourns, 0.99) * scale,
-            "sojourn_max": (sojourns[-1] if sojourns else 0.0) * scale,
+            "queue_wait_p50": _percentile(waits, 0.50),
+            "queue_wait_p90": _percentile(waits, 0.90),
+            "queue_wait_p99": _percentile(waits, 0.99),
+            "queue_wait_max": waits[-1] if waits else 0.0,
+            "sojourn_p50": _percentile(sojourns, 0.50),
+            "sojourn_p90": _percentile(sojourns, 0.90),
+            "sojourn_p99": _percentile(sojourns, 0.99),
+            "sojourn_max": sojourns[-1] if sojourns else 0.0,
         }
         if len(stats.offered_by_tenant) > 1:
             tenant_waits = self._tenant_waits
@@ -320,7 +317,7 @@ class OpenLoopGenerator:
                 for point, fraction in (("p50", 0.50), ("p90", 0.90),
                                         ("p99", 0.99)):
                     facts[f"tenant.{tenant}.queue_wait_{point}"] = \
-                        _percentile(per_tenant, fraction) * scale
+                        _percentile(per_tenant, fraction)
         return facts
 
     def captured_events(self):

@@ -67,12 +67,11 @@ class LoadGenerator:
     # -- client behaviour ----------------------------------------------------
     def _client(self, client_id: int, rng: random.Random):
         env = self.server.env
-        scale = self.server.config.time_scale
         stats = self.stats[client_id]
         # stagger arrivals so 30 compiles do not start at t=0 exactly
-        yield env.timeout(rng.uniform(0.0, self.think_time) / scale)
+        yield env.timeout(rng.uniform(0.0, self.think_time))
         while env.now < self.duration:
-            think = rng.expovariate(1.0 / self.think_time) / scale
+            think = rng.expovariate(1.0 / self.think_time)
             yield env.timeout(think)
             if env.now >= self.duration:
                 break
@@ -85,7 +84,7 @@ class LoadGenerator:
                 if self._capture is not None:
                     # record paper-second time at submission; the
                     # outcome is patched in when the query resolves
-                    entry = {"t": submitted * scale,
+                    entry = {"t": submitted,
                              "template": query.template}
                     self._capture.append(entry)
                 label = f"c{client_id}/{query.template}"
@@ -118,8 +117,7 @@ class LoadGenerator:
                 if attempts > self.max_retries or env.now >= self.duration:
                     break
                 stats.retries += 1
-                backoff = (self.retry_delay
-                           * rng.uniform(0.5, 1.5)) / scale
+                backoff = self.retry_delay * rng.uniform(0.5, 1.5)
                 yield env.timeout(backoff)
 
     def captured_events(self):

@@ -31,13 +31,6 @@ def test_with_throttling_toggle():
     assert not config.throttle.enabled  # original untouched
 
 
-def test_scaled_compounds():
-    config = ServerConfig().scaled(2.0).scaled(3.0)
-    assert config.time_scale == 6.0
-    with pytest.raises(ConfigurationError):
-        ServerConfig().scaled(0)
-
-
 def test_fast_trades_effort_for_bytes():
     config = ServerConfig().fast(4.0)
     assert config.optimizer_effort == pytest.approx(0.25)

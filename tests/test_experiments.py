@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (runner, figures, ablations).
+"""Tests for the experiment harness (runner, figures).
 
 These run miniature configurations — the full reproductions live in
 ``benchmarks/``.
@@ -13,10 +13,6 @@ from repro.experiments import (
     PRESETS,
     figure1_monitors,
     run_experiment,
-)
-from repro.experiments.ablations import (
-    config_with_gateways,
-    gateway_ladder,
 )
 from repro.experiments.runner import make_workload
 
@@ -63,15 +59,6 @@ def test_build_server_config_applies_preset_and_throttle():
 def test_figure1_renders_both_modes():
     text = figure1_monitors(True)
     assert "small" in text and "big" in text
-
-
-def test_gateway_ladder_slicing():
-    assert len(gateway_ladder(0)) == 0
-    assert len(gateway_ladder(2)) == 2
-    with pytest.raises(ValueError):
-        gateway_ladder(4)
-    assert not config_with_gateways(0).throttle.enabled
-    assert config_with_gateways(2).throttle.enabled
 
 
 @pytest.mark.slow

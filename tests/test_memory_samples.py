@@ -117,7 +117,6 @@ def test_cell_snapshots_conserve_memory(config, monkeypatch):
         assert all(used >= 0 for used in usage.values())
         assert sum(usage.values()) <= physical
     preset = get_preset(config.preset)
-    scale = preset.time_scale
-    warm = preset.warmup / scale
-    duration = (preset.warmup + preset.measure) / scale
+    warm = preset.warmup
+    duration = preset.warmup + preset.measure
     assert result.memory_by_clerk == _gauge_means(collector, warm, duration)

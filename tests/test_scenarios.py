@@ -7,16 +7,12 @@ byte-identity.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.config import paper_server_config
+from repro.config import default_gateways, paper_server_config
 from repro.errors import ConfigurationError
-from repro.experiments.ablations import (
-    config_with_best_plan,
-    config_with_dynamic,
-    config_with_gateways,
-)
 from repro.scenarios import (
     ConfigOverrides,
     Expectation,
@@ -168,12 +164,13 @@ def test_bad_think_time_is_rejected_from_json(text):
 
 
 #: (level, field, value): a field of a spec document with the wrong
-#: type.  Toggles must be JSON booleans and counts JSON integers;
-#: ``true`` is not a count and ``"no"`` is not ``false``
+#: type or range.  Toggles must be JSON booleans and counts JSON
+#: integers; ``true`` is not a count and ``"no"`` is not ``false``
 BAD_TYPES = [
     ("overrides", "throttling", "no"),
     ("overrides", "dynamic_thresholds", 1),
     ("overrides", "gateway_count", 1.5),
+    ("overrides", "gateway_count", 4),
     ("overrides", "cpus", 1.5),
     ("overrides", "physical_memory", "x"),
     ("overrides", "physical_memory", True),
@@ -265,10 +262,33 @@ def test_spec_customized_optimizer_override():
     assert ues.customized(optimizer="memo").optimizer == OptimizerSpec()
 
 
+def config_with_gateways(count):
+    """The paper config restricted to its first ``count`` monitors, as
+    the pre-registry ablation harness built it (0 = throttling off)."""
+    base = paper_server_config(throttling=count > 0)
+    if count == 0:
+        return base
+    throttle = replace(base.throttle, gateways=default_gateways()[:count])
+    return replace(base, throttle=throttle)
+
+
+def config_with_dynamic(dynamic):
+    base = paper_server_config(throttling=True)
+    return replace(base, throttle=replace(base.throttle,
+                                          dynamic_thresholds=dynamic))
+
+
+def config_with_best_plan(enabled):
+    base = paper_server_config(throttling=True)
+    return replace(base, throttle=replace(base.throttle,
+                                          best_plan_so_far=enabled))
+
+
 def test_overrides_match_legacy_ablation_configs():
     """ConfigOverrides.apply must produce exactly the ServerConfigs the
-    legacy ablation helpers built — that is what keeps scenario runs
-    byte-identical to the legacy helpers."""
+    pre-registry ablation harness built (rebuilt above as the
+    reference) — that is what keeps the ablation scenarios'
+    artifacts byte-identical to that harness's runs."""
     for count in (0, 1, 2, 3):
         assert ConfigOverrides(gateway_count=count).apply() \
             == config_with_gateways(count)
@@ -324,8 +344,10 @@ def test_jobs_for_scenario_lowering():
     jobs = jobs_for_scenario(tiny_spec())
     assert [j.name for j in jobs] == ["throttled", "unthrottled"]
     assert jobs[0].config.throttling and not jobs[1].config.throttling
-    # throttling-only variants need no ServerConfig override object
-    assert jobs[0].config.server_overrides is None
+    # every variant carries its overrides applied to the paper config
+    assert jobs[0].config.server_overrides == paper_server_config()
+    assert jobs[1].config.server_overrides \
+        == paper_server_config(throttling=False)
     rich = jobs_for_scenario(tiny_spec(variants=(
         VariantSpec("small", ConfigOverrides(gateway_count=1)),),
         expect=()))

@@ -7,9 +7,9 @@ from repro.server.scheduler import CpuScheduler
 from tests.conftest import drain
 
 
-def make_scheduler(env, cpus=2, speed=1.0, time_scale=1.0):
+def make_scheduler(env, cpus=2, speed=1.0):
     hw = HardwareConfig(cpus=cpus, cpu_speed=speed)
-    return CpuScheduler(env, hw, time_scale=time_scale)
+    return CpuScheduler(env, hw)
 
 
 def test_single_task_runs_at_full_speed(env):
@@ -63,19 +63,6 @@ def test_cpu_speed_scales_work(env):
 
     p = env.process(worker(env))
     assert drain(env, p) == pytest.approx(5.0)
-
-
-def test_time_scale_compresses_wall_time(env):
-    sched = make_scheduler(env, cpus=1, time_scale=10.0)
-
-    def worker(env):
-        yield from sched.consume(10.0)
-        return env.now
-
-    p = env.process(worker(env))
-    assert drain(env, p) == pytest.approx(1.0)
-    # busy accounting stays in work units
-    assert sched.stats.busy_time == pytest.approx(10.0)
 
 
 def test_zero_work_is_instant(env):

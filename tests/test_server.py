@@ -10,10 +10,8 @@ from repro.workload import LoadGenerator, OltpWorkload, SalesWorkload
 from tests.conftest import build_star_catalog, STAR_QUERY
 
 
-def make_server(throttling=True, time_scale=1.0):
+def make_server(throttling=True):
     config = paper_server_config(throttling=throttling)
-    if time_scale != 1.0:
-        config = config.scaled(time_scale)
     return DatabaseServer(config, build_star_catalog())
 
 
@@ -96,18 +94,6 @@ def test_concurrent_queries_all_complete():
     outcomes = [p.value for p in processes if not p.is_alive]
     assert len(outcomes) == 6
     assert all(o.ok for o in outcomes)
-
-
-def test_time_scale_speeds_up_wall_clock():
-    slow = make_server(time_scale=1.0)
-    fast = make_server(time_scale=10.0)
-    a = slow.execute_sync(STAR_QUERY)
-    b = fast.execute_sync(STAR_QUERY)
-    assert a.ok and b.ok
-    # same work, ten times less simulated time
-    ratio = (a.compile_time + a.execution_time) / max(
-        1e-9, b.compile_time + b.execution_time)
-    assert ratio == pytest.approx(10.0, rel=0.2)
 
 
 def test_throttling_disabled_keeps_gateways_idle():

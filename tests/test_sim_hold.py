@@ -48,7 +48,7 @@ class ReferenceCpu(CpuScheduler):
                 yield req
                 self.stats.queue_wait += self.env.now - started
                 self.cut[req] = self.env.now - started
-                yield self.env.timeout(quantum / self._time_scale)
+                yield self.env.timeout(quantum)
                 del self.cut[req]
             finally:
                 self._cpus.release(req)
@@ -90,7 +90,7 @@ class GrantLog(list):
 
 
 def _case(seed, dyadic):
-    """Hardware, time scale, tasks and close time for one seed.
+    """Hardware, tasks and close time for one seed.
 
     With ``dyadic`` every duration is a multiple of a power of two and
     small, so every sum the models form is an exact float.
@@ -101,7 +101,6 @@ def _case(seed, dyadic):
             cpus=rng.randint(1, 4), cpu_speed=rng.choice((0.5, 1.0, 2.0)),
             disks=rng.randint(1, 4), disk_bandwidth=MiB,
             disk_seek_time=1 / 128)
-        time_scale = rng.choice((0.5, 1.0, 2.0, 4.0))
         start = lambda: rng.randint(0, 40) / 4  # noqa: E731
         work = lambda: rng.randint(1, 40) / 8  # noqa: E731
         size = lambda: rng.randint(1, 64) * 16 * KiB  # noqa: E731
@@ -109,7 +108,6 @@ def _case(seed, dyadic):
         hardware = HardwareConfig(
             cpus=rng.randint(1, 4), cpu_speed=rng.uniform(0.3, 3.0),
             disks=rng.randint(1, 4))
-        time_scale = rng.uniform(0.5, 20.0)
         start = lambda: rng.choice((0.0, rng.uniform(0, 10)))  # noqa: E731
         work = lambda: rng.uniform(0.01, 5.0)  # noqa: E731
         size = lambda: rng.randint(1, 8 * MiB)  # noqa: E731
@@ -119,15 +117,15 @@ def _case(seed, dyadic):
                for _ in range(rng.randint(1, 4))]
         tasks.append((start(), ops))
     close_at = rng.choice((None, rng.uniform(0.0, 12.0)))
-    return hardware, time_scale, tasks, close_at
+    return hardware, tasks, close_at
 
 
 def _drive(env, cpu_class, disk_class, case):
     """Run one case to completion or to its close time; returns what an
     observer sees, the models and their resources."""
-    hardware, time_scale, tasks, close_at = case
-    cpu = cpu_class(env, hardware, time_scale=time_scale)
-    disk = disk_class(env, hardware, time_scale=time_scale)
+    hardware, tasks, close_at = case
+    cpu = cpu_class(env, hardware)
+    disk = disk_class(env, hardware)
     resources = (cpu._cpus, disk._channels)
     grants, owner = [], {}
     for resource in resources:
@@ -200,7 +198,7 @@ def test_cases_cover_contention_and_close():
             queued += any(q for state in seen["slots"].values()
                           for _, q in state)
             cut += bool(cpu.cut)
-            closed += case[3] is not None
+            closed += case[2] is not None
     assert queued > 10 and cut > 5 and closed > 10
 
 

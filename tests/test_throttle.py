@@ -50,26 +50,6 @@ def test_gateway_timeout_raises(env):
     assert gw.stats.timeouts == 1
 
 
-def test_gateway_timeout_scaled(env):
-    gw = Gateway(env, "g", capacity=1, timeout=100, time_scale=10)
-
-    def holder(env):
-        req = yield from gw.acquire()
-        yield env.timeout(1000)
-        gw.release(req)
-
-    def victim(env):
-        try:
-            yield from gw.acquire()
-        except GatewayTimeoutError:
-            return env.now
-
-    env.process(holder(env))
-    p = env.process(victim(env))
-    env.run()
-    assert p.value == pytest.approx(10.0)
-
-
 # ----------------------------------------------------------------- governor
 def make_governor(env, enabled=True, dynamic=True, cpus=2):
     config = ThrottleConfig(enabled=enabled, dynamic_thresholds=dynamic)

@@ -402,7 +402,7 @@ def test_open_loop_facts_are_deterministic():
     totals = first.totals()
     assert totals.submitted == first.stats.admitted
     assert totals.retries == 0
-    facts = first.facts(scale=1.0)
+    facts = first.facts()
     assert {"offered", "admitted", "dropped", "dropped_queue",
             "dropped_timeout", "max_sessions", "queue_wait_p50",
             "queue_wait_p90", "queue_wait_max"} <= set(facts)
