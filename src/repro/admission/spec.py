@@ -18,10 +18,11 @@ choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.specdoc import SpecDocument, sorted_pairs
 
 #: every registered admission policy (see ``repro.admission.policies``)
 POLICY_NAMES = ("fifo", "weighted_fair")
@@ -36,18 +37,15 @@ SLO_PERCENTILES = ("p50", "p90", "p99", "max")
 def _weight_pairs(value) -> Tuple[Tuple[str, float], ...]:
     """Canonicalize a weight mapping (or pair sequence) to sorted
     tuples."""
-    if isinstance(value, dict):
-        value = value.items()
     try:
-        return tuple(sorted((str(key), float(item))
-                            for key, item in value))
+        return sorted_pairs(value, float)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"admission weights must map tenant "
                                  f"names to numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class AdmissionSpec:
+class AdmissionSpec(SpecDocument, what="admission", always=("policy",)):
     """One fully-described admission policy.
 
     ``policy`` names the arbiter; ``weights`` gives per-tenant slot
@@ -85,31 +83,9 @@ class AdmissionSpec:
     def weights_dict(self) -> Dict[str, float]:
         return dict(self.weights)
 
-    def to_dict(self) -> dict:
-        """The JSON-ready document form (defaults omitted)."""
-        doc: dict = {"policy": self.policy}
-        if self.weights:
-            doc["weights"] = {t: w for t, w in self.weights}
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "AdmissionSpec":
-        """Parse an admission document, rejecting unknown fields."""
-        if not isinstance(doc, dict):
-            raise ConfigurationError(
-                f"admission must be a JSON object, got "
-                f"{type(doc).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown admission field(s) {', '.join(unknown)}; "
-                f"valid fields: {', '.join(sorted(known))}")
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
-class SloTarget:
+class SloTarget(SpecDocument, what="SLO target"):
     """One latency objective: a percentile of a fact must stay under
     ``max_value`` paper seconds, aggregate or for one tenant."""
 
@@ -150,31 +126,9 @@ class SloTarget:
             return f"tenant.{self.tenant}.{stem}"
         return stem
 
-    def to_dict(self) -> dict:
-        doc: dict = {"metric": self.metric,
-                     "percentile": self.percentile,
-                     "max_value": self.max_value}
-        if self.tenant is not None:
-            doc["tenant"] = self.tenant
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SloTarget":
-        if not isinstance(doc, dict):
-            raise ConfigurationError(
-                f"SLO target must be a JSON object, got "
-                f"{type(doc).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown SLO target field(s) {', '.join(unknown)}; "
-                f"valid fields: {', '.join(sorted(known))}")
-        return cls(**doc)
-
 
 @dataclass(frozen=True)
-class SloSpec:
+class SloSpec(SpecDocument, what="slo"):
     """A set of latency objectives evaluated after every run."""
 
     targets: Tuple[SloTarget, ...] = ()
@@ -193,22 +147,3 @@ class SloSpec:
                 raise ConfigurationError(
                     f"duplicate SLO target for {target.key!r}")
             seen.add(target.key)
-
-    def to_dict(self) -> dict:
-        return {"targets": [target.to_dict() for target in self.targets]}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SloSpec":
-        if not isinstance(doc, dict):
-            raise ConfigurationError(
-                f"slo must be a JSON object, got {type(doc).__name__}")
-        unknown = sorted(set(doc) - {"targets"})
-        if unknown:
-            raise ConfigurationError(
-                f"unknown slo field(s) {', '.join(unknown)}; the only "
-                f"valid field is 'targets'")
-        targets = doc.get("targets", [])
-        if not isinstance(targets, (list, tuple)):
-            raise ConfigurationError("slo targets must be a list")
-        return cls(targets=tuple(SloTarget.from_dict(item)
-                                 for item in targets))

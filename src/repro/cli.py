@@ -9,8 +9,8 @@ Commands
                  across runs
 ``traces``       open-loop trace tooling: ``validate`` / ``summarize``
                  a CSV/JSONL query log, ``synth`` one from an arrival
-                 process, ``capture`` a replayable admission trace
-                 from a scenario run
+                 process (``scenarios run --capture-trace DIR`` writes
+                 a replayable admission trace from a run)
 ``query``        compile + execute one ad-hoc query and print the report
 
 ``scenarios run`` is the one command that runs a selection: the paper's
@@ -54,7 +54,6 @@ Examples
     python -m repro results diff prev latest --db results.sqlite
     python -m repro traces validate examples/sample_trace.jsonl
     python -m repro traces synth --out burst.jsonl --arrivals flash_crowd
-    python -m repro traces capture fairness-noisy --out traces
     python -m repro scenarios run burst-flash --capture-trace traces
     python -m repro scenarios run burst-flash --clients 4
     python -m repro query --workload mixed --seed 7
@@ -279,20 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     t_summarize.add_argument("trace", metavar="FILE",
                              help="a .jsonl/.ndjson/.csv query log")
     _add_tail(t_summarize)
-
-    t_capture = traces_sub.add_parser(
-        "capture", help="run a registered scenario and write each "
-                        "cell's replayable JSONL admission trace")
-    t_capture.add_argument("id", help="registered scenario id")
-    t_capture.add_argument("--out", default="traces", metavar="DIR",
-                           help="directory for the TRACE_*.jsonl files")
-    t_capture.add_argument("--preset", default=None,
-                           choices=sorted(PRESETS),
-                           help="override the scenario's preset")
-    t_capture.add_argument("--seed", type=int, default=None,
-                           help="override the scenario's seed")
-    t_capture.add_argument("--clients", type=int, default=None,
-                           help="override the scenario's client count")
 
     t_synth = traces_sub.add_parser(
         "synth", help="synthesize a JSONL trace from a seeded arrival "
@@ -619,26 +604,6 @@ def cmd_traces(args) -> int:
             print(render_table(
                 ("tenant", "offered", "admitted", "dropped"), rows))
         return 0
-
-    if args.traces_command == "capture":
-        import os
-
-        from repro.experiments.executors import tasks_for_specs
-        from repro.scenarios import get_scenario, run_scenario
-
-        spec = get_scenario(args.id).customized(
-            preset=args.preset, seed=args.seed, clients=args.clients)
-        result = run_scenario(spec, capture=args.out)
-        print(result.render())
-        written = [task.trace_path()
-                   for task in tasks_for_specs([spec], capture=args.out)
-                   if os.path.exists(task.trace_path())]
-        for path in written:
-            print(f"   trace -> {path}")
-        if not written:
-            print("   (no traces written: the scenario has no "
-                  "experiment cells)")
-        return 0 if result.ok else 1
 
     # synth
     process = make_arrival_process(args.arrivals,

@@ -17,17 +17,19 @@ byte-identical.
 The spec follows the :class:`~repro.admission.spec.AdmissionSpec`
 contract: frozen, structurally comparable, JSON round-trippable, with
 strict validation that rejects unknown fields and teaches the valid
-choices.  This module imports only :mod:`repro.errors` so that
-``repro.config`` and ``repro.scenarios.spec`` can depend on it without
-pulling the whole optimizer package into their import graphs.
+choices.  This module imports only :mod:`repro.errors` and
+:mod:`repro.specdoc` so that ``repro.config`` and
+``repro.scenarios.spec`` can depend on it without pulling the whole
+optimizer package into their import graphs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ConfigurationError
+from repro.specdoc import SpecDocument
 
 #: support pre-check strategies (see ``repro.optimizer.precheck``)
 PRECHECK_NAMES: Tuple[str, ...] = ("basic",)
@@ -52,7 +54,9 @@ STAGE_CHOICES = {
 
 
 @dataclass(frozen=True)
-class OptimizerSpec:
+class OptimizerSpec(SpecDocument, what="optimizer",
+                    always=("precheck", "enumerator", "selection",
+                            "parameterization")):
     """One fully-described optimizer pipeline configuration.
 
     Each field names the strategy driving one stage; the defaults
@@ -88,26 +92,3 @@ class OptimizerSpec:
                 raise ConfigurationError(
                     f"unknown optimizer {stage} strategy {value!r}; "
                     f"valid {stage} strategies: {', '.join(valid)}")
-
-    # ------------------------------------------------------------ API
-    def to_dict(self) -> dict:
-        """The JSON-ready document form (every stage named)."""
-        return {"precheck": self.precheck,
-                "enumerator": self.enumerator,
-                "selection": self.selection,
-                "parameterization": self.parameterization}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "OptimizerSpec":
-        """Parse an optimizer document, rejecting unknown stages."""
-        if not isinstance(doc, dict):
-            raise ConfigurationError(
-                f"optimizer must be a JSON object, got "
-                f"{type(doc).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown optimizer stage(s) {', '.join(unknown)}; "
-                f"valid stages: {', '.join(f.name for f in fields(cls))}")
-        return cls(**doc)

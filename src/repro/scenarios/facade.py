@@ -27,6 +27,7 @@ from repro.experiments.runner import (
 )
 from repro.metrics.report import render_table
 from repro.scenarios.spec import Expectation, ScenarioSpec
+from repro.specdoc import sorted_pairs
 
 
 # ------------------------------------------------------------ lowering
@@ -232,8 +233,7 @@ def result_from_summary(summary: Dict) -> ExperimentResult:
     config_doc = summary["config"]
     config = ExperimentConfig(
         workload=config_doc["workload"],
-        workload_params=tuple(sorted(
-            (str(k), v) for k, v in config_doc["workload_params"].items())),
+        workload_params=sorted_pairs(config_doc["workload_params"]),
         traffic=(TrafficSpec.from_dict(config_doc["traffic"])
                  if "traffic" in config_doc else None),
         admission=(AdmissionSpec.from_dict(config_doc["admission"])

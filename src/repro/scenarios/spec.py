@@ -11,39 +11,32 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
 from repro.admission.spec import AdmissionSpec, SloSpec
 from repro.config import ServerConfig, default_gateways, paper_server_config
 from repro.errors import ConfigurationError
 from repro.optimizer.spec import OptimizerSpec
+from repro.specdoc import SpecDocument, sorted_pairs
 from repro.traffic.spec import TrafficSpec
 
-#: version of the JSON spec format.  ``ScenarioSpec.to_dict`` stamps
-#: it; ``from_dict`` accepts documents of this and every older version
-#: (a missing version means version 1, predating versioning) and
-#: rejects versions from the future so an old build never silently
-#: misreads a newer spec file.
-#: History: 1 = the PR 2 format; 2 = cross-variant expectations
+#: the newest JSON spec-format version this build reads.  Documents
+#: are stamped with the oldest version able to read them: the largest
+#: ``since`` among the fields they write (see ``repro.specdoc``), 2 if
+#: none, so a document that uses no newer field keeps its bytes across
+#: format bumps and stays readable by older builds.  A missing version
+#: means version 1 (predating versioning); newer versions are rejected
+#: so an old build never silently misreads a newer spec file.
+#: History: 1 = the first, unversioned format; 2 = cross-variant expectations
 #: (``than_variant``, ``value`` optional); 3 = the open-loop
 #: ``traffic`` axis; 4 = the ``kernel`` knob (a choice of simulation
-#: scheduler core), since removed: nothing writes version 4 any more,
-#: and a version-4 document's ``kernel`` key is dropped on read;
-#: 5 = the ``admission`` / ``slo`` axes (policy-driven admission
-#: control and latency objectives); 6 = the ``optimizer`` axis
-#: (pipeline stage strategies).
-#: Documents are stamped with the *minimal* version able to read them
-#: (a spec without a traffic axis is still a version-2 document; one
-#: without admission policies or SLOs needs at most version 3; one
-#: without an optimizer axis needs at most version 5), so pre-existing
-#: scenarios keep producing byte-identical artifacts and stay readable
-#: by older builds.
+#: scheduler core), since removed: no field has ``since=4``, and a
+#: version-4 document's ``kernel`` key is dropped on read; 5 = the
+#: ``admission`` / ``slo`` axes (policy-driven admission control and
+#: latency objectives); 6 = the ``optimizer`` axis (pipeline stage
+#: strategies).
 SPEC_FORMAT_VERSION = 6
-
-#: the values the removed ``kernel`` knob took; documents written
-#: with either still parse, and the key is dropped
-_RETIRED_KERNELS = ("legacy", "wheel")
 
 #: comparison operators an Expectation may use
 EXPECTATION_OPS = {
@@ -93,7 +86,7 @@ def _check_int(value, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class Expectation:
+class Expectation(SpecDocument, what="expectation"):
     """One metric assertion checked after a scenario runs.
 
     ``variant`` names the run the metric comes from; ``None`` reads the
@@ -162,23 +155,9 @@ class Expectation:
                     f"{self.than_variant}.{self.metric}")
         return f"{where}{self.metric} {self.op} {self.value:g}"
 
-    def to_dict(self) -> dict:
-        doc = {"metric": self.metric, "op": self.op}
-        if self.value is not None:
-            doc["value"] = self.value
-        if self.variant is not None:
-            doc["variant"] = self.variant
-        if self.than_variant is not None:
-            doc["than_variant"] = self.than_variant
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Expectation":
-        return cls(**_checked_kwargs(cls, doc, "expectation"))
-
 
 @dataclass(frozen=True)
-class ConfigOverrides:
+class ConfigOverrides(SpecDocument, what="overrides"):
     """Server-config deltas a variant applies on top of the paper config.
 
     Every field defaults to ``None`` (= keep the paper value), so a
@@ -239,17 +218,10 @@ class ConfigOverrides:
             cfg = cfg.with_throttling(self.throttling)
         return cfg
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if getattr(self, f.name) is not None}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ConfigOverrides":
-        return cls(**_checked_kwargs(cls, doc, "overrides"))
-
 
 @dataclass(frozen=True)
-class VariantSpec:
+class VariantSpec(SpecDocument, what="variant",
+                  since={"admission": 5, "optimizer": 6}):
     """One named run of a scenario (a point of its sweep/comparison)."""
 
     name: str
@@ -276,38 +248,15 @@ class VariantSpec:
         if self.think_time is not None:
             _check_think_time(self.think_time, "variant think_time")
 
-    def to_dict(self) -> dict:
-        doc: dict = {"name": self.name}
-        overrides = self.overrides.to_dict()
-        if overrides:
-            doc["overrides"] = overrides
-        if self.clients is not None:
-            doc["clients"] = self.clients
-        if self.think_time is not None:
-            doc["think_time"] = self.think_time
-        if self.admission is not None:
-            doc["admission"] = self.admission.to_dict()
-        if self.optimizer is not None:
-            doc["optimizer"] = self.optimizer.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "VariantSpec":
-        kwargs = _checked_kwargs(cls, doc, "variant")
-        overrides = kwargs.get("overrides")
-        if isinstance(overrides, dict):
-            kwargs["overrides"] = ConfigOverrides.from_dict(overrides)
-        admission = kwargs.get("admission")
-        if isinstance(admission, dict):
-            kwargs["admission"] = AdmissionSpec.from_dict(admission)
-        optimizer = kwargs.get("optimizer")
-        if isinstance(optimizer, dict):
-            kwargs["optimizer"] = OptimizerSpec.from_dict(optimizer)
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecDocument, what="scenario",
+                   format_version=SPEC_FORMAT_VERSION,
+                   always=("kind", "workload", "workload_params", "clients",
+                           "preset", "seed", "think_time", "variants",
+                           "expect", "render", "description"),
+                   since={"traffic": 3, "admission": 5, "slo": 5,
+                          "optimizer": 6}):
     """One fully-described scenario (see module docstring)."""
 
     scenario_id: str
@@ -348,11 +297,8 @@ class ScenarioSpec:
         # canonicalize collection fields so equality is structural
         object.__setattr__(self, "variants", tuple(self.variants))
         object.__setattr__(self, "expect", tuple(self.expect))
-        params = self.workload_params
-        if isinstance(params, dict):
-            params = params.items()
         object.__setattr__(self, "workload_params",
-                           tuple(sorted((str(k), v) for k, v in params)))
+                           sorted_pairs(self.workload_params))
         self._validate()
 
     def _validate(self) -> None:
@@ -476,104 +422,6 @@ class ScenarioSpec:
     def variant_names(self) -> Tuple[str, ...]:
         return tuple(v.name for v in self.variants)
 
-    def document_version(self) -> int:
-        """The minimal spec-format version able to read this spec.
-
-        Only the optimizer axis needs version 6, only admission
-        policies and SLOs need version 5 and only the traffic axis
-        needs version 3; everything else has been expressible since
-        version 2 (nothing needs version 4 any more).  Minimal
-        stamping is what keeps pre-existing scenarios byte-identical
-        in artifacts across format bumps.
-        """
-        if self.optimizer is not None \
-                or any(v.optimizer is not None for v in self.variants):
-            return 6
-        if self.admission is not None or self.slo is not None \
-                or any(v.admission is not None for v in self.variants):
-            return 5
-        if self.traffic is not None:
-            return 3
-        return 2
-
-    def to_dict(self) -> dict:
-        """The JSON-ready document form of this spec.
-
-        Stamped with the spec-format ``version`` (the minimal one able
-        to read it, see :meth:`document_version`) so files written
-        today stay readable (or fail loudly) as the format evolves.
-        """
-        doc = {
-            "version": self.document_version(),
-            "scenario_id": self.scenario_id,
-            "title": self.title,
-            "family": self.family,
-            "kind": self.kind,
-            "workload": self.workload,
-            "workload_params": dict(self.workload_params),
-            "clients": self.clients,
-            "preset": self.preset,
-            "seed": self.seed,
-            "think_time": self.think_time,
-        }
-        if self.traffic is not None:
-            doc["traffic"] = self.traffic.to_dict()
-        if self.admission is not None:
-            doc["admission"] = self.admission.to_dict()
-        if self.slo is not None:
-            doc["slo"] = self.slo.to_dict()
-        if self.optimizer is not None:
-            doc["optimizer"] = self.optimizer.to_dict()
-        doc.update({
-            "variants": [v.to_dict() for v in self.variants],
-            "expect": [e.to_dict() for e in self.expect],
-            "render": self.render,
-            "description": self.description,
-        })
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ScenarioSpec":
-        """Parse a spec document, rejecting unknown fields and versions.
-
-        Unknown top-level keys raise :class:`ConfigurationError` naming
-        the valid ones; a ``version`` newer than this build understands
-        is rejected instead of being misread.  The ``kernel`` key of
-        a version-4 document is dropped: the scheduler core it chose
-        never changed a simulated number.
-        """
-        doc = _checked_version(doc, "scenario")
-        kernel = doc.pop("kernel", "legacy")
-        if kernel not in _RETIRED_KERNELS:
-            raise ConfigurationError(
-                f"unknown kernel {kernel!r}; the scheduler-core choice "
-                f"was removed, and only {' or '.join(_RETIRED_KERNELS)} "
-                f"is still read (and ignored)")
-        kwargs = _checked_kwargs(cls, doc, "scenario")
-        traffic = kwargs.get("traffic")
-        if isinstance(traffic, dict):
-            kwargs["traffic"] = TrafficSpec.from_dict(traffic)
-        admission = kwargs.get("admission")
-        if isinstance(admission, dict):
-            kwargs["admission"] = AdmissionSpec.from_dict(admission)
-        slo = kwargs.get("slo")
-        if isinstance(slo, dict):
-            kwargs["slo"] = SloSpec.from_dict(slo)
-        optimizer = kwargs.get("optimizer")
-        if isinstance(optimizer, dict):
-            kwargs["optimizer"] = OptimizerSpec.from_dict(optimizer)
-        variants = kwargs.get("variants")
-        if variants is not None:
-            kwargs["variants"] = tuple(
-                VariantSpec.from_dict(v) if isinstance(v, dict) else v
-                for v in variants)
-        expectations = kwargs.get("expect")
-        if expectations is not None:
-            kwargs["expect"] = tuple(
-                Expectation.from_dict(e) if isinstance(e, dict) else e
-                for e in expectations)
-        return cls(**kwargs)
-
 
 def _check_think_time(value, what: str) -> None:
     """A think time is the mean of an exponential draw and the bound of
@@ -584,39 +432,3 @@ def _check_think_time(value, what: str) -> None:
             or not math.isfinite(value) or value <= 0:
         raise ConfigurationError(
             f"{what} must be a finite number > 0, got {value!r}")
-
-
-def _checked_version(doc: dict, what: str) -> dict:
-    """Strip and validate the spec-format ``version`` key.
-
-    Returns a copy of ``doc`` without the key; a missing version means
-    version 1 (documents written before versioning existed).
-    """
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{what} must be a JSON object, "
-                                 f"got {type(doc).__name__}")
-    doc = dict(doc)
-    version = doc.pop("version", SPEC_FORMAT_VERSION)
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise ConfigurationError(
-            f"{what} version must be an integer, got {version!r}")
-    if not 1 <= version <= SPEC_FORMAT_VERSION:
-        raise ConfigurationError(
-            f"{what} format version {version} is not supported by this "
-            f"build (understands versions 1..{SPEC_FORMAT_VERSION}); "
-            f"re-export the spec or upgrade")
-    return doc
-
-
-def _checked_kwargs(cls, doc: dict, what: str) -> dict:
-    """Reject unknown keys with a ConfigurationError naming them."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{what} must be a JSON object, "
-                                 f"got {type(doc).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {what} field(s) {', '.join(unknown)}; valid "
-            f"fields: {', '.join(sorted(known))}")
-    return dict(doc)

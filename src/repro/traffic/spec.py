@@ -17,38 +17,18 @@ to sorted tuples so specs stay hashable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
-
-
-def _freeze(value):
-    """Deep-freeze JSON-shaped values into hashable equivalents."""
-    if isinstance(value, dict):
-        return tuple(sorted((str(key), _freeze(item))
-                            for key, item in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
-def _thaw(value):
-    """Invert :func:`_freeze` back into JSON-shaped values."""
-    if isinstance(value, tuple):
-        if all(isinstance(item, tuple) and len(item) == 2
-               and isinstance(item[0], str) for item in value):
-            return {key: _thaw(item) for key, item in value}
-        return [_thaw(item) for item in value]
-    return value
-
+from repro.specdoc import SpecDocument, freeze, sorted_pairs, thaw
 
 #: the trace-transform fields: only meaningful when replaying a trace
 _TRACE_ONLY = ("window", "tenants", "remap", "tolerate_tail")
 
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(SpecDocument, what="traffic"):
     """One fully-described open-loop traffic shape.
 
     Exactly one of ``arrivals`` (a registered arrival-process name) or
@@ -73,10 +53,10 @@ class TrafficSpec:
     window: Optional[Tuple[float, float]] = None
     #: keep only these tenants of a trace
     tenants: Optional[Tuple[str, ...]] = None
-    #: >1 compresses gaps (more load), <1 stretches them
-    rate_scale: float = 1.0
     #: template renames applied to trace events, as sorted pairs
     remap: Tuple[Tuple[str, str], ...] = ()
+    #: >1 compresses gaps (more load), <1 stretches them
+    rate_scale: float = 1.0
     #: concurrent-session admission cap (None = experiment clients)
     max_sessions: Optional[int] = None
     #: sessions allowed to wait for admission before drops start
@@ -85,13 +65,8 @@ class TrafficSpec:
     queue_timeout: float = 120.0
 
     def __post_init__(self):
-        params = self.params
-        if isinstance(params, dict):
-            params = params.items()
-        object.__setattr__(
-            self, "params",
-            tuple(sorted((str(key), _freeze(value))
-                         for key, value in params)))
+        object.__setattr__(self, "params",
+                           sorted_pairs(self.params, freeze))
         if self.window is not None:
             window = tuple(self.window)
             if len(window) != 2:
@@ -103,12 +78,7 @@ class TrafficSpec:
         if self.tenants is not None:
             object.__setattr__(self, "tenants",
                                tuple(str(t) for t in self.tenants))
-        remap = self.remap
-        if isinstance(remap, dict):
-            remap = remap.items()
-        object.__setattr__(
-            self, "remap",
-            tuple(sorted((str(old), str(new)) for old, new in remap)))
+        object.__setattr__(self, "remap", sorted_pairs(self.remap, str))
         self._validate()
 
     def _validate(self) -> None:
@@ -122,6 +92,10 @@ class TrafficSpec:
             self.build_arrivals()
         if self.trace is not None and not self.trace:
             raise ConfigurationError("traffic trace path must be non-empty")
+        if self.trace is not None and self.params:
+            raise ConfigurationError(
+                "traffic field 'params' parameterizes an arrival "
+                "process; it does not apply to a trace replay")
         if self.arrivals is not None:
             for name in _TRACE_ONLY:
                 value = getattr(self, name)
@@ -159,62 +133,4 @@ class TrafficSpec:
                 "process to build")
         return make_arrival_process(
             self.arrivals,
-            **{key: _thaw(value) for key, value in self.params})
-
-    def to_dict(self) -> dict:
-        """The JSON-ready document form (defaults omitted)."""
-        doc: dict = {}
-        if self.arrivals is not None:
-            doc["arrivals"] = self.arrivals
-            if self.params:
-                doc["params"] = {key: _thaw(value)
-                                 for key, value in self.params}
-        if self.trace is not None:
-            doc["trace"] = self.trace
-            if self.tolerate_tail:
-                doc["tolerate_tail"] = True
-            if self.window is not None:
-                doc["window"] = list(self.window)
-            if self.tenants is not None:
-                doc["tenants"] = list(self.tenants)
-            if self.remap:
-                doc["remap"] = dict(self.remap)
-        if self.rate_scale != 1.0:
-            doc["rate_scale"] = self.rate_scale
-        if self.max_sessions is not None:
-            doc["max_sessions"] = self.max_sessions
-        if self.queue_limit != 64:
-            doc["queue_limit"] = self.queue_limit
-        if self.queue_timeout != 120.0:
-            doc["queue_timeout"] = self.queue_timeout
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrafficSpec":
-        """Parse a traffic document, rejecting unknown fields."""
-        if not isinstance(doc, dict):
-            raise ConfigurationError(
-                f"traffic must be a JSON object, got "
-                f"{type(doc).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown traffic field(s) {', '.join(unknown)}; valid "
-                f"fields: {', '.join(sorted(known))}")
-        kwargs = dict(doc)
-        params = kwargs.get("params")
-        if isinstance(params, dict):
-            kwargs["params"] = tuple(sorted(
-                (str(key), _freeze(value))
-                for key, value in params.items()))
-        window = kwargs.get("window")
-        if isinstance(window, list):
-            kwargs["window"] = tuple(window)
-        tenants = kwargs.get("tenants")
-        if isinstance(tenants, list):
-            kwargs["tenants"] = tuple(tenants)
-        remap = kwargs.get("remap")
-        if isinstance(remap, dict):
-            kwargs["remap"] = tuple(sorted(remap.items()))
-        return cls(**kwargs)
+            **{key: thaw(value) for key, value in self.params})

@@ -130,7 +130,7 @@ def test_cli_reference_covers_every_subcommand():
     day it lands and a removed one stops being required."""
     text = (REPO / "docs" / "cli.md").read_text(encoding="utf-8")
     commands = parser_commands()
-    assert "scenarios run" in commands and "traces capture" in commands
+    assert "scenarios run" in commands and "traces synth" in commands
     for command in commands:
         assert f"repro {command}" in text, f"cli.md misses {command!r}"
 

@@ -7,6 +7,9 @@ byte-identity.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -33,6 +36,8 @@ from repro.optimizer.spec import OptimizerSpec
 from repro.scenarios.facade import evaluate_expectations
 from repro.traffic.spec import TrafficSpec
 from repro import cli
+
+from helpers import canonical_text
 
 
 def tiny_spec(**overrides) -> ScenarioSpec:
@@ -70,22 +75,22 @@ def test_spec_format_versioning():
     spec = tiny_spec()
     doc = spec.to_dict()
     # documents are stamped with the *minimal* version able to read
-    # them (only the optimizer axis needs the current version 6; the
-    # admission/slo axes need 5; nothing needs 4 any more; the
-    # traffic axis needs 3) ...
-    assert doc["version"] == spec.document_version() == 2
+    # them: the largest ``since`` among the fields they write (only the
+    # optimizer axis needs the current version 6; the admission/slo
+    # axes need 5; nothing needs 4 any more; the traffic axis needs 3)
+    assert doc["version"] == 2
     assert SPEC_FORMAT_VERSION == 6
     traffic = TrafficSpec(arrivals="poisson", params={"rate": 0.01})
-    assert tiny_spec(traffic=traffic).document_version() == 3
+    assert tiny_spec(traffic=traffic).to_dict()["version"] == 3
     assert tiny_spec(
         traffic=traffic,
         admission=AdmissionSpec(policy="weighted_fair", weights={"a": 2.0}),
-    ).document_version() == 5
-    assert tiny_spec(optimizer=OptimizerSpec()).document_version() == 6
+    ).to_dict()["version"] == 5
+    assert tiny_spec(optimizer=OptimizerSpec()).to_dict()["version"] == 6
     assert tiny_spec(variants=(
         VariantSpec("a"),
         VariantSpec("b", optimizer=OptimizerSpec(enumerator="ues")),
-    ), expect=()).document_version() == 6
+    ), expect=()).to_dict()["version"] == 6
     # ... pre-versioning documents (no version key) still parse ...
     unversioned = dict(doc)
     del unversioned["version"]
@@ -633,3 +638,31 @@ def test_every_registered_scenario_smoke_runs():
             assert result.batch.ok, \
                 f"{spec.scenario_id}: {result.batch.errors}"
             assert set(result.batch.results) == set(spec.variant_names())
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    """String hashing is salted per process, so set and dict iteration
+    over strings may differ between runs; no artifact may show it.
+    ``fairness-noisy`` carries the traffic, admission and SLO axes and
+    ``--snapshot`` adds the DMV snapshot."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    runs = {}
+    for seed in ("0", "987654"):
+        out = tmp_path / seed
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        runs[seed] = (out, subprocess.Popen(
+            [sys.executable, "-m", "repro", "scenarios", "run", "fig1",
+             "fairness-noisy", "--preset", "smoke", "--seed", "3",
+             "--snapshot", "--out", str(out)],
+            stdout=subprocess.DEVNULL, env=env))
+    for out, proc in runs.values():
+        assert proc.wait(timeout=60) == 0
+    (first, _), (second, _) = runs.values()
+    names = sorted(os.listdir(first))
+    assert names == ["BENCH_scenario_fairness-noisy.json",
+                     "BENCH_scenario_fig1.json"]
+    assert names == sorted(os.listdir(second))
+    for name in names:
+        assert canonical_text(first / name) == canonical_text(second / name)

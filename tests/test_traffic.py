@@ -327,6 +327,8 @@ def test_traffic_spec_validates_at_definition_time():
         TrafficSpec(arrivals="poisson", queue_timeout=0)
     with pytest.raises(ConfigurationError, match="window start"):
         TrafficSpec(trace="t.jsonl", window=(10.0, 10.0))
+    with pytest.raises(ConfigurationError, match="trace replay"):
+        TrafficSpec(trace="t.jsonl", params={"rate": 2.0})
 
 
 def test_traffic_spec_roundtrips_and_is_hashable():
